@@ -56,8 +56,9 @@ fn err<T>(message: impl Into<String>) -> Result<T, ParseError> {
 /// Runs a parse against a scratch copy of the schema and commits the copy
 /// only on success, so a failed parse leaves `schema` exactly as it was —
 /// even when relations were registered before the offending literal.
-/// `Schema::clone` shares the value domain and copies only the relation
-/// table, so commit is a cheap assignment.
+/// `Schema::clone` shares the value domain and the copy-on-write relation
+/// table, so the scratch copy is two reference-count bumps and commit is an
+/// assignment.
 fn transactional<T>(
     schema: &mut Schema,
     parse: impl FnOnce(&mut Schema) -> Result<T, ParseError>,
@@ -88,7 +89,8 @@ pub fn parse_ccq(schema: &mut Schema, input: &str) -> Result<Ccq, ParseError> {
     transactional(schema, |scratch| parse_ccq_into(scratch, input))
 }
 
-/// Parses a UCQ: one or more rules separated by `;` (or newlines).
+/// Parses a UCQ: one or more rules separated by `;` (or newlines).  Every
+/// rule must have the same number of head variables.
 ///
 /// On error the schema is left untouched (parsing is transactional).
 pub fn parse_ucq(schema: &mut Schema, input: &str) -> Result<Ucq, ParseError> {
@@ -97,13 +99,23 @@ pub fn parse_ucq(schema: &mut Schema, input: &str) -> Result<Ucq, ParseError> {
         if rules.is_empty() {
             return Ok(Ucq::empty());
         }
-        let mut members = Vec::new();
+        let mut members: Vec<Cq> = Vec::new();
         for rule in rules {
             let ccq = parse_rule(scratch, rule)?;
             if !ccq.inequalities().is_empty() {
                 return err("UCQ members may not contain inequalities");
             }
-            members.push(ccq.cq().clone());
+            let cq = ccq.cq();
+            if let Some(first) = members.first() {
+                if first.free_vars().len() != cq.free_vars().len() {
+                    return err(format!(
+                        "UCQ members disagree on head arity: {} and {}",
+                        first.free_vars().len(),
+                        cq.free_vars().len()
+                    ));
+                }
+            }
+            members.push(cq.clone());
         }
         Ok(Ucq::new(members))
     })
@@ -189,6 +201,17 @@ fn parse_rule(schema: &mut Schema, rule: &str) -> Result<Ccq, ParseError> {
     }
     if atoms.is_empty() {
         return err("a query needs at least one atom");
+    }
+    // A variable named only in an inequality occurs in no atom: refuse it
+    // here, where `Cq::new` would panic on the unsafe query.
+    let mut in_atom = vec![false; vars.len()];
+    for atom in &atoms {
+        for arg in &atom.args {
+            in_atom[arg.0 as usize] = true;
+        }
+    }
+    if let Some(unbound) = in_atom.iter().position(|&seen| !seen) {
+        return err(format!("variable `{}` occurs in no atom", vars[unbound]));
     }
 
     let mut free = Vec::new();
@@ -325,6 +348,29 @@ mod tests {
         assert!(parse_cq(&mut schema, "Q() :- R(x,y) ; Q() :- R(y,x)").is_err());
         let e = parse_cq(&mut schema, "nope").unwrap_err();
         assert!(format!("{}", e).contains("parse error"));
+    }
+
+    #[test]
+    fn mixed_head_arities_are_a_parse_error() {
+        let mut schema = Schema::new();
+        let e = parse_ucq(&mut schema, "Q(x) :- R(x, y) ; Q() :- R(x, y)").unwrap_err();
+        assert!(e.message.contains("head arity"), "{e}");
+        let e = parse_ucq(&mut schema, "Q() :- R(x, y) ; Q(x, y) :- R(x, y)").unwrap_err();
+        assert!(e.message.contains("head arity"), "{e}");
+        // The failed parse registered nothing.
+        assert!(schema.is_empty());
+        // Equal head arities still parse.
+        let u = parse_ucq(&mut schema, "Q(x) :- R(x, y) ; Q(y) :- R(x, y)").unwrap();
+        assert_eq!(u.len(), 2);
+    }
+
+    #[test]
+    fn variables_only_in_inequalities_are_a_parse_error() {
+        let mut schema = Schema::new();
+        let e = parse_ccq(&mut schema, "Q() :- R(x), x != z").unwrap_err();
+        assert!(e.message.contains("`z` occurs in no atom"), "{e}");
+        assert!(parse_ucq(&mut schema, "Q() :- R(x), z != x").is_err());
+        assert!(schema.is_empty());
     }
 
     #[test]

@@ -171,16 +171,28 @@ impl std::error::Error for SchemaError {}
 /// schemas with the same relations are equal even though their domains are
 /// distinct interners (instances over them still compare equal value-wise;
 /// see [`Instance`](crate::instance::Instance)).
+///
+/// The relation table is copy-on-write: clones share it behind an [`Arc`],
+/// and a clone copies it only when it registers a relation the table does
+/// not hold yet.  Cloning a schema — and so every [`Cq`](crate::Cq), which
+/// carries its schema — is two reference-count bumps.
 #[derive(Clone, Debug, Default)]
 pub struct Schema {
-    relations: Vec<(String, usize)>,
-    by_name: HashMap<String, RelId>,
+    relations: Arc<Relations>,
     domain: Domain,
+}
+
+/// The relation table behind a [`Schema`]: `(name, arity)` by id, and the
+/// id by name.
+#[derive(Clone, Debug, Default)]
+struct Relations {
+    list: Vec<(String, usize)>,
+    by_name: HashMap<String, RelId>,
 }
 
 impl PartialEq for Schema {
     fn eq(&self, other: &Self) -> bool {
-        self.relations == other.relations
+        self.relations.list == other.relations.list
     }
 }
 
@@ -205,8 +217,8 @@ impl Schema {
     /// [`SchemaError::ArityConflict`] if a relation with the same name but a
     /// different arity already exists.
     pub fn try_add_relation(&mut self, name: &str, arity: usize) -> Result<RelId, SchemaError> {
-        if let Some(&id) = self.by_name.get(name) {
-            let existing = self.relations[id.0 as usize].1;
+        if let Some(&id) = self.relations.by_name.get(name) {
+            let existing = self.relations.list[id.0 as usize].1;
             if existing != arity {
                 return Err(SchemaError::ArityConflict {
                     name: name.to_string(),
@@ -216,9 +228,10 @@ impl Schema {
             }
             return Ok(id);
         }
-        let id = RelId(self.relations.len() as u32);
-        self.relations.push((name.to_string(), arity));
-        self.by_name.insert(name.to_string(), id);
+        let relations = Arc::make_mut(&mut self.relations);
+        let id = RelId(relations.list.len() as u32);
+        relations.list.push((name.to_string(), arity));
+        relations.by_name.insert(name.to_string(), id);
         Ok(id)
     }
 
@@ -233,32 +246,32 @@ impl Schema {
 
     /// Looks up a relation symbol by name.
     pub fn relation(&self, name: &str) -> Option<RelId> {
-        self.by_name.get(name).copied()
+        self.relations.by_name.get(name).copied()
     }
 
     /// The name of a relation symbol.
     pub fn name(&self, rel: RelId) -> &str {
-        &self.relations[rel.0 as usize].0
+        &self.relations.list[rel.0 as usize].0
     }
 
     /// The arity of a relation symbol.
     pub fn arity(&self, rel: RelId) -> usize {
-        self.relations[rel.0 as usize].1
+        self.relations.list[rel.0 as usize].1
     }
 
     /// The number of relation symbols.
     pub fn len(&self) -> usize {
-        self.relations.len()
+        self.relations.list.len()
     }
 
     /// Whether the schema has no relations.
     pub fn is_empty(&self) -> bool {
-        self.relations.is_empty()
+        self.relations.list.is_empty()
     }
 
     /// Iterates over all relation symbols.
     pub fn rel_ids(&self) -> impl Iterator<Item = RelId> + '_ {
-        (0..self.relations.len() as u32).map(RelId)
+        (0..self.relations.list.len() as u32).map(RelId)
     }
 
     /// The shared value interner of instances over this schema.  Clones of a
@@ -418,6 +431,28 @@ mod tests {
         assert_eq!(d.resolve_tuple(&row), tuple);
         assert_eq!(d.lookup_tuple(&tuple), Some(row));
         assert_eq!(d.lookup_tuple(&[DbValue::Int(99)]), None);
+    }
+
+    #[test]
+    fn registering_on_a_clone_leaves_the_original_untouched() {
+        let original = Schema::with_relations([("R", 2)]);
+        let mut clone = original.clone();
+        let s = clone.add_relation("S", 1);
+        assert_eq!(clone.len(), 2);
+        assert_eq!(clone.relation("S"), Some(s));
+        assert_eq!(original.len(), 1);
+        assert_eq!(original.relation("S"), None);
+
+        // … and the other way round: the original grows, the clone does not.
+        let mut original = original;
+        let before = original.clone();
+        original.add_relation("T", 3);
+        assert_eq!(original.len(), 2);
+        assert_eq!(before.len(), 1);
+        assert_eq!(before.relation("T"), None);
+        assert_eq!(clone.relation("T"), None);
+        // Clones keep sharing the value domain throughout.
+        assert!(original.domain().shares_with(clone.domain()));
     }
 
     #[test]

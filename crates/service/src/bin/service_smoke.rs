@@ -140,8 +140,8 @@ fn exact_counter_session() {
             client.roundtrip("DECIDE Bool Q() :- R(u, v), R(u, w) <= Q() :- R(u, v), R(u, v)");
         expect_prefix(&other, "OK contained miss", "different semiring");
 
-        // 4. Parse error (unbalanced parenthesis) — and the shared schema
-        //    must survive it.
+        // 4. Parse error (unbalanced parenthesis): a structured ERR, and the
+        //    request's own schema dies with it.
         let bad = client.roundtrip("DECIDE Why Q() :- R(x <= Q() :- R(x, y)");
         expect_prefix(&bad, "ERR left query:", "parse error");
 

@@ -2,17 +2,14 @@
 //!
 //! Containment decisions are keyed by the *canonical form of the query
 //! pair up to isomorphism*: a request for `Q₁ ⊑ Q₂` over semiring `K`
-//! hits the cache whenever an α-renamed / atom-reordered variant of the
-//! same pair was decided before.  The lookup is two-stage:
-//!
-//! 1. a 64-bit fingerprint built from the renaming-invariant canonical
-//!    codes of both queries ([`annot_query::key`]) plus the semiring
-//!    selects a bucket — isomorphic pairs always agree on it;
-//! 2. within the bucket, a candidate entry counts as a hit only if both
-//!    sides are actually isomorphic ([`annot_hom::are_isomorphic_ucq`]) —
-//!    this refinement makes the cache *exact* even when the capped
-//!    canonical-labelling search fell back to a coarse code or two
-//!    non-isomorphic pairs collide in 64 bits.
+//! hits the cache whenever an α-renamed / atom-reordered /
+//! disjunct-reordered variant of the same pair was decided before.  The
+//! key is exact: an entry holds the semiring and the canonical codes of
+//! both queries ([`annot_query::key::ucq_code`], equal exactly for
+//! isomorphic queries, relations spelled by name and arity), and a lookup
+//! compares them word for word.  A 64-bit fingerprint of the three only
+//! picks the shard and the bucket; colliding fingerprints share a bucket
+//! and never an answer.
 //!
 //! The map is sharded: each shard is its own mutex-guarded table, picked
 //! by key, so concurrent decisions on different pairs rarely contend.
@@ -33,8 +30,9 @@
 //! * **TTL** — entries older than `ttl` *logical ticks* are expired
 //!   lazily: on any probe of their bucket, and preferentially during
 //!   eviction scans;
-//! * **global byte budget** — the per-entry footprint estimate that
-//!   `STATS` reports as `approx_bytes` is also the *enforcement input*:
+//! * **global byte budget** — the per-entry footprint that `STATS`
+//!   reports as `approx_bytes` (the entry struct plus its code words) is
+//!   also the *enforcement input*:
 //!   after every insert the cache evicts (round-robin across shards,
 //!   one lock at a time) until the tracked total is at or under
 //!   `byte_budget`.  An entry that alone exceeds the budget is never
@@ -60,7 +58,6 @@ use annot_core::registry::SemiringId;
 use annot_core::sync::atomic::{AtomicU64, Ordering};
 use annot_core::sync::clock::LogicalClock;
 use annot_core::sync::{Mutex, PoisonError};
-use annot_hom::are_isomorphic_ucq;
 use annot_query::key::{hash64, ucq_code};
 use annot_query::Ucq;
 use std::collections::{HashMap, VecDeque};
@@ -86,18 +83,18 @@ pub struct CacheConfig {
     pub byte_budget: Option<u64>,
 }
 
-/// One cached decision: the pair it answers (held for the isomorphism
-/// refinement), the decision, and the eviction bookkeeping.
+/// One cached decision: the question it answers (semiring and canonical
+/// codes of both queries), the decision, and the eviction bookkeeping.
 struct Entry {
     semiring: SemiringId,
-    q1: Ucq,
-    q2: Ucq,
+    code1: Box<[u64]>,
+    code2: Box<[u64]>,
     decision: Decision,
     /// Shard-unique id linking this entry to its ring slot.
     id: u64,
     /// Tick at insertion — the TTL reference point.
     stamp: u64,
-    /// Precomputed footprint estimate (entry struct + query spines).
+    /// Precomputed footprint estimate (entry struct + code words).
     bytes: u64,
     /// Second-chance bit: set on every hit, cleared (once) by the
     /// eviction scan before the entry becomes a victim.
@@ -165,9 +162,8 @@ pub struct CacheStats {
     /// of the fingerprint distribution.  Sums to [`CacheStats::entries`].
     pub shard_entries: Vec<u64>,
     /// Approximate bytes held by the cached entries: the entry structs plus
-    /// a spine-walk estimate of each stored query.  A capacity-planning
-    /// number — and the byte-budget enforcement input — not an allocator
-    /// audit.
+    /// their code words.  A capacity-planning number — and the byte-budget
+    /// enforcement input — not an allocator audit.
     pub approx_bytes: u64,
 }
 
@@ -225,17 +221,15 @@ impl Cache {
         &self.config
     }
 
-    /// The canonical fingerprint of a request: semiring + canonical codes
-    /// of the (ordered) query pair.  Isomorphic requests agree on it.
-    fn fingerprint(semiring: SemiringId, q1: &Ucq, q2: &Ucq) -> u64 {
-        let c1 = ucq_code(q1);
-        let c2 = ucq_code(q2);
+    /// The fingerprint of a request: semiring + canonical codes of the
+    /// (ordered) query pair.  It picks the shard and the bucket only.
+    fn fingerprint(semiring: SemiringId, c1: &[u64], c2: &[u64]) -> u64 {
         let name: Vec<u64> = semiring.name().bytes().map(u64::from).collect();
         let mut words = Vec::with_capacity(c1.len() + c2.len() + 2);
         words.push(hash64(&name));
         words.push(c1.len() as u64);
-        words.extend(c1);
-        words.extend(c2);
+        words.extend_from_slice(c1);
+        words.extend_from_slice(c2);
         hash64(&words)
     }
 
@@ -254,13 +248,14 @@ impl Cache {
         decide: impl FnOnce(&Ucq, &Ucq) -> Decision,
     ) -> (Decision, bool) {
         let now = self.clock.advance();
-        let key = Self::fingerprint(semiring, q1, q2);
+        let (c1, c2) = (ucq_code(q1), ucq_code(q2));
+        let key = Self::fingerprint(semiring, &c1, &c2);
         let shard_index = (key as usize) % NUM_SHARDS;
         let shard = &self.shards[shard_index];
         {
             let mut guard = self.lock(shard);
             self.expire_bucket(&mut guard, key, now);
-            if let Some(found) = Self::lookup(&mut guard, key, semiring, q1, q2) {
+            if let Some(found) = Self::lookup(&mut guard, key, semiring, &c1, &c2) {
                 // relaxed: monotonic statistics counter, no ordering needed
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return (found, true);
@@ -272,7 +267,7 @@ impl Cache {
         let decision = decide(q1, q2);
         // relaxed: monotonic statistics counter, no ordering needed
         self.decides.fetch_add(1, Ordering::Relaxed);
-        let entry_bytes = entry_footprint(q1, q2);
+        let entry_bytes = entry_footprint(&c1, &c2);
         if self.config.byte_budget.is_some_and(|b| entry_bytes > b) {
             // A single entry larger than the whole budget can never be
             // held without busting it — refuse to cache, count it.
@@ -283,13 +278,13 @@ impl Cache {
         {
             let mut guard = self.lock(shard);
             self.expire_bucket(&mut guard, key, now);
-            if Self::lookup(&mut guard, key, semiring, q1, q2).is_none() {
+            if Self::lookup(&mut guard, key, semiring, &c1, &c2).is_none() {
                 let id = guard.next_id;
                 guard.next_id += 1;
                 guard.table.entry(key).or_default().push(Entry {
                     semiring,
-                    q1: q1.clone(),
-                    q2: q2.clone(),
+                    code1: c1.into_boxed_slice(),
+                    code2: c2.into_boxed_slice(),
                     decision: decision.clone(),
                     id,
                     stamp: now,
@@ -436,17 +431,13 @@ impl Cache {
         shard: &mut Shard,
         key: u64,
         semiring: SemiringId,
-        q1: &Ucq,
-        q2: &Ucq,
+        c1: &[u64],
+        c2: &[u64],
     ) -> Option<Decision> {
         shard.table.get_mut(&key).and_then(|bucket| {
             bucket
                 .iter_mut()
-                .find(|e| {
-                    e.semiring == semiring
-                        && are_isomorphic_ucq(&e.q1, q1)
-                        && are_isomorphic_ucq(&e.q2, q2)
-                })
+                .find(|e| e.semiring == semiring && *e.code1 == *c1 && *e.code2 == *c2)
                 .map(|e| {
                     e.referenced = true; // second chance for the evictor
                     e.decision.clone()
@@ -492,25 +483,10 @@ impl Cache {
     }
 }
 
-/// The tracked footprint of one entry: the entry struct plus both query
-/// spines.  This estimate *is* the byte-budget enforcement input.
-fn entry_footprint(q1: &Ucq, q2: &Ucq) -> u64 {
-    std::mem::size_of::<Entry>() as u64 + approx_ucq_bytes(q1) + approx_ucq_bytes(q2)
-}
-
-/// A rough accounting of one stored query's footprint: the UCQ spine plus
-/// each disjunct's atom list and argument vectors.  Heap blocks the spine
-/// walk cannot see (interner strings, allocator slack) are out of scope.
-fn approx_ucq_bytes(u: &Ucq) -> u64 {
-    let mut bytes = std::mem::size_of::<Ucq>() as u64;
-    for cq in u.disjuncts() {
-        bytes += std::mem::size_of_val(cq) as u64;
-        for atom in cq.atoms() {
-            bytes += std::mem::size_of_val(atom) as u64
-                + (atom.args.len() * std::mem::size_of::<annot_query::QVar>()) as u64;
-        }
-    }
-    bytes
+/// The tracked footprint of one entry: the entry struct plus both codes'
+/// words.  This estimate *is* the byte-budget enforcement input.
+fn entry_footprint(c1: &[u64], c2: &[u64]) -> u64 {
+    (std::mem::size_of::<Entry>() + std::mem::size_of_val(c1) + std::mem::size_of_val(c2)) as u64
 }
 
 impl Default for Cache {
@@ -634,7 +610,7 @@ mod tests {
         let pairs = distinct_pairs(&mut s, 12);
         let n = SemiringId::from_name("N").unwrap();
         // A budget that fits roughly two entries.
-        let one = entry_footprint(&pairs[0].0, &pairs[0].1);
+        let one = entry_footprint(&ucq_code(&pairs[0].0), &ucq_code(&pairs[0].1));
         let budget = one * 2 + one / 2;
         let cache = Cache::with_config(CacheConfig {
             byte_budget: Some(budget),
@@ -718,7 +694,8 @@ mod tests {
         let mut by_shard: HashMap<usize, Vec<usize>> = HashMap::new();
         let mut colliding: Option<Vec<usize>> = None;
         for (i, (q1, q2)) in pairs.iter().enumerate() {
-            let shard = (Cache::fingerprint(n, q1, q2) as usize) % NUM_SHARDS;
+            let key = Cache::fingerprint(n, &ucq_code(q1), &ucq_code(q2));
+            let shard = (key as usize) % NUM_SHARDS;
             let bucket = by_shard.entry(shard).or_default();
             bucket.push(i);
             if bucket.len() == 3 {

@@ -5,13 +5,12 @@
 //! Query Containment"* (Kostylev, Reutter, Salamon; PODS 2012).
 //!
 //! * [`proto`] — the line protocol (`DECIDE <semiring> <q1> ⊑ <q2>`, …);
-//! * [`cache`] — the sharded semantic cache, keyed by the canonical form
-//!   of the query pair *up to isomorphism* and made exact by an
-//!   isomorphism refinement inside each bucket;
-//! * [`server`] — shared-schema request handling and the thread-per-core
-//!   accept loop over a `TcpListener`, with admission control (decide
-//!   budgets, connection cap, read timeouts) and pipelined `BATCH` framing
-//!   for sustained traffic.
+//! * [`cache`] — the sharded semantic cache, keyed exactly by the
+//!   canonical codes of the query pair *up to isomorphism*;
+//! * [`server`] — request handling over request-local schemas and the
+//!   thread-per-core accept loop over a `TcpListener`, with admission
+//!   control (decide budgets, connection cap, read timeouts) and pipelined
+//!   `BATCH` framing for sustained traffic.
 //!
 //! Semiring dispatch is runtime-dynamic through
 //! [`annot_core::registry::SemiringId`], so one server process answers for

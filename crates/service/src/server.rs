@@ -5,14 +5,13 @@
 //! facade; `annot-lint` enforces this), so the server's protocol logic can
 //! be model-checked alongside the core's concurrency if ever needed.
 //!
-//! ## Shared schema
+//! ## Request-local schemas
 //!
-//! The server parses every query against **one** shared [`Schema`] behind a
-//! mutex.  That keeps relation ids stable across requests and connections,
-//! which the cache's isomorphism refinement relies on (atoms are compared
-//! by relation id).  Parsing is transactional, so a malformed request —
-//! even one that registers new relations before failing — leaves the shared
-//! schema untouched.
+//! Each `DECIDE` parses both queries into a fresh [`Schema`] of its own.
+//! The cache key spells relations by name and arity, so parsing takes no
+//! lock, a relation's arity holds per request only (`R/2` and `R/3` in two
+//! requests both answer, under distinct keys), and no relation registry
+//! grows with the traffic.
 //!
 //! ## Admission control and degradation
 //!
@@ -24,9 +23,9 @@
 //!   `OVERLOAD decide-budget …` reply *before* any decider (or canonical
 //!   labelling) runs.  The containment procedures are worst-case
 //!   exponential in the variable count — the same reason the oracle takes
-//!   `BruteForceConfig::max_instances` and the cache key caps its
-//!   labelling search — so the budget is the service-level analogue of
-//!   those knobs: bounded work per request, enforced at the door.
+//!   `BruteForceConfig::max_instances` — so the budget is the
+//!   service-level analogue of that knob: bounded work per request,
+//!   enforced at the door.
 //! * **batch cap** (`max_batch`) — a `BATCH n` beyond the cap is refused
 //!   with `OVERLOAD batch …` and no item is read.
 //! * **connection cap** (`max_connections`) — a connection over the cap
@@ -48,9 +47,9 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
-/// How many worker threads a batch fans out over.  Batch items complete
-/// out of order across cache shards; the pool is small because each item
-/// already parallelises poorly (one shared schema lock per parse).
+/// How many worker threads a batch fans out over.  Batch items share no
+/// state before the cache shard their key picks, so they complete out of
+/// order; the pool stays small because every batch spawns it afresh.
 const BATCH_WORKERS: usize = 4;
 
 /// Knobs for the server's sustained-traffic behaviour.  The default is
@@ -93,10 +92,9 @@ impl Default for ServiceConfig {
     }
 }
 
-/// The server's shared state: one schema, one semantic cache, the
+/// The server's shared state: one semantic cache and the
 /// admission-control counters.
 pub struct Service {
-    schema: Mutex<Schema>,
     cache: Cache,
     config: ServiceConfig,
     overloads: AtomicU64,
@@ -152,8 +150,8 @@ impl From<&str> for BatchItem {
 }
 
 impl Service {
-    /// A fresh service with an empty schema, an unbounded cache and no
-    /// admission limits (the PR 8 behaviour).
+    /// A fresh service with an unbounded cache and no admission limits
+    /// (the PR 8 behaviour).
     pub fn new() -> Service {
         Service::with_config(ServiceConfig::default())
     }
@@ -161,7 +159,6 @@ impl Service {
     /// A fresh service under the given limits.
     pub fn with_config(config: ServiceConfig) -> Service {
         Service {
-            schema: Mutex::new(Schema::new()),
             cache: Cache::with_config(config.cache),
             config,
             overloads: AtomicU64::new(0),
@@ -287,19 +284,14 @@ impl Service {
         let Some(id) = SemiringId::from_name(semiring) else {
             return format!("ERR unknown semiring {semiring:?}");
         };
-        let parsed = {
-            let mut schema = self.schema.lock().unwrap_or_else(PoisonError::into_inner);
-            parser::parse_ucq(&mut schema, q1)
-                .map_err(|e| format!("ERR left query: {e}"))
-                .and_then(|u1| {
-                    parser::parse_ucq(&mut schema, q2)
-                        .map(|u2| (u1, u2))
-                        .map_err(|e| format!("ERR right query: {e}"))
-                })
+        let mut schema = Schema::new();
+        let u1 = match parser::parse_ucq(&mut schema, q1) {
+            Ok(u1) => u1,
+            Err(e) => return format!("ERR left query: {e}"),
         };
-        let (u1, u2) = match parsed {
-            Ok(pair) => pair,
-            Err(reply) => return reply,
+        let u2 = match parser::parse_ucq(&mut schema, q2) {
+            Ok(u2) => u2,
+            Err(e) => return format!("ERR right query: {e}"),
         };
         if let Some(refusal) = self.admission_refusal(&u1, &u2) {
             // relaxed: monotonic statistics counter, no ordering needed
@@ -550,15 +542,23 @@ fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
+/// Sets an accepted socket up: `TCP_NODELAY`, so a reply past the write
+/// buffer does not wait out the peer's delayed ACK, and the read timeout.
+fn configure_stream(stream: &TcpStream, config: &ServiceConfig) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
+    if let Some(timeout) = config.read_timeout {
+        stream.set_read_timeout(Some(timeout))?;
+    }
+    Ok(())
+}
+
 fn handle_connection(
     stream: TcpStream,
     service: &Service,
     shutdown: &ShutdownFlag,
 ) -> std::io::Result<()> {
     let local = stream.local_addr()?;
-    if let Some(timeout) = service.config().read_timeout {
-        stream.set_read_timeout(Some(timeout))?;
-    }
+    configure_stream(&stream, service.config())?;
     // Per-connection write-side buffering: single replies flush per line,
     // batches flush once per batch.
     let mut writer = BufWriter::new(stream.try_clone()?);
@@ -732,15 +732,54 @@ mod tests {
     #[test]
     fn failed_parses_do_not_poison_the_shared_schema() {
         let service = Service::new();
-        // R is registered with arity 2 by a good request …
+        // R is used with arity 2 by a good request …
         service.handle_line("DECIDE B Q() :- R(x, y) <= Q() :- R(x, x)");
-        // … a bad request tries to re-register S then fails on arity clash …
+        // … a bad request uses S, then clashes on R's arity inside itself …
         let err = service.handle_line("DECIDE B Q() :- S(x), R(x) <= Q() :- R(x, y)");
-        assert!(err.reply().starts_with("ERR"));
-        // … and S must not have leaked into the schema: a fresh use of S
-        // with a different arity parses fine.
+        assert!(
+            err.reply().starts_with("ERR right query:"),
+            "{}",
+            err.reply()
+        );
+        // … and neither request's schema outlives it: S and R at other
+        // arities parse fine afterwards.
         let ok = service.handle_line("DECIDE B Q() :- S(x, y) <= Q() :- S(x, x)");
         assert!(ok.reply().starts_with("OK"), "{:?}", ok.reply());
+        let ok = service.handle_line("DECIDE B Q() :- R(x) <= Q() :- R(y)");
+        assert!(
+            ok.reply().starts_with("OK contained miss"),
+            "{:?}",
+            ok.reply()
+        );
+    }
+
+    #[test]
+    fn arity_is_per_request_and_part_of_the_key() {
+        let service = Service::new();
+        let binary = service.handle_line("DECIDE B Q() :- R(x, y) <= Q() :- R(u, v)");
+        let ternary = service.handle_line("DECIDE B Q() :- R(x, y, z) <= Q() :- R(u, v, w)");
+        assert!(
+            binary.reply().starts_with("OK contained miss"),
+            "{}",
+            binary.reply()
+        );
+        assert!(
+            ternary.reply().starts_with("OK contained miss"),
+            "{}",
+            ternary.reply()
+        );
+        let stats = service.handle_line("STATS").reply().to_string();
+        assert_eq!(stat(&stats, "entries"), 2, "R/2 and R/3 share no entry");
+    }
+
+    #[test]
+    fn accepted_connections_get_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        configure_stream(&accepted, &ServiceConfig::default()).expect("configure");
+        assert!(accepted.nodelay().expect("nodelay"));
+        drop(client);
     }
 
     #[test]

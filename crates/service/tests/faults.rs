@@ -10,6 +10,10 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
+/// How long a client waits for a reply before the test fails instead of
+/// hanging on a server that lost its workers.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(10);
+
 struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -18,6 +22,9 @@ struct Client {
 impl Client {
     fn connect(addr: SocketAddr) -> Client {
         let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(REPLY_TIMEOUT))
+            .expect("client timeout");
         Client {
             reader: BufReader::new(stream.try_clone().expect("clone")),
             writer: stream,
@@ -85,8 +92,21 @@ fn with_server(config: ServiceConfig, workers: usize, session: impl FnOnce(Socke
     annot_core::sync::thread::scope(|s| {
         s.spawn(|| serve(&listener, &service, &shutdown, workers));
         session(addr);
-        let mut finisher = Client::connect(addr);
-        assert_eq!(finisher.roundtrip("SHUTDOWN"), "OK shutting-down");
+        // Under a connection cap the session's last connection may still
+        // hold its slot when the finisher connects: retry a BUSY refusal.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let mut finisher = Client::connect(addr);
+            let reply = finisher.roundtrip("SHUTDOWN");
+            if reply == "OK shutting-down" {
+                break;
+            }
+            assert!(
+                reply.starts_with("BUSY") && Instant::now() < deadline,
+                "unexpected reply to SHUTDOWN: {reply:?}"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
     });
 }
 
@@ -259,4 +279,40 @@ fn connections_past_the_cap_get_busy_and_the_slot_recycles() {
         );
         assert_eq!(third.roundtrip("QUIT"), "OK bye");
     });
+}
+
+#[test]
+fn mixed_head_ucqs_are_refused_without_losing_a_worker() {
+    // A UCQ whose members disagree on head arity used to pass the parser
+    // and panic in `Ucq::new`, killing the connection's worker thread; with
+    // `workers` such requests the server stopped serving.  The server runs
+    // detached here, so a lost worker fails the test instead of hanging
+    // the scope that would join it.
+    const WORKERS: usize = 2;
+    let line = "DECIDE B Q(x) :- R(x, y) ; Q() :- R(x, y) <= Q() :- R(u, v)";
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let server = std::thread::spawn(move || {
+        let service = Service::new();
+        serve(&listener, &service, &ShutdownFlag::new(), WORKERS);
+    });
+    for _ in 0..=WORKERS {
+        let mut client = Client::connect(addr);
+        let reply = client.roundtrip(line);
+        assert!(reply.starts_with("ERR left query:"), "{reply}");
+    }
+    for _ in 0..=WORKERS {
+        let mut client = Client::connect(addr);
+        client
+            .writer
+            .write_all(format!("BATCH 1\n{line}\n").as_bytes())
+            .expect("send batch");
+        let reply = client.read_reply();
+        assert!(reply.starts_with("0 ERR left query:"), "{reply}");
+        assert_eq!(client.read_reply(), "DONE 1");
+    }
+    let mut fresh = Client::connect(addr);
+    assert_eq!(fresh.roundtrip("PING"), "OK pong");
+    assert_eq!(fresh.roundtrip("SHUTDOWN"), "OK shutting-down");
+    server.join().expect("no worker panicked");
 }

@@ -1,22 +1,23 @@
 //! Equivalence suite for the iso-canonical cache keys of [`annot_query::key`].
 //!
-//! The service cache treats two `DECIDE` requests as the same question when
-//! the query pairs are isomorphic, so the key function must be
+//! The service cache treats two `DECIDE` requests as the same question
+//! exactly when their canonical codes are equal, so the code must be
 //!
 //! * **invariant** under everything isomorphism ignores — α-renaming of
 //!   variables, reordering of atoms, reordering of UCQ disjuncts — and the
 //!   decisions behind equal keys must agree (randomized checks below), and
-//! * **discriminating** beyond homomorphic equivalence: a pair of queries
-//!   that are hom-equivalent but *not* isomorphic ask genuinely different
-//!   questions over the injective/surjective semirings of Table 1, so they
-//!   must not share a cache key.
+//! * **exact**: equal codes only for isomorphic queries.  The differentials
+//!   below hold code equality against `are_isomorphic_ucq`, in both
+//!   directions, over seeded random queries and high-symmetry shapes
+//!   (stars, cycles, cliques, disjoint copies), whose colour refinement
+//!   alone cannot tell apart.
 
 use annot_core::registry::{decide_cq_dyn, decide_ucq_dyn, SemiringId};
 use annot_hom::iso::are_isomorphic_ucq;
 use annot_hom::kinds::exists_hom;
 use annot_query::generator::{GeneratorConfig, QueryGenerator, QueryShape};
 use annot_query::key::{cq_code, cq_key, ucq_code, ucq_key};
-use annot_query::{Atom, Cq, QVar, Schema, Ucq};
+use annot_query::{parser, Atom, Cq, QVar, Schema, Ucq};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -184,8 +185,9 @@ fn hom_equivalent_but_not_isomorphic_pairs_get_distinct_keys() {
 #[test]
 fn keys_do_not_depend_on_unused_schema_relations() {
     // The same query formulated over two schemas that register extra
-    // relations in different orders must key identically — the service
-    // keeps one growing schema across requests.
+    // relations in different orders must key identically: codes spell the
+    // relations a query uses by name and arity, never by schema position,
+    // so the service can parse every request into a schema of its own.
     let lean = Schema::with_relations([("R", 2)]);
     let fat = Schema::with_relations([("S", 1), ("T", 3), ("R", 2)]);
     let on = |schema: &Schema| {
@@ -198,31 +200,227 @@ fn keys_do_not_depend_on_unused_schema_relations() {
     assert_eq!(cq_key(&on(&lean)), cq_key(&on(&fat)));
 }
 
-#[test]
-fn random_nonisomorphic_pairs_rarely_collide() {
-    // Distinctness smoke: across a pool of random queries, any two with
-    // equal canonical *codes* must genuinely be isomorphic (codes are exact
-    // up to the labeling cap at these sizes; 64-bit key collisions are
-    // tolerated by the cache's bucket verification, codes must not lie).
-    let mut pool: Vec<Cq> = Vec::new();
-    for seed in 100..140u64 {
-        let mut gen = generator(seed, 0);
-        pool.push(gen.cq());
+/// A seeded random CQ over `schema`'s relations `R` and `S`: 2–6 atoms
+/// over one or two relation names, a small variable pool (so isomorphic
+/// and near-isomorphic pairs are common), and 0–2 free variables.
+fn random_cq(schema: &Schema, rng: &mut StdRng) -> Cq {
+    let atoms = rng.gen_range(2..7usize);
+    let pool = rng.gen_range(2..atoms + 2);
+    let names: &[&str] = if rng.gen_bool(0.5) {
+        &["R"]
+    } else {
+        &["R", "S"]
+    };
+    let mut builder = Cq::builder(schema);
+    let mut used: Vec<String> = Vec::new();
+    for _ in 0..atoms {
+        let name = names[rng.gen_range(0..names.len())];
+        let (a, b) = (
+            format!("v{}", rng.gen_range(0..pool)),
+            format!("v{}", rng.gen_range(0..pool)),
+        );
+        builder = builder.atom(name, &[&a, &b]);
+        used.extend([a, b]);
     }
-    let mut rng = StdRng::seed_from_u64(7);
+    let free: Vec<&str> = (0..rng.gen_range(0..3usize))
+        .map(|_| used[rng.gen_range(0..used.len())].as_str())
+        .collect();
+    builder.free(&free).build()
+}
+
+/// Asserts that code equality coincides with isomorphism on every pair of
+/// `pool`, and that the judge agrees with itself in both directions.
+fn assert_codes_decide_isomorphism(pool: &[Ucq]) -> usize {
+    let codes: Vec<Vec<u64>> = pool.iter().map(ucq_code).collect();
+    let mut isomorphic_pairs = 0;
     for i in 0..pool.len() {
         for j in (i + 1)..pool.len() {
-            if cq_code(&pool[i]) == cq_code(&pool[j]) {
-                let (a, b) = (Ucq::single(pool[i].clone()), Ucq::single(pool[j].clone()));
-                assert!(
-                    are_isomorphic_ucq(&a, &b),
-                    "queries {i} and {j} share a code but are not isomorphic"
-                );
+            let iso = are_isomorphic_ucq(&pool[i], &pool[j]);
+            assert_eq!(
+                iso,
+                are_isomorphic_ucq(&pool[j], &pool[i]),
+                "the judge is not symmetric on {} vs {}",
+                pool[i],
+                pool[j]
+            );
+            assert_eq!(
+                codes[i] == codes[j],
+                iso,
+                "code equality disagrees with isomorphism on {} vs {}",
+                pool[i],
+                pool[j]
+            );
+            isomorphic_pairs += usize::from(iso);
+        }
+    }
+    isomorphic_pairs
+}
+
+#[test]
+fn random_nonisomorphic_pairs_rarely_collide() {
+    // The two-way differential: over 420 seeded CQs built on one schema
+    // (the judge compares relation ids), two codes are equal exactly when
+    // the queries are isomorphic.
+    let schema = Schema::with_relations([("R", 2), ("S", 2)]);
+    let mut rng = StdRng::seed_from_u64(0x15_0c0de);
+    let pool: Vec<Ucq> = (0..420)
+        .map(|_| Ucq::single(random_cq(&schema, &mut rng)))
+        .collect();
+    let isomorphic = assert_codes_decide_isomorphism(&pool);
+    assert!(
+        isomorphic >= 20,
+        "the pool must contain isomorphic pairs to test the ⇐ direction, found {isomorphic}"
+    );
+}
+
+#[test]
+fn codes_survive_random_isomorphic_variants() {
+    let schema = Schema::with_relations([("R", 2), ("S", 2)]);
+    let mut rng = StdRng::seed_from_u64(0x15_7a71a);
+    let mut queries: Vec<Cq> = (0..200).map(|_| random_cq(&schema, &mut rng)).collect();
+    queries.extend(symmetric_shapes(&schema));
+    for q in &queries {
+        let code = cq_code(q);
+        for _ in 0..3 {
+            let v = iso_variant(q, &mut rng);
+            assert_eq!(
+                code,
+                cq_code(&v),
+                "{q} and its variant {v} got different codes"
+            );
+        }
+    }
+}
+
+/// Parses `Q() :- body` over `schema`.
+fn query(schema: &Schema, body: &str) -> Cq {
+    let mut schema = schema.clone();
+    parser::parse_cq(&mut schema, &format!("Q() :- {body}")).expect("test query parses")
+}
+
+fn star(schema: &Schema, leaves: usize) -> Cq {
+    let body: Vec<String> = (0..leaves).map(|i| format!("R(c, l{i})")).collect();
+    query(schema, &body.join(", "))
+}
+
+/// A directed cycle of `len` edges whose relation names repeat `names`.
+fn cycle(len: usize, names: &[&str], copy: usize) -> Vec<String> {
+    (0..len)
+        .map(|i| {
+            let name = names[i % names.len()];
+            format!("{name}(c{copy}v{i}, c{copy}v{})", (i + 1) % len)
+        })
+        .collect()
+}
+
+fn clique(schema: &Schema, size: usize) -> Cq {
+    let mut body = Vec::new();
+    for a in 0..size {
+        for b in 0..size {
+            if a != b {
+                body.push(format!("R(v{a}, v{b})"));
             }
         }
     }
-    // Keep the RNG import honest: shuffle-compare one pair end to end.
-    let q = pool.swap_remove(0);
-    let v = iso_variant(&q, &mut rng);
-    assert_eq!(cq_code(&q), cq_code(&v));
+    query(schema, &body.join(", "))
+}
+
+/// Stars with 2–8 leaves, cycles C3–C8, cliques K3–K6, two triangles and a
+/// hexagon, and disjoint copies of R/S-alternating cycles: shapes whose
+/// colour refinement leaves large cells for the search to split.
+fn symmetric_shapes(schema: &Schema) -> Vec<Cq> {
+    let mut shapes = Vec::new();
+    for leaves in 2..=8 {
+        shapes.push(star(schema, leaves));
+    }
+    for len in 3..=8 {
+        shapes.push(query(schema, &cycle(len, &["R"], 0).join(", ")));
+    }
+    for size in 3..=6 {
+        shapes.push(clique(schema, size));
+    }
+    let two_triangles = [cycle(3, &["R"], 0), cycle(3, &["R"], 1)].concat();
+    shapes.push(query(schema, &two_triangles.join(", ")));
+    let alternating_pairs = [cycle(4, &["R", "S"], 0), cycle(4, &["R", "S"], 1)];
+    shapes.push(query(schema, &alternating_pairs.concat().join(", ")));
+    shapes.push(query(schema, &cycle(8, &["R", "S"], 0).join(", ")));
+    let alternating_triple = [
+        cycle(4, &["R", "S"], 0),
+        cycle(4, &["R", "S"], 1),
+        cycle(4, &["R", "S"], 2),
+    ];
+    shapes.push(query(schema, &alternating_triple.concat().join(", ")));
+    shapes.push(query(schema, &cycle(12, &["R", "S"], 0).join(", ")));
+    // Mixed components that refinement alone cannot tell apart: the
+    // search must split them at several depths, with automorphisms found
+    // in some subtrees and smaller leaves waiting in others.
+    let mixed = [
+        cycle(3, &["R"], 0),
+        cycle(3, &["R"], 1),
+        cycle(6, &["R"], 2),
+    ];
+    shapes.push(query(schema, &mixed.concat().join(", ")));
+    let mixed = [
+        cycle(3, &["R"], 0),
+        cycle(6, &["R"], 1),
+        cycle(4, &["R", "S"], 2),
+    ];
+    shapes.push(query(schema, &mixed.concat().join(", ")));
+    let mut mixed = cycle(4, &["R"], 0);
+    mixed.extend(cycle(4, &["R"], 1));
+    mixed.extend(["R(c0v0, c1v0)".to_string(), "S(c1v2, c0v1)".to_string()]);
+    shapes.push(query(schema, &mixed.join(", ")));
+    shapes
+}
+
+#[test]
+fn codes_decide_isomorphism_on_symmetric_shapes() {
+    let schema = Schema::with_relations([("R", 2), ("S", 2)]);
+    let shapes = symmetric_shapes(&schema);
+    // Each shape, an isomorphic variant of it, and the shape with its first
+    // free variable pinned: the pool then holds isomorphic pairs as well as
+    // regular look-alikes (two triangles vs the hexagon, two alternating
+    // 4-cycles vs one 8-cycle, three vs one 12-cycle).
+    let mut rng = StdRng::seed_from_u64(0x15_5a9e);
+    let mut pool: Vec<Ucq> = Vec::new();
+    for shape in &shapes {
+        pool.push(Ucq::single(shape.clone()));
+        pool.push(Ucq::single(iso_variant(shape, &mut rng)));
+        let pinned = Cq::new(
+            shape.schema().clone(),
+            vec![QVar(0)],
+            shape.atoms().to_vec(),
+            shape.var_names().to_vec(),
+        );
+        pool.push(Ucq::single(pinned));
+    }
+    let isomorphic = assert_codes_decide_isomorphism(&pool);
+    assert!(
+        isomorphic >= shapes.len(),
+        "found {isomorphic} isomorphic pairs"
+    );
+}
+
+#[test]
+fn the_same_shape_over_another_name_or_arity_gets_another_code() {
+    let binary = Schema::with_relations([("R", 2), ("T", 2)]);
+    let ternary = Schema::with_relations([("R", 3)]);
+    let r = query(&binary, "R(x, y), R(y, z)");
+    let t = query(&binary, "T(x, y), T(y, z)");
+    let r3 = query(&ternary, "R(x, y, y), R(y, z, z)");
+    assert_ne!(cq_code(&r), cq_code(&t));
+    assert_ne!(cq_code(&r), cq_code(&r3));
+    assert_ne!(cq_key(&r), cq_key(&t));
+    assert_ne!(cq_key(&r), cq_key(&r3));
+    // The name is spelled, not hashed: a star over R and one over T differ,
+    // however many leaves they share.
+    let star_t = query(&binary, "T(c, a), T(c, b), T(c, d)");
+    assert_ne!(cq_code(&star(&binary, 3)), cq_code(&star_t));
+    // The arity is spelled too: these two label their atoms alike, and
+    // only the arity table tells `R/1, S/3` from `R/3, S/1`.
+    let mixed = Schema::with_relations([("R", 1), ("S", 3)]);
+    let swapped = Schema::with_relations([("R", 3), ("S", 1)]);
+    let a = query(&mixed, "R(a), S(a, b, c)");
+    let b = query(&swapped, "R(a, b, a), S(c)");
+    assert_ne!(cq_code(&a), cq_code(&b));
 }
