@@ -24,7 +24,7 @@
 //! the `s` sample annotations of each slot, the slot pushed at depth `i` is
 //! annotated with the provenance *variable* `xᵢ`, and both queries'
 //! all-outputs maps over `N[X]` are maintained by an incremental
-//! [`EvalState`](annot_query::eval::EvalState) (`push_fact` on descent,
+//! [`EvalState`] (`push_fact` on descent,
 //! `pop_fact` on backtrack).  A node therefore pays for the delta joins of
 //! its newest fact **once**, not once per concrete annotation assignment —
 //! the enumeration's `s^k` factor never touches the join machinery.
@@ -112,7 +112,7 @@ use crate::steal::StealPool;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::Mutex;
 use annot_polynomial::{Monomial, Polynomial, Var};
-use annot_query::eval::{eval_cq, eval_ducq_all_outputs, eval_ucq_all_outputs, EvalState};
+use annot_query::eval::{eval_ducq_all_outputs, eval_ucq_all_outputs, EvalState};
 use annot_query::{Cq, DbValue, Ducq, IdTuple, Instance, RelId, Schema, Tuple, Ucq, ValueId};
 use annot_semiring::{NatPoly, Semiring};
 use std::collections::{BTreeMap, HashMap};
@@ -342,7 +342,7 @@ pub struct SearchOutcome<K: Semiring> {
 /// sample elements; the naive reference oracle keeps the full set).
 ///
 /// Panics if the search exceeds `config.max_instances`; use
-/// [`try_find_counterexample_cq`] to handle the budget as an error.
+/// [`try_find_counterexample_ucq`] to handle the budget as an error.
 pub fn find_counterexample_cq<K: Semiring>(
     q1: &Cq,
     q2: &Cq,
@@ -362,16 +362,6 @@ pub fn find_counterexample_ucq<K: Semiring>(
         // invariant: documented panic — the budget overflow contract of this wrapper (see its docs)
         Err(err) => panic!("{err}"),
     }
-}
-
-/// Fallible CQ search: [`find_counterexample_cq`] returning the instance
-/// budget overrun as an error instead of panicking.
-pub fn try_find_counterexample_cq<K: Semiring>(
-    q1: &Cq,
-    q2: &Cq,
-    config: &BruteForceConfig,
-) -> Result<SearchOutcome<K>, BruteForceError> {
-    try_find_counterexample_ucq(&Ucq::single(q1.clone()), &Ucq::single(q2.clone()), config)
 }
 
 /// The prefix-memoized, optionally parallel counterexample search (see the
@@ -1648,17 +1638,6 @@ fn from_natural_cached<K: Semiring>(cache: &mut Vec<K>, c: u64) -> K {
     cache[c as usize].clone()
 }
 
-/// Convenience wrapper: `true` when no counterexample is found.
-pub fn no_counterexample_cq<K: Semiring>(q1: &Cq, q2: &Cq, config: &BruteForceConfig) -> bool {
-    find_counterexample_cq::<K>(q1, q2, config).is_none()
-}
-
-/// Evaluates containment on a *single* given instance (useful for spot checks
-/// and for replaying counterexamples).
-pub fn holds_on_instance<K: Semiring>(q1: &Cq, q2: &Cq, instance: &Instance<K>, t: &Tuple) -> bool {
-    eval_cq(q1, instance, t).leq(&eval_cq(q2, instance, t))
-}
-
 /// The previous oracle: materialise each instance via [`for_each_instance`]
 /// and evaluate both queries from scratch with the one-shot
 /// [`eval_ucq_all_outputs`].
@@ -2118,6 +2097,7 @@ mod loom_model {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use annot_query::eval::eval_cq;
     use annot_query::parser;
     use annot_semiring::{Bool, Natural, Tropical};
 
@@ -2142,19 +2122,20 @@ mod tests {
         assert!(counterexample.is_some());
         let ce = counterexample.unwrap();
         assert!(!ce.lhs.leq(&ce.rhs));
-        assert!(!holds_on_instance(&q1, &q2, &ce.instance, &ce.tuple));
         // The reported annotations match a from-scratch evaluation of the
-        // reported instance (the memoized state and the witness agree).
+        // reported instance (the memoized state and the witness agree), so
+        // replaying the witness refutes containment too.
         let lhs = eval_cq(&q1, &ce.instance, &ce.tuple);
         let rhs = eval_cq(&q2, &ce.instance, &ce.tuple);
+        assert!(!lhs.leq(&rhs));
         assert_eq!(ce.lhs, lhs);
         assert_eq!(ce.rhs, rhs);
         // The same pair over T⁺ has no counterexample (Ex. 4.6: containment
         // holds over the tropical semiring).
-        assert!(no_counterexample_cq::<Tropical>(&q1, &q2, &config));
+        assert!(find_counterexample_cq::<Tropical>(&q1, &q2, &config).is_none());
         // Over B (set semantics) the two queries are equivalent.
-        assert!(no_counterexample_cq::<Bool>(&q1, &q2, &config));
-        assert!(no_counterexample_cq::<Bool>(&q2, &q1, &config));
+        assert!(find_counterexample_cq::<Bool>(&q1, &q2, &config).is_none());
+        assert!(find_counterexample_cq::<Bool>(&q2, &q1, &config).is_none());
     }
 
     #[test]
@@ -2168,7 +2149,7 @@ mod tests {
             ..Default::default()
         };
         // Under set semantics the path is contained in the edge.
-        assert!(no_counterexample_cq::<Bool>(&q1, &q2, &config));
+        assert!(find_counterexample_cq::<Bool>(&q1, &q2, &config).is_none());
         // Under bag semantics it is not (the counterexample requires
         // path > edge, e.g. a 2-cycle squared): the brute force finds one.
         assert!(find_counterexample_cq::<Natural>(&q1, &q2, &config).is_some());

@@ -7,7 +7,7 @@
 //!   `S^k`), defined by element-level axioms (⊗-idempotence, 1-annihilation,
 //!   ⊗-semi-idempotence, ⊕-idempotence, offsets).  These are checkable by
 //!   sampling ([`annot_semiring::axioms`]) and are re-derived empirically in
-//!   [`crate::classify`].
+//!   [`crate::classify`](mod@crate::classify).
 //!
 //! * **Necessary-condition classes** (`N_hcov`, `N_in`, `N_sur`, and the
 //!   intersections `C_hom`, `C_hcov`, `C_in`, `C_sur`, `C_bi`, `C^k_bi`, …),

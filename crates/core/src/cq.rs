@@ -2,7 +2,7 @@
 //!
 //! For each class of Table 1 the containment `Q₁ ⊆_K Q₂` is decided by the
 //! corresponding homomorphism check from `annot-hom`; the class-generic entry
-//! point is [`crate::decide::ContainmentSolver`].  The functions here are
+//! point is [`crate::decide::decide_cq`].  The functions here are
 //! thin, well-named wrappers so that callers (and the benchmarks reproducing
 //! Table 1) can invoke exactly the procedure a paper row refers to.
 

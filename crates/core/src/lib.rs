@@ -9,7 +9,7 @@
 //! | module | contents | paper |
 //! |--------|----------|-------|
 //! | [`classes`] | the class taxonomy (`C_hom`, `C_hcov`, `C_in`, `C_sur`, `C_bi`, offsets, `C^k_bi`, …) and declared profiles of the shipped semirings | Sec. 3–5, Table 1 |
-//! | [`classify`] | empirical classification by axiom sampling | Sec. 3.3–4.4 |
+//! | [`classify`](mod@classify) | empirical classification by axiom sampling | Sec. 3.3–4.4 |
 //! | [`cq`] | CQ containment deciders, one per Table 1 row | Sec. 3.3, 4.1–4.4 |
 //! | [`ucq`] | UCQ containment deciders (local, counting `↪_k`/`↪_∞`, unique-surjection `↠_∞`, coverings `⇉₁`/`⇉₂`) | Sec. 5 |
 //! | [`small_model`] | the canonical-instance procedure of Thm. 4.17 (and its UCQ extension) | Sec. 4.6 |

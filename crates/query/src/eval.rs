@@ -20,7 +20,7 @@
 //! # Interned vs resolved results
 //!
 //! All joins run over interned [`ValueId`] rows: variables bind `u32` ids
-//! and the unification loop never touches a [`DbValue`].  Each evaluator
+//! and the unification loop never touches a [`DbValue`](crate::DbValue).  Each evaluator
 //! therefore comes in two flavours: a `*_rows` variant returning maps keyed
 //! by [`IdTuple`] (ids of the instance's [`Domain`] — the hot-path form the
 //! brute-force oracle and the small-model procedure consume), and the

@@ -1,8 +1,7 @@
 //! `annot-serve` — the containment decision server.
 //!
 //! ```text
-//! annot_serve [ADDR] [--workers N]
-//!             [--cache-capacity N] [--cache-ttl TICKS] [--byte-budget BYTES]
+//! annot_serve [ADDR] [--workers N] [--byte-budget BYTES]
 //!             [--max-vars N] [--max-atoms N] [--max-batch N]
 //!             [--max-connections N] [--read-timeout-ms MS] [--max-line-bytes N]
 //! ```
@@ -11,15 +10,12 @@
 //! port, printed on startup) and serves the line protocol of
 //! `annot_service::proto` until a client sends `SHUTDOWN`.
 //!
-//! Every limit is opt-in; without flags the server behaves like the
-//! original unbounded build.  The flags map straight onto
-//! [`annot_service::ServiceConfig`]:
+//! Without flags the cache holds at most 64 MiB, batches at most 1,024
+//! items and lines at most 64 KiB; the other limits are opt-in.  The flags
+//! map straight onto [`annot_service::ServiceConfig`]:
 //!
-//! * `--cache-capacity N` — max cache entries per shard (64 shards);
-//! * `--cache-ttl TICKS` — entry time-to-live in logical ticks (one tick
-//!   per decision request);
-//! * `--byte-budget BYTES` — global cap on the cache's approximate byte
-//!   footprint (the `approx_bytes` STATS field is the enforcement input);
+//! * `--byte-budget BYTES` — the cache's byte budget (default 64 MiB);
+//!   the `approx_bytes` STATS field is the enforcement input;
 //! * `--max-vars N` / `--max-atoms N` — per-request decide budget: any
 //!   disjunct over the cap is refused with `OVERLOAD decide-budget …`;
 //! * `--max-batch N` — largest accepted `BATCH n` (default 1024);
@@ -42,13 +38,7 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workers" => workers = parse_flag(&mut args, "--workers"),
-            "--cache-capacity" => {
-                config.cache.shard_capacity = Some(parse_flag(&mut args, "--cache-capacity"));
-            }
-            "--cache-ttl" => config.cache.ttl = Some(parse_flag(&mut args, "--cache-ttl")),
-            "--byte-budget" => {
-                config.cache.byte_budget = Some(parse_flag(&mut args, "--byte-budget"));
-            }
+            "--byte-budget" => config.cache_byte_budget = parse_flag(&mut args, "--byte-budget"),
             "--max-vars" => config.max_query_vars = Some(parse_flag(&mut args, "--max-vars")),
             "--max-atoms" => config.max_query_atoms = Some(parse_flag(&mut args, "--max-atoms")),
             "--max-batch" => config.max_batch = parse_flag(&mut args, "--max-batch"),
@@ -64,8 +54,7 @@ fn main() {
             "--max-line-bytes" => config.max_line_bytes = parse_flag(&mut args, "--max-line-bytes"),
             "--help" | "-h" => {
                 println!(
-                    "usage: annot_serve [ADDR] [--workers N] \
-                     [--cache-capacity N] [--cache-ttl TICKS] [--byte-budget BYTES] \
+                    "usage: annot_serve [ADDR] [--workers N] [--byte-budget BYTES] \
                      [--max-vars N] [--max-atoms N] [--max-batch N] \
                      [--max-connections N] [--read-timeout-ms MS] [--max-line-bytes N]"
                 );

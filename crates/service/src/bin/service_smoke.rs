@@ -2,16 +2,15 @@
 //!
 //! Three phases, each against a real TCP server on an ephemeral port:
 //!
-//! 1. **Exact-counter session** (eviction disabled — the default config, so
-//!    the counters are pinned): a `DECIDE` miss, an α-renamed iso-cache
-//!    *hit*, a different-semiring miss, a parse error, an unknown
-//!    semiring, `STATS` with exact hit/miss/decide counters plus per-shard
-//!    occupancy, then `QUIT`/`SHUTDOWN`.
-//! 2. **Eviction session**: a server with a tiny shard capacity and byte
-//!    budget is fed distinct query pairs until it must evict; `STATS` must
-//!    report evictions, balanced bookkeeping
-//!    (`inserts = entries + evictions`), and an `approx_bytes` within the
-//!    configured budget.
+//! 1. **Exact-counter session** (under the default budget, which the
+//!    session never fills, so the counters are pinned): a `DECIDE` miss,
+//!    an α-renamed iso-cache *hit*, a different-semiring miss, a parse
+//!    error, an unknown semiring, `STATS` with exact hit/miss/decide
+//!    counters plus per-shard occupancy, then `QUIT`/`SHUTDOWN`.
+//! 2. **Eviction session**: a server with a tiny byte budget is fed
+//!    distinct query pairs until it must evict; `STATS` must report
+//!    evictions, balanced bookkeeping (`inserts = entries + evictions`),
+//!    and an `approx_bytes` within the configured budget.
 //! 3. **Batch session**: the same 100 `DECIDE`s are run serially (one
 //!    round trip each) and then as one `BATCH 100` (a single round trip —
 //!    write everything, then collect the tagged replies and `DONE`).  The
@@ -21,7 +20,7 @@
 //! Exits non-zero (panics) on any mismatch; prints `service-smoke: PASS`
 //! on success.
 
-use annot_service::{serve, CacheConfig, Service, ServiceConfig, ShutdownFlag};
+use annot_service::{serve, Service, ServiceConfig, ShutdownFlag};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 
@@ -116,8 +115,8 @@ fn with_server(config: ServiceConfig, session: impl FnOnce(SocketAddr, &Service)
     service
 }
 
-/// Phase 1: the PR 8 scripted session.  Default config — no eviction —
-/// so every counter is exact.
+/// Phase 1: the scripted session.  Default config — its budget holds every
+/// entry — so every counter is exact.
 fn exact_counter_session() {
     let service = with_server(ServiceConfig::default(), |addr, _| {
         let mut client = Client::connect(addr);
@@ -150,8 +149,8 @@ fn exact_counter_session() {
         expect_prefix(&unknown, "ERR unknown semiring", "unknown semiring");
 
         // 6. Counters: exactly one hit, two misses, two decider runs, no
-        //    evictions (unbounded config) — plus the per-shard occupancy
-        //    and byte estimate.
+        //    evictions (two entries are far under the default budget) —
+        //    plus the per-shard occupancy and byte estimate.
         let stats = client.roundtrip("STATS");
         expect_prefix(&stats, "OK stats ", "stats after the scripted session");
         for (key, expected) in [
@@ -202,16 +201,12 @@ fn exact_counter_session() {
     println!("service-smoke: exact-counter session OK");
 }
 
-/// Phase 2: a tiny-capacity server must evict under distinct-query churn
+/// Phase 2: a tiny-budget server must evict under distinct-query churn
 /// and keep its tracked footprint within the byte budget.
 fn eviction_session() {
     const BUDGET: u64 = 8 * 1024;
     let config = ServiceConfig {
-        cache: CacheConfig {
-            shard_capacity: Some(2),
-            ttl: None,
-            byte_budget: Some(BUDGET),
-        },
+        cache_byte_budget: BUDGET,
         ..ServiceConfig::default()
     };
     with_server(config, |addr, _| {

@@ -1,4 +1,4 @@
-//! The iso-canonical semantic cache, bounded for long-lived processes.
+//! The iso-canonical semantic cache, bounded by one byte budget.
 //!
 //! Containment decisions are keyed by the *canonical form of the query
 //! pair up to isomorphism*: a request for `Q₁ ⊑ Q₂` over semiring `K`
@@ -18,45 +18,31 @@
 //! the same [`Decision`]), a decider running under a shard lock would
 //! serialise the server.
 //!
-//! ## Bounds and eviction
+//! ## The byte budget and eviction
 //!
-//! A long-lived server cannot let the shards grow without bound, so the
-//! cache takes a [`CacheConfig`] with three independent, all-optional
-//! limits:
+//! A cached decision never goes stale: it is a fixed function of the
+//! semiring's Table 1 row and the isomorphism class of the query pair.  So
+//! memory is the only reason to drop one, and the cache has one bound, a
+//! global byte budget that is always on ([`DEFAULT_BYTE_BUDGET`] unless the
+//! caller picks another).  The per-entry footprint that `STATS` reports as
+//! `approx_bytes` (the entry struct plus its code words) is also the
+//! enforcement input: after every insert the cache evicts, round-robin
+//! across shards and one shard lock at a time, until the tracked total is
+//! at or under the budget.  An entry larger than the whole budget is never
+//! stored; it counts as one insert and one eviction, so the identity
+//! `inserts = entries + evictions` holds whenever the cache is quiescent.
 //!
-//! * **per-shard capacity** — each shard holds at most `shard_capacity`
-//!   entries; inserting past it evicts via a CLOCK-style second-chance
-//!   scan (below);
-//! * **TTL** — entries older than `ttl` *logical ticks* are expired
-//!   lazily: on any probe of their bucket, and preferentially during
-//!   eviction scans;
-//! * **global byte budget** — the per-entry footprint that `STATS`
-//!   reports as `approx_bytes` (the entry struct plus its code words) is
-//!   also the *enforcement input*:
-//!   after every insert the cache evicts (round-robin across shards,
-//!   one lock at a time) until the tracked total is at or under
-//!   `byte_budget`.  An entry that alone exceeds the budget is never
-//!   cached at all.
-//!
-//! Time is a [`LogicalClock`] from the `annot_core::sync` facade — one
-//! tick per decision request, never a wall clock — so a fixed operation
-//! sequence ages and evicts identically on every run, and the clock's
-//! atomics are schedulable by the vendored loom model checker like any
-//! other facade primitive.
-//!
-//! The eviction policy is the classic second-chance ring: every shard
-//! keeps its entries in an insertion-ordered ring; a hit sets the entry's
-//! `referenced` bit; the evictor pops the ring front, expires TTL-stale
-//! entries outright, grants one more round to referenced entries
-//! (clearing the bit, pushing them to the back), and evicts the first
-//! unreferenced entry it meets.  O(1) amortised, no per-hit reordering,
-//! and — because all state is under the shard mutex and aged by the
-//! logical clock — deterministic for a fixed operation order.
+//! Each shard evicts by the classic second-chance (CLOCK) ring: a new
+//! entry joins the back of the shard's ring, and a hit sets the entry's
+//! `referenced` bit.  The evictor pops the ring front; a referenced entry
+//! loses its bit and goes to the back, and the first unreferenced entry is
+//! evicted.  This is O(1) amortised with no per-hit reordering, and, since
+//! all of it runs under the shard mutex, deterministic for a fixed order
+//! of operations.
 
 use annot_core::decide::Decision;
 use annot_core::registry::SemiringId;
 use annot_core::sync::atomic::{AtomicU64, Ordering};
-use annot_core::sync::clock::LogicalClock;
 use annot_core::sync::{Mutex, PoisonError};
 use annot_query::key::{hash64, ucq_code};
 use annot_query::Ucq;
@@ -66,22 +52,9 @@ use std::collections::{HashMap, VecDeque};
 /// the worker count keeps contention negligible without wasting memory.
 const NUM_SHARDS: usize = 64;
 
-/// Size/age limits for the cache.  Every field is optional; the default
-/// (`CacheConfig::default()`) is the unbounded PR 8 behaviour, which the
-/// exact-counter smoke tests pin.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Maximum entries per shard (`None` = unbounded).  The whole cache
-    /// holds at most `64 × shard_capacity` entries.
-    pub shard_capacity: Option<usize>,
-    /// Entry time-to-live in logical ticks (`None` = entries never
-    /// expire).  The clock advances once per decision request.
-    pub ttl: Option<u64>,
-    /// Global cap on the tracked approximate byte footprint (`None` =
-    /// unbounded).  Enforced after every insert; `STATS.approx_bytes`
-    /// reports the same tracked number.
-    pub byte_budget: Option<u64>,
-}
+/// The byte budget of [`Cache::new`] and of the default server: 64 MiB,
+/// about 100,000 entries at the ~660 bytes a typical entry takes.
+pub const DEFAULT_BYTE_BUDGET: u64 = 64 << 20;
 
 /// One cached decision: the question it answers (semiring and canonical
 /// codes of both queries), the decision, and the eviction bookkeeping.
@@ -92,48 +65,21 @@ struct Entry {
     decision: Decision,
     /// Shard-unique id linking this entry to its ring slot.
     id: u64,
-    /// Tick at insertion — the TTL reference point.
-    stamp: u64,
-    /// Precomputed footprint estimate (entry struct + code words).
-    bytes: u64,
     /// Second-chance bit: set on every hit, cleared (once) by the
     /// eviction scan before the entry becomes a victim.
     referenced: bool,
-}
-
-/// Why an eviction scan was started — selects the counter to bump for a
-/// non-expired victim.  (A TTL-expired victim always counts as expired,
-/// whatever triggered the scan.)
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum EvictReason {
-    /// Shard was over its entry capacity.
-    Capacity,
-    /// The global byte budget was exceeded.
-    Bytes,
 }
 
 /// One shard: the fingerprint-keyed table plus the second-chance ring.
 /// All fields are guarded by the shard mutex.
 struct Shard {
     table: HashMap<u64, Vec<Entry>>,
-    /// Insertion-ordered `(fingerprint, entry id)` ring for the CLOCK
-    /// scan.  Slots whose entry was already removed are skipped lazily.
+    /// `(fingerprint, entry id)` of every entry in the shard, in the
+    /// CLOCK scan's order.  Entries leave the table only through the scan,
+    /// so every slot names a live entry.
     ring: VecDeque<(u64, u64)>,
     /// Source of shard-unique entry ids.
     next_id: u64,
-    /// Live entries in this shard (ring slots may be stale; this is not).
-    entries: u64,
-}
-
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            table: HashMap::new(),
-            ring: VecDeque::new(),
-            next_id: 0,
-            entries: 0,
-        }
-    }
 }
 
 /// Counter snapshot returned by [`Cache::stats`].
@@ -143,21 +89,19 @@ pub struct CacheStats {
     pub hits: u64,
     /// Requests that missed and ran a decider.
     pub misses: u64,
-    /// Decider executions (== misses, minus races that lost the insert).
+    /// Decider executions.  Every miss runs the decider, so this equals
+    /// [`CacheStats::misses`].
     pub decides: u64,
-    /// Entries ever inserted (`entries + evictions` at quiescence; racing
-    /// same-pair inserts lose and do not count).
+    /// Decisions admitted to the cache.  When two requests race on the
+    /// same fresh pair, both decide but only the first inserts; the other
+    /// finds the entry and stores nothing.  At quiescence `inserts =
+    /// entries + evictions`.
     pub inserts: u64,
     /// Entries currently stored.
     pub entries: u64,
-    /// Entries evicted for shard-capacity pressure.
-    pub evicted_capacity: u64,
-    /// Entries expired by the TTL.
-    pub evicted_expired: u64,
-    /// Entries evicted (or refused at insert) by the global byte budget.
-    pub evicted_bytes: u64,
-    /// Current logical tick (one per decision request).
-    pub ticks: u64,
+    /// Entries evicted to keep within the byte budget, including entries
+    /// larger than the whole budget, which are evicted as they arrive.
+    pub evictions: u64,
     /// Entries per shard, indexed by shard number — the load-balance view
     /// of the fingerprint distribution.  Sums to [`CacheStats::entries`].
     pub shard_entries: Vec<u64>,
@@ -167,58 +111,47 @@ pub struct CacheStats {
     pub approx_bytes: u64,
 }
 
-impl CacheStats {
-    /// Total evictions, all reasons.
-    pub fn evictions(&self) -> u64 {
-        self.evicted_capacity + self.evicted_expired + self.evicted_bytes
-    }
-}
-
 /// The sharded semantic cache.
 pub struct Cache {
-    config: CacheConfig,
+    byte_budget: u64,
     shards: Vec<Mutex<Shard>>,
-    clock: LogicalClock,
     hits: AtomicU64,
     misses: AtomicU64,
     decides: AtomicU64,
     inserts: AtomicU64,
-    entries: AtomicU64,
-    evicted_capacity: AtomicU64,
-    evicted_expired: AtomicU64,
-    evicted_bytes: AtomicU64,
-    /// Tracked total of every live entry's `bytes` — the byte-budget
+    evictions: AtomicU64,
+    /// Tracked total of every live entry's footprint — the byte-budget
     /// enforcement input and the `STATS.approx_bytes` source.
     bytes: AtomicU64,
 }
 
 impl Cache {
-    /// An empty, unbounded cache (the PR 8 behaviour).
+    /// An empty cache under [`DEFAULT_BYTE_BUDGET`].
     pub fn new() -> Cache {
-        Cache::with_config(CacheConfig::default())
+        Cache::with_byte_budget(DEFAULT_BYTE_BUDGET)
     }
 
-    /// An empty cache under the given limits.
-    pub fn with_config(config: CacheConfig) -> Cache {
+    /// An empty cache whose entries never take more than `byte_budget`
+    /// tracked bytes.
+    pub fn with_byte_budget(byte_budget: u64) -> Cache {
         Cache {
-            config,
-            shards: (0..NUM_SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
-            clock: LogicalClock::new(),
+            byte_budget,
+            shards: (0..NUM_SHARDS)
+                .map(|_| {
+                    Mutex::new(Shard {
+                        table: HashMap::new(),
+                        ring: VecDeque::new(),
+                        next_id: 0,
+                    })
+                })
+                .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             decides: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
-            entries: AtomicU64::new(0),
-            evicted_capacity: AtomicU64::new(0),
-            evicted_expired: AtomicU64::new(0),
-            evicted_bytes: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
         }
-    }
-
-    /// The limits this cache enforces.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     /// The fingerprint of a request: semiring + canonical codes of the
@@ -236,10 +169,6 @@ impl Cache {
     /// Returns the cached decision for an isomorphic variant of
     /// `(semiring, q1, q2)`, or runs `decide` and caches its result.
     /// The second component reports whether this was a cache hit.
-    ///
-    /// Each call advances the logical clock by one tick; TTL expiry in the
-    /// probed bucket happens before the lookup, so an expired entry is
-    /// never served.
     pub fn get_or_decide(
         &self,
         semiring: SemiringId,
@@ -247,19 +176,15 @@ impl Cache {
         q2: &Ucq,
         decide: impl FnOnce(&Ucq, &Ucq) -> Decision,
     ) -> (Decision, bool) {
-        let now = self.clock.advance();
         let (c1, c2) = (ucq_code(q1), ucq_code(q2));
         let key = Self::fingerprint(semiring, &c1, &c2);
         let shard_index = (key as usize) % NUM_SHARDS;
         let shard = &self.shards[shard_index];
-        {
-            let mut guard = self.lock(shard);
-            self.expire_bucket(&mut guard, key, now);
-            if let Some(found) = Self::lookup(&mut guard, key, semiring, &c1, &c2) {
-                // relaxed: monotonic statistics counter, no ordering needed
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return (found, true);
-            }
+        let cached = Self::lookup(&mut self.lock(shard), key, semiring, &c1, &c2);
+        if let Some(found) = cached {
+            // relaxed: monotonic statistics counter, no ordering needed
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return (found, true);
         }
         // relaxed: monotonic statistics counter, no ordering needed
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -268,106 +193,53 @@ impl Cache {
         // relaxed: monotonic statistics counter, no ordering needed
         self.decides.fetch_add(1, Ordering::Relaxed);
         let entry_bytes = entry_footprint(&c1, &c2);
-        if self.config.byte_budget.is_some_and(|b| entry_bytes > b) {
-            // A single entry larger than the whole budget can never be
-            // held without busting it — refuse to cache, count it.
-            // relaxed: monotonic statistics counter, no ordering needed
-            self.evicted_bytes.fetch_add(1, Ordering::Relaxed);
+        if entry_bytes > self.byte_budget {
+            // Storing it would evict every other entry and then itself:
+            // count the insert and its eviction, store nothing.
+            // relaxed: monotonic statistics counters, no ordering needed
+            self.inserts.fetch_add(1, Ordering::Relaxed);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
             return (decision, false);
         }
         {
             let mut guard = self.lock(shard);
-            self.expire_bucket(&mut guard, key, now);
-            if Self::lookup(&mut guard, key, semiring, &c1, &c2).is_none() {
-                let id = guard.next_id;
-                guard.next_id += 1;
-                guard.table.entry(key).or_default().push(Entry {
-                    semiring,
-                    code1: c1.into_boxed_slice(),
-                    code2: c2.into_boxed_slice(),
-                    decision: decision.clone(),
-                    id,
-                    stamp: now,
-                    bytes: entry_bytes,
-                    referenced: false,
-                });
-                guard.ring.push_back((key, id));
-                guard.entries += 1;
-                // relaxed: monotonic statistics counters, no ordering needed
-                self.inserts.fetch_add(1, Ordering::Relaxed);
-                self.entries.fetch_add(1, Ordering::Relaxed);
-                self.bytes.fetch_add(entry_bytes, Ordering::Relaxed);
-                if let Some(cap) = self.config.shard_capacity {
-                    while guard.entries as usize > cap {
-                        if self
-                            .evict_one(&mut guard, now, EvictReason::Capacity)
-                            .is_none()
-                        {
-                            break;
-                        }
-                    }
-                }
+            if Self::lookup(&mut guard, key, semiring, &c1, &c2).is_some() {
+                return (decision, false); // a racing request inserted first
             }
+            let id = guard.next_id;
+            guard.next_id += 1;
+            guard.table.entry(key).or_default().push(Entry {
+                semiring,
+                code1: c1.into_boxed_slice(),
+                code2: c2.into_boxed_slice(),
+                decision: decision.clone(),
+                id,
+                referenced: false,
+            });
+            guard.ring.push_back((key, id));
+            // relaxed: monotonic statistics counters, no ordering needed
+            self.inserts.fetch_add(1, Ordering::Relaxed);
+            self.bytes.fetch_add(entry_bytes, Ordering::Relaxed);
         }
-        self.enforce_byte_budget(shard_index, now);
+        self.enforce_byte_budget(shard_index);
         (decision, false)
     }
 
-    /// Removes TTL-expired entries from the bucket about to be probed, so
-    /// stale decisions are never served and the counters see the expiry.
-    fn expire_bucket(&self, shard: &mut Shard, key: u64, now: u64) {
-        let Some(ttl) = self.config.ttl else {
-            return;
-        };
-        let Some(bucket) = shard.table.get_mut(&key) else {
-            return;
-        };
-        let before = bucket.len();
-        let mut freed = 0u64;
-        bucket.retain(|e| {
-            if now.saturating_sub(e.stamp) >= ttl {
-                freed += e.bytes;
-                false
-            } else {
-                true
-            }
-        });
-        let expired = (before - bucket.len()) as u64;
-        if bucket.is_empty() {
-            shard.table.remove(&key);
-        }
-        if expired > 0 {
-            shard.entries -= expired;
-            // relaxed: monotonic statistics counters, no ordering needed
-            self.evicted_expired.fetch_add(expired, Ordering::Relaxed);
-            self.entries.fetch_sub(expired, Ordering::Relaxed);
-            self.bytes.fetch_sub(freed, Ordering::Relaxed);
-        }
-    }
-
-    /// Evicts one entry from `shard` via the second-chance scan: ring
-    /// front first, TTL-expired entries unconditionally, referenced
-    /// entries spared once.  Returns the freed byte estimate, or `None`
-    /// when the shard is empty.  Caller holds the shard lock.
-    fn evict_one(&self, shard: &mut Shard, now: u64, reason: EvictReason) -> Option<u64> {
-        // Each live entry is popped at most twice (once to clear its
-        // referenced bit, once to evict), and stale slots are consumed,
-        // so the scan terminates; the explicit bound documents it.
-        let mut budget = 2 * shard.ring.len() + 1;
-        while budget > 0 {
-            budget -= 1;
-            let (key, id) = shard.ring.pop_front()?;
+    /// Evicts one entry from `shard` by the second-chance scan: the ring
+    /// front goes unless a hit referenced it since its last turn, in which
+    /// case it loses the bit and moves to the back.  Returns `false` when
+    /// the shard is empty.  Caller holds the shard lock.
+    fn evict_one(&self, shard: &mut Shard) -> bool {
+        // Each entry moves to the back at most once before its bit is
+        // clear, so the scan ends within two laps of the ring.
+        while let Some((key, id)) = shard.ring.pop_front() {
             let Some(bucket) = shard.table.get_mut(&key) else {
-                continue; // stale slot: the whole bucket is gone
+                continue;
             };
             let Some(pos) = bucket.iter().position(|e| e.id == id) else {
-                continue; // stale slot: this entry is gone
+                continue;
             };
-            let expired = self
-                .config
-                .ttl
-                .is_some_and(|ttl| now.saturating_sub(bucket[pos].stamp) >= ttl);
-            if !expired && bucket[pos].referenced {
+            if bucket[pos].referenced {
                 bucket[pos].referenced = false;
                 shard.ring.push_back((key, id));
                 continue;
@@ -376,22 +248,13 @@ impl Cache {
             if bucket.is_empty() {
                 shard.table.remove(&key);
             }
-            shard.entries -= 1;
-            let counter = if expired {
-                &self.evicted_expired
-            } else {
-                match reason {
-                    EvictReason::Capacity => &self.evicted_capacity,
-                    EvictReason::Bytes => &self.evicted_bytes,
-                }
-            };
+            let freed = entry_footprint(&entry.code1, &entry.code2);
             // relaxed: monotonic statistics counters, no ordering needed
-            counter.fetch_add(1, Ordering::Relaxed);
-            self.entries.fetch_sub(1, Ordering::Relaxed);
-            self.bytes.fetch_sub(entry.bytes, Ordering::Relaxed);
-            return Some(entry.bytes);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.bytes.fetch_sub(freed, Ordering::Relaxed);
+            return true;
         }
-        None
+        false
     }
 
     /// Brings the tracked byte total back under the budget by evicting
@@ -400,26 +263,17 @@ impl Cache {
     /// Stops early when a full round frees nothing (all remaining bytes
     /// belong to entries raced in by concurrent inserts, each of which
     /// runs its own enforcement after its insert).
-    fn enforce_byte_budget(&self, start: usize, now: u64) {
-        let Some(budget) = self.config.byte_budget else {
-            return;
-        };
+    fn enforce_byte_budget(&self, start: usize) {
         // relaxed: approximate pressure reading; the loop re-reads it
-        while self.bytes.load(Ordering::Relaxed) > budget {
+        while self.bytes.load(Ordering::Relaxed) > self.byte_budget {
             let mut freed_any = false;
             for offset in 0..NUM_SHARDS {
                 // relaxed: approximate pressure reading
-                if self.bytes.load(Ordering::Relaxed) <= budget {
+                if self.bytes.load(Ordering::Relaxed) <= self.byte_budget {
                     return;
                 }
                 let shard = &self.shards[(start + offset) % NUM_SHARDS];
-                let mut guard = self.lock(shard);
-                if self
-                    .evict_one(&mut guard, now, EvictReason::Bytes)
-                    .is_some()
-                {
-                    freed_any = true;
-                }
+                freed_any |= self.evict_one(&mut self.lock(shard));
             }
             if !freed_any {
                 return;
@@ -450,14 +304,15 @@ impl Cache {
     }
 
     /// A consistent-enough snapshot of the counters (each counter is read
-    /// atomically; the set is not).  The per-shard occupancy walks the
-    /// shards one lock at a time — `STATS` is rare, and holding one shard
-    /// briefly never blocks decisions on the others.
+    /// atomically; the set is not).  The entry count walks the shards one
+    /// lock at a time — `STATS` is rare, and holding one shard briefly
+    /// never blocks decisions on the others.
     pub fn stats(&self) -> CacheStats {
-        let mut shard_entries = Vec::with_capacity(NUM_SHARDS);
-        for shard in &self.shards {
-            shard_entries.push(self.lock(shard).entries);
-        }
+        let shard_entries: Vec<u64> = self
+            .shards
+            .iter()
+            .map(|shard| self.lock(shard).ring.len() as u64)
+            .collect();
         CacheStats {
             // relaxed: statistics snapshot, approximate by design
             hits: self.hits.load(Ordering::Relaxed),
@@ -467,15 +322,9 @@ impl Cache {
             decides: self.decides.load(Ordering::Relaxed),
             // relaxed: statistics snapshot, approximate by design
             inserts: self.inserts.load(Ordering::Relaxed),
+            entries: shard_entries.iter().sum(),
             // relaxed: statistics snapshot, approximate by design
-            entries: self.entries.load(Ordering::Relaxed),
-            // relaxed: statistics snapshot, approximate by design
-            evicted_capacity: self.evicted_capacity.load(Ordering::Relaxed),
-            // relaxed: statistics snapshot, approximate by design
-            evicted_expired: self.evicted_expired.load(Ordering::Relaxed),
-            // relaxed: statistics snapshot, approximate by design
-            evicted_bytes: self.evicted_bytes.load(Ordering::Relaxed),
-            ticks: self.clock.now(),
+            evictions: self.evictions.load(Ordering::Relaxed),
             shard_entries,
             // relaxed: statistics snapshot, approximate by design
             approx_bytes: self.bytes.load(Ordering::Relaxed),
@@ -521,6 +370,11 @@ mod tests {
             .collect()
     }
 
+    /// The footprint every pair of [`distinct_pairs`] takes.
+    fn pair_footprint(pair: &(Ucq, Ucq)) -> u64 {
+        entry_footprint(&ucq_code(&pair.0), &ucq_code(&pair.1))
+    }
+
     #[test]
     fn isomorphic_requests_hit_without_redeciding() {
         let cache = Cache::new();
@@ -542,8 +396,7 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.decides), (1, 1, 1));
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.inserts, 1);
-        assert_eq!(stats.evictions(), 0, "unbounded cache never evicts");
-        assert_eq!(stats.ticks, 2, "one tick per request");
+        assert_eq!(stats.evictions, 0, "one entry is far under the budget");
     }
 
     #[test]
@@ -610,12 +463,9 @@ mod tests {
         let pairs = distinct_pairs(&mut s, 12);
         let n = SemiringId::from_name("N").unwrap();
         // A budget that fits roughly two entries.
-        let one = entry_footprint(&ucq_code(&pairs[0].0), &ucq_code(&pairs[0].1));
+        let one = pair_footprint(&pairs[0]);
         let budget = one * 2 + one / 2;
-        let cache = Cache::with_config(CacheConfig {
-            byte_budget: Some(budget),
-            ..CacheConfig::default()
-        });
+        let cache = Cache::with_byte_budget(budget);
         for (q1, q2) in &pairs {
             cache.get_or_decide(n, q1, q2, decide_with(n));
             assert!(
@@ -625,10 +475,11 @@ mod tests {
             );
         }
         let stats = cache.stats();
-        assert!(stats.evicted_bytes > 0, "churn must evict: {stats:?}");
+        assert_eq!(stats.entries, 2, "{stats:?}");
+        assert_eq!(stats.evictions, 10, "churn must evict: {stats:?}");
         assert_eq!(
             stats.inserts,
-            stats.entries + stats.evictions(),
+            stats.entries + stats.evictions,
             "insert/evict bookkeeping must balance: {stats:?}"
         );
     }
@@ -638,59 +489,38 @@ mod tests {
         let mut s = Schema::with_relations([("R", 2)]);
         let q1 = parser::parse_ucq(&mut s, "Q() :- R(u, v), R(u, w)").unwrap();
         let q2 = parser::parse_ucq(&mut s, "Q() :- R(u, v), R(u, v)").unwrap();
-        let cache = Cache::with_config(CacheConfig {
-            byte_budget: Some(8), // smaller than any entry
-            ..CacheConfig::default()
-        });
+        let cache = Cache::with_byte_budget(8); // smaller than any entry
         let n = SemiringId::from_name("N").unwrap();
         let (_, hit) = cache.get_or_decide(n, &q1, &q2, decide_with(n));
         assert!(!hit);
         let stats = cache.stats();
         assert_eq!(stats.entries, 0);
         assert_eq!(stats.approx_bytes, 0);
-        assert_eq!(stats.evicted_bytes, 1, "the refusal is counted");
+        assert_eq!(
+            (stats.inserts, stats.evictions),
+            (1, 1),
+            "the refusal counts as an insert evicted at once"
+        );
         // The same request decides again — nothing was cached.
         let (_, hit) = cache.get_or_decide(n, &q1, &q2, decide_with(n));
         assert!(!hit);
-        assert_eq!(cache.stats().decides, 2);
-    }
-
-    #[test]
-    fn shard_capacity_bounds_every_shard() {
-        let mut s = Schema::with_relations([("R", 2)]);
-        let pairs = distinct_pairs(&mut s, 16);
-        let n = SemiringId::from_name("N").unwrap();
-        let cache = Cache::with_config(CacheConfig {
-            shard_capacity: Some(1),
-            ..CacheConfig::default()
-        });
-        for (q1, q2) in &pairs {
-            cache.get_or_decide(n, q1, q2, decide_with(n));
-            let stats = cache.stats();
-            assert!(
-                stats.shard_entries.iter().all(|&c| c <= 1),
-                "a shard broke its capacity: {:?}",
-                stats.shard_entries
-            );
-        }
         let stats = cache.stats();
-        assert_eq!(stats.inserts, 16);
-        assert_eq!(stats.inserts, stats.entries + stats.evictions());
+        assert_eq!(stats.decides, 2);
+        assert_eq!(stats.inserts, stats.entries + stats.evictions);
     }
 
     #[test]
     fn recently_hit_entries_survive_capacity_eviction() {
         // Pin the second-chance policy exactly: find three pairs that
         // land in the SAME shard (by probing the fingerprints, so no
-        // hashing luck is involved), fill the shard, hit one entry, then
-        // overflow — the unreferenced entry must be the victim.
+        // hashing luck is involved), fill the budget with two of them, hit
+        // one, then insert the third — the sweep starts at that shard, and
+        // the unreferenced entry must be the victim.
         let mut s = Schema::with_relations([("R", 2)]);
         let n = SemiringId::from_name("N").unwrap();
-        let cache = Cache::with_config(CacheConfig {
-            shard_capacity: Some(2),
-            ..CacheConfig::default()
-        });
         let pairs = distinct_pairs(&mut s, 256);
+        let one = pair_footprint(&pairs[0]);
+        let cache = Cache::with_byte_budget(one * 2 + one / 2);
         let mut by_shard: HashMap<usize, Vec<usize>> = HashMap::new();
         let mut colliding: Option<Vec<usize>> = None;
         for (i, (q1, q2)) in pairs.iter().enumerate() {
@@ -708,75 +538,43 @@ mod tests {
         let (b1, b2) = &pairs[idx[1]];
         let (c1, c2) = &pairs[idx[2]];
         cache.get_or_decide(n, a1, a2, decide_with(n)); // shard: [A]
-        cache.get_or_decide(n, b1, b2, decide_with(n)); // shard: [A, B] — full
+        cache.get_or_decide(n, b1, b2, decide_with(n)); // shard: [A, B] — budget full
         let (_, hit) = cache.get_or_decide(n, a1, a2, |_, _| panic!("cached"));
         assert!(hit, "A is cached; the hit sets its second-chance bit");
-        cache.get_or_decide(n, c1, c2, decide_with(n)); // overflow: evict one
+        cache.get_or_decide(n, c1, c2, decide_with(n)); // over budget: evict one
+        assert_eq!(cache.stats().evictions, 1);
         let (_, hit_a) = cache.get_or_decide(n, a1, a2, |_, _| panic!("A must survive"));
         assert!(hit_a, "the referenced entry gets its second chance");
+        let (_, hit_c) = cache.get_or_decide(n, c1, c2, |_, _| panic!("C must survive"));
+        assert!(hit_c, "the entry just inserted stays");
         let (_, hit_b) = cache.get_or_decide(n, b1, b2, decide_with(n));
         assert!(!hit_b, "the unreferenced entry was the victim");
         let stats = cache.stats();
-        assert!(stats.evicted_capacity >= 1, "{stats:?}");
-        assert_eq!(stats.inserts, stats.entries + stats.evictions());
-    }
-
-    #[test]
-    fn ttl_expires_entries_on_later_probes() {
-        let mut s = Schema::with_relations([("R", 2)]);
-        let q1 = parser::parse_ucq(&mut s, "Q() :- R(u, v), R(u, w)").unwrap();
-        let q2 = parser::parse_ucq(&mut s, "Q() :- R(u, v), R(u, v)").unwrap();
-        let n = SemiringId::from_name("N").unwrap();
-        let cache = Cache::with_config(CacheConfig {
-            ttl: Some(3),
-            ..CacheConfig::default()
-        });
-        cache.get_or_decide(n, &q1, &q2, decide_with(n)); // tick 1, stamp 1
-        let (_, hit) = cache.get_or_decide(n, &q1, &q2, |_, _| panic!("cached")); // tick 2
-        assert!(hit, "within the TTL the entry serves");
-        // Advance time with unrelated requests (distinct pair).
-        let r1 = parser::parse_ucq(&mut s, "Q() :- R(a, b)").unwrap();
-        let r2 = parser::parse_ucq(&mut s, "Q() :- R(c, d), R(d, c)").unwrap();
-        cache.get_or_decide(n, &r1, &r2, decide_with(n)); // tick 3
-        cache.get_or_decide(n, &r1, &r2, |_, _| panic!("cached")); // tick 4
-                                                                   // tick 5: 5 - 1 >= 3 — the original entry is expired, re-decided.
-        let (_, hit) = cache.get_or_decide(n, &q1, &q2, decide_with(n));
-        assert!(!hit, "expired entries must not serve");
-        let stats = cache.stats();
-        assert!(
-            stats.evicted_expired >= 1,
-            "expiry must be counted: {stats:?}"
-        );
-        assert_eq!(stats.inserts, stats.entries + stats.evictions());
+        assert_eq!(stats.inserts, stats.entries + stats.evictions);
     }
 
     #[test]
     fn eviction_is_deterministic_for_a_fixed_operation_order() {
-        // Logical time ⇒ two identical runs age and evict identically.
+        // All eviction state sits under the shard locks, so two identical
+        // runs hit, miss and evict identically.
         let run = || {
             let mut s = Schema::with_relations([("R", 2)]);
             let pairs = distinct_pairs(&mut s, 10);
             let n = SemiringId::from_name("N").unwrap();
-            let cache = Cache::with_config(CacheConfig {
-                shard_capacity: Some(1),
-                ttl: Some(4),
-                byte_budget: Some(4096),
-            });
-            for (q1, q2) in pairs.iter().chain(pairs.iter()) {
-                cache.get_or_decide(n, q1, q2, decide_with(n));
-            }
-            let stats = cache.stats();
-            (
-                stats.hits,
-                stats.misses,
-                stats.inserts,
-                stats.entries,
-                stats.evicted_capacity,
-                stats.evicted_expired,
-                stats.evicted_bytes,
-                stats.shard_entries.clone(),
-            )
+            let cache = Cache::with_byte_budget(pair_footprint(&pairs[0]) * 4);
+            let order = [0, 1, 2, 3, 0, 4, 5, 1, 6, 0, 7, 8, 2, 9, 0, 3, 5];
+            let hits: Vec<bool> = order
+                .iter()
+                .map(|&i| {
+                    let (q1, q2) = &pairs[i];
+                    cache.get_or_decide(n, q1, q2, decide_with(n)).1
+                })
+                .collect();
+            (hits, cache.stats())
         };
-        assert_eq!(run(), run());
+        let (hits, stats) = run();
+        assert!(stats.evictions > 0, "{stats:?}");
+        assert!(hits.contains(&true), "{hits:?}");
+        assert_eq!(run(), (hits, stats));
     }
 }

@@ -6,7 +6,8 @@
 //!
 //! * [`proto`] — the line protocol (`DECIDE <semiring> <q1> ⊑ <q2>`, …);
 //! * [`cache`] — the sharded semantic cache, keyed exactly by the
-//!   canonical codes of the query pair *up to isomorphism*;
+//!   canonical codes of the query pair *up to isomorphism* and bounded by
+//!   one byte budget;
 //! * [`server`] — request handling over request-local schemas and the
 //!   thread-per-core accept loop over a `TcpListener`, with admission
 //!   control (decide budgets, connection cap, read timeouts) and pipelined
@@ -35,6 +36,6 @@ pub mod cache;
 pub mod proto;
 pub mod server;
 
-pub use cache::{Cache, CacheConfig, CacheStats};
+pub use cache::{Cache, CacheStats};
 pub use proto::{parse_request, Request, ServiceCounters};
 pub use server::{serve, BatchItem, Outcome, Service, ServiceConfig, ShutdownFlag};

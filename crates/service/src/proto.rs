@@ -183,29 +183,24 @@ pub struct ServiceCounters {
     pub batches: u64,
 }
 
-/// Formats the `STATS` reply: the request/insert counters, the eviction
-/// counters by reason, the admission-control counters, the logical tick,
-/// the approximate byte footprint (the byte-budget enforcement input),
-/// then one comma-separated occupancy count per shard.
+/// Formats the `STATS` reply: the request, insert and eviction counters,
+/// the admission-control counters, the approximate byte footprint (the
+/// byte-budget enforcement input), then one comma-separated occupancy
+/// count per shard.
 pub fn format_stats(stats: &CacheStats, service: &ServiceCounters) -> String {
     let shards: Vec<String> = stats.shard_entries.iter().map(u64::to_string).collect();
     format!(
-        "OK stats hits={} misses={} decides={} inserts={} entries={} \
-         evictions={} evict_cap={} evict_ttl={} evict_bytes={} \
-         overloads={} busy={} batches={} ticks={} approx_bytes={} shards={}",
+        "OK stats hits={} misses={} decides={} inserts={} entries={} evictions={} \
+         overloads={} busy={} batches={} approx_bytes={} shards={}",
         stats.hits,
         stats.misses,
         stats.decides,
         stats.inserts,
         stats.entries,
-        stats.evictions(),
-        stats.evicted_capacity,
-        stats.evicted_expired,
-        stats.evicted_bytes,
+        stats.evictions,
         service.overloads,
         service.busy,
         service.batches,
-        stats.ticks,
         stats.approx_bytes,
         shards.join(",")
     )
@@ -269,10 +264,7 @@ mod tests {
             decides: 2,
             inserts: 2,
             entries: 1,
-            evicted_capacity: 1,
-            evicted_expired: 0,
-            evicted_bytes: 0,
-            ticks: 3,
+            evictions: 1,
             shard_entries: vec![0, 1, 0],
             approx_bytes: 640,
         };
@@ -283,9 +275,8 @@ mod tests {
         };
         assert_eq!(
             format_stats(&stats, &service),
-            "OK stats hits=1 misses=2 decides=2 inserts=2 entries=1 \
-             evictions=1 evict_cap=1 evict_ttl=0 evict_bytes=0 \
-             overloads=4 busy=5 batches=6 ticks=3 approx_bytes=640 shards=0,1,0"
+            "OK stats hits=1 misses=2 decides=2 inserts=2 entries=1 evictions=1 \
+             overloads=4 busy=5 batches=6 approx_bytes=640 shards=0,1,0"
         );
     }
 

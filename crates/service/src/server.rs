@@ -18,6 +18,8 @@
 //! A long-lived server must degrade, not drown.  [`ServiceConfig`] bounds
 //! every axis a hostile client could push on:
 //!
+//! * **cache byte budget** (`cache_byte_budget`) — the semantic cache
+//!   evicts to stay within it; on by default at [`DEFAULT_BYTE_BUDGET`].
 //! * **decide budget** (`max_query_vars` / `max_query_atoms`) — a `DECIDE`
 //!   whose queries exceed the caps is refused with a structured
 //!   `OVERLOAD decide-budget …` reply *before* any decider (or canonical
@@ -37,7 +39,7 @@
 //!   discarded (to the next newline) and answered with a structured
 //!   `ERR`; the connection stays usable.
 
-use crate::cache::{Cache, CacheConfig};
+use crate::cache::{Cache, DEFAULT_BYTE_BUDGET};
 use crate::proto::{self, Request, ServiceCounters};
 use annot_core::registry::{decide_ucq_dyn, SemiringId};
 use annot_core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -52,13 +54,15 @@ use std::time::Duration;
 /// order; the pool stays small because every batch spawns it afresh.
 const BATCH_WORKERS: usize = 4;
 
-/// Knobs for the server's sustained-traffic behaviour.  The default is
-/// the PR 8 behaviour: unbounded cache, no budgets, no timeouts — every
-/// limit is opt-in, so exact-counter tests stay pinned.
+/// Knobs for the server's sustained-traffic behaviour.  The default bounds
+/// the cache at [`DEFAULT_BYTE_BUDGET`], batches at 1,024 items and lines
+/// at 64 KiB; the decide budget, the connection cap and the read timeout
+/// are opt-in.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Cache bounds (shard capacity, TTL ticks, global byte budget).
-    pub cache: CacheConfig,
+    /// The cache's byte budget: the most tracked bytes (`STATS`
+    /// `approx_bytes`) its entries may take before it evicts.
+    pub cache_byte_budget: u64,
     /// Per-request decide budget: maximum variables in any disjunct of
     /// either query (`None` = unbounded).  Exceeding it is an
     /// `OVERLOAD decide-budget` reply.
@@ -81,7 +85,7 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            cache: CacheConfig::default(),
+            cache_byte_budget: DEFAULT_BYTE_BUDGET,
             max_query_vars: None,
             max_query_atoms: None,
             max_batch: 1024,
@@ -150,8 +154,7 @@ impl From<&str> for BatchItem {
 }
 
 impl Service {
-    /// A fresh service with an unbounded cache and no admission limits
-    /// (the PR 8 behaviour).
+    /// A fresh service under the default config.
     pub fn new() -> Service {
         Service::with_config(ServiceConfig::default())
     }
@@ -159,7 +162,7 @@ impl Service {
     /// A fresh service under the given limits.
     pub fn with_config(config: ServiceConfig) -> Service {
         Service {
-            cache: Cache::with_config(config.cache),
+            cache: Cache::with_byte_budget(config.cache_byte_budget),
             config,
             overloads: AtomicU64::new(0),
             busy: AtomicU64::new(0),
@@ -199,27 +202,41 @@ impl Service {
     /// entire protocol logic — transport-free, so tests can drive it
     /// without sockets.
     pub fn handle_line(&self, line: &str) -> Outcome {
-        match proto::parse_request(line) {
-            Err(message) => Outcome::Reply(format!("ERR {message}")),
-            Ok(Request::Ping) => Outcome::Reply("OK pong".to_string()),
-            Ok(Request::Stats) => Outcome::Reply(self.stats_line()),
-            Ok(Request::Quit) => Outcome::Close("OK bye".to_string()),
-            Ok(Request::Shutdown) => Outcome::Shutdown("OK shutting-down".to_string()),
-            Ok(Request::Batch { count }) => {
-                if count > self.config.max_batch {
-                    // relaxed: monotonic statistics counter, no ordering needed
-                    self.overloads.fetch_add(1, Ordering::Relaxed);
-                    Outcome::Reply(format!(
-                        "OVERLOAD batch count={count} cap={}",
-                        self.config.max_batch
-                    ))
-                } else {
-                    Outcome::Batch { count }
-                }
-            }
-            Ok(Request::Decide { semiring, q1, q2 }) => {
+        self.respond(line, false)
+    }
+
+    /// Answers one request line, the only dispatch over [`Request`].
+    /// Inside a batch, a nested `BATCH` and the connection control verbs
+    /// answer a tagged `ERR`, so every batch item gets an
+    /// [`Outcome::Reply`].
+    fn respond(&self, line: &str, in_batch: bool) -> Outcome {
+        let request = match proto::parse_request(line) {
+            Ok(request) => request,
+            Err(message) => return Outcome::Reply(format!("ERR {message}")),
+        };
+        match request {
+            Request::Decide { semiring, q1, q2 } => {
                 Outcome::Reply(self.decide(&semiring, &q1, &q2))
             }
+            Request::Ping => Outcome::Reply("OK pong".to_string()),
+            Request::Stats => Outcome::Reply(self.stats_line()),
+            Request::Batch { .. } if in_batch => {
+                Outcome::Reply("ERR BATCH cannot nest inside a batch".to_string())
+            }
+            Request::Quit | Request::Shutdown if in_batch => Outcome::Reply(
+                "ERR connection control verbs are not allowed in a batch".to_string(),
+            ),
+            Request::Quit => Outcome::Close("OK bye".to_string()),
+            Request::Shutdown => Outcome::Shutdown("OK shutting-down".to_string()),
+            Request::Batch { count } if count > self.config.max_batch => {
+                // relaxed: monotonic statistics counter, no ordering needed
+                self.overloads.fetch_add(1, Ordering::Relaxed);
+                Outcome::Reply(format!(
+                    "OVERLOAD batch count={count} cap={}",
+                    self.config.max_batch
+                ))
+            }
+            Request::Batch { count } => Outcome::Batch { count },
         }
     }
 
@@ -264,19 +281,9 @@ impl Service {
     }
 
     fn batch_item(&self, item: &BatchItem) -> String {
-        let line = match item {
-            BatchItem::Request(line) => line,
-            BatchItem::Invalid(reply) => return reply.clone(),
-        };
-        match proto::parse_request(line) {
-            Err(message) => format!("ERR {message}"),
-            Ok(Request::Ping) => "OK pong".to_string(),
-            Ok(Request::Stats) => self.stats_line(),
-            Ok(Request::Decide { semiring, q1, q2 }) => self.decide(&semiring, &q1, &q2),
-            Ok(Request::Batch { .. }) => "ERR BATCH cannot nest inside a batch".to_string(),
-            Ok(Request::Quit) | Ok(Request::Shutdown) => {
-                "ERR connection control verbs are not allowed in a batch".to_string()
-            }
+        match item {
+            BatchItem::Request(line) => self.respond(line, true).reply().to_string(),
+            BatchItem::Invalid(reply) => reply.clone(),
         }
     }
 
@@ -701,7 +708,7 @@ mod tests {
         let stats = service.handle_line("STATS");
         let reply = stats.reply().to_string();
         assert!(reply.starts_with("OK stats "), "{reply}");
-        // Default config: no eviction, so the counters are exact.
+        // The default budget holds both entries, so the counters are exact.
         for (key, expected) in [
             ("hits", 1u64),
             ("misses", 2),
@@ -773,6 +780,11 @@ mod tests {
     }
 
     #[test]
+    fn the_default_config_bounds_the_cache() {
+        assert_eq!(ServiceConfig::default().cache_byte_budget, 64 << 20);
+    }
+
+    #[test]
     fn accepted_connections_get_nodelay() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
@@ -808,12 +820,13 @@ mod tests {
     #[test]
     fn batch_items_run_and_are_tagged_by_sequence() {
         let service = Service::new();
-        assert_eq!(service.handle_line("BATCH 4"), Outcome::Batch { count: 4 });
+        assert_eq!(service.handle_line("BATCH 5"), Outcome::Batch { count: 5 });
         let items: Vec<BatchItem> = [
             "DECIDE Why Q() :- R(u, v), R(u, w) <= Q() :- R(u, v), R(u, v)",
             "PING",
             "DECIDE why Q() :- R(a, b), R(a, c) <= Q() :- R(p, q), R(p, q)",
             "SHUTDOWN",
+            "BATCH 2",
         ]
         .into_iter()
         .map(BatchItem::from)
@@ -821,10 +834,18 @@ mod tests {
         let mut replies = service.handle_batch(&items);
         replies.sort_by_key(|&(seq, _)| seq);
         let seqs: Vec<u64> = replies.iter().map(|&(s, _)| s).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3], "every item answered exactly once");
+        assert_eq!(
+            seqs,
+            vec![0, 1, 2, 3, 4],
+            "every item answered exactly once"
+        );
         assert!(replies[0].1.starts_with("OK not-contained"), "{replies:?}");
         assert_eq!(replies[1].1, "OK pong");
-        assert!(replies[3].1.starts_with("ERR"), "control verbs refused");
+        assert_eq!(
+            replies[3].1,
+            "ERR connection control verbs are not allowed in a batch"
+        );
+        assert_eq!(replies[4].1, "ERR BATCH cannot nest inside a batch");
         // Items 0 and 2 are isomorphic: one decided, one hit (in *some*
         // order — they race across the pool).
         let stats = service.handle_line("STATS").reply().to_string();

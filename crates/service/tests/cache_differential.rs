@@ -1,21 +1,25 @@
-//! Cache differential: the semantic cache never changes a decided verdict.
+//! Cache differential: the semantic cache never changes a decided verdict,
+//! and neither does eviction.
 //!
-//! One `Service` takes a seeded stream of `DECIDE` requests: fresh pairs;
+//! A `Service` takes a seeded stream of `DECIDE` requests: fresh pairs;
 //! isomorphic variants of earlier pairs (variables renamed, atoms and
 //! disjuncts shuffled, semiring spelled by an alias); near misses of earlier
 //! pairs (one argument swapped, one relation renamed, one free variable
 //! moved); and earlier pairs re-sent with every relation at arity 3, so a
 //! name used at arity 2 in one request comes back at arity 3 in a later
 //! one.  Every reply must carry the verdict of a fresh `decide_ucq_dyn` on
-//! that request, and must say `hit` exactly when an isomorphic pair was
-//! asked before over the same semiring — as `are_isomorphic_ucq` judges it
-//! over one oracle schema that spells each relation with its arity.
+//! that request.  Under the default budget a reply must say `hit` exactly
+//! when an isomorphic pair was asked before over the same semiring — as
+//! `are_isomorphic_ucq` judges it over one oracle schema that spells each
+//! relation with its arity.  The same stream then runs through a service
+//! whose budget holds only a few entries: there a `hit` still needs an
+//! isomorphic earlier pair, but an evicted one answers `miss`.
 
 use annot_core::registry::{decide_ucq_dyn, SemiringId};
 use annot_hom::are_isomorphic_ucq;
 use annot_query::{parser, Schema, Ucq};
 use annot_service::proto::format_decision;
-use annot_service::Service;
+use annot_service::{Service, ServiceConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -190,9 +194,23 @@ fn verdict_and_cache(reply: &str) -> (&str, &str) {
     (verdict, cache)
 }
 
-#[test]
-fn cache_hits_exactly_on_isomorphic_repeats_and_never_changes_a_verdict() {
-    let service = Service::new();
+/// What a replay of the stream saw.
+struct Replay {
+    requests: usize,
+    /// Replies that said `hit`.
+    hits: usize,
+    /// Requests whose pair the judge found asked before.
+    repeats: usize,
+    /// Isomorphism classes of pairs asked.
+    classes: usize,
+    /// Requests at arity 3.
+    widened: usize,
+}
+
+/// Sends the seeded stream to `service`.  Every reply must carry a fresh
+/// decide's verdict, and a `hit` needs an isomorphic pair asked before;
+/// with `exact`, every such repeat must hit as well.
+fn replay(service: &Service, exact: bool) -> Replay {
     let mut rng = StdRng::seed_from_u64(0xd1ff_cac4e);
     let mut oracle_schema = Schema::new();
     // Pairs asked so far, one per isomorphism class: (row, q1, q2) over the
@@ -200,7 +218,7 @@ fn cache_hits_exactly_on_isomorphic_repeats_and_never_changes_a_verdict() {
     let mut asked: Vec<(SemiringId, Ucq, Ucq)> = Vec::new();
     // Every request so far, to draw variants and near misses from.
     let mut history: Vec<(usize, Query, Query)> = Vec::new();
-    let (mut hits, mut widened) = (0, 0);
+    let (mut hits, mut repeats, mut widened) = (0, 0, 0);
     let requests = 240;
     for step in 0..requests {
         let (row, q1, q2, alias) = match (step, rng.gen_range(0..10)) {
@@ -257,41 +275,98 @@ fn cache_hits_exactly_on_isomorphic_repeats_and_never_changes_a_verdict() {
             "step {step}: cached verdict differs from a fresh decide on {line}"
         );
 
-        // Hit exactly when the judge finds an isomorphic pair asked before.
+        // A hit needs an isomorphic pair asked before, as the judge finds.
         let o1 = parser::parse_ucq(&mut oracle_schema, &render(&q1, true)).expect("oracle left");
         let o2 = parser::parse_ucq(&mut oracle_schema, &render(&q2, true)).expect("oracle right");
         let seen = asked.iter().any(|(row_id, a1, a2)| {
             *row_id == id && are_isomorphic_ucq(a1, &o1) && are_isomorphic_ucq(a2, &o2)
         });
-        assert_eq!(
-            cache,
-            if seen { "hit" } else { "miss" },
-            "step {step}: {line}"
+        let hit = match cache {
+            "hit" => true,
+            "miss" => false,
+            other => panic!("step {step}: cache word {other:?}"),
+        };
+        assert!(
+            seen || !hit,
+            "step {step}: a hit with no earlier pair: {line}"
         );
+        assert!(
+            !exact || seen == hit,
+            "step {step}: a repeat missed: {line}"
+        );
+        hits += usize::from(hit);
         if seen {
-            hits += 1;
+            repeats += 1;
         } else {
             asked.push((id, o1, o2));
         }
         widened += usize::from(q1[0].atoms[0].1.len() == 3);
         history.push((row, q1, q2));
     }
+    Replay {
+        requests,
+        hits,
+        repeats,
+        classes: asked.len(),
+        widened,
+    }
+}
 
+/// One counter of a `STATS` reply.
+fn stat(stats: &str, key: &str) -> usize {
+    stats
+        .split_whitespace()
+        .find_map(|w| w.strip_prefix(&format!("{key}=")))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("STATS lacks {key}: {stats}"))
+}
+
+#[test]
+fn cache_hits_exactly_on_isomorphic_repeats_and_never_changes_a_verdict() {
+    let service = Service::new();
+    let run = replay(&service, true);
     let stats = service.handle_line("STATS").reply().to_string();
-    let stat = |key: &str| -> usize {
-        stats
-            .split_whitespace()
-            .find_map(|w| w.strip_prefix(&format!("{key}=")))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("STATS lacks {key}: {stats}"))
-    };
-    assert_eq!(stat("hits"), hits, "{stats}");
-    assert_eq!(stat("misses"), requests - hits, "{stats}");
-    assert_eq!(stat("entries"), asked.len(), "one entry per class: {stats}");
+    assert_eq!(stat(&stats, "hits"), run.hits, "{stats}");
+    assert_eq!(stat(&stats, "misses"), run.requests - run.hits, "{stats}");
+    assert_eq!(
+        stat(&stats, "entries"),
+        run.classes,
+        "one entry per class: {stats}"
+    );
     // The stream exercised both sides of the differential.
-    assert!(hits >= 40, "only {hits} hits");
-    assert!(requests - hits >= 100, "only {} misses", requests - hits);
-    assert!(widened >= 10, "only {widened} arity-3 requests");
+    assert!(run.hits >= 40, "only {} hits", run.hits);
+    assert!(
+        run.requests - run.hits >= 100,
+        "only {} misses",
+        run.requests - run.hits
+    );
+    assert!(run.widened >= 10, "only {} arity-3 requests", run.widened);
+}
+
+#[test]
+fn eviction_never_changes_a_verdict_or_fakes_a_hit() {
+    // About six entries of this stream's size.
+    let service = Service::with_config(ServiceConfig {
+        cache_byte_budget: 4096,
+        ..ServiceConfig::default()
+    });
+    let run = replay(&service, false);
+    let stats = service.handle_line("STATS").reply().to_string();
+    assert_eq!(stat(&stats, "hits"), run.hits, "{stats}");
+    assert!(stat(&stats, "evictions") > 0, "{stats}");
+    assert_eq!(
+        stat(&stats, "inserts"),
+        stat(&stats, "entries") + stat(&stats, "evictions"),
+        "{stats}"
+    );
+    assert!(stat(&stats, "approx_bytes") <= 4096, "{stats}");
+    // Eviction turned repeats into misses, but not all of them.
+    assert!(
+        run.hits > 0 && run.hits < run.repeats,
+        "{} hits of {} repeats",
+        run.hits,
+        run.repeats
+    );
 }
 
 #[test]

@@ -1,12 +1,12 @@
 //! Concurrent cache stress: N client threads hammer an iso-renamed query
-//! family through a byte-budgeted, capacity-bounded server, forcing
+//! family through a server with a small cache byte budget, forcing
 //! eviction churn while hits, misses and evictions race.
 //!
 //! Afterwards the books must balance — every request was a hit or a miss,
 //! every miss decided exactly once, entries = inserts − evictions — and
 //! the tracked byte footprint must respect the configured budget.
 
-use annot_service::{serve, CacheConfig, Service, ServiceConfig, ShutdownFlag};
+use annot_service::{serve, Service, ServiceConfig, ShutdownFlag};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{BufRead, BufReader, Write};
@@ -14,9 +14,8 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 
 const CLIENTS: usize = 8;
 const REQUESTS_PER_CLIENT: usize = 60;
-/// Large enough that any single entry fits (so no insert is refused and
-/// the `inserts = entries + evictions` identity holds exactly), small
-/// enough that the storm must evict to stay under it.
+/// About 25 entries: small enough that the storm's 64 families must evict
+/// to stay under it.
 const BYTE_BUDGET: u64 = 16 * 1024;
 
 /// One member of the iso-renamed family: the same triangle-ish shape over
@@ -69,11 +68,7 @@ fn stat_u64(reply: &str, key: &str) -> u64 {
 #[test]
 fn eviction_churn_storm_balances_the_books_and_respects_the_budget() {
     let config = ServiceConfig {
-        cache: CacheConfig {
-            shard_capacity: Some(2),
-            ttl: Some(200),
-            byte_budget: Some(BYTE_BUDGET),
-        },
+        cache_byte_budget: BYTE_BUDGET,
         ..ServiceConfig::default()
     };
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -154,11 +149,6 @@ fn eviction_churn_storm_balances_the_books_and_respects_the_budget() {
         assert_eq!(
             shard_sum, entries,
             "shard occupancy sums to entries: {stats}"
-        );
-        assert_eq!(
-            stat_u64(&stats, "ticks"),
-            total,
-            "one logical tick per decision request: {stats}"
         );
 
         assert_eq!(probe.roundtrip("SHUTDOWN"), "OK shutting-down");

@@ -1,8 +1,8 @@
 //! In-process integration test: the real TCP server, a scripted session —
-//! exact counters with the default (eviction-free) config, plus a
-//! tiny-capacity scenario that must evict.
+//! exact counters under the default config, whose budget the session
+//! never fills, plus a tiny-budget scenario that must evict.
 
-use annot_service::{serve, CacheConfig, Service, ServiceConfig, ShutdownFlag};
+use annot_service::{serve, Service, ServiceConfig, ShutdownFlag};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 
@@ -34,7 +34,8 @@ fn stat_u64(reply: &str, key: &str) -> u64 {
 fn tcp_session_hits_the_iso_cache_across_connections() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    // Default config: no eviction, so every counter below is exact.
+    // Default config: the session never fills the budget, so every
+    // counter below is exact.
     let service = Service::new();
     let shutdown = ShutdownFlag::new();
 
@@ -110,11 +111,7 @@ fn tiny_capacity_session_evicts_and_stays_within_budget() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let service = Service::with_config(ServiceConfig {
-        cache: CacheConfig {
-            shard_capacity: Some(1),
-            ttl: None,
-            byte_budget: Some(BUDGET),
-        },
+        cache_byte_budget: BUDGET,
         ..ServiceConfig::default()
     });
     let shutdown = ShutdownFlag::new();
