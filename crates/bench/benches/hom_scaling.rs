@@ -46,7 +46,12 @@ fn hom_scaling(c: &mut Criterion) {
             b.iter(|| black_box(kinds::exists_surjective_hom(&case.q2, &case.q1)))
         });
         group.bench_function(format!("covering/{}", case.name), |b| {
-            b.iter(|| black_box(kinds::homomorphically_covers(&case.q2, &case.q1)))
+            b.iter(|| {
+                black_box(kinds::homomorphically_covers(
+                    std::slice::from_ref(&case.q2),
+                    &case.q1,
+                ))
+            })
         });
     }
     group.finish();

@@ -6,7 +6,7 @@
 
 use annot_bench::{cq_workload, example_4_6};
 use annot_core::brute_force::{find_counterexample_cq, BruteForceConfig};
-use annot_core::small_model::cq_contained_small_model;
+use annot_core::decide::decide_cq;
 use annot_query::complete::complete_description_cq;
 use annot_semiring::{Schedule, Tropical};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -27,10 +27,10 @@ fn small_model(c: &mut Criterion) {
         .measurement_time(Duration::from_millis(700));
     for case in &cases {
         group.bench_function(format!("T+/{}", case.name), |b| {
-            b.iter(|| black_box(cq_contained_small_model::<Tropical>(&case.q1, &case.q2)))
+            b.iter(|| black_box(decide_cq::<Tropical>(&case.q1, &case.q2).answer))
         });
         group.bench_function(format!("T-/{}", case.name), |b| {
-            b.iter(|| black_box(cq_contained_small_model::<Schedule>(&case.q1, &case.q2)))
+            b.iter(|| black_box(decide_cq::<Schedule>(&case.q1, &case.q2).answer))
         });
     }
     group.finish();
@@ -56,12 +56,7 @@ fn small_model(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(800));
     group.bench_function("symbolic(Thm 4.17)", |b| {
-        b.iter(|| {
-            black_box(cq_contained_small_model::<Tropical>(
-                &example.q1,
-                &example.q2,
-            ))
-        })
+        b.iter(|| black_box(decide_cq::<Tropical>(&example.q1, &example.q2).answer))
     });
     group.bench_function("brute-force(domain=2)", |b| {
         let config = BruteForceConfig {

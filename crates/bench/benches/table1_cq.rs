@@ -1,14 +1,14 @@
 //! Experiment E1: the CQ half of Table 1.
 //!
 //! One benchmark group per row (C_hom, C_hcov, C_in, C_sur, C_bi), timing the
-//! decision procedure the row prescribes on a common workload of chain- and
+//! `annot_hom::kinds` predicate the row prescribes on a common workload of chain- and
 //! random-shaped CQ pairs of growing size, plus the paper's Example 4.6 pair.
 //! All rows are NP-complete in theory; the measurements show how the shared
 //! backtracking search behaves per criterion at practical sizes.
 
 use annot_bench::{cq_workload, example_4_6, CqCase};
-use annot_core::cq as decide;
-use annot_core::small_model::cq_contained_small_model;
+use annot_core::decide::decide_cq;
+use annot_hom::kinds;
 use annot_query::Cq;
 use annot_semiring::Tropical;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -40,31 +40,31 @@ fn table1_cq(c: &mut Criterion) {
     bench_row(
         c,
         "table1_cq/C_hom(homomorphism)",
-        &decide::contained_chom,
+        &|q1, q2| kinds::exists_hom(q2, q1),
         &cases,
     );
     bench_row(
         c,
         "table1_cq/C_hcov(covering)",
-        &decide::contained_chcov,
+        &|q1, q2| kinds::homomorphically_covers(std::slice::from_ref(q2), q1),
         &cases,
     );
     bench_row(
         c,
         "table1_cq/C_in(injective)",
-        &decide::contained_cin,
+        &|q1, q2| kinds::exists_injective_hom(q2, q1),
         &cases,
     );
     bench_row(
         c,
         "table1_cq/C_sur(surjective)",
-        &decide::contained_csur,
+        &|q1, q2| kinds::exists_surjective_hom(q2, q1),
         &cases,
     );
     bench_row(
         c,
         "table1_cq/C_bi(bijective)",
-        &decide::contained_cbi,
+        &|q1, q2| kinds::exists_bijective_hom(q2, q1),
         &cases,
     );
     // The small-model row (T⁺) is only benchmarked on the smaller cases: its
@@ -76,7 +76,7 @@ fn table1_cq(c: &mut Criterion) {
     bench_row(
         c,
         "table1_cq/S1(small-model,T+)",
-        &|q1, q2| cq_contained_small_model::<Tropical>(q1, q2),
+        &|q1, q2| decide_cq::<Tropical>(q1, q2).decided() == Some(true),
         &small_cases,
     );
 }

@@ -19,9 +19,12 @@
 //! monomorphization-hostile callers) lives in [`crate::registry`].
 
 use crate::classes::{ClassifiedSemiring, CqCriterion, UcqCriterion};
-use crate::{cq, small_model, ucq};
+use crate::{small_model, ucq};
 use annot_hom::{kinds, VarMap};
+use annot_query::complete::complete_description_ucq;
 use annot_query::{Cq, Ucq};
+use std::cell::OnceCell;
+use std::slice;
 
 /// The verdict of a containment question, without the provenance of *how*
 /// it was reached (that is [`Decision::method`]).
@@ -101,9 +104,10 @@ pub fn decide_cq<K: ClassifiedSemiring>(q1: &Cq, q2: &Cq) -> Decision {
         CqCriterion::Homomorphism => {
             Decision::of_witness(kinds::find_hom(q2, q1), "homomorphism (C_hom)")
         }
-        CqCriterion::Covering => {
-            Decision::of(cq::contained_chcov(q1, q2), "homomorphic covering (C_hcov)")
-        }
+        CqCriterion::Covering => Decision::of(
+            kinds::homomorphically_covers(slice::from_ref(q2), q1),
+            "homomorphic covering (C_hcov)",
+        ),
         CqCriterion::Injective => Decision::of_witness(
             kinds::find_injective_hom(q2, q1),
             "injective homomorphism (C_in)",
@@ -116,9 +120,14 @@ pub fn decide_cq<K: ClassifiedSemiring>(q1: &Cq, q2: &Cq) -> Decision {
             kinds::find_bijective_hom(q2, q1),
             "bijective homomorphism (C_bi)",
         ),
+        // Thm. 4.17 is the UCQ procedure on singleton unions.
         CqCriterion::SmallModel => match K::poly_order() {
             Some(leq) => Decision::of(
-                small_model::cq_contained_small_model_with(q1, q2, leq),
+                small_model::ucq_contained_small_model_with(
+                    &Ucq::from(q1.clone()),
+                    &Ucq::from(q2.clone()),
+                    leq,
+                ),
                 "small-model / canonical instances (Thm. 4.17)",
             ),
             None => bounds_cq(q1, q2, &profile),
@@ -132,7 +141,7 @@ fn bounds_cq(q1: &Cq, q2: &Cq, profile: &crate::classes::ClassProfile) -> Decisi
     // single-homomorphism bounds carry their witness.
     let sufficient = if profile.in_s_hcov {
         Decision::of(
-            kinds::homomorphically_covers(q2, q1),
+            kinds::homomorphically_covers(slice::from_ref(q2), q1),
             "sufficient homomorphism bound",
         )
     } else if profile.in_s_in {
@@ -162,7 +171,7 @@ fn bounds_cq(q1: &Cq, q2: &Cq, profile: &crate::classes::ClassProfile) -> Decisi
     } else if profile.in_n_in {
         kinds::exists_injective_hom(q2, q1)
     } else if profile.in_n_hcov {
-        kinds::homomorphically_covers(q2, q1)
+        kinds::homomorphically_covers(slice::from_ref(q2), q1)
     } else {
         kinds::exists_hom(q2, q1)
     };
@@ -229,10 +238,17 @@ pub fn decide_ucq<K: ClassifiedSemiring>(q1: &Ucq, q2: &Ucq) -> Decision {
 }
 
 fn bounds_ucq(q1: &Ucq, q2: &Ucq, profile: &crate::classes::ClassProfile) -> Decision {
+    // Both bounds of a row in S_sur ∩ N²_hcov (bag semantics) read the
+    // complete descriptions: build them once, on first use.
+    let descriptions = OnceCell::new();
+    let described = || {
+        descriptions.get_or_init(|| (complete_description_ucq(q1), complete_description_ucq(q2)))
+    };
     // Sufficient: the unique-witness bijective condition works for every
     // semiring; for S_sur semirings the ↠_∞ criterion is stronger.
     let sufficient = if profile.in_s_sur {
-        ucq::surjective::unique_surjective(q1, q2)
+        let (d1, d2) = described();
+        ucq::surjective::unique_surjective_on_descriptions(d1, d2)
     } else {
         ucq::local::sufficient_for_all_semirings(q1, q2)
     };
@@ -246,7 +262,8 @@ fn bounds_ucq(q1: &Ucq, q2: &Ucq, profile: &crate::classes::ClassProfile) -> Dec
     // semiring; for semirings in N²_hcov (e.g. bag semantics) the covering
     // ⇉₂ is stronger (Cor. 5.23).
     let necessary = if profile.in_n_hcov {
-        ucq::covering::covering2(q1, q2)
+        let (d1, d2) = described();
+        ucq::covering::covering2_on_descriptions(d1, d2)
     } else {
         q1.disjuncts()
             .iter()
@@ -268,9 +285,10 @@ fn bounds_ucq(q1: &Ucq, q2: &Ucq, profile: &crate::classes::ClassProfile) -> Dec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::brute_force::{find_counterexample_ucq, BruteForceConfig};
     use annot_query::parser;
     use annot_query::Schema;
-    use annot_semiring::{Bool, Lineage, NatPoly, Natural, Tropical, Why};
+    use annot_semiring::{Bool, Lineage, NatPoly, Natural, Trio, Tropical, Why};
 
     fn cqs() -> (Cq, Cq) {
         let mut s = Schema::with_relations([("R", 2)]);
@@ -298,6 +316,43 @@ mod tests {
         assert_eq!(decide_cq::<Natural>(&q1, &q2).decided(), None);
         // ... but the reverse direction is settled by the sufficient bound.
         assert_eq!(decide_cq::<Natural>(&q2, &q1).decided(), Some(true));
+    }
+
+    #[test]
+    fn free_variables_reach_both_entry_points_alike() {
+        // Q₂(a) = Σ_b R(a,b)² ≥ R(a,a)² = Q₁(a) over N[X]: Q₂ ⤖ Q₁ maps
+        // y ↦ x, and ⟨Q₂⟩ holds the member R(x,x),R(x,x) that ↪_∞ needs.
+        let mut s = Schema::with_relations([("R", 2)]);
+        let q1 = parser::parse_cq(&mut s, "Q(x) :- R(x, x), R(x, x)").unwrap();
+        let q2 = parser::parse_cq(&mut s, "Q(x) :- R(x, y), R(x, y)").unwrap();
+        assert_eq!(decide_cq::<NatPoly>(&q1, &q2).decided(), Some(true));
+        let (u1, u2) = (Ucq::from(q1), Ucq::from(q2));
+        assert_eq!(decide_ucq::<NatPoly>(&u1, &u2).decided(), Some(true));
+        assert_eq!(decide_ucq::<NatPoly>(&u2, &u1).decided(), Some(false));
+    }
+
+    #[test]
+    fn two_free_variables_are_counted_once_at_equal_values() {
+        // On R = {(a,a) ↦ t}, each member of Q₁ gives t² at (a,a), so
+        // Q₁(a,a) = 2t², but Q₂(a,a) = t² from its one valuation y = a.
+        // ⟨Q₂⟩ must hold R(x,x),R(x,x) with head (x,x) once, not twice.
+        let mut s = Schema::with_relations([("R", 2)]);
+        let u1 = parser::parse_ucq(
+            &mut s,
+            "Q(x, w) :- R(x, x), R(x, w) ; Q(x, w) :- R(x, w), R(w, w)",
+        )
+        .unwrap();
+        let u2 = parser::parse_ucq(&mut s, "Q(x, w) :- R(x, y), R(y, w)").unwrap();
+        // `↪_∞`, `↠_∞` and `N`'s bounds read ⟨Q⟩; the oracle confirms each
+        // refutation.
+        fn refuted<K: ClassifiedSemiring>(u1: &Ucq, u2: &Ucq) {
+            assert_eq!(decide_ucq::<K>(u1, u2).decided(), Some(false));
+            let config = BruteForceConfig::with_domain_size(1);
+            assert!(find_counterexample_ucq::<K>(u1, u2, &config).is_some());
+        }
+        refuted::<NatPoly>(&u1, &u2);
+        refuted::<Trio>(&u1, &u2);
+        refuted::<Natural>(&u1, &u2);
     }
 
     #[test]

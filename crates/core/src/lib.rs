@@ -10,14 +10,13 @@
 //! |--------|----------|-------|
 //! | [`classes`] | the class taxonomy (`C_hom`, `C_hcov`, `C_in`, `C_sur`, `C_bi`, offsets, `C^k_bi`, …) and declared profiles of the shipped semirings | Sec. 3–5, Table 1 |
 //! | [`classify`](mod@classify) | empirical classification by axiom sampling | Sec. 3.3–4.4 |
-//! | [`cq`] | CQ containment deciders, one per Table 1 row | Sec. 3.3, 4.1–4.4 |
+//! | [`decide`] | the unified, class-dispatching containment solver; the CQ rows call the homomorphism predicates of `annot_hom::kinds` directly | Table 1, Sec. 3.3, 4.1–4.4 |
 //! | [`ucq`] | UCQ containment deciders (local, counting `↪_k`/`↪_∞`, unique-surjection `↠_∞`, coverings `⇉₁`/`⇉₂`) | Sec. 5 |
-//! | [`small_model`] | the canonical-instance procedure of Thm. 4.17 (and its UCQ extension) | Sec. 4.6 |
+//! | [`small_model`] | the canonical-instance procedure of Thm. 4.17, on UCQs; a CQ is a singleton union | Sec. 4.6 |
 //! | [`poly_order`] | decidable polynomial orders `¹_K` backing the small-model procedure | Sec. 3.2, 4.6 |
 //! | [`matching`] | bipartite matching (Hall's theorem) used by `↠_∞` | Sec. 5.3 |
 //! | [`brute_force`] | semantic baseline used for cross-validation | — |
 //! | [`steal`] | the work-stealing task pool driving the baseline's parallel walk | — |
-//! | [`decide`] | the unified, class-dispatching containment solver | Table 1 |
 //! | [`registry`] | runtime dispatch by semiring name ([`SemiringId`], `decide_*_dyn`) | Table 1 |
 //!
 //! ## Quick example
@@ -51,7 +50,8 @@
 pub mod brute_force;
 pub mod classes;
 pub mod classify;
-pub mod cq;
+#[cfg(test)]
+mod cq;
 pub mod decide;
 pub mod matching;
 pub mod poly_order;

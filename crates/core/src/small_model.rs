@@ -14,48 +14,18 @@
 //! procedures of Prop. 4.19 (in PSPACE; here implemented with exact
 //! rational LPs).
 //!
-//! The module also exposes the natural extension to UCQs (used to verify
-//! Ex. 5.4): evaluate the UCQs instead of single CQs over the canonical
-//! instances of `⟨Q₁⟩`.
+//! The procedure is implemented once, on UCQs (used to verify Ex. 5.4):
+//! evaluate the unions over the canonical instances of `⟨Q₁⟩`.  On singleton
+//! unions that is Thm. 4.17's CQ procedure, and
+//! [`crate::decide::decide_cq`] calls it that way.
 
 use crate::classes::PolyLeqFn;
 use crate::poly_order::PolynomialOrder;
-use annot_query::complete::{complete_description_cq, complete_description_ucq};
-use annot_query::eval::{eval_cq_all_outputs_rows, eval_ucq_all_outputs_rows};
-use annot_query::{CanonicalInstance, Cq, IdTuple, Ucq};
+use annot_query::complete::complete_description_ucq;
+use annot_query::eval::eval_ucq_all_outputs_rows;
+use annot_query::{CanonicalInstance, IdTuple, Ucq};
 use annot_semiring::{NatPoly, Semiring};
 use std::collections::BTreeMap;
-
-/// Decides `Q₁ ⊆_K Q₂` for an ⊕-idempotent semiring `K` with a decidable
-/// polynomial order, by Thm. 4.17.
-///
-/// The caller is responsible for `K` being ⊕-idempotent (class `S¹`) — the
-/// generic dispatcher checks this via the class profile.
-///
-/// Per canonical instance, both queries are evaluated for *all* output
-/// tuples in a single assignment-enumeration pass (instead of re-running the
-/// join per candidate tuple); tuples outside both supports compare as
-/// `0 ¹_K 0`, which holds in every semiring.
-pub fn cq_contained_small_model<K: PolynomialOrder>(q1: &Cq, q2: &Cq) -> bool {
-    cq_contained_small_model_with(q1, q2, K::poly_leq)
-}
-
-/// Monomorphic core of [`cq_contained_small_model`], taking the polynomial
-/// order as a plain function pointer so the runtime-dispatch layer
-/// ([`crate::decide`], [`crate::registry`]) can invoke it without a generic
-/// parameter.
-pub fn cq_contained_small_model_with(q1: &Cq, q2: &Cq, leq: PolyLeqFn) -> bool {
-    let description = complete_description_cq(q1);
-    for ccq in description.disjuncts() {
-        let canonical = CanonicalInstance::of_ccq(ccq);
-        let m1 = eval_cq_all_outputs_rows(q1, canonical.instance());
-        let m2 = eval_cq_all_outputs_rows(q2, canonical.instance());
-        if !supports_ordered(&m1, &m2, leq) {
-            return false;
-        }
-    }
-    true
-}
 
 /// Compares the two all-outputs maps under `¹_K` on the union of their
 /// supports.  Missing entries are the zero polynomial; tuples outside both
@@ -83,18 +53,29 @@ fn supports_ordered(
     true
 }
 
-/// The UCQ extension of the small-model procedure: checks
-/// `Q₁^⟦Q⟧(t) ¹_K Q₂^⟦Q⟧(t)` for every CCQ `Q ∈ ⟨Q₁⟩` of the *union* `Q₁`.
+/// Decides `Q₁ ⊆_K Q₂` for an ⊕-idempotent semiring `K` with a decidable
+/// polynomial order: checks `Q₁^⟦Q⟧(t) ¹_K Q₂^⟦Q⟧(t)` for every CCQ
+/// `Q ∈ ⟨Q₁⟩` of the *union* `Q₁` (Thm. 4.17 for singleton unions).
 ///
-/// This is the procedure the paper sketches for `T⁺` in Ex. 5.4 (the
+/// This is also the procedure the paper sketches for `T⁺` in Ex. 5.4 (the
 /// member-wise local method fails there; the canonical-instance comparison
 /// succeeds).
+///
+/// The caller is responsible for `K` being ⊕-idempotent (class `S¹`) — the
+/// generic dispatcher checks this via the class profile.
+///
+/// Per canonical instance, both queries are evaluated for *all* output
+/// tuples in a single assignment-enumeration pass (instead of re-running the
+/// join per candidate tuple); tuples outside both supports compare as
+/// `0 ¹_K 0`, which holds in every semiring.
 pub fn ucq_contained_small_model<K: PolynomialOrder>(q1: &Ucq, q2: &Ucq) -> bool {
     ucq_contained_small_model_with(q1, q2, K::poly_leq)
 }
 
-/// Monomorphic core of [`ucq_contained_small_model`] (see
-/// [`cq_contained_small_model_with`]).
+/// Monomorphic core of [`ucq_contained_small_model`], taking the polynomial
+/// order as a plain function pointer so the runtime-dispatch layer
+/// ([`crate::decide`], [`crate::registry`]) can invoke it without a generic
+/// parameter.
 pub fn ucq_contained_small_model_with(q1: &Ucq, q2: &Ucq, leq: PolyLeqFn) -> bool {
     if q1.is_empty() {
         return true;
@@ -118,6 +99,14 @@ mod tests {
     use annot_query::Schema;
     use annot_semiring::{Schedule, Tropical};
 
+    /// `Q₁ ⊆_K Q₂` for two queries in one schema, through the procedure.
+    fn contained<K: PolynomialOrder>(q1: &str, q2: &str) -> bool {
+        let mut schema = Schema::new();
+        let q1 = parser::parse_ucq(&mut schema, q1).unwrap();
+        let q2 = parser::parse_ucq(&mut schema, q2).unwrap();
+        ucq_contained_small_model::<K>(&q1, &q2)
+    }
+
     #[test]
     fn example_4_6_tropical_containment() {
         // Example 4.6: Q1 = ∃u,v,w R(u,v),R(u,w) IS T⁺-contained in
@@ -125,11 +114,10 @@ mod tests {
         // exists.  Q2 ⊆_{T⁺} Q1 holds as well (a homomorphism Q1 → Q2 exists
         // and T⁺ is 1-annihilating... we simply check both with the
         // procedure).
-        let mut schema = Schema::new();
-        let q1 = parser::parse_cq(&mut schema, "Q() :- R(u, v), R(u, w)").unwrap();
-        let q2 = parser::parse_cq(&mut schema, "Q() :- R(u, v), R(u, v)").unwrap();
-        assert!(cq_contained_small_model::<Tropical>(&q1, &q2));
-        assert!(cq_contained_small_model::<Tropical>(&q2, &q1));
+        let q1 = "Q() :- R(u, v), R(u, w)";
+        let q2 = "Q() :- R(u, v), R(u, v)";
+        assert!(contained::<Tropical>(q1, q2));
+        assert!(contained::<Tropical>(q2, q1));
     }
 
     #[test]
@@ -137,52 +125,45 @@ mod tests {
         // Q3 = ∃u,v R(u,v) (one atom) and Q1 = two atoms: over T⁺ annotations
         // are costs and more atoms mean higher cost, so Q1 ⊆ Q3 (cheaper) but
         // Q3 ⊄ Q1.
-        let mut schema = Schema::new();
-        let q1 = parser::parse_cq(&mut schema, "Q() :- R(u, v), R(u, w)").unwrap();
-        let q3 = parser::parse_cq(&mut schema, "Q() :- R(u, v)").unwrap();
-        assert!(cq_contained_small_model::<Tropical>(&q1, &q3));
-        assert!(!cq_contained_small_model::<Tropical>(&q3, &q1));
+        let q1 = "Q() :- R(u, v), R(u, w)";
+        let q3 = "Q() :- R(u, v)";
+        assert!(contained::<Tropical>(q1, q3));
+        assert!(!contained::<Tropical>(q3, q1));
     }
 
     #[test]
     fn schedule_algebra_prefers_more_atoms() {
         // Over T⁻ (max-plus) the order is reversed: a query with more atoms
         // dominates, so Q3 ⊆ Q1 but not conversely.
-        let mut schema = Schema::new();
-        let q1 = parser::parse_cq(&mut schema, "Q() :- R(u, v), R(u, w)").unwrap();
-        let q3 = parser::parse_cq(&mut schema, "Q() :- R(u, v)").unwrap();
-        assert!(cq_contained_small_model::<Schedule>(&q3, &q1));
-        assert!(!cq_contained_small_model::<Schedule>(&q1, &q3));
+        let q1 = "Q() :- R(u, v), R(u, w)";
+        let q3 = "Q() :- R(u, v)";
+        assert!(contained::<Schedule>(q3, q1));
+        assert!(!contained::<Schedule>(q1, q3));
     }
 
     #[test]
     fn example_5_4_ucq_containment_over_tropical() {
         // Example 5.4: Q1 = {∃v R(v),S(v)}, Q2 = {∃v R(v),R(v); ∃v S(v),S(v)}.
         // Q1 ⊆_{T⁺} Q2 although neither member of Q2 alone contains Q11.
-        let mut schema = Schema::new();
-        let q1 = parser::parse_ucq(&mut schema, "Q() :- R(v), S(v)").unwrap();
-        let q2 = parser::parse_ucq(&mut schema, "Q() :- R(v), R(v) ; Q() :- S(v), S(v)").unwrap();
-        assert!(ucq_contained_small_model::<Tropical>(&q1, &q2));
+        let q1 = "Q() :- R(v), S(v)";
+        let q2 = "Q() :- R(v), R(v) ; Q() :- S(v), S(v)";
+        assert!(contained::<Tropical>(q1, q2));
         // The member-wise checks indeed fail:
-        let q11 = &q1.disjuncts()[0];
-        let q21 = &q2.disjuncts()[0];
-        let q22 = &q2.disjuncts()[1];
-        assert!(!cq_contained_small_model::<Tropical>(q11, q21));
-        assert!(!cq_contained_small_model::<Tropical>(q11, q22));
+        assert!(!contained::<Tropical>(q1, "Q() :- R(v), R(v)"));
+        assert!(!contained::<Tropical>(q1, "Q() :- S(v), S(v)"));
         // And the converse union containment does not hold.
-        assert!(!ucq_contained_small_model::<Tropical>(&q2, &q1));
+        assert!(!contained::<Tropical>(q2, q1));
     }
 
     #[test]
     fn free_variables_are_handled() {
-        let mut schema = Schema::new();
-        let q1 = parser::parse_cq(&mut schema, "Q(x) :- R(x, y), R(y, z)").unwrap();
-        let q2 = parser::parse_cq(&mut schema, "Q(x) :- R(x, y)").unwrap();
+        let q1 = "Q(x) :- R(x, y), R(y, z)";
+        let q2 = "Q(x) :- R(x, y)";
         // Over T⁺ the longer chain is contained in the shorter one.
-        assert!(cq_contained_small_model::<Tropical>(&q1, &q2));
-        assert!(!cq_contained_small_model::<Tropical>(&q2, &q1));
+        assert!(contained::<Tropical>(q1, q2));
+        assert!(!contained::<Tropical>(q2, q1));
         // Reflexivity.
-        assert!(cq_contained_small_model::<Tropical>(&q1, &q1));
+        assert!(contained::<Tropical>(q1, q1));
     }
 
     #[test]

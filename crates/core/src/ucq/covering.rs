@@ -13,60 +13,23 @@
 //! It is also a *necessary* condition for bag-semantics containment
 //! (Cor. 5.23), improving on the classical Chaudhuri–Vardi condition.
 
-use annot_hom::{iso, kinds, HomSearch};
+use annot_hom::{iso, kinds};
 use annot_query::complete::complete_description_ucq;
-use annot_query::{Ccq, Cq, Ducq, Ucq};
+use annot_query::{Ducq, Ucq};
 
-/// `Q₂ ⇉₁ Q₁` on plain UCQs.
+/// `Q₂ ⇉₁ Q₁` on plain UCQs: every member of `Q₁` is covered by the members
+/// of `Q₂` together.
 pub fn covering1(q1: &Ucq, q2: &Ucq) -> bool {
     q1.disjuncts()
         .iter()
-        .all(|member1| covered_by_union(member1, q2))
-}
-
-/// Whether every atom of `target` is in the image of a homomorphism from
-/// *some* member of `sources`.
-fn covered_by_union(target: &Cq, sources: &Ucq) -> bool {
-    'atoms: for (target_index, target_atom) in target.atoms().iter().enumerate() {
-        for source in sources.disjuncts() {
-            for (source_index, source_atom) in source.atoms().iter().enumerate() {
-                if source_atom.relation != target_atom.relation {
-                    continue;
-                }
-                if HomSearch::new(source, target)
-                    .with_pin(source_index, target_index)
-                    .exists()
-                {
-                    continue 'atoms;
-                }
-            }
-        }
-        return false;
-    }
-    true
+        .all(|member1| kinds::homomorphically_covers(q2.disjuncts(), member1))
 }
 
 /// `⟨Q₂⟩ ⇉₁ ⟨Q₁⟩` on complete descriptions (inequality-preserving).
 pub fn covering1_on_descriptions(d1: &Ducq, d2: &Ducq) -> bool {
-    d1.disjuncts().iter().all(|member1| {
-        'atoms: for (target_index, target_atom) in member1.cq().atoms().iter().enumerate() {
-            for source in d2.disjuncts() {
-                for (source_index, source_atom) in source.cq().atoms().iter().enumerate() {
-                    if source_atom.relation != target_atom.relation {
-                        continue;
-                    }
-                    if HomSearch::new_ccq(source, member1)
-                        .with_pin(source_index, target_index)
-                        .exists()
-                    {
-                        continue 'atoms;
-                    }
-                }
-            }
-            return false;
-        }
-        true
-    })
+    d1.disjuncts()
+        .iter()
+        .all(|member1| kinds::homomorphically_covers(d2.disjuncts(), member1))
 }
 
 /// `⟨Q₂⟩ ⇉₂ ⟨Q₁⟩` (Sec. 5.4): the offset-2 covering criterion over complete
@@ -97,17 +60,13 @@ pub fn covering2_on_descriptions(d1: &Ducq, d2: &Ducq) -> bool {
         }
         // … or the multiplicity of member1's isomorphism class in d1, capped
         // at 2, is matched in d2.
-        let count1 = count_isomorphic_members(d1, member1) as u64;
-        let count2 = count_isomorphic_members(d2, member1) as u64;
+        let count1 = iso::count_isomorphic(d1, member1);
+        let count2 = iso::count_isomorphic(d2, member1);
         if count1.min(2) > count2 {
             return false;
         }
     }
     true
-}
-
-fn count_isomorphic_members(d: &Ducq, q: &Ccq) -> usize {
-    iso::count_isomorphic(d, q)
 }
 
 #[cfg(test)]

@@ -39,13 +39,6 @@ pub fn unique_surjective_on_descriptions(d1: &Ducq, d2: &Ducq) -> bool {
     has_left_saturating_matching(&adjacency, d2.len())
 }
 
-/// The member-wise surjective condition `↠₁` (Sec. 5.3): every member of
-/// `Q₁` has *some* member of `Q₂` surjecting onto it.  Sufficient for all
-/// ⊕-idempotent semirings in `S_sur`, and exact for `C¹_sur` (Cor. 5.18).
-pub fn surjective_local(q1: &Ucq, q2: &Ucq) -> bool {
-    super::local::contained_c1sur(q1, q2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,7 +68,7 @@ mod tests {
         let q1 = parse("Q() :- R(u, v) ; Q() :- R(a, b)");
         let q2_single = parse("Q() :- R(x, y)");
         let q2_double = parse("Q() :- R(x, y) ; Q() :- R(p, q)");
-        assert!(surjective_local(&q1, &q2_single));
+        assert!(crate::ucq::local::contained_c1sur(&q1, &q2_single));
         assert!(!unique_surjective(&q1, &q2_single));
         assert!(unique_surjective(&q1, &q2_double));
     }

@@ -1,4 +1,5 @@
-//! Isomorphisms and automorphisms of CCQs, and isomorphism counting.
+//! Isomorphisms of CCQs, non-trivial automorphisms, and isomorphism
+//! counting.
 //!
 //! For complete CQs the paper observes (Sec. 5.2) that all endomorphisms are
 //! automorphisms, and that `Q₂ ⤖ Q₁` holds between CCQs iff they are
@@ -114,30 +115,20 @@ pub fn are_isomorphic_ucq(a: &Ucq, b: &Ucq) -> bool {
     true
 }
 
-/// Enumerates the automorphisms of a CCQ (isomorphisms to itself), as
-/// variable mappings.  The identity is always included.
-pub fn automorphisms(q: &Ccq) -> Vec<VarMap> {
-    let mut result = Vec::new();
+/// Whether a CCQ has a non-trivial automorphism (one that moves some
+/// variable) — needed by the covering criterion ⇉₂ (Sec. 5.4).  The search
+/// stops at the first one, so a symmetric query with `k!` automorphisms
+/// costs about as much as finding one of them.
+pub fn has_nontrivial_automorphism(q: &Ccq) -> bool {
     HomSearch::new_ccq(q, q)
         .with_options(SearchOptions {
             occurrence_injective: true,
             ..Default::default()
         })
         .run(&mut |map| {
-            if is_isomorphism(map, q, q) {
-                result.push(map.clone());
-            }
-            false
-        });
-    result
-}
-
-/// Whether a CCQ has a non-trivial automorphism (one that is not the
-/// identity) — needed by the covering criterion ⇉₂ (Sec. 5.4).
-pub fn has_nontrivial_automorphism(q: &Ccq) -> bool {
-    automorphisms(q)
-        .iter()
-        .any(|map| (0..q.cq().num_vars() as u32).any(|i| map.get(QVar(i)) != Some(QVar(i))))
+            (0..q.cq().num_vars() as u32).any(|i| map.get(QVar(i)) != Some(QVar(i)))
+                && is_isomorphism(map, q, q)
+        })
 }
 
 /// The number of members of a union of CCQs isomorphic to `q` — the quantity
@@ -214,16 +205,26 @@ mod tests {
             .atom("R", &["x", "y"])
             .atom("R", &["y", "x"])
             .build());
-        let autos = automorphisms(&symmetric);
-        assert_eq!(autos.len(), 2);
         assert!(has_nontrivial_automorphism(&symmetric));
         // A path R(x,y), R(y,z) has only the identity automorphism.
         let path = ccq(Cq::builder(&schema())
             .atom("R", &["x", "y"])
             .atom("R", &["y", "z"])
             .build());
-        assert_eq!(automorphisms(&path).len(), 1);
         assert!(!has_nontrivial_automorphism(&path));
+        // A 7-leaf star has 7! automorphisms; any leaf swap answers.
+        let mut star = Cq::builder(&schema());
+        let leaves = ["a", "b", "c", "d", "e", "f", "g"];
+        for leaf in leaves {
+            star = star.atom("R", &["x", leaf]);
+        }
+        assert!(has_nontrivial_automorphism(&ccq(star.build())));
+        // Fixing the leaves as free variables leaves only the identity.
+        let mut pinned = Cq::builder(&schema()).free(&leaves);
+        for leaf in leaves {
+            pinned = pinned.atom("R", &["x", leaf]);
+        }
+        assert!(!has_nontrivial_automorphism(&ccq(pinned.build())));
     }
 
     #[test]

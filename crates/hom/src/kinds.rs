@@ -1,19 +1,20 @@
 //! The homomorphism notions of the paper, one predicate per criterion.
 //!
-//! | notation | name | defined in | decides containment for |
-//! |----------|------|------------|--------------------------|
-//! | `Q₂ → Q₁`  | homomorphism | Sec. 3.3 | `C_hom` (Thm. 3.3) |
-//! | `Q₂ ⇉ Q₁`  | homomorphic covering | Sec. 4.1 | `C_hcov` (Thm. 4.3) |
-//! | `Q₂ ↪ Q₁`  | injective homomorphism | Sec. 4.2 | `C_in` (Thm. 4.9) |
-//! | `Q₂ ↠ Q₁`  | surjective homomorphism | Sec. 4.4 | `C_sur` (Thm. 4.14) |
-//! | `Q₂ ⤖ Q₁`  | bijective homomorphism | Sec. 4.3 | `C_bi` (Thm. 4.10) |
+//! | notation | name | predicates | defined in | decides containment for |
+//! |----------|------|------------|------------|--------------------------|
+//! | `Q₂ → Q₁`  | homomorphism | [`exists_hom`], [`find_hom`], [`exists_hom_ccq`] | Sec. 3.3 | `C_hom` (Thm. 3.3) |
+//! | `Q₂ ⇉ Q₁`  | homomorphic covering | [`homomorphically_covers`] | Sec. 4.1, 5.4 | `C_hcov` (Thm. 4.3), `C¹_hcov` (Thm. 5.24) |
+//! | `Q₂ ↪ Q₁`  | injective homomorphism | [`exists_injective_hom`], [`find_injective_hom`] | Sec. 4.2 | `C_in` (Thm. 4.9) |
+//! | `Q₂ ↠ Q₁`  | surjective homomorphism | [`exists_surjective_hom`], [`find_surjective_hom`], [`exists_surjective_hom_ccq`] | Sec. 4.4 | `C_sur` (Thm. 4.14) |
+//! | `Q₂ ⤖ Q₁`  | bijective homomorphism | [`exists_bijective_hom`], [`find_bijective_hom`] | Sec. 4.3 | `C_bi` (Thm. 4.10) |
 //!
-//! Each predicate is available for plain CQs and (where the paper needs it)
-//! for CCQs, in which case the homomorphisms additionally preserve the
-//! inequalities.
+//! The `_ccq` predicates take CCQs, whose homomorphisms additionally
+//! preserve the inequalities; [`homomorphically_covers`] takes a union of
+//! sources of either kind.  Between CCQs a bijective homomorphism is an
+//! isomorphism ([`crate::iso`]).
 
 use crate::mapping::VarMap;
-use crate::search::{HomSearch, SearchOptions};
+use crate::search::{HomSearch, SearchOptions, SearchQuery};
 use annot_query::{Atom, Ccq, Cq, RelId};
 use std::collections::BTreeMap;
 
@@ -116,89 +117,55 @@ pub fn exists_injective_hom(q2: &Cq, q1: &Cq) -> bool {
             .exists()
 }
 
-/// `Q₂ ↪ Q₁` for CCQs, preserving inequalities.
-pub fn exists_injective_hom_ccq(q2: &Ccq, q1: &Ccq) -> bool {
-    relation_counts_dominated(q2.cq(), q1.cq())
-        && HomSearch::new_ccq(q2, q1)
-            .with_options(SearchOptions {
-                occurrence_injective: true,
-                ..Default::default()
-            })
-            .exists()
-}
-
 /// `Q₂ ⤖ Q₁`: is there a bijective (exact) homomorphism from `q2` to `q1`?
 /// The multiset of image atoms equals `q1`'s atom multiset (Sec. 4.3).
 pub fn exists_bijective_hom(q2: &Cq, q1: &Cq) -> bool {
     q2.num_atoms() == q1.num_atoms() && exists_injective_hom(q2, q1)
 }
 
-/// `Q₂ ⤖ Q₁` for CCQs, preserving inequalities.
-pub fn exists_bijective_hom_ccq(q2: &Ccq, q1: &Ccq) -> bool {
-    q2.cq().num_atoms() == q1.cq().num_atoms() && exists_injective_hom_ccq(q2, q1)
-}
-
 /// `Q₂ ↠ Q₁`: is there a surjective (onto) homomorphism from `q2` to `q1`?
 /// Every atom occurrence of `q1` appears in the image multiset (Sec. 4.4).
 pub fn exists_surjective_hom(q2: &Cq, q1: &Cq) -> bool {
-    surjective_search(q2, q1, None, None)
+    surjective_search(q2, q1)
 }
 
 /// `Q₂ ↠ Q₁` for CCQs, preserving inequalities.
 pub fn exists_surjective_hom_ccq(q2: &Ccq, q1: &Ccq) -> bool {
-    surjective_search(q2.cq(), q1.cq(), Some(q2), Some(q1))
+    surjective_search(q2, q1)
 }
 
-fn surjective_search(q2: &Cq, q1: &Cq, src: Option<&Ccq>, tgt: Option<&Ccq>) -> bool {
+fn surjective_search<Q: SearchQuery>(q2: &Q, q1: &Q) -> bool {
+    let (cq2, cq1) = (q2.as_cq(), q1.as_cq());
     // Covering every atom occurrence of q1 needs, per relation, at least as
     // many atoms in q2 (images stay within the relation).
-    if !relation_counts_dominated(q1, q2) {
+    if !relation_counts_dominated(cq1, cq2) {
         return false;
     }
-    let search = match (src, tgt) {
-        (Some(s), Some(t)) => HomSearch::new_ccq(s, t),
-        _ => HomSearch::new(q2, q1),
-    };
-    search.run(&mut |map| {
+    Q::search(q2, q1).run(&mut |map| {
         // image multiset must cover q1's atom multiset
-        let image = map.image_atoms(q2);
-        multiset_contains(&image, q1.atoms())
+        let image = map.image_atoms(cq2);
+        multiset_contains(&image, cq1.atoms())
     })
 }
 
-/// `Q₂ ⇉ Q₁`: does `q2` homomorphically cover `q1`?  For every atom of `q1`
-/// there is a homomorphism from `q2` to `q1` whose image contains that atom
-/// (Sec. 4.1).
-pub fn homomorphically_covers(q2: &Cq, q1: &Cq) -> bool {
-    'atoms: for (target_index, _) in q1.atoms().iter().enumerate() {
-        for (source_index, source_atom) in q2.atoms().iter().enumerate() {
-            if source_atom.relation != q1.atoms()[target_index].relation {
-                continue;
-            }
-            if HomSearch::new(q2, q1)
-                .with_pin(source_index, target_index)
-                .exists()
-            {
-                continue 'atoms;
-            }
-        }
-        return false;
-    }
-    true
-}
-
-/// `Q₂ ⇉ Q₁` for CCQs, preserving inequalities.
-pub fn homomorphically_covers_ccq(q2: &Ccq, q1: &Ccq) -> bool {
-    'atoms: for (target_index, _) in q1.cq().atoms().iter().enumerate() {
-        for (source_index, source_atom) in q2.cq().atoms().iter().enumerate() {
-            if source_atom.relation != q1.cq().atoms()[target_index].relation {
-                continue;
-            }
-            if HomSearch::new_ccq(q2, q1)
-                .with_pin(source_index, target_index)
-                .exists()
-            {
-                continue 'atoms;
+/// `Q₂ ⇉ Q₁` over a union of sources: every atom of `target` is in the image
+/// of a homomorphism from some source to `target` (Sec. 4.1).  One source
+/// gives the CQ covering `Q₂ ⇉ Q₁`; the members of a UCQ `Q₂`, or of its
+/// complete description, give the union covering `⇉₁` of Sec. 5.4.  Target
+/// atoms are tried in order, and for each the sources and their atoms.
+pub fn homomorphically_covers<Q: SearchQuery>(sources: &[Q], target: &Q) -> bool {
+    'atoms: for (target_index, target_atom) in target.as_cq().atoms().iter().enumerate() {
+        for source in sources {
+            for (source_index, source_atom) in source.as_cq().atoms().iter().enumerate() {
+                if source_atom.relation != target_atom.relation {
+                    continue;
+                }
+                if Q::search(source, target)
+                    .with_pin(source_index, target_index)
+                    .exists()
+                {
+                    continue 'atoms;
+                }
             }
         }
         return false;
@@ -221,11 +188,6 @@ pub fn multiset_contains(haystack: &[Atom], needles: &[Atom]) -> bool {
         }
     }
     true
-}
-
-/// Multiset equality of atom lists.
-pub fn multiset_equal(a: &[Atom], b: &[Atom]) -> bool {
-    a.len() == b.len() && multiset_contains(a, b)
 }
 
 #[cfg(test)]
@@ -266,7 +228,7 @@ mod tests {
         // never in the image of a homomorphism from Q2 ... actually any hom
         // image is a single atom {R(u,x)}, which can be made equal to R(u,w)
         // by mapping v ↦ w, so the covering *does* hold.
-        assert!(homomorphically_covers(&q2, &q1));
+        assert!(homomorphically_covers(std::slice::from_ref(&q2), &q1));
     }
 
     #[test]
@@ -283,7 +245,7 @@ mod tests {
         assert!(!exists_surjective_hom(&q2, &q1)); // a single image atom cannot cover both atoms at once
                                                    // ... but each atom of Q1 is separately the image of some
                                                    // homomorphism from the edge, so the covering Q2 ⇉ Q1 holds.
-        assert!(homomorphically_covers(&q2, &q1));
+        assert!(homomorphically_covers(std::slice::from_ref(&q2), &q1));
     }
 
     #[test]
@@ -295,7 +257,7 @@ mod tests {
             .atom("R", &["y", "z"])
             .build();
         let edge = Cq::builder(&schema()).atom("R", &["a", "b"]).build();
-        assert!(homomorphically_covers(&edge, &path));
+        assert!(homomorphically_covers(std::slice::from_ref(&edge), &path));
     }
 
     #[test]
@@ -331,7 +293,7 @@ mod tests {
         let q1 = Cq::builder(&schema()).atom("R", &["x", "y"]).build();
         assert!(exists_surjective_hom(&q2, &q1));
         assert!(!exists_injective_hom(&q2, &q1));
-        assert!(homomorphically_covers(&q2, &q1));
+        assert!(homomorphically_covers(std::slice::from_ref(&q2), &q1));
     }
 
     #[test]
@@ -348,7 +310,7 @@ mod tests {
         assert!(exists_injective_hom(&q2, &q1));
         assert!(exists_bijective_hom(&q2, &q1));
         assert!(exists_surjective_hom(&q2, &q1));
-        assert!(homomorphically_covers(&q2, &q1));
+        assert!(homomorphically_covers(std::slice::from_ref(&q2), &q1));
         // Swapping the head variable to the second position blocks them.
         let q3 = Cq::builder(&schema())
             .free(&["b"])
@@ -369,8 +331,6 @@ mod tests {
         assert!(multiset_contains(atoms, &atoms[..2]));
         assert!(multiset_contains(atoms, atoms));
         assert!(!multiset_contains(&atoms[..2], atoms));
-        assert!(multiset_equal(atoms, atoms));
-        assert!(!multiset_equal(atoms, &atoms[..2]));
     }
 
     #[test]
@@ -381,13 +341,22 @@ mod tests {
             Ccq::completion_of(Cq::builder(&schema()).atom("R", &["u", "v"]).build());
         // R(u,v) with u≠v maps into R(x,x) only by collapsing u,v — forbidden.
         assert!(!exists_hom_ccq(&edge_distinct, &loop_q));
-        assert!(!exists_injective_hom_ccq(&edge_distinct, &loop_q));
-        assert!(!exists_bijective_hom_ccq(&edge_distinct, &loop_q));
         assert!(!exists_surjective_hom_ccq(&edge_distinct, &loop_q));
-        assert!(!homomorphically_covers_ccq(&edge_distinct, &loop_q));
+        assert!(!homomorphically_covers(
+            std::slice::from_ref(&edge_distinct),
+            &loop_q
+        ));
         // The loop maps into the loop.
-        assert!(exists_bijective_hom_ccq(&loop_q, &loop_q));
+        assert!(exists_hom_ccq(&loop_q, &loop_q));
         assert!(exists_surjective_hom_ccq(&loop_q, &loop_q));
-        assert!(homomorphically_covers_ccq(&loop_q, &loop_q));
+        assert!(homomorphically_covers(
+            std::slice::from_ref(&loop_q),
+            &loop_q
+        ));
+        // As a second source, the loop covers it in a union with the edge.
+        assert!(homomorphically_covers(
+            &[edge_distinct.clone(), loop_q.clone()],
+            &loop_q
+        ));
     }
 }

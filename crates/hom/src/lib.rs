@@ -5,16 +5,12 @@
 //! Semirings over Query Containment"* (Kostylev, Reutter, Salamon;
 //! PODS 2012).
 //!
-//! * [`kinds`] — existence predicates for every homomorphism notion of the
-//!   paper: plain (`→`), injective (`↪`), surjective (`↠`), bijective (`⤖`)
-//!   homomorphisms and homomorphic coverings (`⇉`), for CQs and for CCQs
-//!   (preserving inequalities);
-//! * [`iso`] — isomorphism and automorphisms of CCQs, and the isomorphism
-//!   counting used by the `↪_∞` / `↪_k` criteria of Sec. 5.2;
-//! * [`search`] — the configurable backtracking engine underlying all of the
-//!   above (the problems are NP-complete; the engine uses a
-//!   most-constrained-first ordering by default);
-//! * [`mapping`] — variable mappings ([`VarMap`]).
+//! | module | contents | paper |
+//! |--------|----------|-------|
+//! | [`kinds`] | one predicate per homomorphism notion: plain (`→`), injective (`↪`), surjective (`↠`) and bijective (`⤖`) homomorphisms, and the one covering loop (`⇉`) behind the CQ covering and the UCQ coverings `⇉₁` | Sec. 3.3, 4.1–4.4, 5.4 |
+//! | [`iso`] | isomorphism of CCQs, CQs and UCQs; whether a CCQ has a non-trivial automorphism (`⇉₂`); isomorphism counting (`↪_∞`, `↪_k`) | Sec. 5.2, 5.4 |
+//! | [`search`] | the backtracking engine underlying all of the above, between CQs or CCQs ([`SearchQuery`]); the problems are NP-complete, and the engine picks the most constrained atom first by default | — |
+//! | [`mapping`] | variable mappings ([`VarMap`]) | — |
 //!
 //! ## Example
 //!
@@ -39,17 +35,16 @@ pub mod mapping;
 pub mod search;
 
 pub use iso::{
-    are_isomorphic, are_isomorphic_cq, are_isomorphic_ucq, automorphisms, count_isomorphic,
+    are_isomorphic, are_isomorphic_cq, are_isomorphic_ucq, count_isomorphic,
     has_nontrivial_automorphism,
 };
 pub use kinds::{
-    exists_bijective_hom, exists_bijective_hom_ccq, exists_hom, exists_hom_ccq,
-    exists_injective_hom, exists_injective_hom_ccq, exists_surjective_hom,
+    exists_bijective_hom, exists_hom, exists_hom_ccq, exists_injective_hom, exists_surjective_hom,
     exists_surjective_hom_ccq, find_bijective_hom, find_hom, find_injective_hom,
-    find_surjective_hom, homomorphically_covers, homomorphically_covers_ccq,
+    find_surjective_hom, homomorphically_covers,
 };
 pub use mapping::VarMap;
-pub use search::{AtomOrder, HomSearch, SearchOptions};
+pub use search::{AtomOrder, HomSearch, SearchOptions, SearchQuery};
 
 #[cfg(test)]
 mod semantic_soundness_tests {

@@ -87,6 +87,35 @@ impl TargetIndex {
     }
 }
 
+/// A query a [`HomSearch`] runs between: a plain CQ, or a CCQ whose
+/// inequalities the homomorphism must preserve.
+pub trait SearchQuery {
+    /// The underlying CQ.
+    fn as_cq(&self) -> &Cq;
+    /// A search from `source` to `target`.
+    fn search<'a>(source: &'a Self, target: &'a Self) -> HomSearch<'a>;
+}
+
+impl SearchQuery for Cq {
+    fn as_cq(&self) -> &Cq {
+        self
+    }
+
+    fn search<'a>(source: &'a Cq, target: &'a Cq) -> HomSearch<'a> {
+        HomSearch::new(source, target)
+    }
+}
+
+impl SearchQuery for Ccq {
+    fn as_cq(&self) -> &Cq {
+        self.cq()
+    }
+
+    fn search<'a>(source: &'a Ccq, target: &'a Ccq) -> HomSearch<'a> {
+        HomSearch::new_ccq(source, target)
+    }
+}
+
 /// A single search problem: find a homomorphism from `source` to `target`.
 pub struct HomSearch<'a> {
     source: &'a Cq,

@@ -1,8 +1,8 @@
 //! Conjunctive queries with inequalities (and complete CQs).
 //!
 //! A CQ with inequalities (Sec. 4.6 of the paper) is a CQ together with a set
-//! of disequations `u ≠ v` on its existential variables; its valuations are
-//! required to respect the disequations.  It is **complete** (a CCQ) when
+//! of disequations `u ≠ v` on its variables; its valuations are required to
+//! respect the disequations.  It is **complete** (a CCQ) when
 //! every pair of distinct existential variables is bounded by an inequality —
 //! the building block of *complete descriptions* (Sec. 4.6 and 5), where the
 //! key property is that all endomorphisms of a CCQ are automorphisms.
@@ -11,7 +11,7 @@ use crate::cq::{Cq, QVar};
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// A CQ with inequalities on its existential variables.
+/// A CQ with inequalities on its variables.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Ccq {
     cq: Cq,

@@ -1,11 +1,19 @@
 //! Complete descriptions ⟨Q⟩ of CQs and UCQs (Sec. 4.6 and 5 of the paper).
 //!
-//! The complete description of a CQ `Q` with existential variables `v` is the
-//! multiset of CCQs obtained as follows: for every partition `π` of `v`,
-//! identify the variables within each block and attach an inequality between
-//! every pair of variables that remain distinct.  The result is equivalent to
-//! `Q` over every semiring (`Q ≡_K ⟨Q⟩`): the CCQs partition the valuation
-//! space of `Q` according to which existential variables coincide.
+//! The complete description of a CQ `Q` is the multiset of CCQs obtained as
+//! follows: for every partition `π` of the variables of `Q`, free ones
+//! included, identify the variables within each block and attach an
+//! inequality between every pair of variables that remain distinct.  A block
+//! that holds a free variable keeps its name, so a member may let existential
+//! variables take a free variable's value.  A member in which two free
+//! variables merged repeats a variable in its head; homomorphisms bind heads
+//! positionally, so such members only map onto each other.  A CQ with `n`
+//! distinct variables has `B(n)` members, and a Boolean query's members are
+//! those of the partitions of its existential variables.
+//!
+//! The CCQs partition the valuation space of `Q` according to which
+//! variables coincide, so the result is equivalent to `Q` over every
+//! semiring (`Q ≡_K ⟨Q⟩`): `Q(t) = ⟨Q⟩(t)` for every output tuple `t`.
 //!
 //! Complete descriptions are the key device behind the UCQ-containment
 //! criteria `↪_∞`, `↪_k`, `↠_∞` and `⇉₂` (Sec. 5.2–5.4).
@@ -16,13 +24,20 @@ use crate::ucq::{Ducq, Ucq};
 use std::collections::BTreeMap;
 
 /// Computes the complete description ⟨Q⟩ of a CQ, one CCQ per set partition
-/// of its existential variables.
+/// of its variables.
 pub fn complete_description_cq(query: &Cq) -> Ducq {
-    let existential = query.existential_vars();
-    let partitions = set_partitions(existential.len());
+    // The free variables come last, so a Boolean or one-free-variable
+    // query's members come in the order of the partitions of its
+    // existential variables.
+    let mut vars = query.existential_vars();
+    let mut free = query.free_vars().to_vec();
+    free.sort();
+    free.dedup();
+    vars.extend(free);
+    let partitions = set_partitions(vars.len());
     let mut out = Vec::with_capacity(partitions.len());
     for partition in &partitions {
-        out.push(collapse(query, &existential, partition));
+        out.push(collapse(query, &vars, partition));
     }
     Ducq::new(out)
 }
@@ -37,22 +52,22 @@ pub fn complete_description_ucq(query: &Ucq) -> Ducq {
     out
 }
 
-/// Builds the CCQ for one partition: identify the existential variables in
-/// each block and add inequalities between all remaining distinct existential
-/// variables.
-fn collapse(query: &Cq, existential: &[QVar], partition: &[Vec<usize>]) -> Ccq {
-    // representative of each existential variable = smallest variable of its
-    // block.
+/// Builds the CCQ for one partition of `vars`: identify the variables in
+/// each block and add inequalities between all remaining distinct variables.
+fn collapse(query: &Cq, vars: &[QVar], partition: &[Vec<usize>]) -> Ccq {
+    // representative of each variable = the smallest free variable of its
+    // block if there is one, else the smallest variable of the block.
     let mut repr: BTreeMap<QVar, QVar> = BTreeMap::new();
     for block in partition {
-        let rep = block
-            .iter()
-            .map(|&i| existential[i])
+        let members = || block.iter().map(|&i| vars[i]);
+        let rep = members()
+            .filter(|&v| query.is_free(v))
             .min()
+            .or_else(|| members().min())
             // invariant: blocks are built non-empty
             .expect("non-empty block");
-        for &i in block {
-            repr.insert(existential[i], rep);
+        for v in members() {
+            repr.insert(v, rep);
         }
     }
     let rename = |v: QVar| -> QVar { *repr.get(&v).unwrap_or(&v) };
@@ -82,12 +97,11 @@ fn collapse(query: &Cq, existential: &[QVar], partition: &[Vec<usize>]) -> Ccq {
     let free: Vec<QVar> = query.free_vars().iter().map(|&v| to_new(v)).collect();
     let cq = Cq::new(query.schema().clone(), free, atoms, var_names);
 
-    // inequalities between every pair of distinct surviving existential
-    // representatives.
-    let ex_survivors: Vec<QVar> = cq.existential_vars();
+    // inequalities between every pair of distinct surviving variables.
+    let all = cq.all_vars();
     let mut inequalities = Vec::new();
-    for (i, &a) in ex_survivors.iter().enumerate() {
-        for &b in &ex_survivors[i + 1..] {
+    for (i, &a) in all.iter().enumerate() {
+        for &b in &all[i + 1..] {
             inequalities.push((a, b));
         }
     }
@@ -125,7 +139,7 @@ fn partition_rec(
 }
 
 /// The Bell number `B(n)` (number of CCQs in the complete description of a
-/// CQ with `n` existential variables) — useful for sizing benchmarks.
+/// CQ with `n` distinct variables) — useful for sizing benchmarks.
 pub fn bell_number(n: usize) -> u64 {
     // Bell triangle.
     let mut row = vec![1u64];
@@ -204,19 +218,116 @@ mod tests {
     }
 
     #[test]
-    fn free_variables_are_never_merged() {
+    fn free_variables_join_the_partition() {
         let q = Cq::builder(&schema())
             .free(&["x"])
             .atom("R", &["x", "y"])
             .atom("R", &["y", "z"])
             .build();
         let desc = complete_description_cq(&q);
-        // two existential variables → B(2) = 2 CCQs
-        assert_eq!(desc.len(), 2);
+        // two existential variables and one free one → B(3) = 5 CCQs
+        assert_eq!(desc.len(), 5);
         for ccq in desc.disjuncts() {
-            assert_eq!(ccq.cq().free_vars().len(), 1);
-            assert_eq!(ccq.cq().var_name(ccq.cq().free_vars()[0]), "x");
+            let cq = ccq.cq();
+            assert_eq!(cq.free_vars().len(), 1);
+            let x = cq.free_vars()[0];
+            assert_eq!(cq.var_name(x), "x");
             assert!(ccq.is_complete());
+            // every surviving existential variable differs from x
+            assert!(cq.existential_vars().iter().all(|&v| ccq.must_differ(v, x)));
+        }
+        // Two free variables also merge with each other: B(3) = 5 CCQs, two
+        // of them with the head (x, x) and three with x ≠ w.
+        let q = Cq::builder(&schema())
+            .free(&["x", "w"])
+            .atom("R", &["x", "y"])
+            .atom("R", &["y", "w"])
+            .build();
+        let desc = complete_description_cq(&q);
+        assert_eq!(desc.len(), 5);
+        let mut merged = 0;
+        for ccq in desc.disjuncts() {
+            let free = ccq.cq().free_vars();
+            assert_eq!(free.len(), 2);
+            assert_eq!(ccq.cq().var_name(free[0]), "x");
+            if free[0] == free[1] {
+                merged += 1;
+            } else {
+                assert_eq!(ccq.cq().var_name(free[1]), "w");
+                assert!(ccq.must_differ(free[0], free[1]));
+            }
+            let n = ccq.cq().num_vars();
+            assert_eq!(ccq.inequalities().len(), n * (n - 1) / 2);
+        }
+        assert_eq!(merged, 2);
+    }
+
+    #[test]
+    fn existential_blocks_take_a_free_variables_value() {
+        // ⟨Q(x) :- R(x, y), R(x, y)⟩ has the member R(x, x), R(x, x), which
+        // ↪_∞ needs to see that Q(x) :- R(x, x), R(x, x) is contained in Q.
+        let q = Cq::builder(&schema())
+            .free(&["x"])
+            .atom("R", &["x", "y"])
+            .atom("R", &["x", "y"])
+            .build();
+        let desc = complete_description_cq(&q);
+        assert_eq!(desc.len(), 2);
+        let merged = (desc.disjuncts().iter())
+            .find(|c| c.cq().num_vars() == 1)
+            .expect("y merged into x");
+        assert_eq!(merged.cq().atoms()[0].args, vec![QVar(0), QVar(0)]);
+        assert!(merged.inequalities().is_empty());
+    }
+
+    #[test]
+    fn description_preserves_every_output() {
+        use crate::eval::{eval_cq_all_outputs, eval_ducq_all_outputs};
+        use crate::generator::{GeneratorConfig, QueryGenerator, QueryShape};
+        use crate::instance::Instance;
+        use annot_semiring::Natural;
+        let preserved = |q: &Cq, db: &Instance<Natural>| {
+            let desc = complete_description_cq(q);
+            let expected = eval_cq_all_outputs(q, db);
+            assert_eq!(expected, eval_ducq_all_outputs(&desc, db), "{q}");
+            expected
+        };
+        let mut db: Instance<Natural> = Instance::new(schema());
+        db.insert_named("R", vec![0.into(), 1.into()], Natural(2));
+        db.insert_named("R", vec![1.into(), 1.into()], Natural(3));
+        db.insert_named("R", vec![1.into(), 0.into()], Natural(5));
+        db.insert_named("R", vec![0.into(), 0.into()], Natural(7));
+        let one = Cq::builder(&schema())
+            .free(&["x"])
+            .atom("R", &["x", "y"])
+            .atom("R", &["y", "z"])
+            .build();
+        preserved(&one, &db);
+        // Two free variables, with outputs (a, a) among the results.
+        for atoms in [[["x", "y"], ["y", "w"]], [["x", "x"], ["x", "w"]]] {
+            let q = Cq::builder(&schema())
+                .free(&["x", "w"])
+                .atom("R", &atoms[0])
+                .atom("R", &atoms[1])
+                .build();
+            assert!(preserved(&q, &db).keys().any(|t| t[0] == t[1]));
+        }
+        // Seeded queries with 0–2 free variables on random instances.
+        for seed in 0..12 {
+            for shape in [QueryShape::Chain, QueryShape::Star, QueryShape::Random] {
+                for free_vars in 0..=2 {
+                    let mut generator = QueryGenerator::new(GeneratorConfig {
+                        num_atoms: 3,
+                        shape,
+                        num_relations: 1,
+                        var_pool: 4,
+                        free_vars,
+                        seed,
+                    });
+                    let q = generator.cq();
+                    preserved(&q, &generator.instance(2, 4));
+                }
+            }
         }
     }
 

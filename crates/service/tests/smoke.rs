@@ -1,6 +1,7 @@
 //! In-process integration test: the real TCP server, a scripted session —
 //! exact counters under the default config, whose budget the session
-//! never fills, plus a tiny-budget scenario that must evict.
+//! never fills, a tiny-budget scenario that must evict, and a `BATCH` of
+//! repeats that must all hit.
 
 use annot_service::{serve, Service, ServiceConfig, ShutdownFlag};
 use std::io::{BufRead, BufReader, Write};
@@ -154,5 +155,70 @@ fn tiny_capacity_session_evicts_and_stays_within_budget() {
         );
         assert!(again.starts_with("OK "), "{again}");
         assert_eq!(roundtrip(&mut c, &mut r, "SHUTDOWN"), "OK shutting-down");
+    });
+}
+
+#[test]
+fn batched_repeats_hit_and_every_item_is_answered_once() {
+    let requests: Vec<String> = (0..100)
+        .map(|i| format!("DECIDE B Q() :- S{i}(x, y) <= Q() :- S{i}(u, u)"))
+        .collect();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let service = Service::new();
+    let shutdown = ShutdownFlag::new();
+
+    annot_core::sync::thread::scope(|s| {
+        s.spawn(|| serve(&listener, &service, &shutdown, 2));
+
+        // Warm the cache with the 100 pairs, one request at a time.
+        let (mut serial, mut serial_reader) = connect(addr);
+        for request in &requests {
+            let reply = roundtrip(&mut serial, &mut serial_reader, request);
+            assert!(reply.starts_with("OK "), "{reply}");
+        }
+
+        // The same 100 requests as one batch, written in one go.
+        let (mut batched, mut reader) = connect(addr);
+        let mut payload = format!("BATCH {}\n", requests.len());
+        for request in &requests {
+            payload.push_str(request);
+            payload.push('\n');
+        }
+        batched.write_all(payload.as_bytes()).unwrap();
+        batched.flush().unwrap();
+        let mut seen = vec![false; requests.len()];
+        for _ in 0..requests.len() {
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            let (seq, rest) = (reply.trim_end().split_once(' '))
+                .unwrap_or_else(|| panic!("untagged batch reply: {reply:?}"));
+            let seq: usize = seq
+                .parse()
+                .unwrap_or_else(|_| panic!("batch reply tag is not a sequence number: {reply:?}"));
+            assert!(rest.starts_with("OK "), "{reply}");
+            assert!(!seen[seq], "sequence {seq} answered twice");
+            seen[seq] = true;
+        }
+        let mut done = String::new();
+        reader.read_line(&mut done).unwrap();
+        assert_eq!(done.trim_end(), "DONE 100", "batch terminator");
+        assert!(seen.iter().all(|&s| s), "every batch item answered");
+
+        let stats = roundtrip(&mut batched, &mut reader, "STATS");
+        assert_eq!(
+            stat_u64(&stats, "batches"),
+            1,
+            "one batch processed: {stats}"
+        );
+        assert_eq!(
+            stat_u64(&stats, "hits"),
+            100,
+            "batched repeats hit: {stats}"
+        );
+        assert_eq!(
+            roundtrip(&mut batched, &mut reader, "SHUTDOWN"),
+            "OK shutting-down"
+        );
     });
 }

@@ -8,7 +8,7 @@
 //! Run with `cargo run --example bag_semantics_rewriting`.
 
 use annot_core::brute_force::{find_counterexample_cq, BruteForceConfig};
-use annot_core::cq::contained_bag_bounds;
+use annot_core::decide::decide_cq;
 use annot_core::ucq::{covering, surjective};
 use annot_query::eval::eval_boolean_cq;
 use annot_query::{parser, Instance, Schema, Ucq};
@@ -30,7 +30,8 @@ fn main() {
         ("edge ⊆ double_edge", &edge, &double_edge),
         ("double_edge ⊆ edge", &double_edge, &edge),
     ] {
-        println!("  {:24} -> {:?}", name, contained_bag_bounds(q1, q2));
+        let bounds = decide_cq::<Natural>(q1, q2).decided();
+        println!("  {:24} -> {:?}", name, bounds);
     }
 
     // Cross-check one of the refutations with an explicit counterexample.

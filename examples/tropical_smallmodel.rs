@@ -4,7 +4,7 @@
 //! Run with `cargo run --example tropical_smallmodel`.
 
 use annot_core::decide::decide_cq;
-use annot_core::small_model::{cq_contained_small_model, ucq_contained_small_model};
+use annot_core::small_model::ucq_contained_small_model;
 use annot_hom::kinds;
 use annot_query::complete::complete_description_cq;
 use annot_query::eval::eval_boolean_cq;
@@ -41,16 +41,12 @@ fn main() {
     }
 
     println!(
-        "\nQ1 ⊆ Q2 over T+ (min-plus costs):   {}",
-        cq_contained_small_model::<Tropical>(&q1, &q2)
-    );
-    println!(
-        "Q1 ⊆ Q2 over T- (max-plus schedule): {}",
-        cq_contained_small_model::<Schedule>(&q1, &q2)
-    );
-    println!(
-        "dispatcher answer over T+: {:?}",
+        "\nQ1 ⊆ Q2 over T+ (min-plus costs):   {:?}",
         decide_cq::<Tropical>(&q1, &q2)
+    );
+    println!(
+        "Q1 ⊆ Q2 over T- (max-plus schedule): {:?}",
+        decide_cq::<Schedule>(&q1, &q2)
     );
 
     // Example 5.4: a UCQ containment where the member-wise method fails.
@@ -59,9 +55,9 @@ fn main() {
     let u2 = parser::parse_ucq(&mut schema2, "Q() :- R(v), R(v) ; Q() :- S(v), S(v)").unwrap();
     println!("\nExample 5.4:  U1 = {}   U2 = {}", u1, u2);
     println!(
-        "  member-wise containments: {} {}",
-        cq_contained_small_model::<Tropical>(&u1.disjuncts()[0], &u2.disjuncts()[0]),
-        cq_contained_small_model::<Tropical>(&u1.disjuncts()[0], &u2.disjuncts()[1]),
+        "  member-wise containments: {:?} {:?}",
+        decide_cq::<Tropical>(&u1.disjuncts()[0], &u2.disjuncts()[0]).answer,
+        decide_cq::<Tropical>(&u1.disjuncts()[0], &u2.disjuncts()[1]).answer,
     );
     println!(
         "  union containment over T+: {}",

@@ -2,7 +2,8 @@
 //! semiring registered in [`annot_core::registry`], `decide_cq_dyn` /
 //! `decide_ucq_dyn` must return exactly the decision of the typed
 //! `decide_cq::<K>` / `decide_ucq::<K>` entry points — same verdict, same
-//! method string, same witness.
+//! method string, same witness.  The CQ and UCQ entry points must also agree
+//! with each other on single CQs.
 
 use annot_core::decide::{decide_cq, decide_ucq, Decision};
 use annot_core::registry::{decide_cq_dyn, decide_ucq_dyn, SemiringId};
@@ -112,6 +113,68 @@ fn dyn_ucq_matches_typed_ucq_for_every_registered_semiring() {
                 "seed {seed}, semiring {}: dyn and typed UCQ decisions diverge",
                 id.name()
             );
+        }
+    }
+}
+
+/// Seeded single-CQ pairs over every generator shape, 2–3 atoms, 1–2
+/// relations and 0–2 free variables.
+fn single_cq_pairs(seeds: &[u64]) -> Vec<(Cq, Cq)> {
+    let mut pairs = Vec::new();
+    for &seed in seeds {
+        for shape in [QueryShape::Chain, QueryShape::Star, QueryShape::Random] {
+            for num_atoms in 2..=3 {
+                for num_relations in 1..=2 {
+                    for free_vars in 0..=2 {
+                        let mut generator = QueryGenerator::new(GeneratorConfig {
+                            num_atoms,
+                            shape,
+                            var_pool: 3,
+                            num_relations,
+                            free_vars,
+                            seed,
+                        });
+                        pairs.push((generator.cq(), generator.cq()));
+                    }
+                }
+            }
+        }
+    }
+    pairs
+}
+
+#[test]
+fn cq_and_singleton_ucq_entry_points_never_contradict() {
+    // Seeds 3 and 6 hold N[X] pairs with free variables, among them
+    // `Q(x) :- R(x, x), R(x, x) ⊑ Q(x) :- R(x, y), R(x, y)` (seed 6, random
+    // shape, 2 atoms, 1 relation, 1 free variable), that the UCQ path
+    // refuted while the CQ path proved them, when ⟨Q⟩ never let an
+    // existential variable take a free variable's value.
+    let pairs = single_cq_pairs(&[3, 6]);
+    for id in SemiringId::all() {
+        // The open rows combine different bound families at the two levels,
+        // so either path may decide what the other leaves open.
+        let open = matches!(id.name(), "N" | "B_2" | "B_3");
+        for (q1, q2) in &pairs {
+            let cq = decide_cq_dyn(id, q1, q2);
+            let (u1, u2) = (Ucq::single(q1.clone()), Ucq::single(q2.clone()));
+            let ucq = decide_ucq_dyn(id, &u1, &u2);
+            let context = || {
+                format!(
+                    "semiring {}: {q1} ⊑ {q2}\n  CQ path:  {:?} ({})\n  UCQ path: {:?} ({})",
+                    id.name(),
+                    cq.answer,
+                    cq.method,
+                    ucq.answer,
+                    ucq.method
+                )
+            };
+            if let (Some(a), Some(b)) = (cq.decided(), ucq.decided()) {
+                assert_eq!(a, b, "contradiction, {}", context());
+            }
+            if !open {
+                assert_eq!(cq.decided(), ucq.decided(), "{}", context());
+            }
         }
     }
 }

@@ -4,7 +4,7 @@
 
 use annot_core::brute_force::{find_counterexample_cq, find_counterexample_ucq, BruteForceConfig};
 use annot_core::decide::{decide_cq, decide_ucq};
-use annot_core::small_model::{cq_contained_small_model, ucq_contained_small_model};
+use annot_core::small_model::ucq_contained_small_model;
 use annot_core::ucq::{bijective, covering, local, surjective};
 use annot_hom::kinds;
 use annot_polynomial::admissible::is_cq_admissible;
@@ -33,8 +33,9 @@ fn example_4_6_tropical_containment_without_injective_hom() {
     // No injective homomorphism from Q2 to Q1 (Sec. 4.2).
     assert!(!kinds::exists_injective_hom(&q2, &q1));
     // Yet the small-model procedure proves T⁺-containment (Sec. 4.6).
-    assert!(cq_contained_small_model::<Tropical>(&q1, &q2));
-    assert_eq!(decide_cq::<Tropical>(&q1, &q2).decided(), Some(true));
+    let tropical = decide_cq::<Tropical>(&q1, &q2);
+    assert_eq!(tropical.decided(), Some(true));
+    assert!(tropical.method.contains("small-model"));
     // Brute-force semantic check agrees (no counterexample over T⁺) …
     let config = BruteForceConfig {
         domain_size: 2,
@@ -90,7 +91,7 @@ fn example_5_4_local_method_fails_for_tropical() {
     // Member-wise containment fails for both members of Q2.
     let q11 = &q1.disjuncts()[0];
     for member in q2.disjuncts() {
-        assert!(!cq_contained_small_model::<Tropical>(q11, member));
+        assert_eq!(decide_cq::<Tropical>(q11, member).decided(), Some(false));
     }
     // The union containment nevertheless holds.
     assert!(ucq_contained_small_model::<Tropical>(&q1, &q2));
@@ -179,7 +180,8 @@ fn example_5_20_covering_needs_both_members() {
 
     // Neither member alone covers Q11 …
     for member in q2.disjuncts() {
-        assert!(!kinds::homomorphically_covers(member, &q1.disjuncts()[0]));
+        let alone = std::slice::from_ref(member);
+        assert!(!kinds::homomorphically_covers(alone, &q1.disjuncts()[0]));
     }
     // … but the union does (Q2 ⇉₁ Q1).
     assert!(covering::covering1(&q1, &q2));

@@ -1,19 +1,20 @@
 //! Experiment E1 (DESIGN.md): the CQ half of Table 1.
 //!
 //! For each class row we take representative semirings and verify, on a
-//! workload of random CQ pairs, that the row's homomorphism criterion agrees
-//! with brute-force semantic containment over small instances.  For the
-//! finite / effectively-enumerable semirings used here the brute-force check
-//! is a sound refuter, and the agreement in both directions exercises both
-//! soundness and completeness of the criterion at these sizes.
+//! workload of random CQ pairs, that `decide_cq::<K>` — which runs the row's
+//! homomorphism criterion — agrees with brute-force semantic containment over
+//! small instances.  For the finite / effectively-enumerable semirings used
+//! here the brute-force check is a sound refuter, and the agreement in both
+//! directions exercises both soundness and completeness of the criterion at
+//! these sizes.
 
 use annot_core::brute_force::{find_counterexample_cq, BruteForceConfig};
-use annot_core::cq as cq_decide;
-use annot_core::small_model::cq_contained_small_model;
+use annot_core::classes::ClassifiedSemiring;
+use annot_core::decide::decide_cq;
 use annot_query::generator::{GeneratorConfig, QueryGenerator, QueryShape};
 use annot_query::Cq;
 use annot_semiring::{
-    Bool, BoundedNat, Clearance, Fuzzy, Lineage, NatPoly, Semiring, Tropical, Why,
+    Bool, BoundedNat, Clearance, Fuzzy, Lineage, NatPoly, Natural, Semiring, Tropical, Why,
 };
 
 fn workload(seed_base: u64, pairs: usize) -> Vec<(Cq, Cq)> {
@@ -38,14 +39,21 @@ fn workload(seed_base: u64, pairs: usize) -> Vec<(Cq, Cq)> {
     out
 }
 
-fn agreement<K: Semiring>(
-    criterion: &dyn Fn(&Cq, &Cq) -> bool,
+/// `decide_cq::<K>` on a row with an exact criterion.
+fn contained<K: ClassifiedSemiring>(q1: &Cq, q2: &Cq) -> bool {
+    let decision = decide_cq::<K>(q1, q2);
+    decision
+        .decided()
+        .unwrap_or_else(|| panic!("{} left {q1} ⊑ {q2} open", decision.method))
+}
+
+fn agreement<K: ClassifiedSemiring + Semiring>(
     pairs: &[(Cq, Cq)],
     config: &BruteForceConfig,
     name: &str,
 ) {
     for (q1, q2) in pairs {
-        let predicted = criterion(q1, q2);
+        let predicted = contained::<K>(q1, q2);
         let counterexample = find_counterexample_cq::<K>(q1, q2, config);
         if predicted {
             assert!(
@@ -68,8 +76,7 @@ fn agreement<K: Semiring>(
 
 /// Soundness in the other direction: whenever brute force finds a
 /// counterexample, the (exact) criterion must reject.
-fn refutation_soundness<K: Semiring>(
-    criterion: &dyn Fn(&Cq, &Cq) -> bool,
+fn refutation_soundness<K: ClassifiedSemiring + Semiring>(
     pairs: &[(Cq, Cq)],
     config: &BruteForceConfig,
     name: &str,
@@ -77,7 +84,7 @@ fn refutation_soundness<K: Semiring>(
     for (q1, q2) in pairs {
         if find_counterexample_cq::<K>(q1, q2, config).is_some() {
             assert!(
-                !criterion(q1, q2),
+                !contained::<K>(q1, q2),
                 "[{}] semantics refutes containment but the criterion accepts\nQ1 = {}\nQ2 = {}",
                 name,
                 q1,
@@ -95,11 +102,11 @@ fn row_chom_set_semantics() {
         max_support: 3,
         ..Default::default()
     };
-    agreement::<Bool>(&cq_decide::contained_chom, &pairs, &config, "C_hom/B");
-    refutation_soundness::<Bool>(&cq_decide::contained_chom, &pairs, &config, "C_hom/B");
+    agreement::<Bool>(&pairs, &config, "C_hom/B");
+    refutation_soundness::<Bool>(&pairs, &config, "C_hom/B");
     // B₁ (saturating bags with cutoff 1) is isomorphic to B.
-    agreement::<BoundedNat<1>>(&cq_decide::contained_chom, &pairs, &config, "C_hom/B1");
-    refutation_soundness::<BoundedNat<1>>(&cq_decide::contained_chom, &pairs, &config, "C_hom/B1");
+    agreement::<BoundedNat<1>>(&pairs, &config, "C_hom/B1");
+    refutation_soundness::<BoundedNat<1>>(&pairs, &config, "C_hom/B1");
 }
 
 #[test]
@@ -110,10 +117,10 @@ fn row_chom_lattice_semirings() {
         max_support: 3,
         ..Default::default()
     };
-    agreement::<Fuzzy>(&cq_decide::contained_chom, &pairs, &config, "C_hom/Fuzzy");
-    refutation_soundness::<Fuzzy>(&cq_decide::contained_chom, &pairs, &config, "C_hom/Fuzzy");
-    agreement::<Clearance>(&cq_decide::contained_chom, &pairs, &config, "C_hom/Access");
-    refutation_soundness::<Clearance>(&cq_decide::contained_chom, &pairs, &config, "C_hom/Access");
+    agreement::<Fuzzy>(&pairs, &config, "C_hom/Fuzzy");
+    refutation_soundness::<Fuzzy>(&pairs, &config, "C_hom/Fuzzy");
+    agreement::<Clearance>(&pairs, &config, "C_hom/Access");
+    refutation_soundness::<Clearance>(&pairs, &config, "C_hom/Access");
 }
 
 #[test]
@@ -124,18 +131,8 @@ fn row_chcov_lineage() {
         max_support: 3,
         ..Default::default()
     };
-    agreement::<Lineage>(
-        &cq_decide::contained_chcov,
-        &pairs,
-        &config,
-        "C_hcov/Lin[X]",
-    );
-    refutation_soundness::<Lineage>(
-        &cq_decide::contained_chcov,
-        &pairs,
-        &config,
-        "C_hcov/Lin[X]",
-    );
+    agreement::<Lineage>(&pairs, &config, "C_hcov/Lin[X]");
+    refutation_soundness::<Lineage>(&pairs, &config, "C_hcov/Lin[X]");
 }
 
 #[test]
@@ -146,8 +143,8 @@ fn row_csur_why_provenance() {
         max_support: 3,
         ..Default::default()
     };
-    agreement::<Why>(&cq_decide::contained_csur, &pairs, &config, "C_sur/Why[X]");
-    refutation_soundness::<Why>(&cq_decide::contained_csur, &pairs, &config, "C_sur/Why[X]");
+    agreement::<Why>(&pairs, &config, "C_sur/Why[X]");
+    refutation_soundness::<Why>(&pairs, &config, "C_sur/Why[X]");
 }
 
 #[test]
@@ -158,8 +155,8 @@ fn row_cbi_provenance_polynomials() {
         max_support: 3,
         ..Default::default()
     };
-    agreement::<NatPoly>(&cq_decide::contained_cbi, &pairs, &config, "C_bi/N[X]");
-    refutation_soundness::<NatPoly>(&cq_decide::contained_cbi, &pairs, &config, "C_bi/N[X]");
+    agreement::<NatPoly>(&pairs, &config, "C_bi/N[X]");
+    refutation_soundness::<NatPoly>(&pairs, &config, "C_bi/N[X]");
 }
 
 #[test]
@@ -170,9 +167,8 @@ fn row_small_model_tropical() {
         max_support: 3,
         ..Default::default()
     };
-    let criterion = |q1: &Cq, q2: &Cq| cq_contained_small_model::<Tropical>(q1, q2);
-    agreement::<Tropical>(&criterion, &pairs, &config, "S¹/T⁺ small model");
-    refutation_soundness::<Tropical>(&criterion, &pairs, &config, "S¹/T⁺ small model");
+    agreement::<Tropical>(&pairs, &config, "S¹/T⁺ small model");
+    refutation_soundness::<Tropical>(&pairs, &config, "S¹/T⁺ small model");
 }
 
 #[test]
@@ -186,9 +182,9 @@ fn bag_semantics_bounds_are_consistent() {
         ..Default::default()
     };
     for (q1, q2) in &pairs {
-        match cq_decide::contained_bag_bounds(q1, q2) {
+        match decide_cq::<Natural>(q1, q2).decided() {
             Some(true) => assert!(
-                find_counterexample_cq::<annot_semiring::Natural>(q1, q2, &config).is_none(),
+                find_counterexample_cq::<Natural>(q1, q2, &config).is_none(),
                 "sufficient bound contradicted semantically: {} vs {}",
                 q1,
                 q2
