@@ -50,8 +50,6 @@
 pub mod brute_force;
 pub mod classes;
 pub mod classify;
-#[cfg(test)]
-mod cq;
 pub mod decide;
 pub mod matching;
 pub mod poly_order;

@@ -69,16 +69,17 @@ impl Cq {
     }
 
     fn validate(&self) {
-        let used: BTreeSet<QVar> = self
-            .atoms
-            .iter()
-            .flat_map(|a| a.args.iter().copied())
-            .collect();
-        for v in 0..self.var_names.len() as u32 {
-            assert!(
-                used.contains(&QVar(v)),
+        let mut used = vec![false; self.var_names.len()];
+        for v in self.atoms.iter().flat_map(|a| &a.args) {
+            if let Some(used) = used.get_mut(v.0 as usize) {
+                *used = true;
+            }
+        }
+        if let Some(v) = used.iter().position(|&used| !used) {
+            // invariant: documented panic — an unsafe query is a caller bug (see `Cq::new`)
+            panic!(
                 "unsafe query: variable {} occurs in no atom",
-                self.var_names[v as usize]
+                self.var_names[v]
             );
         }
         for f in &self.free {

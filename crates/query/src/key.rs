@@ -24,6 +24,12 @@
 //! sorted `(name, arity)` table of the relations it uses, and atoms refer to
 //! ranks in it.  Equal codes therefore mean isomorphic queries by
 //! construction, whatever schemas the queries were parsed into.
+//!
+//! The search allocates per query, not per refinement round or search
+//! node.  A variable's occurrences never change, so its signature words sit
+//! in one flat buffer at fixed offsets and are rewritten in place each
+//! round; the atom order, class, partition and colour buffers are reused
+//! across rounds, search nodes and the members of a UCQ.
 
 use crate::{Cq, QVar, RelId, Ucq};
 use std::cmp::Ordering;
@@ -34,10 +40,12 @@ const CODE_TAG: u64 = 2;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a over a word slice — the fingerprint used throughout this module.
-pub fn hash64(words: &[u64]) -> u64 {
+/// FNV-1a over a word sequence, each word as its eight little-endian bytes
+/// — the fingerprint used throughout this module.  Several slices hash as
+/// one by chaining them, without copying them together.
+pub fn hash64(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h = FNV_OFFSET;
-    for &w in words {
+    for w in words {
         for byte in w.to_le_bytes() {
             h ^= u64::from(byte);
             h = h.wrapping_mul(FNV_PRIME);
@@ -54,35 +62,48 @@ pub fn hash64(words: &[u64]) -> u64 {
 /// the name eight bytes to a word…, arity]`, in `(name, arity)` order; each
 /// atom is `[relation rank, argument labels…]`, atoms sorted.
 pub fn cq_code(q: &Cq) -> Vec<u64> {
-    Search::new(q).code()
+    let mut code = Vec::new();
+    Search::default().code(q, &mut code);
+    code
 }
 
 /// The canonical code of a UCQ: member codes, sorted, length-prefixed —
 /// `[members, (len, member code…)…]`.  Equal exactly for UCQs whose
 /// disjunct multisets match up to isomorphism.
 pub fn ucq_code(q: &Ucq) -> Vec<u64> {
-    let mut members: Vec<Vec<u64>> = q.disjuncts().iter().map(cq_code).collect();
-    members.sort();
-    let mut out = vec![q.len() as u64];
-    for member in members {
-        out.push(member.len() as u64);
-        out.extend(member);
+    let mut search = Search::default();
+    let mut codes = Vec::new();
+    let mut spans = Vec::with_capacity(q.len());
+    for member in q.disjuncts() {
+        let start = codes.len();
+        search.code(member, &mut codes);
+        spans.push((start, codes.len()));
+    }
+    spans.sort_unstable_by(|&(a, b), &(c, d)| codes[a..b].cmp(&codes[c..d]));
+    let mut out = Vec::with_capacity(1 + spans.len() + codes.len());
+    out.push(q.len() as u64);
+    for (start, end) in spans {
+        out.push((end - start) as u64);
+        out.extend_from_slice(&codes[start..end]);
     }
     out
 }
 
 /// 64-bit fingerprint of [`cq_code`].
 pub fn cq_key(q: &Cq) -> u64 {
-    hash64(&cq_code(q))
+    hash64(cq_code(q))
 }
 
 /// 64-bit fingerprint of [`ucq_code`].
 pub fn ucq_key(q: &Ucq) -> u64 {
-    hash64(&ucq_code(q))
+    hash64(ucq_code(q))
 }
 
-/// A discrete partition the search reached.
-struct Leaf {
+/// The least discrete partition the search has reached.
+#[derive(Default)]
+struct Best {
+    /// Whether a leaf was reached yet.
+    found: bool,
     /// The variables individualized on the way, in order.
     path: Vec<u32>,
     /// `label[v]`: the number variable `v` gets at this leaf.
@@ -91,126 +112,174 @@ struct Leaf {
     body: Vec<u64>,
 }
 
-/// The individualization–refinement search over one CQ.  A variable's
-/// colour is the position where its cell starts in the ordered partition;
-/// refinement splits cells in place, so a variable alone in its cell keeps
-/// its position, which is its label at every leaf below.
-pub(crate) struct Search<'q> {
-    q: &'q Cq,
-    /// The code words every leaf shares: tag and relation table.
-    header: Vec<u64>,
-    /// Per atom: the rank of its relation in the table.
-    rank: Vec<u64>,
-    /// Per variable: its sorted `(atom class << 32) | position` words,
-    /// rebuilt by every refinement round.
-    signature: Vec<Vec<u64>>,
-    /// Automorphisms found so far, each as the image of every variable.
-    automorphisms: Vec<Vec<u32>>,
-    best: Option<Leaf>,
+/// The individualization–refinement search, with the buffers it reuses
+/// from one query to the next.  A variable's colour is the position where
+/// its cell starts in the ordered partition; refinement splits cells in
+/// place, so a variable alone in its cell keeps its position, which is its
+/// label at every leaf below.
+#[derive(Default)]
+pub(crate) struct Search {
+    /// The query's relations in `(name, arity)` order.
+    relations: Vec<RelId>,
+    /// Per atom: the rank of its relation in `relations`.
+    rank: Vec<u32>,
+    /// Where each variable's words start in `signature`; `n + 1` entries.
+    offsets: Vec<u32>,
+    /// Per variable, at its offset: its sorted `(atom class << 32) |
+    /// position` words, rewritten by every refinement round.
+    signature: Vec<u64>,
+    /// Atom indices sorted by relation rank and argument colours.
+    atoms: Vec<u32>,
+    /// Per atom: the position in `atoms` where its run of equals starts.
+    class: Vec<u32>,
+    /// Variables sorted by colour and signature.
+    order: Vec<u32>,
+    /// A round's new colours, and the signature fill cursors before that.
+    next: Vec<u32>,
+    /// The colours of every node on the current path, `n` per depth.
+    colours: Vec<u32>,
+    /// The variables individualized on the current path.
+    path: Vec<u32>,
+    /// The members of each open node's target cell, node after node.
+    members: Vec<u32>,
+    /// The members each open node has explored, node after node.
+    explored: Vec<u32>,
+    /// Scratch for orbit closures.
+    orbit: Vec<u32>,
+    /// Automorphisms found so far, `n` images each.
+    automorphisms: Vec<u32>,
+    /// Scratch: the body of the leaf being recorded.
+    body: Vec<u64>,
+    /// Scratch: the variable holding each label at the leaf being recorded.
+    by_label: Vec<u32>,
+    best: Best,
     /// Leaves reached: the work the pruning bounds.
     pub(crate) leaves: u64,
 }
 
-impl<'q> Search<'q> {
-    pub(crate) fn new(q: &'q Cq) -> Search<'q> {
+impl Search {
+    /// Runs the search over `q` and appends its code to `out`.
+    pub(crate) fn code(&mut self, q: &Cq, out: &mut Vec<u64>) {
+        let (n, free) = (q.num_vars(), q.free_vars());
+        self.prepare(q);
         let schema = q.schema();
-        let spelled = |r: RelId| (schema.name(r), schema.arity(r));
-        let mut relations: Vec<RelId> = q.atoms().iter().map(|a| a.relation).collect();
-        relations.sort_by(|&a, &b| spelled(a).cmp(&spelled(b)));
-        relations.dedup();
-        let mut header = vec![CODE_TAG, relations.len() as u64];
-        for &r in &relations {
+        let header: usize = (self.relations.iter())
+            .map(|&r| 2 + schema.name(r).len().div_ceil(8))
+            .sum();
+        // The signature holds one word per argument and per free variable.
+        out.reserve(2 + header + 3 + q.num_atoms() + self.signature.len());
+        out.extend([CODE_TAG, self.relations.len() as u64]);
+        for &r in &self.relations {
             let name = schema.name(r).as_bytes();
-            header.push(name.len() as u64);
-            header.extend(
+            out.push(name.len() as u64);
+            out.extend(
                 name.chunks(8)
                     .map(|word| word.iter().rev().fold(0, |w, &b| (w << 8) | u64::from(b))),
             );
-            header.push(schema.arity(r) as u64);
+            out.push(schema.arity(r) as u64);
         }
-        let rank = q.atoms().iter().map(|a| {
+
+        let cells = self.refine(q, 0, usize::from(n > 0));
+        self.descend(q, 0, cells);
+
+        let (labels, atoms) = self.best.body.split_at(free.len());
+        out.extend([n as u64, free.len() as u64]);
+        out.extend_from_slice(labels);
+        out.push(q.num_atoms() as u64);
+        out.extend_from_slice(atoms);
+    }
+
+    /// Resets the buffers for `q`: its relation table, the fixed offsets of
+    /// its variables' signatures, and the uniform root colouring.
+    fn prepare(&mut self, q: &Cq) {
+        let (n, m) = (q.num_vars(), q.num_atoms());
+        let schema = q.schema();
+        let spelled = |r: RelId| (schema.name(r), schema.arity(r));
+        self.relations.clear();
+        self.relations.extend(q.atoms().iter().map(|a| a.relation));
+        self.relations
+            .sort_unstable_by(|&a, &b| spelled(a).cmp(&spelled(b)));
+        self.relations.dedup();
+        let relations = &self.relations;
+        self.rank.clear();
+        self.rank.extend(q.atoms().iter().map(|a| {
             let r = relations.binary_search_by(|&r| spelled(r).cmp(&spelled(a.relation)));
-            r.unwrap_or_default() as u64
-        });
-        Search {
-            q,
-            header,
-            rank: rank.collect(),
-            signature: vec![Vec::new(); q.num_vars()],
-            automorphisms: Vec::new(),
-            best: None,
-            leaves: 0,
+            r.unwrap_or_default() as u32
+        }));
+
+        // The free tuple counts as one more atom, so its variables occur
+        // in it too.
+        self.offsets.clear();
+        self.offsets.resize(n + 1, 0);
+        for v in q.atoms().iter().flat_map(|a| &a.args).chain(q.free_vars()) {
+            self.offsets[v.0 as usize + 1] += 1;
         }
+        for v in 0..n {
+            self.offsets[v + 1] += self.offsets[v];
+        }
+        self.signature.clear();
+        self.signature.resize(self.offsets[n] as usize, 0);
+        self.class.clear();
+        self.class.resize(m, 0);
+        self.colours.clear();
+        self.colours.resize(n, 0);
+        self.automorphisms.clear();
+        self.best.found = false;
     }
 
-    /// Runs the search and assembles the code from the least leaf.
-    pub(crate) fn code(&mut self) -> Vec<u64> {
-        let (n, free) = (self.q.num_vars(), self.q.free_vars());
-        let mut colour = vec![0; n];
-        let cells = self.refine(&mut colour, usize::from(n > 0));
-        self.descend(colour, cells, &mut Vec::new());
-
-        let body = self.best.take().map(|leaf| leaf.body).unwrap_or_default();
-        let (labels, atoms) = body.split_at(free.len());
-        let mut code = std::mem::take(&mut self.header);
-        code.extend([n as u64, free.len() as u64]);
-        code.extend_from_slice(labels);
-        code.push(self.q.num_atoms() as u64);
-        code.extend_from_slice(atoms);
-        code
-    }
-
-    /// Orders atoms by relation rank, then by their arguments' colours.
-    fn compare_atoms(&self, colour: &[u32], a: usize, b: usize) -> Ordering {
-        let coloured = |a: usize| self.q.atoms()[a].args.iter().map(|v| colour[v.0 as usize]);
-        self.rank[a]
-            .cmp(&self.rank[b])
-            .then_with(|| coloured(a).cmp(coloured(b)))
-    }
-
-    fn sorted_atoms(&self, colour: &[u32]) -> Vec<u32> {
-        let mut order: Vec<u32> = (0..self.rank.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| self.compare_atoms(colour, a as usize, b as usize));
-        order
-    }
-
-    /// Refines `colour`, holding `cells` cells, until no cell splits, and
-    /// returns the number of cells.
-    fn refine(&mut self, colour: &mut Vec<u32>, mut cells: usize) -> usize {
-        let n = colour.len();
+    /// Refines the colours at depth `level`, holding `cells` cells, until
+    /// no cell splits, and returns the number of cells.
+    fn refine(&mut self, q: &Cq, level: usize, mut cells: usize) -> usize {
+        let n = q.num_vars();
+        let Search {
+            rank,
+            offsets,
+            signature,
+            atoms,
+            class,
+            order,
+            next,
+            colours,
+            ..
+        } = self;
+        let colour = &mut colours[level * n..(level + 1) * n];
         while cells < n {
-            let atoms = self.sorted_atoms(colour);
-            let mut class = vec![0; atoms.len()];
+            sort_atoms(q, rank, colour, atoms);
             runs(
-                &atoms,
-                |a, b| self.compare_atoms(colour, a, b).is_eq(),
-                &mut class,
+                atoms,
+                |a, b| compare_atoms(q, rank, colour, a, b).is_eq(),
+                class,
             );
-            for signature in &mut self.signature {
-                signature.clear();
-            }
-            // The free tuple counts as one more atom, of a class of its own.
-            let head = (u32::MAX, self.q.free_vars());
-            let body = self.q.atoms().iter().enumerate();
+            // Write each occurrence's word at its variable's cursor, then
+            // sort every variable's words.  The free tuple is an atom of a
+            // class of its own.
+            next.clear();
+            next.extend_from_slice(&offsets[..n]);
+            let head = (u32::MAX, q.free_vars());
+            let body = q.atoms().iter().enumerate();
             for (class, args) in body
                 .map(|(a, atom)| (class[a], &atom.args[..]))
                 .chain([head])
             {
                 for (pos, v) in args.iter().enumerate() {
-                    let word = (u64::from(class) << 32) | pos as u64;
-                    self.signature[v.0 as usize].push(word);
+                    let cursor = &mut next[v.0 as usize];
+                    signature[*cursor as usize] = (u64::from(class) << 32) | pos as u64;
+                    *cursor += 1;
                 }
             }
-            for signature in &mut self.signature {
-                signature.sort_unstable();
+            for v in 0..n {
+                signature[offsets[v] as usize..offsets[v + 1] as usize].sort_unstable();
             }
             // Split every cell by signature, in place.
-            let key = |v: usize| (colour[v], &self.signature[v]);
-            let mut order: Vec<u32> = (0..n as u32).collect();
+            let key = |v: usize| {
+                let words = &signature[offsets[v] as usize..offsets[v + 1] as usize];
+                (colour[v], words)
+            };
+            order.clear();
+            order.extend(0..n as u32);
             order.sort_unstable_by(|&a, &b| key(a as usize).cmp(&key(b as usize)));
-            let mut next = vec![0; n];
-            let split = runs(&order, |a, b| key(a) == key(b), &mut next);
-            *colour = next;
+            let split = runs(order, |a, b| key(a) == key(b), next);
+            colour.copy_from_slice(next);
             if split == cells {
                 break;
             }
@@ -219,94 +288,144 @@ impl<'q> Search<'q> {
         cells
     }
 
-    /// Explores the subtree below `colour`, reached by individualizing
-    /// `path`.  Returns the depth of the node to jump back to when a leaf
-    /// below matched an earlier leaf.
-    fn descend(&mut self, colour: Vec<u32>, cells: usize, path: &mut Vec<u32>) -> Option<usize> {
-        let n = colour.len();
+    /// Explores the subtree below the node at depth `level`, reached by
+    /// individualizing `path`.  Returns the depth of the node to jump back
+    /// to when a leaf below matched an earlier leaf.
+    fn descend(&mut self, q: &Cq, level: usize, cells: usize) -> Option<usize> {
+        let n = q.num_vars();
         if cells == n {
-            return self.leaf(colour, path);
+            return self.leaf(q, level);
         }
-        let size = |c: u32| colour.iter().filter(|&&x| x == c).count();
-        let cell = (0..n as u32).find(|&c| size(c) > 1).unwrap_or_default();
-        let members: Vec<u32> = (0..n as u32)
-            .filter(|&v| colour[v as usize] == cell)
-            .collect();
-        let mut explored: Vec<u32> = Vec::new();
-        for &v in &members {
-            if self.in_explored_orbit(v, &explored, path) {
+        // The target cell is the first with several members: the least
+        // colour that several variables hold.
+        let colour = &self.colours[level * n..(level + 1) * n];
+        self.next.clear();
+        self.next.resize(n, 0);
+        for &c in colour {
+            self.next[c as usize] += 1;
+        }
+        let cell = self.next.iter().position(|&size| size > 1);
+        let cell = cell.unwrap_or_default() as u32;
+        let first = self.members.len();
+        self.members
+            .extend((0..n as u32).filter(|&v| colour[v as usize] == cell));
+        let (last, explored) = (self.members.len(), self.explored.len());
+        if self.colours.len() < (level + 2) * n {
+            self.colours.resize((level + 2) * n, 0);
+        }
+        let mut jump = None;
+        for i in first..last {
+            let v = self.members[i];
+            if self.in_explored_orbit(v, explored, n) {
                 continue;
             }
             // Individualize v: it keeps the cell's start, the rest of the
             // cell moves one position up.
-            let mut child = colour.clone();
-            for &u in &members {
+            let (parent, child) = self.colours.split_at_mut((level + 1) * n);
+            let child = &mut child[..n];
+            child.copy_from_slice(&parent[level * n..]);
+            for &u in &self.members[first..last] {
                 child[u as usize] += u32::from(u != v);
             }
-            let cells = self.refine(&mut child, cells + 1);
-            path.push(v);
-            let jump = self.descend(child, cells, path);
-            path.pop();
-            explored.push(v);
-            if jump.is_some_and(|target| target < path.len()) {
-                return jump;
+            let cells = self.refine(q, level + 1, cells + 1);
+            self.path.push(v);
+            let below = self.descend(q, level + 1, cells);
+            self.path.pop();
+            self.explored.push(v);
+            if below.is_some_and(|target| target < self.path.len()) {
+                jump = below;
+                break;
             }
         }
-        None
+        self.members.truncate(first);
+        self.explored.truncate(explored);
+        jump
     }
 
-    /// Records a leaf.  One that serializes like the best leaf yields an
-    /// automorphism, mapping each variable to the one with the same label
-    /// here; it maps the explored subtree below the node where the two
-    /// paths diverge onto the current one, so the search returns to that
-    /// node.  A smaller leaf becomes the best.
-    fn leaf(&mut self, label: Vec<u32>, path: &[u32]) -> Option<usize> {
+    /// Records the leaf at depth `level`.  One that serializes like the
+    /// best leaf yields an automorphism, mapping each variable to the one
+    /// with the same label here; it maps the explored subtree below the
+    /// node where the two paths diverge onto the current one, so the search
+    /// returns to that node.  A smaller leaf becomes the best.
+    fn leaf(&mut self, q: &Cq, level: usize) -> Option<usize> {
         self.leaves += 1;
+        let n = q.num_vars();
+        let label = &self.colours[level * n..(level + 1) * n];
+        sort_atoms(q, &self.rank, label, &mut self.atoms);
         let labelled = |v: &QVar| u64::from(label[v.0 as usize]);
-        let mut body: Vec<u64> = self.q.free_vars().iter().map(labelled).collect();
-        for a in self.sorted_atoms(&label) {
-            body.push(self.rank[a as usize]);
-            body.extend(self.q.atoms()[a as usize].args.iter().map(labelled));
+        self.body.clear();
+        // One word per free variable and argument, and a rank per atom.
+        self.body.reserve(self.signature.len() + self.rank.len());
+        self.body.extend(q.free_vars().iter().map(labelled));
+        for &a in &self.atoms {
+            self.body.push(u64::from(self.rank[a as usize]));
+            self.body
+                .extend(q.atoms()[a as usize].args.iter().map(labelled));
         }
-        match &self.best {
-            Some(best) if best.body == body => {
-                let mut by_label = vec![0; label.len()];
+        let best = &mut self.best;
+        match best.body.cmp(&self.body) {
+            Ordering::Equal if best.found => {
+                self.by_label.clear();
+                self.by_label.resize(n, 0);
                 for (v, &l) in label.iter().enumerate() {
-                    by_label[l as usize] = v as u32;
+                    self.by_label[l as usize] = v as u32;
                 }
-                let image = best.label.iter().map(|&l| by_label[l as usize]);
-                let diverge = best.path.iter().zip(path).take_while(|(a, b)| a == b);
-                let diverge = diverge.count();
-                self.automorphisms.push(image.collect());
-                return Some(diverge);
+                let image = best.label.iter().map(|&l| self.by_label[l as usize]);
+                self.automorphisms.extend(image);
+                let diverge = best.path.iter().zip(&self.path);
+                Some(diverge.take_while(|(a, b)| a == b).count())
             }
-            Some(best) if best.body < body => {}
+            Ordering::Less if best.found => None,
             _ => {
-                let path = path.to_vec();
-                self.best = Some(Leaf { path, label, body });
+                best.found = true;
+                std::mem::swap(&mut best.body, &mut self.body);
+                best.label.clear();
+                best.label.extend_from_slice(label);
+                best.path.clear();
+                best.path.extend_from_slice(&self.path);
+                None
             }
         }
-        None
     }
 
-    /// Whether `v` lies in the orbit of an `explored` variable under the
-    /// automorphisms found so far that fix every variable of `prefix`.
-    fn in_explored_orbit(&self, v: u32, explored: &[u32], prefix: &[u32]) -> bool {
-        let fixing: Vec<&Vec<u32>> = (self.automorphisms.iter())
-            .filter(|image| prefix.iter().all(|&p| image[p as usize] == p))
-            .collect();
-        let mut orbit = vec![v];
+    /// Whether `v` lies in the orbit of a variable explored at the current
+    /// node — `explored[from..]` — under the automorphisms found so far
+    /// that fix every variable of the current path.
+    fn in_explored_orbit(&mut self, v: u32, from: usize, n: usize) -> bool {
+        let explored = &self.explored[from..];
+        if explored.is_empty() {
+            return false;
+        }
+        let path = &self.path;
+        let fixing = |image: &&[u32]| path.iter().all(|&p| image[p as usize] == p);
+        self.orbit.clear();
+        self.orbit.push(v);
         let mut next = 0;
-        while let Some(&u) = orbit.get(next) {
+        while let Some(&u) = self.orbit.get(next) {
             next += 1;
-            for image in &fixing {
-                if !orbit.contains(&image[u as usize]) {
-                    orbit.push(image[u as usize]);
+            for image in self.automorphisms.chunks_exact(n).filter(fixing) {
+                if !self.orbit.contains(&image[u as usize]) {
+                    self.orbit.push(image[u as usize]);
                 }
             }
         }
-        orbit.iter().any(|u| explored.contains(u))
+        self.orbit.iter().any(|u| explored.contains(u))
     }
+}
+
+/// Orders atoms by relation rank, then by their arguments' colours.
+fn compare_atoms(q: &Cq, rank: &[u32], colour: &[u32], a: usize, b: usize) -> Ordering {
+    let coloured = |a: usize| q.atoms()[a].args.iter().map(|v| colour[v.0 as usize]);
+    rank[a]
+        .cmp(&rank[b])
+        .then_with(|| coloured(a).cmp(coloured(b)))
+}
+
+/// Fills `atoms` with the atom indices of `q` in [`compare_atoms`] order.
+fn sort_atoms(q: &Cq, rank: &[u32], colour: &[u32], atoms: &mut Vec<u32>) {
+    atoms.clear();
+    atoms.extend(0..rank.len() as u32);
+    atoms.sort_unstable_by(|&a, &b| compare_atoms(q, rank, colour, a as usize, b as usize));
 }
 
 /// Numbers the runs of equal items in `sorted`: each item gets, in `out`,
@@ -329,7 +448,7 @@ fn runs(sorted: &[u32], equal: impl Fn(usize, usize) -> bool, out: &mut [u32]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Cq, Schema};
+    use crate::{parser, Cq, Schema};
 
     fn schema() -> Schema {
         Schema::with_relations([("R", 2), ("S", 1)])
@@ -431,8 +550,8 @@ mod tests {
     }
 
     fn leaves(q: &Cq) -> u64 {
-        let mut search = Search::new(q);
-        search.code();
+        let mut search = Search::default();
+        search.code(q, &mut Vec::new());
         search.leaves
     }
 
@@ -472,6 +591,52 @@ mod tests {
             cycle = cycle.atom("R", &[&format!("v{i}"), &format!("v{}", (i + 1) % 6)]);
         }
         assert_eq!(leaves(&cycle.build()), 2);
+    }
+
+    #[test]
+    fn code_words_are_pinned() {
+        // Cache entries hold these words, so a layout change must be
+        // deliberate.
+        let code = |q: &str| cq_code(&parser::parse_cq(&mut Schema::new(), q).unwrap());
+        // One relation `R` (name length 1, "R" = 82, arity 2); six
+        // variables, none free; five atoms `R(centre, leaf)`.
+        assert_eq!(
+            code("Q() :- R(x, a), R(x, b), R(x, c), R(x, d), R(x, e)"),
+            [2, 1, 1, 82, 2, 6, 0, 5, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 0, 0, 5]
+        );
+        // Two free variables, labelled 2 and 1, ahead of the atoms.
+        assert_eq!(
+            code("Q(x, w) :- R(x, y), R(y, w), R(w, w)"),
+            [2, 1, 1, 82, 2, 3, 2, 2, 1, 3, 0, 0, 1, 0, 1, 1, 0, 2, 0]
+        );
+        // Two relations in name order, each spelled eight bytes to a
+        // little-endian word: "keyword", then "person_info".
+        assert_eq!(
+            code("Q() :- person_info(v606, v237), person_info(v237, v331), keyword(v331, v545)"),
+            [
+                2,
+                2,
+                7,
+                0x0064_726f_7779_656b,
+                2,
+                11,
+                0x695f_6e6f_7372_6570,
+                0x006f_666e,
+                2,
+                4,
+                0,
+                3,
+                0,
+                0,
+                1,
+                1,
+                2,
+                3,
+                1,
+                3,
+                0
+            ]
+        );
     }
 
     #[test]

@@ -24,6 +24,13 @@
 //!
 //! Relations are looked up in (or, if unknown, added to) the supplied
 //! [`Schema`], inferring arities from first use.
+//!
+//! The parser makes one forward pass over each rule: literals are found at
+//! the commas outside parentheses and identifiers stay borrowed from the
+//! input, so a rule allocates its query's own vectors and one name per
+//! variable, not one string per occurrence.  A UCQ registers all its
+//! relations before it builds its members, so they share one relation
+//! table.
 
 use crate::ccq::Ccq;
 use crate::cq::{Atom, Cq, QVar};
@@ -74,11 +81,11 @@ fn transactional<T>(
 /// On error the schema is left untouched (parsing is transactional).
 pub fn parse_cq(schema: &mut Schema, input: &str) -> Result<Cq, ParseError> {
     transactional(schema, |scratch| {
-        let ccq = parse_ccq_into(scratch, input)?;
-        if !ccq.inequalities().is_empty() {
+        let rule = single_rule(scratch, input)?;
+        if !rule.inequalities.is_empty() {
             return err("expected a plain CQ but found inequalities");
         }
-        Ok(ccq.cq().clone())
+        Ok(rule.into_cq(scratch))
     })
 }
 
@@ -86,101 +93,145 @@ pub fn parse_cq(schema: &mut Schema, input: &str) -> Result<Cq, ParseError> {
 ///
 /// On error the schema is left untouched (parsing is transactional).
 pub fn parse_ccq(schema: &mut Schema, input: &str) -> Result<Ccq, ParseError> {
-    transactional(schema, |scratch| parse_ccq_into(scratch, input))
+    transactional(schema, |scratch| {
+        let mut rule = single_rule(scratch, input)?;
+        let inequalities = std::mem::take(&mut rule.inequalities);
+        Ok(Ccq::new(rule.into_cq(scratch), inequalities))
+    })
 }
 
 /// Parses a UCQ: one or more rules separated by `;` (or newlines).  Every
-/// rule must have the same number of head variables.
+/// rule must have the same number of head variables.  The members share
+/// one schema: the relation table as it stands after the last rule.
 ///
 /// On error the schema is left untouched (parsing is transactional).
 pub fn parse_ucq(schema: &mut Schema, input: &str) -> Result<Ucq, ParseError> {
     transactional(schema, |scratch| {
-        let rules = split_rules(input);
-        if rules.is_empty() {
-            return Ok(Ucq::empty());
-        }
-        let mut members: Vec<Cq> = Vec::new();
-        for rule in rules {
-            let ccq = parse_rule(scratch, rule)?;
-            if !ccq.inequalities().is_empty() {
+        let mut parser = Parser::default();
+        let mut members: Vec<Rule> = Vec::new();
+        for text in rules(input) {
+            let rule = parser.rule(scratch, text)?;
+            if !rule.inequalities.is_empty() {
                 return err("UCQ members may not contain inequalities");
             }
-            let cq = ccq.cq();
             if let Some(first) = members.first() {
-                if first.free_vars().len() != cq.free_vars().len() {
+                if first.free.len() != rule.free.len() {
                     return err(format!(
                         "UCQ members disagree on head arity: {} and {}",
-                        first.free_vars().len(),
-                        cq.free_vars().len()
+                        first.free.len(),
+                        rule.free.len()
                     ));
                 }
             }
-            members.push(cq.clone());
+            members.push(rule);
         }
-        Ok(Ucq::new(members))
+        let schema = &*scratch;
+        Ok(Ucq::new(
+            members.into_iter().map(|rule| rule.into_cq(schema)),
+        ))
     })
 }
 
-fn parse_ccq_into(schema: &mut Schema, input: &str) -> Result<Ccq, ParseError> {
-    let rules = split_rules(input);
-    if rules.len() != 1 {
-        return err(format!("expected exactly one rule, found {}", rules.len()));
-    }
-    parse_rule(schema, rules[0])
-}
-
-fn split_rules(input: &str) -> Vec<&str> {
+/// The rules of `input`: its non-empty lines and `;`-separated parts.
+fn rules(input: &str) -> impl Iterator<Item = &str> {
     input
         .split([';', '\n'])
         .map(str::trim)
         .filter(|s| !s.is_empty())
-        .collect()
 }
 
-fn parse_rule(schema: &mut Schema, rule: &str) -> Result<Ccq, ParseError> {
-    let (head, body) = match rule.split_once(":-") {
-        Some(parts) => parts,
-        None => return err(format!("missing ':-' in rule `{}`", rule)),
+/// Parses `input` as exactly one rule.
+fn single_rule(schema: &mut Schema, input: &str) -> Result<Rule, ParseError> {
+    let mut texts = rules(input);
+    let (Some(text), None) = (texts.next(), texts.next()) else {
+        let found = rules(input).count();
+        return err(format!("expected exactly one rule, found {found}"));
     };
-    let (_, head_vars) = parse_predicate(head.trim())?;
+    Parser::default().rule(schema, text)
+}
 
-    let mut vars: Vec<String> = Vec::new();
-    let mut index: HashMap<String, QVar> = HashMap::new();
-    let intern = |name: &str, vars: &mut Vec<String>, index: &mut HashMap<String, QVar>| {
-        if let Some(&v) = index.get(name) {
-            v
-        } else {
-            let v = QVar(vars.len() as u32);
-            vars.push(name.to_string());
-            index.insert(name.to_string(), v);
-            v
-        }
-    };
+/// One parsed rule.  Its relations are registered in the schema already,
+/// so it becomes a query over whatever table the schema holds then.
+struct Rule {
+    free: Vec<QVar>,
+    atoms: Vec<Atom>,
+    names: Vec<String>,
+    inequalities: Vec<(QVar, QVar)>,
+}
 
-    let mut atoms: Vec<Atom> = Vec::new();
-    let mut inequalities: Vec<(QVar, QVar)> = Vec::new();
-    for literal in split_literals(body) {
-        let literal = literal.trim();
-        if literal.is_empty() {
-            continue;
+impl Rule {
+    fn into_cq(self, schema: &Schema) -> Cq {
+        Cq::new(schema.clone(), self.free, self.atoms, self.names)
+    }
+}
+
+/// The variable table of the rule being parsed, kept across the rules of
+/// one input so that its buffers are allocated once.
+struct Parser<'a> {
+    /// The variable each name denotes.
+    index: HashMap<&'a str, QVar>,
+    /// Whether each variable occurs in an atom yet.
+    in_atom: Vec<bool>,
+}
+
+impl Default for Parser<'_> {
+    fn default() -> Self {
+        Parser {
+            // Room for a typical rule's variables without regrowing.
+            index: HashMap::with_capacity(8),
+            in_atom: Vec::new(),
         }
-        if let Some((lhs, rhs)) = literal.split_once("!=") {
-            let a = intern(check_ident(lhs.trim())?, &mut vars, &mut index);
-            let b = intern(check_ident(rhs.trim())?, &mut vars, &mut index);
-            if a == b {
-                return err(format!(
-                    "inequality `{}` relates a variable to itself",
-                    literal
-                ));
+    }
+}
+
+impl<'a> Parser<'a> {
+    /// Parses one rule `head :- body`, registering the relations of its
+    /// atoms in `schema`.
+    fn rule(&mut self, schema: &mut Schema, text: &'a str) -> Result<Rule, ParseError> {
+        let Some((head, body)) = text.split_once(":-") else {
+            return err(format!("missing ':-' in rule `{}`", text));
+        };
+        let (_, head_args) = predicate(head.trim())?;
+        for arg in arguments(head_args) {
+            check_ident(arg)?;
+        }
+        self.index.clear();
+        self.in_atom.clear();
+        let mut rule = Rule {
+            free: Vec::new(),
+            atoms: Vec::new(),
+            names: Vec::new(),
+            inequalities: Vec::new(),
+        };
+        for literal in literals(body) {
+            let literal = literal.trim();
+            if literal.is_empty() {
+                continue;
             }
-            inequalities.push((a, b));
-        } else {
-            let (name, args) = parse_predicate(literal)?;
+            if let Some((lhs, rhs)) = literal.split_once("!=") {
+                let a = self.var(check_ident(lhs.trim())?, &mut rule.names);
+                let b = self.var(check_ident(rhs.trim())?, &mut rule.names);
+                if a == b {
+                    return err(format!(
+                        "inequality `{}` relates a variable to itself",
+                        literal
+                    ));
+                }
+                rule.inequalities.push((a, b));
+                continue;
+            }
+            let (name, args) = predicate(literal)?;
+            let mut vars = Vec::new();
+            for arg in arguments(args) {
+                let v = self.var(check_ident(arg)?, &mut rule.names);
+                self.in_atom[v.0 as usize] = true;
+                vars.push(v);
+            }
             // Arity conflicts surface as a `SchemaError` from the fallible
             // declaration API, mapped onto a parse error (never a panic)
             // with use-site wording: inside a query body the conflicting
             // arity is a *use*, not a re-declaration.
-            let rel = schema.try_add_relation(&name, args.len()).map_err(
+            let relation = schema.try_add_relation(name, vars.len()).map_err(
                 |SchemaError::ArityConflict {
                      name,
                      existing,
@@ -192,85 +243,84 @@ fn parse_rule(schema: &mut Schema, rule: &str) -> Result<Ccq, ParseError> {
                     ),
                 },
             )?;
-            let arg_vars: Vec<QVar> = args
-                .iter()
-                .map(|a| intern(a, &mut vars, &mut index))
-                .collect();
-            atoms.push(Atom::new(rel, arg_vars));
+            rule.atoms.push(Atom::new(relation, vars));
         }
-    }
-    if atoms.is_empty() {
-        return err("a query needs at least one atom");
-    }
-    // A variable named only in an inequality occurs in no atom: refuse it
-    // here, where `Cq::new` would panic on the unsafe query.
-    let mut in_atom = vec![false; vars.len()];
-    for atom in &atoms {
-        for arg in &atom.args {
-            in_atom[arg.0 as usize] = true;
+        if rule.atoms.is_empty() {
+            return err("a query needs at least one atom");
         }
-    }
-    if let Some(unbound) = in_atom.iter().position(|&seen| !seen) {
-        return err(format!("variable `{}` occurs in no atom", vars[unbound]));
-    }
-
-    let mut free = Vec::new();
-    for head_var in &head_vars {
-        match index.get(head_var) {
-            Some(&v) => free.push(v),
-            None => {
-                return err(format!(
-                    "head variable `{}` does not occur in the body",
-                    head_var
-                ))
+        // A variable named only in an inequality occurs in no atom: refuse it
+        // here, where `Cq::new` would panic on the unsafe query.
+        if let Some(unbound) = self.in_atom.iter().position(|&seen| !seen) {
+            return err(format!(
+                "variable `{}` occurs in no atom",
+                rule.names[unbound]
+            ));
+        }
+        for name in arguments(head_args) {
+            match self.index.get(name) {
+                Some(&v) => rule.free.push(v),
+                None => {
+                    return err(format!(
+                        "head variable `{}` does not occur in the body",
+                        name
+                    ))
+                }
             }
         }
+        Ok(rule)
     }
-    let cq = Cq::new(schema.clone(), free, atoms, vars);
-    Ok(Ccq::new(cq, inequalities))
+
+    /// The variable named `name`, numbered on first use.
+    fn var(&mut self, name: &'a str, names: &mut Vec<String>) -> QVar {
+        *self.index.entry(name).or_insert_with(|| {
+            names.push(name.to_string());
+            self.in_atom.push(false);
+            QVar(names.len() as u32 - 1)
+        })
+    }
 }
 
-/// Splits a rule body at top-level commas (commas inside parentheses separate
-/// atom arguments, not literals).
-fn split_literals(body: &str) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, c) in body.char_indices() {
-        match c {
-            '(' => depth += 1,
-            ')' => depth = depth.saturating_sub(1),
-            ',' if depth == 0 => {
-                parts.push(&body[start..i]);
-                start = i + 1;
+/// The literals of a rule body: its text split at the commas outside
+/// parentheses (commas inside separate atom arguments).
+fn literals(body: &str) -> impl Iterator<Item = &str> {
+    let mut rest = Some(body);
+    std::iter::from_fn(move || {
+        let text = rest?;
+        let mut depth = 0usize;
+        for (i, byte) in text.bytes().enumerate() {
+            match byte {
+                b'(' => depth += 1,
+                b')' => depth = depth.saturating_sub(1),
+                b',' if depth == 0 => {
+                    rest = Some(&text[i + 1..]);
+                    return Some(&text[..i]);
+                }
+                _ => {}
             }
-            _ => {}
         }
-    }
-    parts.push(&body[start..]);
-    parts
+        rest = None;
+        Some(text)
+    })
 }
 
-fn parse_predicate(text: &str) -> Result<(String, Vec<String>), ParseError> {
-    let open = match text.find('(') {
-        Some(i) => i,
-        None => return err(format!("expected `(` in `{}`", text)),
+/// Splits `name(args)` into its checked name and its argument text.
+fn predicate(text: &str) -> Result<(&str, &str), ParseError> {
+    let Some(open) = text.find('(') else {
+        return err(format!("expected `(` in `{}`", text));
     };
-    if !text.trim_end().ends_with(')') {
+    let Some(inner) = text.trim_end().strip_suffix(')') else {
         return err(format!("expected `)` at the end of `{}`", text));
-    }
-    let name = check_ident(text[..open].trim())?.to_string();
-    let inner = text.trim_end();
-    let args_text = &inner[open + 1..inner.len() - 1];
-    let args: Vec<String> = if args_text.trim().is_empty() {
-        Vec::new()
-    } else {
-        args_text
-            .split(',')
-            .map(|a| Ok(check_ident(a.trim())?.to_string()))
-            .collect::<Result<Vec<_>, ParseError>>()?
     };
-    Ok((name, args))
+    let name = check_ident(text[..open].trim())?;
+    Ok((name, &inner[open + 1..]))
+}
+
+/// The trimmed, unchecked arguments of a predicate's argument text.
+fn arguments(args: &str) -> impl Iterator<Item = &str> {
+    let args = (!args.trim().is_empty()).then_some(args);
+    args.into_iter()
+        .flat_map(|args| args.split(','))
+        .map(str::trim)
 }
 
 fn check_ident(text: &str) -> Result<&str, ParseError> {
@@ -278,8 +328,8 @@ fn check_ident(text: &str) -> Result<&str, ParseError> {
         return err("empty identifier");
     }
     if !text
-        .chars()
-        .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '\'')
+        .bytes()
+        .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'\'')
     {
         return err(format!("invalid identifier `{}`", text));
     }
@@ -328,6 +378,17 @@ mod tests {
         let u2 = parse_ucq(&mut schema, "Q() :- R(v)\nQ() :- S(v)").unwrap();
         assert_eq!(u2.len(), 2);
         assert!(parse_ucq(&mut schema, "   ").unwrap().is_empty());
+    }
+
+    #[test]
+    fn ucq_members_share_the_relation_table_of_the_whole_union() {
+        let mut schema = Schema::new();
+        let u = parse_ucq(&mut schema, "Q() :- R(x, y) ; Q() :- S(x)").unwrap();
+        for member in u.disjuncts() {
+            assert_eq!(member.schema(), &schema);
+            assert_eq!(member.schema().len(), 2);
+        }
+        assert_eq!(format!("{u}"), "Q() :- R(x, y)  ∪  Q() :- S(x)");
     }
 
     #[test]

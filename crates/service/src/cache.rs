@@ -157,13 +157,9 @@ impl Cache {
     /// The fingerprint of a request: semiring + canonical codes of the
     /// (ordered) query pair.  It picks the shard and the bucket only.
     fn fingerprint(semiring: SemiringId, c1: &[u64], c2: &[u64]) -> u64 {
-        let name: Vec<u64> = semiring.name().bytes().map(u64::from).collect();
-        let mut words = Vec::with_capacity(c1.len() + c2.len() + 2);
-        words.push(hash64(&name));
-        words.push(c1.len() as u64);
-        words.extend_from_slice(c1);
-        words.extend_from_slice(c2);
-        hash64(&words)
+        let name = hash64(semiring.name().bytes().map(u64::from));
+        let codes = c1.iter().chain(c2).copied();
+        hash64([name, c1.len() as u64].into_iter().chain(codes))
     }
 
     /// Returns the cached decision for an isomorphic variant of

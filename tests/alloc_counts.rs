@@ -1,0 +1,125 @@
+//! Deterministic allocation counts for building and coding small queries.
+//!
+//! A counting global allocator tallies `alloc` and `realloc` calls made by
+//! the measuring thread while it parses, codes and completes one fixed
+//! query pair — the first timed request of servebench's hit-serial stream
+//! at seed 2718 — and the 5-leaf star.  The counts repeat exactly on one
+//! toolchain, so they are work counters: a change that allocates per
+//! identifier, occurrence, refinement round or ⟨Q⟩ member again fails here
+//! whatever the hardware.  Each bound is half the count of the
+//! per-element implementations these stages replaced (184, 93, 1,045 and
+//! 7,715 on stable Rust), not the current count, so allocator-visible
+//! differences between the stable and MSRV standard libraries do not flip
+//! it.
+
+use annot_query::complete::complete_description_ucq;
+use annot_query::key::ucq_code;
+use annot_query::{parser, Schema, Ucq};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+
+/// Forwards to the system allocator, counting `alloc` and `realloc` calls
+/// per thread.
+struct Counting;
+
+thread_local! {
+    // `const`-initialised and without a destructor: reading it never
+    // allocates and needs no registration, so the allocator may use it.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocation.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: the caller's guarantees for `layout` carry over unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator, with
+        // `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        // SAFETY: `ptr` came from `System` through this allocator, with
+        // `layout`; the caller guarantees `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `f` and returns its result with the allocations it made on this
+/// thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    (out, CALLS.with(Cell::get) - before)
+}
+
+const Q1: &str = "Q() :- person_info(v606, v237), person_info(v237, v331), \
+                  keyword(v331, v545) ; Q() :- kind_type(v944, v184), \
+                  kind_type(v620, v944), keyword(v184, v245)";
+const Q2: &str = "Q() :- keyword(v763, v64), person_info(v310, v9) ; \
+                  Q() :- kind_type(v947, v822), kind_type(v822, v5), keyword(v5, v513)";
+const STAR: &str = "Q() :- R(x, a), R(x, b), R(x, c), R(x, d), R(x, e)";
+
+/// `Schema::new()` and both parses of the fixed pair, as the server runs
+/// them for one `DECIDE`.
+fn parse_pair() -> (Ucq, Ucq) {
+    let mut schema = Schema::new();
+    let u1 = parser::parse_ucq(&mut schema, Q1).expect("q1 parses");
+    let u2 = parser::parse_ucq(&mut schema, Q2).expect("q2 parses");
+    (u1, u2)
+}
+
+/// Asserts `count` is at most half of `parent`, the count before the
+/// allocation-free rewrite.
+fn assert_halved(stage: &str, count: u64, parent: u64) {
+    eprintln!("{stage}: {count} allocations (bound {})", parent / 2);
+    assert!(
+        count <= parent / 2,
+        "{stage}: {count} allocations, more than half of {parent}"
+    );
+}
+
+#[test]
+fn parsing_the_fixed_pair() {
+    let (pair, count) = counted(|| black_box(parse_pair()));
+    assert_eq!((pair.0.len(), pair.1.len()), (2, 2));
+    assert_halved("Schema::new + parse_ucq × 2", count, 184);
+}
+
+#[test]
+fn coding_the_fixed_pair() {
+    let (u1, u2) = parse_pair();
+    let (codes, count) = counted(|| black_box((ucq_code(&u1), ucq_code(&u2))));
+    assert_ne!(codes.0, codes.1);
+    assert_halved("ucq_code × 2", count, 93);
+}
+
+#[test]
+fn completing_the_fixed_pair() {
+    let (u1, _) = parse_pair();
+    let (description, count) = counted(|| black_box(complete_description_ucq(&u1)));
+    assert_eq!(description.len(), 30);
+    assert_halved("complete_description_ucq(q1)", count, 1_045);
+}
+
+#[test]
+fn completing_the_five_leaf_star() {
+    let star = parser::parse_ucq(&mut Schema::new(), STAR).expect("star parses");
+    let (description, count) = counted(|| black_box(complete_description_ucq(&star)));
+    assert_eq!(description.len(), 203);
+    assert_halved("complete_description_ucq(5-leaf star)", count, 7_715);
+}
