@@ -4,8 +4,9 @@
 //! committed baseline snapshot and fails — exit code 1 — when any *gated*
 //! benchmark regressed beyond the threshold.  By default the gate covers the
 //! hot-path bench groups the repository's perf trajectory is pinned on
-//! (`oracle/*`, `oracle_mt/*` and `hom_scaling/*`); everything else is
-//! reported but never fatal.
+//! (`oracle/*`, `oracle_mt/*`, `hom_scaling/*`, and the Table 1 UCQ and
+//! small-model deciders `table1_ucq/*` and `small_model/*`); everything
+//! else is reported but never fatal.
 //!
 //! Usage:
 //!
@@ -76,7 +77,13 @@ impl Default for GateConfig {
         GateConfig {
             threshold: 0.25,
             min_mean_ns: 1000.0,
-            gated_prefixes: vec!["oracle/".into(), "oracle_mt/".into(), "hom_scaling/".into()],
+            gated_prefixes: vec![
+                "oracle/".into(),
+                "oracle_mt/".into(),
+                "hom_scaling/".into(),
+                "table1_ucq/".into(),
+                "small_model/".into(),
+            ],
         }
     }
 }
@@ -602,6 +609,19 @@ mod tests {
             compare(&base, &cur, &only_single_thread_gated)[0].verdict,
             Verdict::UngatedRegression
         );
+    }
+
+    #[test]
+    fn table1_ucq_and_small_model_groups_are_gated() {
+        for (group, bench) in [
+            ("table1_ucq/Cinf_sur(unique-surjection)", "2members-2atoms"),
+            ("small_model/tropical_containment", "T+/chain-3atoms"),
+        ] {
+            let base = snapshot(&[(group, bench, 40_000.0, 1_000.0)]);
+            let cur = snapshot(&[(group, bench, 80_000.0, 1_000.0)]);
+            let rows = compare(&base, &cur, &GateConfig::default());
+            assert_eq!(rows[0].verdict, Verdict::GatedRegression, "{group}");
+        }
     }
 
     #[test]

@@ -290,7 +290,7 @@ mod tests {
     use annot_hom::kinds;
     use annot_query::parser;
     use annot_query::Schema;
-    use annot_semiring::{Bool, Lineage, NatPoly, Natural, Trio, Tropical, Why};
+    use annot_semiring::{Bool, Lineage, NatPoly, Natural, Schedule, Trio, Tropical, Why};
 
     fn schema() -> Schema {
         Schema::with_relations([("R", 2), ("S", 1)])
@@ -495,6 +495,19 @@ mod tests {
             .build();
         let necessary = "necessary homomorphism bound violated";
         assert_row::<Natural>(&q3, &q1, false, necessary);
+    }
+
+    #[test]
+    fn schedule_algebra_decides_a_forty_variable_polynomial() {
+        // The canonical instance of `Q() :- R0(x), …, R39(x)` tags 40 facts,
+        // so each side evaluates to one monomial over 40 variables.  The
+        // order checks one support per monomial, not each of the 2⁴⁰
+        // subsets of variables sent to −∞.
+        let atoms: Vec<String> = (0..40).map(|i| format!("R{i}(x)")).collect();
+        let text = format!("Q() :- {}", atoms.join(", "));
+        let q = parser::parse_cq(&mut Schema::new(), &text).unwrap();
+        let small_model = "small-model / canonical instances (Thm. 4.17)";
+        assert_row::<Schedule>(&q, &q, true, small_model);
     }
 
     #[test]

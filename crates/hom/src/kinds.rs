@@ -12,31 +12,63 @@
 //! preserve the inequalities; [`homomorphically_covers`] takes a union of
 //! sources of either kind.  Between CCQs a bijective homomorphism is an
 //! isomorphism ([`crate::iso`]).
+//!
+//! Before a search runs, exact counts that allocate nothing settle the
+//! questions whose answer they prove, and the search runs otherwise.
+//! Per-relation atom counts come before every injective, bijective,
+//! surjective and isomorphism search.  Between CCQs whose source variables
+//! must all differ, as in every member of a complete description ⟨Q⟩, a
+//! shape test compares variable counts and per-relation counts of distinct
+//! atoms: before [`exists_hom_ccq`] and [`exists_surjective_hom_ccq`], and
+//! once per source in [`homomorphically_covers`].
 
 use crate::mapping::VarMap;
 use crate::search::{HomSearch, SearchOptions, SearchQuery};
 use annot_query::{Atom, Ccq, Cq, RelId};
 use std::collections::BTreeMap;
 
-/// Per-relation atom-occurrence counts of a query, used as a cheap necessary
-/// condition before launching the NP-complete searches: every homomorphism
-/// maps an `R`-atom to an `R`-atom, so occurrence-injective (sub-multiset)
-/// images need `count_{q2}(R) ≤ count_{q1}(R)` per relation, and surjective
-/// (covering) images need the reverse.
-fn relation_counts(q: &Cq) -> BTreeMap<RelId, usize> {
-    let mut counts = BTreeMap::new();
-    for atom in q.atoms() {
-        *counts.entry(atom.relation).or_insert(0) += 1;
-    }
-    counts
+/// How many atoms of `q` have relation `rel`.
+fn occurrences(q: &Cq, rel: RelId) -> usize {
+    q.atoms().iter().filter(|a| a.relation == rel).count()
 }
 
-/// `counts(q2, R) ≤ counts(q1, R)` for every relation `R` occurring in `q2`.
+/// How many distinct atoms of `q` have relation `rel`.
+fn distinct_atoms(q: &Cq, rel: RelId) -> usize {
+    let atoms = q.atoms();
+    (0..atoms.len())
+        .filter(|&i| atoms[i].relation == rel && !atoms[..i].contains(&atoms[i]))
+        .count()
+}
+
+/// `counts(q2, R) ≤ counts(q1, R)` for every relation `R` occurring in `q2`:
+/// a cheap necessary condition before the NP-complete searches.  Every
+/// homomorphism maps an `R`-atom to an `R`-atom, so occurrence-injective
+/// (sub-multiset) images need it, and surjective (covering) images need the
+/// reverse.  It counts by scanning the atoms, which allocates nothing; a
+/// ⟨Q⟩ member has a handful of atoms.
 pub(crate) fn relation_counts_dominated(q2: &Cq, q1: &Cq) -> bool {
-    let c1 = relation_counts(q1);
-    relation_counts(q2)
-        .iter()
-        .all(|(rel, n2)| c1.get(rel).is_some_and(|n1| n2 <= n1))
+    (q2.atoms().iter()).all(|a| occurrences(q2, a.relation) <= occurrences(q1, a.relation))
+}
+
+/// The shape test between CCQs: whether `source` may map into `target`, or
+/// onto it when `onto`, as far as counts tell.  It applies when every two
+/// variables of `source` must differ, as in every ⟨Q⟩ member, and admits
+/// everything otherwise.  A homomorphism preserves the source's
+/// inequalities, so out of such a source it is injective on variables and
+/// maps distinct atoms to distinct atoms.  It therefore needs no more
+/// variables than `target` has and, per relation, no more distinct atoms.
+/// A surjective one needs equality in both counts, since every variable of
+/// a safe target occurs in some atom.
+pub(crate) fn shape_admits(source: &Ccq, target: &Ccq, onto: bool) -> bool {
+    let (s, t) = (source.cq(), target.cq());
+    let n = s.num_vars();
+    if source.inequalities().len() != n * n.saturating_sub(1) / 2 {
+        return true;
+    }
+    let fits = |a: usize, b: usize| if onto { a == b } else { a <= b };
+    fits(n, t.num_vars())
+        && (s.atoms().iter())
+            .all(|a| fits(distinct_atoms(s, a.relation), distinct_atoms(t, a.relation)))
 }
 
 /// Runs a search and returns the first accepted total mapping, if any.
@@ -101,7 +133,7 @@ pub fn find_surjective_hom(q2: &Cq, q1: &Cq) -> Option<VarMap> {
 
 /// `Q₂ → Q₁` for CCQs, preserving inequalities.
 pub fn exists_hom_ccq(q2: &Ccq, q1: &Ccq) -> bool {
-    HomSearch::new_ccq(q2, q1).exists()
+    shape_admits(q2, q1, false) && HomSearch::new_ccq(q2, q1).exists()
 }
 
 /// `Q₂ ↪ Q₁`: is there an injective (one-to-one on atoms) homomorphism from
@@ -138,7 +170,7 @@ fn surjective_search<Q: SearchQuery>(q2: &Q, q1: &Q) -> bool {
     let (cq2, cq1) = (q2.as_cq(), q1.as_cq());
     // Covering every atom occurrence of q1 needs, per relation, at least as
     // many atoms in q2 (images stay within the relation).
-    if !relation_counts_dominated(cq1, cq2) {
+    if !relation_counts_dominated(cq1, cq2) || !Q::shape_admits(q2, q1, true) {
         return false;
     }
     Q::search(q2, q1).run(&mut |map| {
@@ -153,9 +185,13 @@ fn surjective_search<Q: SearchQuery>(q2: &Q, q1: &Q) -> bool {
 /// gives the CQ covering `Q₂ ⇉ Q₁`; the members of a UCQ `Q₂`, or of its
 /// complete description, give the union covering `⇉₁` of Sec. 5.4.  Target
 /// atoms are tried in order, and for each the sources and their atoms.
+/// Sources whose shape cannot map into `target` drop out first.
 pub fn homomorphically_covers<Q: SearchQuery>(sources: &[Q], target: &Q) -> bool {
+    let sources: Vec<&Q> = (sources.iter())
+        .filter(|source| Q::shape_admits(source, target, false))
+        .collect();
     'atoms: for (target_index, target_atom) in target.as_cq().atoms().iter().enumerate() {
-        for source in sources {
+        for source in &sources {
             for (source_index, source_atom) in source.as_cq().atoms().iter().enumerate() {
                 if source_atom.relation != target_atom.relation {
                     continue;

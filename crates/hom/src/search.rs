@@ -21,7 +21,13 @@
 //!   each node the engine picks the not-yet-mapped source atom with the
 //!   fewest *currently admissible* target occurrences (admissibility checks
 //!   the already-bound argument positions, occurrence usage and the pin), so
-//!   dead branches are detected before descending into them.
+//!   dead branches are detected before descending into them;
+//! * **inequalities checked at bind time**: a CCQ search checks each source
+//!   inequality as soon as both of its variables are bound, head bindings
+//!   included, so a mapping that merges two variables that must differ is
+//!   cut where it merges them instead of at a leaf.  The accepted mappings
+//!   and their order are those of a leaf check.  Plain-CQ searches run an
+//!   instance of the recursion compiled without the check.
 
 use crate::mapping::VarMap;
 use annot_query::{Ccq, Cq, QVar};
@@ -94,6 +100,11 @@ pub trait SearchQuery {
     fn as_cq(&self) -> &Cq;
     /// A search from `source` to `target`.
     fn search<'a>(source: &'a Self, target: &'a Self) -> HomSearch<'a>;
+    /// Whether counts leave room for a homomorphism from `source` into
+    /// `target`, or onto it when `onto`.  Always true between CQs; between
+    /// CCQs, the shape test of [`crate::kinds`] for sources whose variables
+    /// must all differ.
+    fn shape_admits(source: &Self, target: &Self, onto: bool) -> bool;
 }
 
 impl SearchQuery for Cq {
@@ -103,6 +114,10 @@ impl SearchQuery for Cq {
 
     fn search<'a>(source: &'a Cq, target: &'a Cq) -> HomSearch<'a> {
         HomSearch::new(source, target)
+    }
+
+    fn shape_admits(_: &Cq, _: &Cq, _: bool) -> bool {
+        true
     }
 }
 
@@ -114,14 +129,18 @@ impl SearchQuery for Ccq {
     fn search<'a>(source: &'a Ccq, target: &'a Ccq) -> HomSearch<'a> {
         HomSearch::new_ccq(source, target)
     }
+
+    fn shape_admits(source: &Ccq, target: &Ccq, onto: bool) -> bool {
+        crate::kinds::shape_admits(source, target, onto)
+    }
 }
 
 /// A single search problem: find a homomorphism from `source` to `target`.
 pub struct HomSearch<'a> {
     source: &'a Cq,
     target: &'a Cq,
-    source_ineqs: Option<&'a Ccq>,
-    target_ineqs: Option<&'a Ccq>,
+    /// The source and target CCQs of an inequality-preserving search.
+    inequalities: Option<(&'a Ccq, &'a Ccq)>,
     options: SearchOptions,
     /// Optional pin: the source atom at index `.0` must map to the target
     /// atom occurrence at index `.1` (used for homomorphic coverings).
@@ -134,8 +153,7 @@ impl<'a> HomSearch<'a> {
         HomSearch {
             source,
             target,
-            source_ineqs: None,
-            target_ineqs: None,
+            inequalities: None,
             options: SearchOptions::default(),
             pin: None,
         }
@@ -143,13 +161,14 @@ impl<'a> HomSearch<'a> {
 
     /// Creates a search between two CCQs; the homomorphism must preserve the
     /// source inequalities (Sec. 5: "homomorphisms … between CCQs should
-    /// preserve the inequalities").
+    /// preserve the inequalities").  Each inequality is checked as soon as
+    /// both of its variables are bound, so a branch that breaks one is cut
+    /// before it completes.
     pub fn new_ccq(source: &'a Ccq, target: &'a Ccq) -> Self {
         HomSearch {
             source: source.cq(),
             target: target.cq(),
-            source_ineqs: Some(source),
-            target_ineqs: Some(target),
+            inequalities: Some((source, target)),
             options: SearchOptions::default(),
             pin: None,
         }
@@ -178,7 +197,7 @@ impl<'a> HomSearch<'a> {
         }
         let mut map = VarMap::new(self.source.num_vars());
         for (v2, v1) in self.source.free_vars().iter().zip(self.target.free_vars()) {
-            if !map.bind(*v2, *v1) {
+            if !map.bind(*v2, *v1) || !self.keeps_inequalities(*v2, &map) {
                 return false;
             }
         }
@@ -190,15 +209,13 @@ impl<'a> HomSearch<'a> {
         // their fresh bindings above a mark and truncate back on backtrack,
         // instead of allocating a scratch vector per candidate.
         let mut touched: Vec<QVar> = Vec::new();
-        self.recurse(
-            &index,
-            0,
-            &mut assigned,
-            &mut map,
-            &mut used,
-            &mut touched,
-            accept,
-        )
+        // Plain-CQ searches run an instance without the inequality check.
+        let (index, map, used, touched) = (&index, &mut map, &mut used, &mut touched);
+        if self.inequalities.is_some() {
+            self.recurse::<true>(index, 0, &mut assigned, map, used, touched, accept)
+        } else {
+            self.recurse::<false>(index, 0, &mut assigned, map, used, touched, accept)
+        }
     }
 
     /// Convenience: does any accepted mapping exist (with trivial acceptance)?
@@ -308,8 +325,11 @@ impl<'a> HomSearch<'a> {
         }
     }
 
+    /// Extends the partial mapping by one source atom at a time.  With
+    /// `INEQUALITIES`, every fresh binding is checked against the source
+    /// inequalities whose other variable is already bound.
     #[allow(clippy::too_many_arguments)]
-    fn recurse(
+    fn recurse<const INEQUALITIES: bool>(
         &self,
         index: &TargetIndex,
         depth: usize,
@@ -322,9 +342,6 @@ impl<'a> HomSearch<'a> {
         if depth == self.source.num_atoms() {
             if !map.is_total() {
                 // Cannot happen for safe queries, but guard anyway.
-                return false;
-            }
-            if !self.preserves_inequalities(map) {
                 return false;
             }
             return accept(map);
@@ -346,6 +363,10 @@ impl<'a> HomSearch<'a> {
                 if map.get(sv).is_none() {
                     map.bind(sv, tv);
                     touched.push(sv);
+                    if INEQUALITIES && !self.keeps_inequalities(sv, map) {
+                        ok = false;
+                        break;
+                    }
                 } else if map.get(sv) != Some(tv) {
                     ok = false;
                     break;
@@ -353,7 +374,15 @@ impl<'a> HomSearch<'a> {
             }
             if ok {
                 used[target_index] = true;
-                if self.recurse(index, depth + 1, assigned, map, used, touched, accept) {
+                if self.recurse::<INEQUALITIES>(
+                    index,
+                    depth + 1,
+                    assigned,
+                    map,
+                    used,
+                    touched,
+                    accept,
+                ) {
                     return true;
                 }
                 used[target_index] = false;
@@ -366,31 +395,35 @@ impl<'a> HomSearch<'a> {
         false
     }
 
-    /// Inequality preservation: for every inequality `u ≠ v` of the source,
-    /// the images must be distinct variables, and — when both images are
-    /// existential variables of the target — the pair must itself be an
-    /// inequality of the target (automatically true for complete CCQs).
-    fn preserves_inequalities(&self, map: &VarMap) -> bool {
-        let source = match self.source_ineqs {
-            None => return true,
-            Some(s) => s,
+    /// Inequality preservation at the binding of `v`: for every source
+    /// inequality `v ≠ w` whose `w` is bound, the images must be distinct
+    /// variables, and — when both images are existential variables of the
+    /// target — the pair must itself be an inequality of the target
+    /// (automatically true for complete CCQs).  Checking each inequality
+    /// when its second variable is bound checks every one by the leaf, and
+    /// cuts only branches whose every completion would fail.
+    fn keeps_inequalities(&self, v: QVar, map: &VarMap) -> bool {
+        let Some((source, target)) = self.inequalities else {
+            return true;
         };
-        for &(a, b) in source.inequalities() {
-            // invariant: checked only once the mapping is total
-            let ha = map.get(a).expect("total mapping");
-            // invariant: checked only once the mapping is total
-            let hb = map.get(b).expect("total mapping");
-            if ha == hb {
-                return false;
-            }
-            if let Some(target) = self.target_ineqs {
-                let both_existential = !target.cq().is_free(ha) && !target.cq().is_free(hb);
-                if both_existential && !target.must_differ(ha, hb) {
-                    return false;
-                }
-            }
-        }
-        true
+        // invariant: called right after binding `v`
+        let hv = map.get(v).expect("bound variable");
+        let distinct_images = |hw: QVar| {
+            hw != hv
+                && (target.cq().is_free(hv)
+                    || target.cq().is_free(hw)
+                    || target.must_differ(hv, hw))
+        };
+        source.inequalities().iter().all(|&(a, b)| {
+            let w = if v == a {
+                b
+            } else if v == b {
+                a
+            } else {
+                return true;
+            };
+            map.get(w).map_or(true, distinct_images)
+        })
     }
 }
 

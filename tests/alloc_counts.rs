@@ -1,17 +1,22 @@
-//! Deterministic allocation counts for building and coding small queries.
+//! Deterministic allocation counts for building, coding and deciding small
+//! queries.
 //!
 //! A counting global allocator tallies `alloc` and `realloc` calls made by
-//! the measuring thread while it parses, codes and completes one fixed
-//! query pair — the first timed request of servebench's hit-serial stream
-//! at seed 2718 — and the 5-leaf star.  The counts repeat exactly on one
-//! toolchain, so they are work counters: a change that allocates per
-//! identifier, occurrence, refinement round or ⟨Q⟩ member again fails here
+//! the measuring thread while it parses, codes, completes and decides one
+//! fixed query pair — the first timed request of servebench's hit-serial
+//! stream at seed 2718 — and completes the 5-leaf star.  The counts repeat
+//! exactly on one toolchain, so they are work counters: a change that
+//! allocates per identifier, occurrence, refinement round or ⟨Q⟩ member
+//! again, or that searches where a count settles the question, fails here
 //! whatever the hardware.  Each bound is half the count of the
-//! per-element implementations these stages replaced (184, 93, 1,045 and
-//! 7,715 on stable Rust), not the current count, so allocator-visible
-//! differences between the stable and MSRV standard libraries do not flip
-//! it.
+//! implementation a stage replaced (on stable Rust: 184, 93, 1,045 and
+//! 7,715 for building and coding; 3,512, 4,081 and 5,681 for the decide
+//! stages, which searched or built relation maps per ⟨Q⟩ pair), not the
+//! current count, so allocator-visible differences between the stable and
+//! MSRV standard libraries do not flip it.
 
+use annot_core::registry::{decide_ucq_dyn, SemiringId};
+use annot_core::ucq::surjective::unique_surjective_on_descriptions;
 use annot_query::complete::complete_description_ucq;
 use annot_query::key::ucq_code;
 use annot_query::{parser, Schema, Ucq};
@@ -122,4 +127,39 @@ fn completing_the_five_leaf_star() {
     let (description, count) = counted(|| black_box(complete_description_ucq(&star)));
     assert_eq!(description.len(), 203);
     assert_halved("complete_description_ucq(5-leaf star)", count, 7_715);
+}
+
+/// `decide_ucq_dyn` on the fixed pair for the named row.
+fn decide(row: &str, q1: &Ucq, q2: &Ucq) -> Option<bool> {
+    let id = SemiringId::from_name(row).expect("registered row");
+    decide_ucq_dyn(id, q1, q2).decided()
+}
+
+#[test]
+fn unique_surjection_on_the_fixed_pair() {
+    let (u1, u2) = parse_pair();
+    let (d1, d2) = (complete_description_ucq(&u1), complete_description_ucq(&u2));
+    let (holds, count) = counted(|| black_box(unique_surjective_on_descriptions(&d1, &d2)));
+    assert!(!holds);
+    assert_halved(
+        "unique_surjective_on_descriptions(⟨q1⟩, ⟨q2⟩)",
+        count,
+        3_512,
+    );
+}
+
+#[test]
+fn deciding_the_fixed_pair_over_trio() {
+    let (u1, u2) = parse_pair();
+    let (verdict, count) = counted(|| black_box(decide("Trio[X]", &u1, &u2)));
+    assert_eq!(verdict, Some(false));
+    assert_halved("decide_ucq_dyn(Trio[X], q1, q2)", count, 4_081);
+}
+
+#[test]
+fn deciding_the_reversed_pair_over_b2() {
+    let (u1, u2) = parse_pair();
+    let (verdict, count) = counted(|| black_box(decide("B_2", &u2, &u1)));
+    assert_eq!(verdict, Some(false));
+    assert_halved("decide_ucq_dyn(B_2, q2, q1)", count, 5_681);
 }
