@@ -4,9 +4,9 @@
 //! committed baseline snapshot and fails — exit code 1 — when any *gated*
 //! benchmark regressed beyond the threshold.  By default the gate covers the
 //! hot-path bench groups the repository's perf trajectory is pinned on
-//! (`oracle/*`, `oracle_mt/*`, `hom_scaling/*`, and the Table 1 UCQ and
-//! small-model deciders `table1_ucq/*` and `small_model/*`); everything
-//! else is reported but never fatal.
+//! (`oracle/*`, `oracle_mt/*`, `hom_scaling/*`, and the Table 1 deciders
+//! `table1_cq/*`, `table1_ucq/*` and `small_model/*`); everything else is
+//! reported but never fatal.
 //!
 //! Usage:
 //!
@@ -81,6 +81,7 @@ impl Default for GateConfig {
                 "oracle/".into(),
                 "oracle_mt/".into(),
                 "hom_scaling/".into(),
+                "table1_cq/".into(),
                 "table1_ucq/".into(),
                 "small_model/".into(),
             ],
@@ -612,6 +613,19 @@ mod tests {
     }
 
     #[test]
+    fn table1_cq_group_is_gated() {
+        for (group, bench) in [
+            ("table1_cq/S1(small-model,T+)", "chain-3atoms"),
+            ("table1_cq/C_hcov(covering)", "random-4atoms"),
+        ] {
+            let base = snapshot(&[(group, bench, 40_000.0, 1_000.0)]);
+            let cur = snapshot(&[(group, bench, 80_000.0, 1_000.0)]);
+            let rows = compare(&base, &cur, &GateConfig::default());
+            assert_eq!(rows[0].verdict, Verdict::GatedRegression, "{group}");
+        }
+    }
+
+    #[test]
     fn table1_ucq_and_small_model_groups_are_gated() {
         for (group, bench) in [
             ("table1_ucq/Cinf_sur(unique-surjection)", "2members-2atoms"),
@@ -626,8 +640,8 @@ mod tests {
 
     #[test]
     fn regressions_outside_gated_groups_do_not_fail() {
-        let base = snapshot(&[("table1_cq/C_hom", "c", 6000.0, 100.0)]);
-        let cur = snapshot(&[("table1_cq/C_hom", "c", 12000.0, 100.0)]);
+        let base = snapshot(&[("admissibility/is_cq_admissible", "c", 6000.0, 100.0)]);
+        let cur = snapshot(&[("admissibility/is_cq_admissible", "c", 12000.0, 100.0)]);
         let rows = compare(&base, &cur, &GateConfig::default());
         assert_eq!(rows[0].verdict, Verdict::UngatedRegression);
         // ... unless the gate is widened to every group.
@@ -671,7 +685,12 @@ mod tests {
         let base = snapshot(&[
             ("oracle/search", "vanished", 6000.0, 100.0),
             ("oracle/search", "still-there", 5000.0, 100.0),
-            ("table1_cq/C_hom", "ungated-vanished", 6000.0, 100.0),
+            (
+                "admissibility/is_cq_admissible",
+                "ungated-vanished",
+                6000.0,
+                100.0,
+            ),
             ("oracle/search", "subfloor-vanished", 100.0, 5.0),
         ]);
         let cur = snapshot(&[("oracle/search", "still-there", 5100.0, 100.0)]);
@@ -702,8 +721,8 @@ mod tests {
         assert_eq!(
             missing_gated(&base, &cur, &all),
             vec![
+                "admissibility/is_cq_admissible/ungated-vanished".to_string(),
                 "oracle/search/vanished".to_string(),
-                "table1_cq/C_hom/ungated-vanished".to_string(),
             ]
         );
     }
@@ -723,11 +742,11 @@ mod tests {
         // −50 % on a gated bench: far beyond the −25 % − 2σ envelope.
         let base = snapshot(&[
             ("oracle/search", "a", 6000.0, 100.0),
-            ("table1_cq/C_hom", "b", 6000.0, 100.0),
+            ("admissibility/is_cq_admissible", "b", 6000.0, 100.0),
         ]);
         let cur = snapshot(&[
             ("oracle/search", "a", 3000.0, 50.0),
-            ("table1_cq/C_hom", "b", 3000.0, 50.0),
+            ("admissibility/is_cq_admissible", "b", 3000.0, 50.0),
         ]);
         // Only the gated group proposes; the ungated one is ignored.
         assert_eq!(

@@ -18,17 +18,17 @@
 //!   cross-validates the resulting procedures against brute-force semantic
 //!   checks.
 
-use annot_polynomial::Polynomial;
+use annot_polynomial::Terms;
 use annot_semiring::{
     Bool, BoolPoly, BoundedNat, Clearance, Fuzzy, Lineage, NatPoly, Natural, PosBool, Schedule,
     Semiring, Trio, Tropical, Viterbi, Why,
 };
 
-/// The signature of a decidable polynomial-order comparison `P₁ ¹_K P₂`
-/// (see [`crate::poly_order::PolynomialOrder`]).  Stored as a plain function
-/// pointer so the runtime-dispatch registry ([`crate::registry`]) can carry
-/// it without a generic parameter.
-pub type PolyLeqFn = fn(&Polynomial, &Polynomial) -> bool;
+/// The signature of a decidable polynomial-order comparison `P₁ ¹_K P₂` on
+/// exponent rows (see [`crate::poly_order::PolynomialOrder`]).  Stored as a
+/// plain function pointer so the runtime-dispatch registry
+/// ([`crate::registry`]) can carry it without a generic parameter.
+pub type PolyLeqFn = fn(&Terms, &Terms) -> bool;
 
 /// The smallest offset of a semiring (Sec. 5.2): the least `k` with
 /// `k·x =_K ℓ·x` for all `ℓ ≥ k`, or `Infinite` if there is none (e.g. `N`,
@@ -267,7 +267,7 @@ impl ClassifiedSemiring for Lineage {
 
 impl ClassifiedSemiring for Tropical {
     fn poly_order() -> Option<PolyLeqFn> {
-        Some(<Tropical as crate::poly_order::PolynomialOrder>::poly_leq)
+        Some(<Tropical as crate::poly_order::PolynomialOrder>::terms_leq)
     }
 
     fn class_profile() -> ClassProfile {
@@ -290,7 +290,7 @@ impl ClassifiedSemiring for Tropical {
 
 impl ClassifiedSemiring for Viterbi {
     fn poly_order() -> Option<PolyLeqFn> {
-        Some(<Viterbi as crate::poly_order::PolynomialOrder>::poly_leq)
+        Some(<Viterbi as crate::poly_order::PolynomialOrder>::terms_leq)
     }
 
     fn class_profile() -> ClassProfile {
@@ -316,7 +316,7 @@ impl ClassifiedSemiring for Viterbi {
 
 impl ClassifiedSemiring for Schedule {
     fn poly_order() -> Option<PolyLeqFn> {
-        Some(<Schedule as crate::poly_order::PolynomialOrder>::poly_leq)
+        Some(<Schedule as crate::poly_order::PolynomialOrder>::terms_leq)
     }
 
     fn class_profile() -> ClassProfile {
@@ -379,7 +379,7 @@ impl ClassifiedSemiring for Trio {
 
 impl ClassifiedSemiring for NatPoly {
     fn poly_order() -> Option<PolyLeqFn> {
-        Some(<NatPoly as crate::poly_order::PolynomialOrder>::poly_leq)
+        Some(<NatPoly as crate::poly_order::PolynomialOrder>::terms_leq)
     }
 
     fn class_profile() -> ClassProfile {
@@ -402,7 +402,7 @@ impl ClassifiedSemiring for NatPoly {
 
 impl ClassifiedSemiring for BoolPoly {
     fn poly_order() -> Option<PolyLeqFn> {
-        Some(<BoolPoly as crate::poly_order::PolynomialOrder>::poly_leq)
+        Some(<BoolPoly as crate::poly_order::PolynomialOrder>::terms_leq)
     }
 
     fn class_profile() -> ClassProfile {

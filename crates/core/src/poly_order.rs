@@ -14,30 +14,42 @@
 //! * `N[X]` and `B[X]` — the free/universal semirings, where the comparison
 //!   reduces to the natural order of the polynomials themselves (evaluate at
 //!   the generic point).
+//!
+//! Every order reads both polynomials as exponent rows ([`Terms`]), the form
+//! in which the small-model procedure evaluates them: `N[X]` compares
+//! coefficients row by row, `B[X]` compares the sets of rows, and the finite
+//! semirings evaluate each row at each point of their carrier.
+//! [`PolynomialOrder::poly_leq`] converts [`Polynomial`]s for tests and
+//! examples.
 
-use annot_polynomial::{leq_max_plus, leq_min_plus, Polynomial, Var};
+use annot_polynomial::poly::n_fold_sum;
+use annot_polynomial::{leq_tropical, Polynomial, Terms, TropicalKind};
 use annot_semiring::{
-    eval_polynomial, BoolPoly, BoundedNat, Clearance, NatPoly, Schedule, Semiring, Tropical,
-    Viterbi,
+    BoolPoly, BoundedNat, Clearance, NatPoly, Schedule, Semiring, Tropical, Viterbi,
 };
 
 /// A semiring for which the universally-quantified polynomial order
 /// `P₁ ¹_K P₂` is decidable (and implemented).
 pub trait PolynomialOrder: Semiring {
-    /// Decides `p1 ¹_K p2`: for every valuation `ν : Var → K`,
-    /// `Eval_ν(p1) ¹ Eval_ν(p2)`.
-    fn poly_leq(p1: &Polynomial, p2: &Polynomial) -> bool;
+    /// Decides `p1 ¹_K p2` on exponent rows: for every valuation
+    /// `ν : Var → K`, `Eval_ν(p1) ¹ Eval_ν(p2)`.
+    fn terms_leq(p1: &Terms, p2: &Terms) -> bool;
+
+    /// [`PolynomialOrder::terms_leq`] on the rows of two [`Polynomial`]s.
+    fn poly_leq(p1: &Polynomial, p2: &Polynomial) -> bool {
+        Self::terms_leq(&p1.into(), &p2.into())
+    }
 }
 
 impl PolynomialOrder for Tropical {
-    fn poly_leq(p1: &Polynomial, p2: &Polynomial) -> bool {
-        leq_min_plus(p1, p2)
+    fn terms_leq(p1: &Terms, p2: &Terms) -> bool {
+        leq_tropical(p1, p2, TropicalKind::MinPlus)
     }
 }
 
 impl PolynomialOrder for Schedule {
-    fn poly_leq(p1: &Polynomial, p2: &Polynomial) -> bool {
-        leq_max_plus(p1, p2)
+    fn terms_leq(p1: &Terms, p2: &Terms) -> bool {
+        leq_tropical(p1, p2, TropicalKind::MaxPlus)
     }
 }
 
@@ -51,72 +63,77 @@ impl PolynomialOrder for Viterbi {
     /// latter (its Fourier–Motzkin systems are scale-invariant, so
     /// feasibility over the non-negative rationals, reals and naturals
     /// coincide).
-    fn poly_leq(p1: &Polynomial, p2: &Polynomial) -> bool {
-        leq_min_plus(p1, p2)
+    fn terms_leq(p1: &Terms, p2: &Terms) -> bool {
+        leq_tropical(p1, p2, TropicalKind::MinPlus)
     }
 }
 
 impl PolynomialOrder for NatPoly {
-    fn poly_leq(p1: &Polynomial, p2: &Polynomial) -> bool {
+    fn terms_leq(p1: &Terms, p2: &Terms) -> bool {
         // N[X] is free: the inequality holds for every valuation iff it holds
         // at the generic point, i.e. iff p1 ¹ p2 in the natural
         // (coefficient-wise) order of N[X].
-        NatPoly::new(p1.clone()).leq(&NatPoly::new(p2.clone()))
+        p1.terms().all(|(row, c)| c <= p2.coefficient(row))
     }
 }
 
 impl PolynomialOrder for BoolPoly {
-    fn poly_leq(p1: &Polynomial, p2: &Polynomial) -> bool {
+    fn terms_leq(p1: &Terms, p2: &Terms) -> bool {
         // B[X] is free for ⊕-idempotent semirings; same argument at the
-        // generic point.
-        BoolPoly::from_nat_poly(p1).leq(&BoolPoly::from_nat_poly(p2))
+        // generic point, where only the sets of monomials count.
+        p1.rows().all(|row| p2.coefficient(row) > 0)
     }
 }
 
 /// Exhaustive check of the polynomial order over all valuations into a finite
 /// carrier (given explicitly).  Exact whenever `carrier` really is the whole
 /// semiring.
-pub fn poly_leq_by_enumeration<K: Semiring>(
-    carrier: &[K],
-    p1: &Polynomial,
-    p2: &Polynomial,
-) -> bool {
-    let mut vars: Vec<Var> = p1.variables();
-    vars.extend(p2.variables());
-    vars.sort();
-    vars.dedup();
-    let mut assignment: Vec<K> = vec![K::zero(); vars.len()];
-    check_rec(carrier, p1, p2, &vars, 0, &mut assignment)
+pub fn poly_leq_by_enumeration<K: Semiring>(carrier: &[K], p1: &Terms, p2: &Terms) -> bool {
+    let mut values = vec![K::zero(); p1.width().max(p2.width())];
+    check_rec(carrier, p1, p2, &p1.occurring(p2), &mut values)
 }
 
+/// Whether the order holds at every assignment of `carrier` elements to the
+/// columns `vars`, the other columns keeping their `values`.
 fn check_rec<K: Semiring>(
     carrier: &[K],
-    p1: &Polynomial,
-    p2: &Polynomial,
-    vars: &[Var],
-    index: usize,
-    assignment: &mut Vec<K>,
+    p1: &Terms,
+    p2: &Terms,
+    vars: &[usize],
+    values: &mut [K],
 ) -> bool {
-    if index == vars.len() {
-        let valuation = |v: Var| match vars.iter().position(|&w| w == v) {
-            Some(i) => assignment[i].clone(),
-            None => K::zero(),
-        };
-        let v1 = eval_polynomial(p1, &valuation);
-        let v2 = eval_polynomial(p2, &valuation);
-        return v1.leq(&v2);
-    }
+    let Some((&var, rest)) = vars.split_first() else {
+        return eval_terms(p1, values).leq(&eval_terms(p2, values));
+    };
     for value in carrier {
-        assignment[index] = value.clone();
-        if !check_rec(carrier, p1, p2, vars, index + 1, assignment) {
+        values[var] = value.clone();
+        if !check_rec(carrier, p1, p2, rest, values) {
             return false;
         }
     }
     true
 }
 
+/// Evaluates `p` with the variable of column `i` set to `values[i]`, in the
+/// order of [`Polynomial::eval_generic`]: each monomial's powers from the
+/// lowest column up, then its coefficient as an `n`-fold sum.
+fn eval_terms<K: Semiring>(p: &Terms, values: &[K]) -> K {
+    let add = |a: &K, b: &K| a.add(b);
+    let mut total = K::zero();
+    for (row, c) in p.terms() {
+        let mut term = K::one();
+        for (value, &e) in values.iter().zip(row) {
+            for _ in 0..e {
+                term = term.mul(value);
+            }
+        }
+        total = total.add(&n_fold_sum(c, &term, K::zero(), &add));
+    }
+    total
+}
+
 impl PolynomialOrder for annot_semiring::Bool {
-    fn poly_leq(p1: &Polynomial, p2: &Polynomial) -> bool {
+    fn terms_leq(p1: &Terms, p2: &Terms) -> bool {
         // full-samples: `B`'s sample set is its entire (two-element)
         // carrier, so the enumeration is an exact decision, not a search.
         poly_leq_by_enumeration(&Self::sample_elements(), p1, p2)
@@ -124,7 +141,7 @@ impl PolynomialOrder for annot_semiring::Bool {
 }
 
 impl PolynomialOrder for Clearance {
-    fn poly_leq(p1: &Polynomial, p2: &Polynomial) -> bool {
+    fn terms_leq(p1: &Terms, p2: &Terms) -> bool {
         // full-samples: the clearance lattice's sample set is its entire
         // finite carrier — an exact decision over every valuation.
         poly_leq_by_enumeration(&Self::sample_elements(), p1, p2)
@@ -132,7 +149,7 @@ impl PolynomialOrder for Clearance {
 }
 
 impl<const K: u64> PolynomialOrder for BoundedNat<K> {
-    fn poly_leq(p1: &Polynomial, p2: &Polynomial) -> bool {
+    fn terms_leq(p1: &Terms, p2: &Terms) -> bool {
         let carrier: Vec<Self> = (0..=K).map(BoundedNat::new).collect();
         poly_leq_by_enumeration(&carrier, p1, p2)
     }
@@ -141,7 +158,8 @@ impl<const K: u64> PolynomialOrder for BoundedNat<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use annot_semiring::Bool;
+    use annot_polynomial::{Monomial, Var};
+    use annot_semiring::{eval_polynomial, Bool};
 
     fn x() -> Polynomial {
         Polynomial::var(Var(0))
@@ -179,7 +197,8 @@ mod tests {
         // the universal order implies the sampled order.
         for (p, q) in &pairs {
             if Viterbi::poly_leq(p, q) {
-                assert!(poly_leq_by_enumeration(&Viterbi::sample_elements(), p, q));
+                let (p, q) = (p.into(), q.into());
+                assert!(poly_leq_by_enumeration(&Viterbi::sample_elements(), &p, &q));
             }
         }
     }
@@ -223,5 +242,99 @@ mod tests {
         assert!(!BoundedNat::<3>::poly_leq(&x().pow(2), &x()));
         // Clearance (a lattice): x·y ¹ x.
         assert!(Clearance::poly_leq(&x().times(&y()), &x()));
+    }
+
+    /// The enumeration order on `Polynomial`s, through `eval_polynomial`:
+    /// the reference for the row evaluation.
+    fn leq_by_enumerating_polynomials<K: Semiring>(
+        carrier: &[K],
+        p1: &Polynomial,
+        p2: &Polynomial,
+    ) -> bool {
+        let mut vars = p1.variables();
+        vars.extend(p2.variables());
+        vars.sort();
+        vars.dedup();
+        let mut choice = vec![0; vars.len()];
+        loop {
+            let valuation = |v: Var| {
+                let i = vars
+                    .iter()
+                    .position(|&w| w == v)
+                    .expect("occurring variable");
+                carrier[choice[i]].clone()
+            };
+            if !eval_polynomial(p1, &valuation).leq(&eval_polynomial(p2, &valuation)) {
+                return false;
+            }
+            let Some(i) = (0..vars.len()).find(|&i| choice[i] + 1 < carrier.len()) else {
+                return true;
+            };
+            choice[i] += 1;
+            choice[..i].iter_mut().for_each(|c| *c = 0);
+        }
+    }
+
+    /// A seeded polynomial (SplitMix64 over `state`) over up to 3 variables:
+    /// at most 3 monomials, exponents up to 2, coefficients 1–3.
+    fn polynomial(state: &mut u64) -> Polynomial {
+        let mut below = |n: u64| {
+            *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (*state ^ (*state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        };
+        let vars = 1 + below(3) as u32;
+        let terms = below(4);
+        Polynomial::from_terms((0..terms).map(|_| {
+            let pairs: Vec<(Var, u32)> = (0..vars).map(|v| (Var(v), below(3) as u32)).collect();
+            (Monomial::from_pairs(pairs), 1 + below(3))
+        }))
+    }
+
+    #[test]
+    fn row_orders_agree_with_their_polynomial_forms_on_seeded_pairs() {
+        let mut state = 2718;
+        let mut holds = [0usize; 6];
+        for _ in 0..2_000 {
+            let (p1, p2) = (polynomial(&mut state), polynomial(&mut state));
+            let context = || format!("{p1} vs {p2}");
+            let verdicts = [
+                (
+                    NatPoly::poly_leq(&p1, &p2),
+                    NatPoly::new(p1.clone()).leq(&NatPoly::new(p2.clone())),
+                ),
+                (
+                    BoolPoly::poly_leq(&p1, &p2),
+                    BoolPoly::from_nat_poly(&p1).leq(&BoolPoly::from_nat_poly(&p2)),
+                ),
+                (
+                    Bool::poly_leq(&p1, &p2),
+                    leq_by_enumerating_polynomials(&Bool::sample_elements(), &p1, &p2),
+                ),
+                (
+                    Clearance::poly_leq(&p1, &p2),
+                    leq_by_enumerating_polynomials(&Clearance::sample_elements(), &p1, &p2),
+                ),
+                (
+                    BoundedNat::<2>::poly_leq(&p1, &p2),
+                    leq_by_enumerating_polynomials(&[0, 1, 2].map(BoundedNat::<2>::new), &p1, &p2),
+                ),
+                (
+                    BoundedNat::<3>::poly_leq(&p1, &p2),
+                    leq_by_enumerating_polynomials(
+                        &[0, 1, 2, 3].map(BoundedNat::<3>::new),
+                        &p1,
+                        &p2,
+                    ),
+                ),
+            ];
+            for (row, (rows, reference)) in verdicts.into_iter().enumerate() {
+                assert_eq!(rows, reference, "order {row}: {}", context());
+                holds[row] += rows as usize;
+            }
+        }
+        // Every order holds on some pairs and fails on others.
+        assert!(holds.iter().all(|&n| n > 100 && n < 1_900), "{holds:?}");
     }
 }

@@ -20,7 +20,7 @@
 //! must all differ, as in every member of a complete description ⟨Q⟩, a
 //! shape test compares variable counts and per-relation counts of distinct
 //! atoms: before [`exists_hom_ccq`] and [`exists_surjective_hom_ccq`], and
-//! once per source in [`homomorphically_covers`].
+//! before the searches from each source in [`homomorphically_covers`].
 
 use crate::mapping::VarMap;
 use crate::search::{HomSearch, SearchOptions, SearchQuery};
@@ -185,13 +185,14 @@ fn surjective_search<Q: SearchQuery>(q2: &Q, q1: &Q) -> bool {
 /// gives the CQ covering `Q₂ ⇉ Q₁`; the members of a UCQ `Q₂`, or of its
 /// complete description, give the union covering `⇉₁` of Sec. 5.4.  Target
 /// atoms are tried in order, and for each the sources and their atoms.
-/// Sources whose shape cannot map into `target` drop out first.
+/// A source whose shape cannot map into `target` is skipped without a
+/// search.
 pub fn homomorphically_covers<Q: SearchQuery>(sources: &[Q], target: &Q) -> bool {
-    let sources: Vec<&Q> = (sources.iter())
-        .filter(|source| Q::shape_admits(source, target, false))
-        .collect();
     'atoms: for (target_index, target_atom) in target.as_cq().atoms().iter().enumerate() {
-        for source in &sources {
+        for source in sources {
+            if !Q::shape_admits(source, target, false) {
+                continue;
+            }
             for (source_index, source_atom) in source.as_cq().atoms().iter().enumerate() {
                 if source_atom.relation != target_atom.relation {
                     continue;

@@ -10,6 +10,8 @@
 //! * [`Monomial`] and [`Polynomial`] — the free commutative semiring `N[X]`
 //!   (Sec. 3.2 of the paper), with a generic evaluation realising the
 //!   universal property of Prop. 3.2;
+//! * [`Terms`] — the same polynomials as flat exponent rows, the input of
+//!   every polynomial order;
 //! * [`admissible`] — the CQ-admissible polynomials `N^cq[X]` of Sec. 4.5,
 //!   characterised via o-monomial representations (Prop. 4.16);
 //! * [`tropical`] — exact decision of the polynomial orders `¹_{T⁺}` and
@@ -47,6 +49,7 @@ pub mod linear;
 pub mod monomial;
 pub mod poly;
 pub mod rational;
+pub mod terms;
 pub mod tropical;
 pub mod var;
 
@@ -54,7 +57,8 @@ pub use admissible::{find_admissible_representation, is_cq_admissible};
 pub use monomial::Monomial;
 pub use poly::Polynomial;
 pub use rational::Rational;
-pub use tropical::{eq_tropical, leq_max_plus, leq_min_plus, TropicalKind};
+pub use terms::Terms;
+pub use tropical::{eq_tropical, leq_max_plus, leq_min_plus, leq_tropical, TropicalKind};
 pub use var::{Var, VarPool};
 
 #[cfg(test)]

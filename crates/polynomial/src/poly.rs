@@ -221,9 +221,9 @@ impl Polynomial {
     /// `N[X] → K`.
     ///
     /// The caller supplies `zero`, `one`, `add`, `mul` and the valuation of
-    /// each variable; the coefficient `c` of a monomial is interpreted as the
-    /// `c`-fold sum `1 + ⋯ + 1` in `K` multiplied in, and the exponent `e` of
-    /// a variable as the `e`-fold product.
+    /// each variable; a monomial with coefficient `c` contributes the
+    /// `c`-fold sum of its value ([`n_fold_sum`]), and the exponent `e` of a
+    /// variable is the `e`-fold product.
     pub fn eval_generic<T: Clone>(
         &self,
         zero: T,
@@ -244,14 +244,30 @@ impl Polynomial {
                 }
             }
             // multiply by the coefficient: term + term + ... (c times)
-            let mut ctimes = zero.clone();
-            for _ in 0..c {
-                ctimes = add(&ctimes, &term);
-            }
+            let ctimes = n_fold_sum(c, &term, zero.clone(), add);
             total = add(&total, &ctimes);
         }
         total
     }
+}
+
+/// `n·x`, the `n`-fold sum `x + ⋯ + x` (`zero` when `n = 0`), by doubling
+/// and adding: O(log n) additions instead of `n`.  It equals the repeated
+/// sum whenever `add` is associative, as every semiring's `⊕` is, saturating
+/// ones included.
+pub fn n_fold_sum<T: Clone>(n: u64, x: &T, zero: T, add: &dyn Fn(&T, &T) -> T) -> T {
+    let (mut total, mut power, mut n) = (zero, x.clone(), n);
+    // Invariant: the result is `total + n·power`.
+    while n > 0 {
+        if n & 1 == 1 {
+            total = add(&total, &power);
+        }
+        n >>= 1;
+        if n > 0 {
+            power = add(&power, &power);
+        }
+    }
+    total
 }
 
 impl Add for &Polynomial {
@@ -443,6 +459,20 @@ mod tests {
             &|v| if v == Var(0) { 4 } else { 1 },
         );
         assert_eq!(val, 5);
+    }
+
+    #[test]
+    fn n_fold_sums_double_and_add() {
+        let add = |a: &u64, b: &u64| a.saturating_add(*b);
+        for n in 0..200 {
+            assert_eq!(n_fold_sum(n, &3, 0, &add), 3 * n);
+        }
+        assert_eq!(n_fold_sum(u64::MAX, &1, 0, &add), u64::MAX);
+        assert_eq!(n_fold_sum(u64::MAX, &2, 0, &add), u64::MAX);
+        // A huge coefficient takes log₂ of it additions.
+        let big = Polynomial::constant(1 << 40);
+        let value = big.eval_generic(0u64, 1, &add, &|a, b| a * b, &|_| 0);
+        assert_eq!(value, 1 << 40);
     }
 
     #[test]

@@ -33,10 +33,17 @@
 //! `T⁻` the same holds when `e` divides some monomial of `P₂` over
 //! `vars(e)`.  On the polynomials the small-model procedure compares, the
 //! divisibility test settles over 90 % of the monomials.
+//!
+//! [`leq_tropical`] reads both polynomials as [`Terms`]: monomials are
+//! exponent rows, divisibility compares two row slices, and an LP is built
+//! straight from row differences over the variables that occur.  The
+//! small-model procedure hands it rows it evaluated directly;
+//! [`leq_min_plus`], [`leq_max_plus`] and [`eq_tropical`] convert
+//! [`Polynomial`]s for tests and examples.
 
 use crate::linear::{Constraint, System};
-use crate::monomial::Monomial;
 use crate::poly::Polynomial;
+use crate::terms::{divides, exponent, support_within, Terms};
 use crate::var::Var;
 
 /// Which tropical semiring's order to use.
@@ -50,25 +57,28 @@ pub enum TropicalKind {
 }
 
 /// Decides `p1 ¹_{T⁺} p2` (tropical min-plus order on polynomials, universally
-/// quantified over all assignments into `T⁺`).
+/// quantified over all assignments into `T⁺`): [`leq_tropical`] on the
+/// polynomials' rows.
 pub fn leq_min_plus(p1: &Polynomial, p2: &Polynomial) -> bool {
-    leq_tropical(p1, p2, TropicalKind::MinPlus)
+    leq_tropical(&p1.into(), &p2.into(), TropicalKind::MinPlus)
 }
 
 /// Decides `p1 ¹_{T⁻} p2` (schedule-algebra order on polynomials, universally
-/// quantified over all assignments into `T⁻`).
+/// quantified over all assignments into `T⁻`): [`leq_tropical`] on the
+/// polynomials' rows.
 pub fn leq_max_plus(p1: &Polynomial, p2: &Polynomial) -> bool {
-    leq_tropical(p1, p2, TropicalKind::MaxPlus)
+    leq_tropical(&p1.into(), &p2.into(), TropicalKind::MaxPlus)
 }
 
 /// Decides `p1 =_{T} p2` for the chosen tropical semiring.
 pub fn eq_tropical(p1: &Polynomial, p2: &Polynomial, kind: TropicalKind) -> bool {
-    leq_tropical(p1, p2, kind) && leq_tropical(p2, p1, kind)
+    let (p1, p2) = (p1.into(), p2.into());
+    leq_tropical(&p1, &p2, kind) && leq_tropical(&p2, &p1, kind)
 }
 
 /// Decides `p1 ¹_K p2` where `K` is the chosen tropical semiring, one
 /// monomial `e` of `p1` at a time.
-pub fn leq_tropical(p1: &Polynomial, p2: &Polynomial, kind: TropicalKind) -> bool {
+pub fn leq_tropical(p1: &Terms, p2: &Terms, kind: TropicalKind) -> bool {
     // The zero polynomial evaluates to the semiring zero, the least element
     // of ¹: 0 ¹ P always; P ¹ 0 only if P = 0.
     if p1.is_zero() {
@@ -77,52 +87,49 @@ pub fn leq_tropical(p1: &Polynomial, p2: &Polynomial, kind: TropicalKind) -> boo
     if p2.is_zero() {
         return false;
     }
-    let monomials = || p2.terms().map(|(f, _)| f);
     match kind {
         TropicalKind::MinPlus => {
-            let vars = union_vars(p1, p2);
             // Failure ⟺ every monomial of P2 can be made strictly larger
-            // than e simultaneously.
-            p1.terms().all(|(e, _)| {
-                monomials().any(|f| f.divides(e))
-                    || !strictly_separable(&vars, monomials().map(|f| (f, e)))
+            // than e simultaneously.  The LP ranges over the variables that
+            // occur, found the first time one runs.
+            let mut vars = None;
+            p1.rows().all(|e| {
+                p2.rows().any(|f| divides(f, e)) || {
+                    let vars = vars.get_or_insert_with(|| p1.occurring(p2));
+                    !strictly_separable(vars, p2.rows().map(|f| (f, e)))
+                }
             })
         }
-        TropicalKind::MaxPlus => p1.terms().all(|(e, _)| {
+        TropicalKind::MaxPlus => p1.rows().all(|e| {
             // The monomials of P2 that stay alive when only vars(e) is
             // finite; failure ⟺ none does, or e can exceed them all.
-            let alive = || monomials().filter(|f| f.variables().all(|v| e.exponent(v) > 0));
+            let alive = || p2.rows().filter(|f| support_within(f, e));
             if alive().next().is_none() {
                 return false;
             }
-            let vars: Vec<Var> = e.variables().collect();
-            alive().any(|f| e.divides(f)) || !strictly_separable(&vars, alive().map(|f| (e, f)))
+            alive().any(|f| divides(e, f)) || {
+                let vars: Vec<usize> = (0..e.len()).filter(|&v| e[v] > 0).collect();
+                !strictly_separable(&vars, alive().map(|f| (e, f)))
+            }
         }),
     }
 }
 
-/// Whether some point `a ≥ 0` over `vars` makes `⟨hi − lo, a⟩ > 0` for
-/// every pair `(hi, lo)`: an exact LP, solved by Fourier–Motzkin.
-fn strictly_separable<'m>(
-    vars: &[Var],
-    pairs: impl Iterator<Item = (&'m Monomial, &'m Monomial)>,
+/// Whether some point `a ≥ 0` over the columns `vars` makes
+/// `⟨hi − lo, a⟩ > 0` for every pair of rows `(hi, lo)`: an exact LP,
+/// solved by Fourier–Motzkin.
+fn strictly_separable<'r>(
+    vars: &[usize],
+    pairs: impl Iterator<Item = (&'r [u32], &'r [u32])>,
 ) -> bool {
     let mut system = System::new(vars.len());
     for (hi, lo) in pairs {
         let diff: Vec<i64> = (vars.iter())
-            .map(|&v| hi.exponent(v) as i64 - lo.exponent(v) as i64)
+            .map(|&v| exponent(hi, v) as i64 - exponent(lo, v) as i64)
             .collect();
         system.push(Constraint::gt(&diff, 0));
     }
     system.is_feasible()
-}
-
-fn union_vars(p1: &Polynomial, p2: &Polynomial) -> Vec<Var> {
-    let mut vars = p1.variables();
-    vars.extend(p2.variables());
-    vars.sort();
-    vars.dedup();
-    vars
 }
 
 /// Evaluates a polynomial in the min-plus semiring at a concrete finite
@@ -181,12 +188,21 @@ pub fn eval_max_plus(p: &Polynomial, assignment: &dyn Fn(Var) -> Option<u64>) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monomial::Monomial;
 
     fn x() -> Polynomial {
         Polynomial::var(Var(0))
     }
     fn y() -> Polynomial {
         Polynomial::var(Var(1))
+    }
+
+    fn union_vars(p1: &Polynomial, p2: &Polynomial) -> Vec<Var> {
+        let mut vars = p1.variables();
+        vars.extend(p2.variables());
+        vars.sort();
+        vars.dedup();
+        vars
     }
 
     fn exponent_vector(m: &Monomial, vars: &[Var]) -> Vec<i64> {
@@ -281,9 +297,12 @@ mod tests {
         for _ in 0..20_000 {
             let vars = 1 + stream.below(4) as u32;
             let (p1, p2) = (stream.polynomial(vars), stream.polynomial(vars));
-            let min_plus = leq_min_plus(&p1, &p2);
+            // Rows of unequal widths when p1's or p2's last variables
+            // do not occur.
+            let (t1, t2) = (Terms::from(&p1), Terms::from(&p2));
+            let min_plus = leq_tropical(&t1, &t2, TropicalKind::MinPlus);
             assert_eq!(min_plus, leq_min_plus_by_lp(&p1, &p2), "T+: {p1} vs {p2}");
-            let max_plus = leq_max_plus(&p1, &p2);
+            let max_plus = leq_tropical(&t1, &t2, TropicalKind::MaxPlus);
             assert_eq!(
                 max_plus,
                 leq_max_plus_by_subsets(&p1, &p2),

@@ -7,8 +7,14 @@
 //! globally fresh provenance variables (one per atom occurrence).  Canonical
 //! instances are "abstractly tagged" databases in the sense of
 //! [Green et al., PODS 2007]; evaluating queries over them produces exactly
-//! the CQ-admissible polynomials of Sec. 4.5, and they drive the small-model
-//! containment procedure of Thm. 4.17.
+//! the CQ-admissible polynomials of Sec. 4.5, the ones the small-model
+//! containment procedure of Thm. 4.17 compares.
+//!
+//! The procedure itself (`annot_core::small_model`) builds no instance: it
+//! counts the ways to send a query's atoms onto the member's atoms, which
+//! gives the same polynomials as exponent rows.  [`CanonicalInstance`] is
+//! the paper's ⟦Q⟧ for examples and tests, and the reference those rows are
+//! tested against.
 
 use crate::ccq::Ccq;
 use crate::cq::{Cq, QVar};

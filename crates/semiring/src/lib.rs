@@ -114,6 +114,58 @@ mod cross_semiring_tests {
         assert_eq!(back.polynomial(), &p);
     }
 
+    /// `n·1` by `n` additions: the reference for `Semiring::from_natural`.
+    fn repeated_sum<K: Semiring>(n: u64) -> K {
+        (0..n).fold(K::zero(), |acc, _| acc.add(&K::one()))
+    }
+
+    #[test]
+    fn from_natural_matches_repeated_addition() {
+        // Seeded n < 200 (SplitMix64), plus the smallest values.
+        let mut state: u64 = 2718;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % 200
+        };
+        let ns: Vec<u64> = (0..3).chain((0..40).map(|_| next())).collect();
+        macro_rules! check {
+            ($($k:ty),* $(,)?) => {
+                $(
+                    for &n in &ns {
+                        assert_eq!(<$k>::from_natural(n), repeated_sum::<$k>(n),
+                                   "{} at n = {n}", <$k as Semiring>::NAME);
+                    }
+                )*
+            };
+        }
+        check!(
+            Bool,
+            Natural,
+            Tropical,
+            Schedule,
+            Fuzzy,
+            Viterbi,
+            Clearance,
+            Lineage,
+            Why,
+            Trio,
+            PosBool,
+            BoolPoly,
+            NatPoly,
+            BoundedNat<1>,
+            BoundedNat<2>,
+            BoundedNat<3>,
+            BoundedNat<5>,
+        );
+        // Sums that saturate, and ones that n additions would never finish.
+        assert_eq!(Natural::from_natural(u64::MAX), Natural(u64::MAX));
+        assert_eq!(BoundedNat::<3>::from_natural(u64::MAX), BoundedNat::new(3));
+        let big = eval_polynomial(&Polynomial::constant(1 << 40), &|_| Natural(0));
+        assert_eq!(big, Natural(1 << 40));
+    }
+
     #[test]
     fn all_shipped_semirings_are_lawful_and_positive() {
         macro_rules! check {

@@ -13,6 +13,7 @@
 //! that heap-carrying annotation domains — polynomials, why-provenance sets,
 //! Trio bags — fit as comfortably as `Copy` scalars.
 
+use annot_polynomial::poly::n_fold_sum;
 use std::fmt::Debug;
 
 /// A positive, partially ordered commutative semiring.
@@ -89,14 +90,12 @@ pub trait Semiring: Clone + PartialEq + Debug + Send + Sync {
         Self::sample_elements()
     }
 
-    /// `n`-fold sum of `1`, i.e. the canonical image of a natural number.
+    /// `n`-fold sum of `1`, i.e. the canonical image of a natural number,
+    /// in O(log n) additions ([`annot_polynomial::poly::n_fold_sum`]).
     fn from_natural(n: u64) -> Self {
-        let one = Self::one();
-        let mut acc = Self::zero();
-        for _ in 0..n {
-            acc = acc.add(&one);
-        }
-        acc
+        n_fold_sum(n, &Self::one(), Self::zero(), &|a: &Self, b: &Self| {
+            a.add(b)
+        })
     }
 
     /// `self` raised to the `k`-th power (with `x⁰ = 1`).

@@ -11,9 +11,11 @@
 //! whatever the hardware.  Each bound is half the count of the
 //! implementation a stage replaced (on stable Rust: 184, 93, 1,045 and
 //! 7,715 for building and coding; 3,512, 4,081 and 5,681 for the decide
-//! stages, which searched or built relation maps per ⟨Q⟩ pair), not the
-//! current count, so allocator-visible differences between the stable and
-//! MSRV standard libraries do not flip it.
+//! stages, which searched or built relation maps per ⟨Q⟩ pair; 2,523 and
+//! 2,520 for the `T+` and `Viterbi` decides, which built a canonical
+//! instance and `N[X]` polynomials per ⟨Q⟩ member), not the current count,
+//! so allocator-visible differences between the stable and MSRV standard
+//! libraries do not flip it.
 
 use annot_core::registry::{decide_ucq_dyn, SemiringId};
 use annot_core::ucq::surjective::unique_surjective_on_descriptions;
@@ -162,4 +164,20 @@ fn deciding_the_reversed_pair_over_b2() {
     let (verdict, count) = counted(|| black_box(decide("B_2", &u2, &u1)));
     assert_eq!(verdict, Some(false));
     assert_halved("decide_ucq_dyn(B_2, q2, q1)", count, 5_681);
+}
+
+#[test]
+fn deciding_the_fixed_pair_over_t_plus() {
+    let (u1, u2) = parse_pair();
+    let (verdict, count) = counted(|| black_box(decide("T+", &u1, &u2)));
+    assert_eq!(verdict, Some(true));
+    assert_halved("decide_ucq_dyn(T+, q1, q2)", count, 2_523);
+}
+
+#[test]
+fn deciding_the_fixed_pair_over_viterbi() {
+    let (u1, u2) = parse_pair();
+    let (verdict, count) = counted(|| black_box(decide("Viterbi", &u1, &u2)));
+    assert_eq!(verdict, Some(true));
+    assert_halved("decide_ucq_dyn(Viterbi, q1, q2)", count, 2_520);
 }
