@@ -1,16 +1,19 @@
 //! Experiment E3/E7: the small-model (canonical instance) procedure of
 //! Thm. 4.17 for the tropical semirings, including its Bell-number growth in
-//! the number of existential variables, and a comparison of its
-//! Fourier–Motzkin polynomial-order backend against the brute-force
-//! evaluation baseline on the paper's Example 4.6.
+//! the number of existential variables (the flat walk of ⟨Q⟩), a comparison
+//! of its Fourier–Motzkin polynomial-order backend against the brute-force
+//! evaluation baseline on the paper's Example 4.6, and the 7-leaf star
+//! against a 2-leaf star, whose 4,140 ⟨Q₁⟩ members fall into 45 classes.
 
 use annot_bench::{cq_workload, example_4_6};
 use annot_core::brute_force::{find_counterexample_cq, BruteForceConfig};
-use annot_core::decide::decide_cq;
-use annot_query::complete::complete_description_cq;
+use annot_core::decide::{decide_cq, decide_ucq};
+use annot_query::complete::Description;
+use annot_query::{parser, Schema};
 use annot_semiring::{Schedule, Tropical};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::slice;
 use std::time::Duration;
 
 fn small_model(c: &mut Criterion) {
@@ -42,9 +45,28 @@ fn small_model(c: &mut Criterion) {
         .measurement_time(Duration::from_millis(600));
     for case in &cases {
         group.bench_function(&case.name, |b| {
-            b.iter(|| black_box(complete_description_cq(&case.q1).len()))
+            b.iter(|| black_box(Description::new(slice::from_ref(&case.q1)).len()))
         });
     }
+    group.finish();
+
+    let mut schema = Schema::new();
+    let leaves: Vec<String> = (1..=7).map(|i| format!("R(x, a{i})")).collect();
+    let star = parser::parse_ucq(&mut schema, &format!("Q() :- {}", leaves.join(", ")));
+    let fork = parser::parse_ucq(&mut schema, "Q() :- R(x, y), R(x, z)");
+    // invariant: both queries are spelled in the parser's syntax
+    let (star, fork) = (
+        star.expect("the star parses"),
+        fork.expect("the fork parses"),
+    );
+    let mut group = c.benchmark_group("small_model/classes");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(200))
+        .measurement_time(Duration::from_millis(800));
+    group.bench_function("T+/star-7-vs-star-2", |b| {
+        b.iter(|| black_box(decide_ucq::<Tropical>(&star, &fork).answer))
+    });
     group.finish();
 
     // Baseline comparison on the paper's example: symbolic procedure vs

@@ -4,11 +4,17 @@
 //! covering criteria ⇉₁/⇉₂, the counting criteria ↪_k/↪_∞ and the
 //! unique-surjection criterion ↠_∞ on unions of growing width, plus the
 //! paper's Example 5.7 pair.  The complete-description-based criteria are
-//! visibly more expensive (Πᵖ₂ / coNP^#P vs NP in Table 1).
+//! visibly more expensive (Πᵖ₂ / coNP^#P vs NP in Table 1).  The `classes`
+//! group times two requests whose descriptions are large but have few
+//! classes for their size: the 6-atom chain against itself over `N[X]`
+//! (877 members, 425 classes) and the 7-leaf star against a 2-leaf star
+//! over `N` (4,140 members, 45 classes).
 
 use annot_bench::{example_5_7, ucq_workload, UcqCase};
+use annot_core::decide::decide_ucq;
 use annot_core::ucq::{bijective, covering, local, surjective};
-use annot_query::Ucq;
+use annot_query::{parser, Schema, Ucq};
+use annot_semiring::Natural;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
@@ -94,6 +100,30 @@ fn table1_ucq(c: &mut Criterion) {
         &surjective::unique_surjective,
         &cases,
     );
+
+    // invariant: the queries below are spelled in the parser's syntax
+    let parse = |q: &str| parser::parse_ucq(&mut Schema::new(), q).expect("the query parses");
+    let join = |atoms: Vec<String>| format!("Q() :- {}", atoms.join(", "));
+    let chain = parse(&join(
+        (0..6).map(|i| format!("R(x{i}, x{})", i + 1)).collect(),
+    ));
+    let star = join((1..=7).map(|i| format!("R(x, a{i})")).collect());
+    let mut schema = Schema::new();
+    // invariant: as above
+    let star = parser::parse_ucq(&mut schema, &star).expect("the star parses");
+    let fork = parser::parse_ucq(&mut schema, "Q() :- R(x, y), R(x, z)").expect("the fork parses");
+    let mut group = c.benchmark_group("table1_ucq/classes");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(200))
+        .measurement_time(Duration::from_millis(600));
+    group.bench_function("N[X]/chain-6-vs-itself", |b| {
+        b.iter(|| black_box(bijective::counting_infinite(&chain, &chain)))
+    });
+    group.bench_function("N/star-7-vs-star-2", |b| {
+        b.iter(|| black_box(decide_ucq::<Natural>(&star, &fork).answer))
+    });
+    group.finish();
 }
 
 criterion_group!(benches, table1_ucq);

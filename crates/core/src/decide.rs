@@ -21,7 +21,7 @@
 use crate::classes::{ClassifiedSemiring, CqCriterion, UcqCriterion};
 use crate::{small_model, ucq};
 use annot_hom::{kinds, VarMap};
-use annot_query::complete::complete_description_ucq;
+use annot_query::complete::{Classes, Description};
 use annot_query::{Cq, Ucq};
 use std::cell::OnceCell;
 use std::slice;
@@ -239,16 +239,25 @@ pub fn decide_ucq<K: ClassifiedSemiring>(q1: &Ucq, q2: &Ucq) -> Decision {
 
 fn bounds_ucq(q1: &Ucq, q2: &Ucq, profile: &crate::classes::ClassProfile) -> Decision {
     // Both bounds of a row in S_sur ∩ N²_hcov (bag semantics) read the
-    // complete descriptions: build them once, on first use.
+    // joint classes of the complete descriptions: build them once, on
+    // first use.
     let descriptions = OnceCell::new();
-    let described = || {
-        descriptions.get_or_init(|| (complete_description_ucq(q1), complete_description_ucq(q2)))
+    let classes = OnceCell::new();
+    let classed = || {
+        classes.get_or_init(|| {
+            let (d1, d2) = descriptions.get_or_init(|| {
+                (
+                    Description::new(q1.disjuncts()),
+                    Description::new(q2.disjuncts()),
+                )
+            });
+            Classes::joint(d1, d2)
+        })
     };
     // Sufficient: the unique-witness bijective condition works for every
     // semiring; for S_sur semirings the ↠_∞ criterion is stronger.
     let sufficient = if profile.in_s_sur {
-        let (d1, d2) = described();
-        ucq::surjective::unique_surjective_on_descriptions(d1, d2)
+        ucq::surjective::unique_surjective_on_classes(classed())
     } else {
         ucq::local::sufficient_for_all_semirings(q1, q2)
     };
@@ -262,8 +271,7 @@ fn bounds_ucq(q1: &Ucq, q2: &Ucq, profile: &crate::classes::ClassProfile) -> Dec
     // semiring; for semirings in N²_hcov (e.g. bag semantics) the covering
     // ⇉₂ is stronger (Cor. 5.23).
     let necessary = if profile.in_n_hcov {
-        let (d1, d2) = described();
-        ucq::covering::covering2_on_descriptions(d1, d2)
+        ucq::covering::covering2_on_classes(classed())
     } else {
         q1.disjuncts()
             .iter()

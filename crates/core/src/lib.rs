@@ -14,7 +14,7 @@
 //! | [`ucq`] | UCQ containment deciders (local, counting `↪_k`/`↪_∞`, unique-surjection `↠_∞`, coverings `⇉₁`/`⇉₂`) | Sec. 5 |
 //! | [`small_model`] | the canonical-instance procedure of Thm. 4.17, on UCQs; a CQ is a singleton union | Sec. 4.6 |
 //! | [`poly_order`] | decidable polynomial orders `¹_K` backing the small-model procedure | Sec. 3.2, 4.6 |
-//! | [`matching`] | bipartite matching (Hall's theorem) used by `↠_∞` | Sec. 5.3 |
+//! | [`matching`] | Hall's condition with multiplicities as a maximum flow, used by `↠_∞` over classes; bipartite matching as its unit case | Sec. 5.3 |
 //! | [`brute_force`] | semantic baseline used for cross-validation | — |
 //! | [`steal`] | the work-stealing task pool driving the baseline's parallel walk | — |
 //! | [`registry`] | runtime dispatch by semiring name ([`SemiringId`], `decide_*_dyn`) | Table 1 |

@@ -1,21 +1,97 @@
-//! Bipartite maximum matching (augmenting paths).
+//! Hall's condition with multiplicities, as a maximum flow.
 //!
 //! The unique-surjection criterion `↠_∞` of Sec. 5.3 (Thm. 5.17) asks for a
 //! *distinct* member of `⟨Q₂⟩` surjecting onto each member of `⟨Q₁⟩`; the
-//! paper's proof invokes Hall's marriage theorem, and operationally the
-//! question is whether a bipartite graph has a matching saturating the left
-//! side.  The same routine is reused by the `↪_k` counting criteria when an
-//! explicit assignment (rather than per-class counting) is wanted.
+//! paper's proof invokes Hall's marriage theorem.  Read over isomorphism
+//! classes, that is a flow: each `⟨Q₁⟩` class supplies its multiplicity,
+//! each `⟨Q₂⟩` class takes at most its multiplicity, and units flow along
+//! the class pairs with a surjection.  A bipartite matching is the case of
+//! unit supplies and capacities; the member-wise sufficient condition of
+//! [`crate::ucq::local`] uses it.
+//!
+//! [`maximum_flow`] is Kuhn's augmenting-path algorithm on the graph that
+//! copies each vertex as often as its supply or capacity says, without
+//! building the copies: the copies of a vertex are interchangeable, so a
+//! path found for one copy carries as many units as its bottleneck allows.
+
+/// A maximum flow from the left vertices, each with its `supply`, to the
+/// right vertices, each taking at most its `capacity`, along `edges`:
+/// `(left, right)` pairs, grouped by left vertex in increasing order, each
+/// unbounded.  Returns the flow along each edge.
+pub fn maximum_flow(supply: &[u64], capacity: &[u64], edges: &[(usize, usize)]) -> Vec<u64> {
+    // Per left vertex: its edges, at `out[l]..out[l + 1]`.
+    let mut out = vec![0; supply.len() + 1];
+    for &(l, _) in edges {
+        out[l + 1] += 1;
+    }
+    for l in 0..supply.len() {
+        out[l + 1] += out[l];
+    }
+    // Per right vertex: the edges into it, at `into[starts[r]..starts[r + 1]]`.
+    let mut starts = vec![0; capacity.len() + 1];
+    for &(_, r) in edges {
+        starts[r + 1] += 1;
+    }
+    for r in 0..capacity.len() {
+        starts[r + 1] += starts[r];
+    }
+    let mut into = vec![0; edges.len()];
+    let mut fill = starts.clone();
+    for (e, &(_, r)) in edges.iter().enumerate() {
+        into[fill[r]] = e;
+        fill[r] += 1;
+    }
+    let mut state = Augment {
+        edges,
+        out: &out,
+        capacity,
+        starts: &starts,
+        into: &into,
+        load: vec![0; capacity.len()],
+        visited: vec![false; capacity.len()],
+        flow: vec![0; edges.len()],
+    };
+    for (l, &units) in supply.iter().enumerate() {
+        let mut remaining = units;
+        while remaining > 0 {
+            state.visited.fill(false);
+            let pushed = state.augment(l, remaining);
+            if pushed == 0 {
+                break;
+            }
+            remaining -= pushed;
+        }
+    }
+    state.flow
+}
+
+/// Whether [`maximum_flow`] routes every left vertex's whole supply:
+/// Hall's condition with multiplicities.
+pub fn saturates_supply(supply: &[u64], capacity: &[u64], edges: &[(usize, usize)]) -> bool {
+    let flow = maximum_flow(supply, capacity, edges);
+    flow.iter().sum::<u64>() == supply.iter().sum::<u64>()
+}
+
+/// The edges of `adjacency`, where `adjacency[l]` lists the right vertices
+/// of left vertex `l`.
+fn edges_of(adjacency: &[Vec<usize>]) -> Vec<(usize, usize)> {
+    (adjacency.iter().enumerate())
+        .flat_map(|(l, rights)| rights.iter().map(move |&r| (l, r)))
+        .collect()
+}
 
 /// Computes a maximum matching of the bipartite graph with `left` vertices
 /// `0..adjacency.len()` and `right` vertices `0..num_right`, where
 /// `adjacency[l]` lists the right vertices compatible with left vertex `l`.
 /// Returns the matching as `matched_right[r] = Some(l)`.
 pub fn maximum_matching(adjacency: &[Vec<usize>], num_right: usize) -> Vec<Option<usize>> {
-    let mut matched_right: Vec<Option<usize>> = vec![None; num_right];
-    for left in 0..adjacency.len() {
-        let mut visited = vec![false; num_right];
-        let _ = augment(left, adjacency, &mut matched_right, &mut visited);
+    let edges = edges_of(adjacency);
+    let flow = maximum_flow(&vec![1; adjacency.len()], &vec![1; num_right], &edges);
+    let mut matched_right = vec![None; num_right];
+    for (&(l, r), &units) in edges.iter().zip(&flow) {
+        if units > 0 {
+            matched_right[r] = Some(l);
+        }
     }
     matched_right
 }
@@ -23,36 +99,62 @@ pub fn maximum_matching(adjacency: &[Vec<usize>], num_right: usize) -> Vec<Optio
 /// Whether a matching saturating every left vertex exists (i.e. the maximum
 /// matching has size `adjacency.len()`).
 pub fn has_left_saturating_matching(adjacency: &[Vec<usize>], num_right: usize) -> bool {
-    let matched = maximum_matching(adjacency, num_right);
-    let size = matched.iter().filter(|m| m.is_some()).count();
-    size == adjacency.len()
+    let ones = |n| vec![1; n];
+    saturates_supply(
+        &ones(adjacency.len()),
+        &ones(num_right),
+        &edges_of(adjacency),
+    )
 }
 
-fn augment(
-    left: usize,
-    adjacency: &[Vec<usize>],
-    matched_right: &mut Vec<Option<usize>>,
-    visited: &mut Vec<bool>,
-) -> bool {
-    for &right in &adjacency[left] {
-        if visited[right] {
-            continue;
-        }
-        visited[right] = true;
-        match matched_right[right] {
-            None => {
-                matched_right[right] = Some(left);
-                return true;
+/// The state of one [`maximum_flow`].
+struct Augment<'a> {
+    edges: &'a [(usize, usize)],
+    out: &'a [usize],
+    capacity: &'a [u64],
+    starts: &'a [usize],
+    into: &'a [usize],
+    /// Per right vertex: the units it takes.
+    load: Vec<u64>,
+    /// Per right vertex: whether the current search reached it.
+    visited: Vec<bool>,
+    flow: Vec<u64>,
+}
+
+impl Augment<'_> {
+    /// Sends up to `limit` more units out of left vertex `l` along one
+    /// augmenting path: to a right vertex with room, or to a full one whose
+    /// other senders move as many units elsewhere.  Returns the units sent.
+    fn augment(&mut self, l: usize, limit: u64) -> u64 {
+        for e in self.out[l]..self.out[l + 1] {
+            let r = self.edges[e].1;
+            if self.visited[r] {
+                continue;
             }
-            Some(other) => {
-                if augment(other, adjacency, matched_right, visited) {
-                    matched_right[right] = Some(left);
-                    return true;
+            self.visited[r] = true;
+            let room = self.capacity[r] - self.load[r];
+            if room > 0 {
+                let pushed = limit.min(room);
+                self.load[r] += pushed;
+                self.flow[e] += pushed;
+                return pushed;
+            }
+            for i in self.starts[r]..self.starts[r + 1] {
+                let other = self.into[i];
+                let carried = self.flow[other];
+                if carried == 0 {
+                    continue;
+                }
+                let pushed = self.augment(self.edges[other].0, limit.min(carried));
+                if pushed > 0 {
+                    self.flow[other] -= pushed;
+                    self.flow[e] += pushed;
+                    return pushed;
                 }
             }
         }
+        0
     }
-    false
 }
 
 #[cfg(test)]
@@ -92,5 +194,99 @@ mod tests {
         // 0-{0}, 1-{0}: impossible.
         let adj2 = vec![vec![0], vec![0]];
         assert!(!has_left_saturating_matching(&adj2, 2));
+    }
+
+    #[test]
+    fn supplies_and_capacities_act_as_copies() {
+        // Left 0 supplies 3 to {0, 1}, left 1 supplies 2 to {1}; right 0
+        // takes 2, right 1 takes 3: routing 0's surplus to right 0 first
+        // leaves room for left 1.
+        let edges = [(0, 1), (0, 0), (1, 1)];
+        assert!(saturates_supply(&[3, 2], &[2, 3], &edges));
+        let flow = maximum_flow(&[3, 2], &[2, 3], &edges);
+        assert_eq!(flow.iter().sum::<u64>(), 5);
+        // One unit more on the left is one too many.
+        assert!(!saturates_supply(&[3, 3], &[2, 3], &edges));
+        // Zero supplies and capacities are fine.
+        assert!(saturates_supply(&[0, 0], &[0, 0], &edges));
+        assert!(!saturates_supply(&[1], &[0, 0], &edges[..2]));
+    }
+
+    /// Kuhn's algorithm on unit vertices, as a reference: the size of a
+    /// maximum matching.
+    fn matching_size(adjacency: &[Vec<usize>], num_right: usize) -> usize {
+        fn augment(
+            l: usize,
+            adj: &[Vec<usize>],
+            matched: &mut [Option<usize>],
+            seen: &mut [bool],
+        ) -> bool {
+            for &r in &adj[l] {
+                if !seen[r] {
+                    seen[r] = true;
+                    if matched[r].map_or(true, |other| augment(other, adj, matched, seen)) {
+                        matched[r] = Some(l);
+                        return true;
+                    }
+                }
+            }
+            false
+        }
+        let mut matched = vec![None; num_right];
+        (0..adjacency.len())
+            .filter(|&l| augment(l, adjacency, &mut matched, &mut vec![false; num_right]))
+            .count()
+    }
+
+    #[test]
+    fn flows_equal_matchings_of_the_copies() {
+        // Blowing each vertex up into as many copies as its supply or
+        // capacity gives a bipartite graph whose maximum matchings are as
+        // large as the maximum flows.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for _ in 0..300 {
+            let (left, right) = (1 + draw(4) as usize, 1 + draw(4) as usize);
+            let supply: Vec<u64> = (0..left).map(|_| draw(4)).collect();
+            let capacity: Vec<u64> = (0..right).map(|_| draw(4)).collect();
+            let adjacency: Vec<Vec<usize>> = (0..left)
+                .map(|_| (0..right).filter(|_| draw(3) > 0).collect())
+                .collect();
+            let copies = |counts: &[u64]| -> Vec<usize> {
+                (counts.iter().enumerate())
+                    .flat_map(|(v, &c)| std::iter::repeat(v).take(c as usize))
+                    .collect()
+            };
+            let (lefts, rights) = (copies(&supply), copies(&capacity));
+            let blown: Vec<Vec<usize>> = (lefts.iter())
+                .map(|&l| {
+                    (0..rights.len())
+                        .filter(|&r| adjacency[l].contains(&rights[r]))
+                        .collect()
+                })
+                .collect();
+            let size = matching_size(&blown, rights.len());
+            let edges = edges_of(&adjacency);
+            let flow = maximum_flow(&supply, &capacity, &edges);
+            assert_eq!(flow.iter().sum::<u64>() as usize, size);
+            assert_eq!(
+                saturates_supply(&supply, &capacity, &edges),
+                size == lefts.len()
+            );
+            // The flow keeps every supply and capacity.
+            let mut sent = vec![0; left];
+            let mut taken = vec![0; right];
+            for (&(l, r), &units) in edges.iter().zip(&flow) {
+                sent[l] += units;
+                taken[r] += units;
+            }
+            assert!(sent.iter().zip(&supply).all(|(s, u)| s <= u));
+            assert!(taken.iter().zip(&capacity).all(|(t, c)| t <= c));
+        }
     }
 }

@@ -19,6 +19,12 @@
 //! unions that is Thm. 4.17's CQ procedure, and
 //! [`crate::decide::decide_cq`] calls it that way.
 //!
+//! It evaluates one representative per isomorphism class of `⟨Q₁⟩`
+//! ([`Classes`]).  Isomorphic members give the same comparison up to
+//! renaming their atoms' tags, and `¹_K` is invariant under that renaming,
+//! so the verdict is the one every member would give: the 7-leaf star's
+//! 4,140 members fall into 45 classes.
+//!
 //! # Evaluating over a member's atoms
 //!
 //! The canonical instance ⟦Q⟧ of a member `Q` tags the `i`-th atom of `Q`
@@ -48,8 +54,8 @@
 use crate::classes::PolyLeqFn;
 use crate::poly_order::PolynomialOrder;
 use annot_polynomial::Terms;
-use annot_query::complete::complete_description_ucq;
-use annot_query::{Cq, QVar, Ucq};
+use annot_query::complete::{Classes, Description};
+use annot_query::{QVar, QueryView, Ucq};
 use std::cmp::Ordering;
 
 /// Decides `Q₁ ⊆_K Q₂` for an ⊕-idempotent semiring `K` with a decidable
@@ -73,18 +79,20 @@ pub fn ucq_contained_small_model<K: PolynomialOrder>(q1: &Ucq, q2: &Ucq) -> bool
 /// Monomorphic core of [`ucq_contained_small_model`], taking the polynomial
 /// order as a plain function pointer so the runtime-dispatch layer
 /// ([`crate::decide`], [`crate::registry`]) can invoke it without a generic
-/// parameter.  It stops at the first member of ⟨Q₁⟩ that violates the
-/// order.
+/// parameter.  It evaluates one representative per isomorphism class of
+/// ⟨Q₁⟩, in walk order, and stops at the first that violates the order.
 pub fn ucq_contained_small_model_with(q1: &Ucq, q2: &Ucq, leq: PolyLeqFn) -> bool {
     if q1.is_empty() {
         return true;
     }
-    let description = complete_description_ucq(q1);
+    let description = Description::new(q1.disjuncts());
+    let classes = Classes::of(&description);
     let (mut left, mut right) = (Evaluation::new(q1), Evaluation::new(q2));
     let mut terms = [Terms::default(), Terms::default()];
-    description.disjuncts().iter().all(|member| {
-        left.run(member.cq());
-        right.run(member.cq());
+    (0..classes.len()).all(|c| {
+        let member = classes.representative(c);
+        left.run(&member);
+        right.run(&member);
         ordered(&left, &right, &mut terms, leq)
     })
 }
@@ -199,7 +207,7 @@ impl<'u> Evaluation<'u> {
     }
 
     /// Evaluates the union over ⟦member⟧, replacing the previous result.
-    fn run(&mut self, member: &Cq) {
+    fn run<Q: QueryView>(&mut self, member: &Q) {
         self.width = member.num_atoms();
         self.heads.clear(self.arity + self.width);
         let mut k = 0;
@@ -220,11 +228,11 @@ impl<'u> Evaluation<'u> {
                     for (&v, &value) in self.live[live.clone()].iter().zip(bindings) {
                         self.image[v] = value;
                     }
-                    for (j, target) in member.atoms().iter().enumerate() {
-                        if target.relation != atom.relation {
+                    for j in 0..self.width {
+                        if member.relation(j) != atom.relation {
                             continue;
                         }
-                        if unify(&mut self.image, &mut self.bound, &atom.args, &target.args) {
+                        if unify(&mut self.image, &mut self.bound, &atom.args, member.args(j)) {
                             let image = &self.image;
                             (self.extended.words)
                                 .extend(self.live[next.clone()].iter().map(|&v| image[v]));
@@ -351,6 +359,7 @@ impl Records {
 mod tests {
     use super::*;
     use annot_polynomial::Polynomial;
+    use annot_query::complete::complete_description_ucq;
     use annot_query::eval::eval_ucq_all_outputs_rows;
     use annot_query::generator::{GeneratorConfig, QueryGenerator, QueryShape};
     use annot_query::{parser, CanonicalInstance, Ccq, Schema};
@@ -591,5 +600,42 @@ mod tests {
         }
         // Every row holds on the reflexive pairs and fails on some others.
         assert!(holds.iter().all(|&n| n >= 100 && n < pairs), "{holds:?}");
+    }
+
+    /// The member loop, as a reference: each union evaluated over every
+    /// materialised member of ⟨Q₁⟩, not one per class.
+    fn contained_member_by_member(q1: &Ucq, q2: &Ucq, leq: PolyLeqFn) -> bool {
+        let (mut left, mut right) = (Evaluation::new(q1), Evaluation::new(q2));
+        let mut terms = [Terms::default(), Terms::default()];
+        (complete_description_ucq(q1).disjuncts().iter()).all(|member| {
+            left.run(member.cq());
+            right.run(member.cq());
+            ordered(&left, &right, &mut terms, leq)
+        })
+    }
+
+    #[test]
+    fn class_representatives_decide_like_every_member() {
+        let orders: [(&str, PolyLeqFn); 5] = [
+            ("T+", Tropical::terms_leq),
+            ("T-", Schedule::terms_leq),
+            ("Viterbi", Viterbi::terms_leq),
+            ("N[X]", NatPoly::terms_leq),
+            ("B_3", BoundedNat::<3>::terms_leq),
+        ];
+        let (mut holds, mut fails) = (0, 0);
+        for seed in 0..150 {
+            let (u1, u2) = ucq_pair(seed);
+            for (q1, q2) in [(&u1, &u2), (&u2, &u1), (&u1, &u1)] {
+                for (name, leq) in orders {
+                    let expected = contained_member_by_member(q1, q2, leq);
+                    let by_class = ucq_contained_small_model_with(q1, q2, leq);
+                    assert_eq!(by_class, expected, "{name}, seed {seed}: {q1} ⊑ {q2}");
+                    holds += expected as usize;
+                    fails += !expected as usize;
+                }
+            }
+        }
+        assert!(holds > 300 && fails > 300, "{holds} hold, {fails} fail");
     }
 }

@@ -14,10 +14,13 @@
 //! illustrates — the count in `⟨Q₁⟩`, capped at `k`, must not exceed the
 //! count in `⟨Q₂⟩` — which coincides with `↪_∞` for `k = ∞` and degrades
 //! gracefully to the member-wise condition for `k = 1`.
+//!
+//! The members of `⟨Q₁⟩` and `⟨Q₂⟩` are grouped jointly into isomorphism
+//! classes ([`Classes`]), each with a multiplicity per side, so the
+//! criterion compares multiplicities class by class and runs no search.
 
-use annot_hom::iso;
-use annot_query::complete::complete_description_ucq;
-use annot_query::{Ccq, Ducq, Ucq};
+use annot_query::complete::{Classes, Description};
+use annot_query::Ucq;
 
 /// `⟨Q₂⟩ ↪_∞ ⟨Q₁⟩` (Def. 5.8): per-isomorphism-class counting over the
 /// complete descriptions.  Equivalent to `Q₁ ⊆_{N[X]} Q₂` (Prop. 5.9).
@@ -32,38 +35,13 @@ pub fn counting_offset(q1: &Ucq, q2: &Ucq, k: u64) -> bool {
 }
 
 fn counting_with_cap(q1: &Ucq, q2: &Ucq, cap: Option<u64>) -> bool {
-    let d1 = complete_description_ucq(q1);
-    let d2 = complete_description_ucq(q2);
-    counting_on_descriptions(&d1, &d2, cap)
-}
-
-/// The same criterion applied to already-computed complete descriptions.
-pub fn counting_on_descriptions(d1: &Ducq, d2: &Ducq, cap: Option<u64>) -> bool {
-    // Group the members of d1 into isomorphism classes, counting class sizes
-    // in the same pass (quadratic, fine at the Bell-number sizes complete
-    // descriptions have in practice; the isomorphism searches refute cheap
-    // mismatches through the engine's per-relation count prechecks).
-    let mut classes: Vec<(&Ccq, u64)> = Vec::new();
-    'outer: for member in d1.disjuncts() {
-        for (repr, count) in &mut classes {
-            if iso::are_isomorphic(repr, member) {
-                *count += 1;
-                continue 'outer;
-            }
-        }
-        classes.push((member, 1));
-    }
-    for (repr, count1) in classes {
-        let count2 = iso::count_isomorphic(d2, repr) as u64;
-        let needed = match cap {
-            Some(k) => count1.min(k),
-            None => count1,
-        };
-        if needed > count2 {
-            return false;
-        }
-    }
-    true
+    let d1 = Description::new(q1.disjuncts());
+    let d2 = Description::new(q2.disjuncts());
+    let classes = Classes::joint(&d1, &d2);
+    (0..classes.len()).all(|c| {
+        let count1 = classes.count(c, 0);
+        cap.map_or(count1, |k| count1.min(k)) <= classes.count(c, 1)
+    })
 }
 
 #[cfg(test)]

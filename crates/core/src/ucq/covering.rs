@@ -12,10 +12,20 @@
 //! members of `⟨Q₂⟩` or be matched in multiplicity up to 2 (Sec. 5.4).
 //! It is also a *necessary* condition for bag-semantics containment
 //! (Cor. 5.23), improving on the classical Chaudhuri–Vardi condition.
+//!
+//! `⇉₂` reads the joint isomorphism classes of `⟨Q₁⟩` and `⟨Q₂⟩`: every
+//! clause is invariant under isomorphism of members.  Each `⟨Q₁⟩` class is
+//! covered by the representatives of the `⟨Q₂⟩` classes, homomorphisms from
+//! `⟨Q₂⟩` are counted as the sum of the multiplicities of the classes whose
+//! representative has one, and the multiplicity clause compares the class's
+//! two multiplicities.  The automorphism flag comes from the canonical
+//! code's search, asked only of classes that the cheaper clauses leave
+//! open.
 
-use annot_hom::{iso, kinds};
-use annot_query::complete::complete_description_ucq;
-use annot_query::{Ducq, Ucq};
+use annot_hom::kinds;
+use annot_query::complete::{Classes, Description, Member};
+use annot_query::key::has_nontrivial_automorphism;
+use annot_query::Ucq;
 
 /// `Q₂ ⇉₁ Q₁` on plain UCQs: every member of `Q₁` is covered by the members
 /// of `Q₂` together.
@@ -25,48 +35,43 @@ pub fn covering1(q1: &Ucq, q2: &Ucq) -> bool {
         .all(|member1| kinds::homomorphically_covers(q2.disjuncts(), member1))
 }
 
-/// `⟨Q₂⟩ ⇉₁ ⟨Q₁⟩` on complete descriptions (inequality-preserving).
-pub fn covering1_on_descriptions(d1: &Ducq, d2: &Ducq) -> bool {
-    d1.disjuncts()
-        .iter()
-        .all(|member1| kinds::homomorphically_covers(d2.disjuncts(), member1))
-}
-
 /// `⟨Q₂⟩ ⇉₂ ⟨Q₁⟩` (Sec. 5.4): the offset-2 covering criterion over complete
 /// descriptions.
 pub fn covering2(q1: &Ucq, q2: &Ucq) -> bool {
-    let d1 = complete_description_ucq(q1);
-    let d2 = complete_description_ucq(q2);
-    covering2_on_descriptions(&d1, &d2)
+    let d1 = Description::new(q1.disjuncts());
+    let d2 = Description::new(q2.disjuncts());
+    covering2_on_classes(&Classes::joint(&d1, &d2))
 }
 
-/// `⇉₂` on precomputed complete descriptions.
-pub fn covering2_on_descriptions(d1: &Ducq, d2: &Ducq) -> bool {
-    if !covering1_on_descriptions(d1, d2) {
+/// `⇉₂` on the joint classes of `⟨Q₁⟩` (side 0) and `⟨Q₂⟩` (side 1).
+pub fn covering2_on_classes(classes: &Classes<'_>) -> bool {
+    let side = |s: usize| (0..classes.len()).filter(move |&c| classes.count(c, s) > 0);
+    let sources: Vec<Member<'_>> = side(1).map(|c| classes.representative(c)).collect();
+    let counts: Vec<u64> = side(1).map(|c| classes.count(c, 1)).collect();
+    // ⇉₁: the ⟨Q₂⟩ representatives together cover every ⟨Q₁⟩ class.
+    if !side(0).all(|c| kinds::homomorphically_covers(&sources, &classes.representative(c))) {
         return false;
     }
-    for member1 in d1.disjuncts() {
-        if iso::has_nontrivial_automorphism(member1) {
-            continue;
+    side(0).all(|c| {
+        let member1 = classes.representative(c);
+        // The multiplicity of member1's class in ⟨Q₁⟩, capped at 2, is
+        // matched in ⟨Q₂⟩ …
+        if classes.count(c, 0).min(2) <= classes.count(c, 1) {
+            return true;
         }
-        // Either two (distinct) members of d2 admit homomorphisms to member1 …
-        let homs_from_distinct_members = d2
-            .disjuncts()
-            .iter()
-            .filter(|member2| kinds::exists_hom_ccq(member2, member1))
-            .count();
-        if homs_from_distinct_members >= 2 {
-            continue;
+        // … or two members of ⟨Q₂⟩ admit homomorphisms to member1 …
+        let mut homs = 0;
+        for (source, &count) in sources.iter().zip(&counts) {
+            if kinds::exists_hom_ccq(source, &member1) {
+                homs += count;
+                if homs >= 2 {
+                    return true;
+                }
+            }
         }
-        // … or the multiplicity of member1's isomorphism class in d1, capped
-        // at 2, is matched in d2.
-        let count1 = iso::count_isomorphic(d1, member1);
-        let count2 = iso::count_isomorphic(d2, member1);
-        if count1.min(2) > count2 {
-            return false;
-        }
-    }
-    true
+        // … or member1 has a non-trivial automorphism.
+        has_nontrivial_automorphism(&member1)
+    })
 }
 
 #[cfg(test)]

@@ -6,9 +6,13 @@
 //! * [`bijective`] — the counting criteria `↪_∞` / `↪_k` over complete
 //!   descriptions (Sec. 5.2, `C^∞_bi` and `C^k_bi`);
 //! * [`surjective`] — the unique-surjection criterion `↠_∞` (Sec. 5.3,
-//!   `C^∞_sur`) via bipartite matching;
+//!   `C^∞_sur`) as a maximum flow;
 //! * [`covering`] — the covering criteria `⇉₁` / `⇉₂` (Sec. 5.4, `C¹_hcov`
 //!   and `C²_hcov`).
+//!
+//! The criteria over complete descriptions read the isomorphism classes of
+//! their members (`annot_query::complete::Classes`), each with a
+//! multiplicity per side, not the members one by one.
 
 pub mod bijective;
 pub mod covering;

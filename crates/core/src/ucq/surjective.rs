@@ -9,40 +9,46 @@
 //! semantics (Cor. 5.16) — and it is also necessary exactly for the class
 //! `C^∞_sur` (Thm. 5.17).
 //!
-//! The bipartite graph has one edge test per pair of members.  Most tests
-//! end at counts in [`kinds::exists_surjective_hom_ccq`]: a surjection
-//! between complete CCQs needs equal variable counts and equal per-relation
-//! counts of distinct atoms.  On servebench's seed-2718 miss-serial stream,
-//! the 105 tests of a decide run 16 searches.
+//! The test reads isomorphism classes: whether one member surjects onto
+//! another depends only on their classes, so Hall's condition over the
+//! members is Hall's condition with multiplicities over the classes of
+//! `⟨Q₁⟩ ∪ ⟨Q₂⟩`.  Each class of `⟨Q₁⟩` supplies its multiplicity, each
+//! class of `⟨Q₂⟩` takes at most its multiplicity, a class pair is an edge
+//! when the `⟨Q₂⟩` representative surjects onto the `⟨Q₁⟩` one, and one
+//! maximum flow ([`crate::matching`]) decides.  Most edge tests end at
+//! counts in [`kinds::exists_surjective_hom_ccq`]: a surjection between
+//! complete CCQs needs equal variable counts and equal per-relation counts
+//! of distinct atoms.
 
-use crate::matching::has_left_saturating_matching;
+use crate::matching::saturates_supply;
 use annot_hom::kinds;
-use annot_query::complete::complete_description_ucq;
-use annot_query::{Ducq, Ucq};
+use annot_query::complete::{Classes, Description};
+use annot_query::Ucq;
 
 /// `⟨Q₂⟩ ↠_∞ ⟨Q₁⟩` (Def. 5.14), computed on the complete descriptions of the
 /// two UCQs.
 pub fn unique_surjective(q1: &Ucq, q2: &Ucq) -> bool {
-    let d1 = complete_description_ucq(q1);
-    let d2 = complete_description_ucq(q2);
-    unique_surjective_on_descriptions(&d1, &d2)
+    let d1 = Description::new(q1.disjuncts());
+    let d2 = Description::new(q2.disjuncts());
+    unique_surjective_on_classes(&Classes::joint(&d1, &d2))
 }
 
-/// The same criterion on precomputed complete descriptions.
-pub fn unique_surjective_on_descriptions(d1: &Ducq, d2: &Ducq) -> bool {
-    let adjacency: Vec<Vec<usize>> = d1
-        .disjuncts()
-        .iter()
-        .map(|member1| {
-            d2.disjuncts()
-                .iter()
-                .enumerate()
-                .filter(|(_, member2)| kinds::exists_surjective_hom_ccq(member2, member1))
-                .map(|(j, _)| j)
-                .collect()
-        })
-        .collect();
-    has_left_saturating_matching(&adjacency, d2.len())
+/// The same criterion on the joint classes of `⟨Q₁⟩` (side 0) and `⟨Q₂⟩`
+/// (side 1): each class supplies its multiplicity in `⟨Q₁⟩` and takes at
+/// most its multiplicity in `⟨Q₂⟩`.
+pub fn unique_surjective_on_classes(classes: &Classes<'_>) -> bool {
+    let count = |side: usize| (0..classes.len()).map(move |c| classes.count(c, side));
+    let (supply, capacity): (Vec<u64>, Vec<u64>) = (count(0).collect(), count(1).collect());
+    let mut edges = Vec::new();
+    for c1 in (0..classes.len()).filter(|&c| supply[c] > 0) {
+        let member1 = classes.representative(c1);
+        for c2 in (0..classes.len()).filter(|&c| capacity[c] > 0) {
+            if kinds::exists_surjective_hom_ccq(&classes.representative(c2), &member1) {
+                edges.push((c1, c2));
+            }
+        }
+    }
+    saturates_supply(&supply, &capacity, &edges)
 }
 
 #[cfg(test)]

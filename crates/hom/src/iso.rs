@@ -1,17 +1,20 @@
-//! Isomorphisms of CCQs, non-trivial automorphisms, and isomorphism
-//! counting.
+//! Isomorphisms of CCQs, CQs and UCQs.
 //!
 //! For complete CQs the paper observes (Sec. 5.2) that all endomorphisms are
 //! automorphisms, and that `Q₂ ⤖ Q₁` holds between CCQs iff they are
 //! *isomorphic* — they coincide up to renaming of existential variables.
-//! The counting criterion `↪_∞` (Def. 5.8) compares, for every CCQ `Q`, the
-//! number of members of each complete description isomorphic to `Q`
-//! (`⟨Q⟩[Q^≃]`); the covering criterion `⇉₂` needs to know whether a CCQ has
-//! non-trivial automorphisms.
+//!
+//! The criteria over complete descriptions do not ask this per pair of
+//! members: `annot_query::complete::Classes` groups a description's members
+//! into isomorphism classes, and the covering criterion `⇉₂` reads the
+//! automorphism flag of the canonical code's search
+//! (`annot_query::key::has_nontrivial_automorphism`).  The predicates here
+//! serve the semantic cache, which keys decisions by isomorphism, and the
+//! tests.
 
 use crate::mapping::VarMap;
 use crate::search::{HomSearch, SearchOptions};
-use annot_query::{Ccq, Cq, Ducq, QVar, Ucq};
+use annot_query::{Ccq, Cq, Ucq};
 
 /// Whether two CCQs are isomorphic: there is a bijective renaming of
 /// variables (fixing the free variables positionally) mapping the atom
@@ -38,7 +41,7 @@ pub fn find_isomorphism(a: &Ccq, b: &Ccq) -> Option<VarMap> {
         return None;
     }
     let mut found = None;
-    HomSearch::new_ccq(a, b)
+    HomSearch::new(a, b)
         .with_options(SearchOptions {
             occurrence_injective: true,
             ..Default::default()
@@ -115,36 +118,9 @@ pub fn are_isomorphic_ucq(a: &Ucq, b: &Ucq) -> bool {
     true
 }
 
-/// Whether a CCQ has a non-trivial automorphism (one that moves some
-/// variable) — needed by the covering criterion ⇉₂ (Sec. 5.4).  The search
-/// stops at the first one, so a symmetric query with `k!` automorphisms
-/// costs about as much as finding one of them.
-pub fn has_nontrivial_automorphism(q: &Ccq) -> bool {
-    HomSearch::new_ccq(q, q)
-        .with_options(SearchOptions {
-            occurrence_injective: true,
-            ..Default::default()
-        })
-        .run(&mut |map| {
-            (0..q.cq().num_vars() as u32).any(|i| map.get(QVar(i)) != Some(QVar(i)))
-                && is_isomorphism(map, q, q)
-        })
-}
-
-/// The number of members of a union of CCQs isomorphic to `q` — the quantity
-/// `⟨Q⟩[Q^≃]` of Def. 5.8.
-pub fn count_isomorphic(members: &Ducq, q: &Ccq) -> usize {
-    members
-        .disjuncts()
-        .iter()
-        .filter(|member| are_isomorphic(member, q))
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use annot_query::complete::complete_description_cq;
     use annot_query::{Cq, Schema};
 
     fn schema() -> Schema {
@@ -199,36 +175,8 @@ mod tests {
     }
 
     #[test]
-    fn automorphisms_of_symmetric_queries() {
-        // R(x,y), R(y,x): swapping x and y is a non-trivial automorphism.
-        let symmetric = ccq(Cq::builder(&schema())
-            .atom("R", &["x", "y"])
-            .atom("R", &["y", "x"])
-            .build());
-        assert!(has_nontrivial_automorphism(&symmetric));
-        // A path R(x,y), R(y,z) has only the identity automorphism.
-        let path = ccq(Cq::builder(&schema())
-            .atom("R", &["x", "y"])
-            .atom("R", &["y", "z"])
-            .build());
-        assert!(!has_nontrivial_automorphism(&path));
-        // A 7-leaf star has 7! automorphisms; any leaf swap answers.
-        let mut star = Cq::builder(&schema());
-        let leaves = ["a", "b", "c", "d", "e", "f", "g"];
-        for leaf in leaves {
-            star = star.atom("R", &["x", leaf]);
-        }
-        assert!(has_nontrivial_automorphism(&ccq(star.build())));
-        // Fixing the leaves as free variables leaves only the identity.
-        let mut pinned = Cq::builder(&schema()).free(&leaves);
-        for leaf in leaves {
-            pinned = pinned.atom("R", &["x", leaf]);
-        }
-        assert!(!has_nontrivial_automorphism(&ccq(pinned.build())));
-    }
-
-    #[test]
     fn counting_isomorphic_members_in_complete_descriptions() {
+        use annot_query::complete::{Classes, Description};
         // Example 5.7: ⟨Q2⟩ for Q2 = {R(u,v),R(w,w) ; R(u,u),R(u,u)} contains
         // two CCQs isomorphic to Q'22 = R(u,u),R(u,u).
         let q21 = Cq::builder(&schema())
@@ -239,13 +187,23 @@ mod tests {
             .atom("R", &["u", "u"])
             .atom("R", &["u", "u"])
             .build();
-        let mut desc = complete_description_cq(&q21);
-        desc = desc.union(&complete_description_cq(&q22));
-        let target = ccq(q22.clone());
-        assert_eq!(count_isomorphic(&desc, &target), 2);
+        let union = [q21.clone(), q22.clone()];
+        let description = Description::new(&union);
+        let members = description.materialise();
+        let classes = Classes::of(&description);
+        // The multiplicity of a CCQ's class, checked against pairwise
+        // isomorphism.
+        let count = |q: &Ccq| {
+            let class = (0..classes.len())
+                .find(|&c| are_isomorphic(&classes.representative(c).to_ccq(), q))
+                .map_or(0, |c| classes.count(c, 0));
+            let pairwise = members.disjuncts().iter().filter(|m| are_isomorphic(m, q));
+            assert_eq!(class as usize, pairwise.count());
+            class
+        };
+        assert_eq!(count(&ccq(q22)), 2);
         // and exactly one member isomorphic to Q'21 (all three vars distinct).
-        let q21_distinct = ccq(q21);
-        assert_eq!(count_isomorphic(&desc, &q21_distinct), 1);
+        assert_eq!(count(&ccq(q21)), 1);
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! | `Q₂ ↠ Q₁`  | surjective homomorphism | [`exists_surjective_hom`], [`find_surjective_hom`], [`exists_surjective_hom_ccq`] | Sec. 4.4 | `C_sur` (Thm. 4.14) |
 //! | `Q₂ ⤖ Q₁`  | bijective homomorphism | [`exists_bijective_hom`], [`find_bijective_hom`] | Sec. 4.3 | `C_bi` (Thm. 4.10) |
 //!
-//! The `_ccq` predicates take CCQs, whose homomorphisms additionally
-//! preserve the inequalities; [`homomorphically_covers`] takes a union of
-//! sources of either kind.  Between CCQs a bijective homomorphism is an
-//! isomorphism ([`crate::iso`]).
+//! The `_ccq` predicates take CCQs, or members of a flat complete
+//! description (`annot_query::complete::Member`), whose homomorphisms
+//! additionally preserve the inequalities; [`homomorphically_covers`] takes
+//! a union of sources of any kind.  Between CCQs a bijective homomorphism
+//! is an isomorphism ([`crate::iso`]).
 //!
 //! Before a search runs, exact counts that allocate nothing settle the
 //! questions whose answer they prove, and the search runs otherwise.
@@ -20,17 +21,14 @@
 //! must all differ, as in every member of a complete description ⟨Q⟩, a
 //! shape test compares variable counts and per-relation counts of distinct
 //! atoms: before [`exists_hom_ccq`] and [`exists_surjective_hom_ccq`], and
-//! before the searches from each source in [`homomorphically_covers`].
+//! before the searches from each source in [`homomorphically_covers`].  A
+//! description's members read both counts from the description.  A
+//! surjective search accepts a mapping by counting the covered target atoms
+//! in place, so it allocates nothing either.
 
 use crate::mapping::VarMap;
 use crate::search::{HomSearch, SearchOptions, SearchQuery};
-use annot_query::{Atom, Ccq, Cq, RelId};
-use std::collections::BTreeMap;
-
-/// How many atoms of `q` have relation `rel`.
-fn occurrences(q: &Cq, rel: RelId) -> usize {
-    q.atoms().iter().filter(|a| a.relation == rel).count()
-}
+use annot_query::{Ccq, Cq, QueryView, RelId};
 
 /// How many distinct atoms of `q` have relation `rel`.
 fn distinct_atoms(q: &Cq, rel: RelId) -> usize {
@@ -44,10 +42,13 @@ fn distinct_atoms(q: &Cq, rel: RelId) -> usize {
 /// a cheap necessary condition before the NP-complete searches.  Every
 /// homomorphism maps an `R`-atom to an `R`-atom, so occurrence-injective
 /// (sub-multiset) images need it, and surjective (covering) images need the
-/// reverse.  It counts by scanning the atoms, which allocates nothing; a
-/// ⟨Q⟩ member has a handful of atoms.
-pub(crate) fn relation_counts_dominated(q2: &Cq, q1: &Cq) -> bool {
-    (q2.atoms().iter()).all(|a| occurrences(q2, a.relation) <= occurrences(q1, a.relation))
+/// reverse.  It counts by scanning the atoms, or reads the counts a
+/// complete description made, and allocates nothing.
+pub(crate) fn relation_counts_dominated<Q: SearchQuery>(q2: &Q, q1: &Q) -> bool {
+    (0..q2.num_atoms()).all(|a| {
+        let rel = q2.relation(a);
+        q2.occurrences(rel) <= q1.occurrences(rel)
+    })
 }
 
 /// The shape test between CCQs: whether `source` may map into `target`, or
@@ -58,7 +59,9 @@ pub(crate) fn relation_counts_dominated(q2: &Cq, q1: &Cq) -> bool {
 /// maps distinct atoms to distinct atoms.  It therefore needs no more
 /// variables than `target` has and, per relation, no more distinct atoms.
 /// A surjective one needs equality in both counts, since every variable of
-/// a safe target occurs in some atom.
+/// a safe target occurs in some atom.  The members of a flat description
+/// take the same test on the counts the description made
+/// ([`SearchQuery::shape_admits`]).
 pub(crate) fn shape_admits(source: &Ccq, target: &Ccq, onto: bool) -> bool {
     let (s, t) = (source.cq(), target.cq());
     let n = s.num_vars();
@@ -71,9 +74,32 @@ pub(crate) fn shape_admits(source: &Ccq, target: &Ccq, onto: bool) -> bool {
             .all(|a| fits(distinct_atoms(s, a.relation), distinct_atoms(t, a.relation)))
 }
 
+/// Whether the images of `source`'s atoms under the total mapping `map`
+/// cover `target`'s atom multiset: each distinct target atom is the image
+/// of at least as many source atoms as `target` has copies of it.  It
+/// counts in place, so an accepted surjection allocates nothing.
+pub(crate) fn covers<Q: QueryView>(map: &VarMap, source: &Q, target: &Q) -> bool {
+    let m = target.num_atoms();
+    (0..m).all(|t| {
+        let (rel, args) = (target.relation(t), target.args(t));
+        let equal = |u: &usize| target.relation(*u) == rel && target.args(*u) == args;
+        if (0..t).any(|u| equal(&u)) {
+            // Counted at its first copy.
+            return true;
+        }
+        let images = (0..source.num_atoms()).filter(|&a| {
+            let mapped = (source.args(a).iter())
+                .zip(args)
+                .all(|(&v, &w)| map.get(v) == Some(w));
+            source.relation(a) == rel && mapped
+        });
+        images.count() >= (t..m).filter(equal).count()
+    })
+}
+
 /// Runs a search and returns the first accepted total mapping, if any.
-fn first_witness(
-    search: &HomSearch<'_>,
+fn first_witness<Q: SearchQuery>(
+    search: &HomSearch<'_, Q>,
     accept: &mut dyn FnMut(&VarMap) -> bool,
 ) -> Option<VarMap> {
     let mut found = None;
@@ -125,15 +151,13 @@ pub fn find_surjective_hom(q2: &Cq, q1: &Cq) -> Option<VarMap> {
     if !relation_counts_dominated(q1, q2) {
         return None;
     }
-    let search = HomSearch::new(q2, q1);
-    first_witness(&search, &mut |map| {
-        multiset_contains(&map.image_atoms(q2), q1.atoms())
-    })
+    first_witness(&HomSearch::new(q2, q1), &mut |map| covers(map, q2, q1))
 }
 
-/// `Q₂ → Q₁` for CCQs, preserving inequalities.
-pub fn exists_hom_ccq(q2: &Ccq, q1: &Ccq) -> bool {
-    shape_admits(q2, q1, false) && HomSearch::new_ccq(q2, q1).exists()
+/// `Q₂ → Q₁` for CCQs, or for members of complete descriptions, preserving
+/// inequalities.
+pub fn exists_hom_ccq<Q: SearchQuery>(q2: &Q, q1: &Q) -> bool {
+    Q::shape_admits(q2, q1, false) && HomSearch::new(q2, q1).exists()
 }
 
 /// `Q₂ ↪ Q₁`: is there an injective (one-to-one on atoms) homomorphism from
@@ -161,43 +185,41 @@ pub fn exists_surjective_hom(q2: &Cq, q1: &Cq) -> bool {
     surjective_search(q2, q1)
 }
 
-/// `Q₂ ↠ Q₁` for CCQs, preserving inequalities.
-pub fn exists_surjective_hom_ccq(q2: &Ccq, q1: &Ccq) -> bool {
+/// `Q₂ ↠ Q₁` for CCQs, or for members of complete descriptions, preserving
+/// inequalities.
+pub fn exists_surjective_hom_ccq<Q: SearchQuery>(q2: &Q, q1: &Q) -> bool {
     surjective_search(q2, q1)
 }
 
 fn surjective_search<Q: SearchQuery>(q2: &Q, q1: &Q) -> bool {
-    let (cq2, cq1) = (q2.as_cq(), q1.as_cq());
-    // Covering every atom occurrence of q1 needs, per relation, at least as
-    // many atoms in q2 (images stay within the relation).
-    if !relation_counts_dominated(cq1, cq2) || !Q::shape_admits(q2, q1, true) {
+    // The shape test starts with the variable counts; then, covering every
+    // atom occurrence of q1 needs, per relation, at least as many atoms in
+    // q2 (images stay within the relation).
+    if !Q::shape_admits(q2, q1, true) || !relation_counts_dominated(q1, q2) {
         return false;
     }
-    Q::search(q2, q1).run(&mut |map| {
-        // image multiset must cover q1's atom multiset
-        let image = map.image_atoms(cq2);
-        multiset_contains(&image, cq1.atoms())
-    })
+    HomSearch::new(q2, q1).run(&mut |map| covers(map, q2, q1))
 }
 
 /// `Q₂ ⇉ Q₁` over a union of sources: every atom of `target` is in the image
 /// of a homomorphism from some source to `target` (Sec. 4.1).  One source
-/// gives the CQ covering `Q₂ ⇉ Q₁`; the members of a UCQ `Q₂`, or of its
-/// complete description, give the union covering `⇉₁` of Sec. 5.4.  Target
-/// atoms are tried in order, and for each the sources and their atoms.
-/// A source whose shape cannot map into `target` is skipped without a
-/// search.
+/// gives the CQ covering `Q₂ ⇉ Q₁`; the members of a UCQ `Q₂`, or one
+/// representative per isomorphism class of its complete description, give
+/// the union covering `⇉₁` of Sec. 5.4.  Target atoms are tried in order,
+/// and for each the sources and their atoms.  A source whose shape cannot
+/// map into `target` is skipped without a search.
 pub fn homomorphically_covers<Q: SearchQuery>(sources: &[Q], target: &Q) -> bool {
-    'atoms: for (target_index, target_atom) in target.as_cq().atoms().iter().enumerate() {
+    'atoms: for target_index in 0..target.num_atoms() {
+        let relation = target.relation(target_index);
         for source in sources {
             if !Q::shape_admits(source, target, false) {
                 continue;
             }
-            for (source_index, source_atom) in source.as_cq().atoms().iter().enumerate() {
-                if source_atom.relation != target_atom.relation {
+            for source_index in 0..source.num_atoms() {
+                if source.relation(source_index) != relation {
                     continue;
                 }
-                if Q::search(source, target)
+                if HomSearch::new(source, target)
                     .with_pin(source_index, target_index)
                     .exists()
                 {
@@ -206,23 +228,6 @@ pub fn homomorphically_covers<Q: SearchQuery>(sources: &[Q], target: &Q) -> bool
             }
         }
         return false;
-    }
-    true
-}
-
-/// Multiset containment of atom lists: every atom of `needles` occurs in
-/// `haystack` with at least the same multiplicity.
-pub fn multiset_contains(haystack: &[Atom], needles: &[Atom]) -> bool {
-    let mut counts: BTreeMap<&Atom, i64> = BTreeMap::new();
-    for a in haystack {
-        *counts.entry(a).or_insert(0) += 1;
-    }
-    for a in needles {
-        let c = counts.entry(a).or_insert(0);
-        *c -= 1;
-        if *c < 0 {
-            return false;
-        }
     }
     true
 }
@@ -359,15 +364,28 @@ mod tests {
 
     #[test]
     fn multiset_helpers() {
+        // Under the identity, the images of R(x,y), R(x,y), S(y) cover its
+        // own atom multiset and its first two atoms, but two copies of
+        // R(x,y) do not cover the three atoms.
         let q = Cq::builder(&schema())
             .atom("R", &["x", "y"])
             .atom("R", &["x", "y"])
             .atom("S", &["y"])
             .build();
-        let atoms = q.atoms();
-        assert!(multiset_contains(atoms, &atoms[..2]));
-        assert!(multiset_contains(atoms, atoms));
-        assert!(!multiset_contains(&atoms[..2], atoms));
+        let pair = Cq::builder(&schema())
+            .atom("R", &["x", "y"])
+            .atom("R", &["x", "y"])
+            .build();
+        let single = Cq::builder(&schema()).atom("R", &["x", "y"]).build();
+        let mut identity = VarMap::new(2);
+        identity.bind(annot_query::QVar(0), annot_query::QVar(0));
+        identity.bind(annot_query::QVar(1), annot_query::QVar(1));
+        assert!(covers(&identity, &q, &pair));
+        assert!(covers(&identity, &q, &q));
+        assert!(!covers(&identity, &pair, &q));
+        // Copies count: one R(x,y) does not cover two.
+        assert!(covers(&identity, &pair, &single));
+        assert!(!covers(&identity, &single, &pair));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! | module | contents | paper |
 //! |--------|----------|-------|
 //! | [`kinds`] | one predicate per homomorphism notion: plain (`→`), injective (`↪`), surjective (`↠`) and bijective (`⤖`) homomorphisms, and the one covering loop (`⇉`) behind the CQ covering and the UCQ coverings `⇉₁` | Sec. 3.3, 4.1–4.4, 5.4 |
-//! | [`iso`] | isomorphism of CCQs, CQs and UCQs; whether a CCQ has a non-trivial automorphism (`⇉₂`); isomorphism counting (`↪_∞`, `↪_k`) | Sec. 5.2, 5.4 |
-//! | [`search`] | the backtracking engine underlying all of the above, between CQs or CCQs ([`SearchQuery`]); the problems are NP-complete, and the engine picks the most constrained atom first by default | — |
+//! | [`iso`] | isomorphism of CCQs, CQs and UCQs | Sec. 5.2 |
+//! | [`search`] | the backtracking engine underlying all of the above, between CQs, CCQs or members of a flat complete description ([`SearchQuery`]); the problems are NP-complete, the engine picks the most constrained atom first by default, and a search allocates nothing once its per-thread buffers have grown | — |
 //! | [`mapping`] | variable mappings ([`VarMap`]) | — |
 //!
 //! ## Example
@@ -34,17 +34,14 @@ pub mod kinds;
 pub mod mapping;
 pub mod search;
 
-pub use iso::{
-    are_isomorphic, are_isomorphic_cq, are_isomorphic_ucq, count_isomorphic,
-    has_nontrivial_automorphism,
-};
+pub use iso::{are_isomorphic, are_isomorphic_cq, are_isomorphic_ucq};
 pub use kinds::{
     exists_bijective_hom, exists_hom, exists_hom_ccq, exists_injective_hom, exists_surjective_hom,
     exists_surjective_hom_ccq, find_bijective_hom, find_hom, find_injective_hom,
     find_surjective_hom, homomorphically_covers,
 };
 pub use mapping::VarMap;
-pub use search::{AtomOrder, HomSearch, SearchOptions, SearchQuery};
+pub use search::{AtomOrder, HomSearch, Inequalities, SearchOptions, SearchQuery};
 
 #[cfg(test)]
 mod semantic_soundness_tests {

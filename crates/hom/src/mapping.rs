@@ -5,16 +5,26 @@
 //! atom of `Q₁`.  [`VarMap`] stores such a function as a dense vector indexed
 //! by the source query's variables.
 
-use annot_query::{Atom, Cq, QVar};
+use annot_query::{Atom, QVar};
 
 /// A (possibly partial) mapping from the variables of a source query to the
 /// variables of a target query.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct VarMap {
     map: Vec<Option<QVar>>,
 }
 
 impl VarMap {
+    /// The mapping of a source query without variables.
+    pub(crate) const EMPTY: VarMap = VarMap { map: Vec::new() };
+
+    /// Makes the mapping empty for a source query with `num_source_vars`
+    /// variables, keeping its buffer.
+    pub(crate) fn reset(&mut self, num_source_vars: usize) {
+        self.map.clear();
+        self.map.resize(num_source_vars, None);
+    }
+
     /// An empty (fully undefined) mapping for a source query with
     /// `num_source_vars` variables.
     pub fn new(num_source_vars: usize) -> Self {
@@ -63,12 +73,6 @@ impl VarMap {
         )
     }
 
-    /// The multiset (in source-atom order) of images of the source query's
-    /// atoms.
-    pub fn image_atoms(&self, source: &Cq) -> Vec<Atom> {
-        source.atoms().iter().map(|a| self.apply_atom(a)).collect()
-    }
-
     /// The underlying vector (for inspection in tests).
     pub fn as_slice(&self) -> &[Option<QVar>] {
         &self.map
@@ -91,7 +95,7 @@ impl VarMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use annot_query::Schema;
+    use annot_query::{Cq, Schema};
 
     #[test]
     fn bind_and_rebind() {
@@ -128,7 +132,6 @@ mod tests {
         m.bind(QVar(1), QVar(7));
         let img = m.apply_atom(&q.atoms()[0]);
         assert_eq!(img.args, vec![QVar(7), QVar(7)]);
-        assert_eq!(m.image_atoms(&q).len(), 1);
         assert_eq!(m.as_slice().len(), 2);
     }
 

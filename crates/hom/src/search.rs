@@ -10,9 +10,13 @@
 //! that search once; the public per-criterion functions live in
 //! [`crate::kinds`] and [`crate::iso`].
 //!
+//! The engine reads its queries through [`SearchQuery`]: atoms, heads and
+//! variable counts, and which variables must differ.  [`Cq`], [`Ccq`] and
+//! the members of a flat complete description ([`Member`]) implement it.
+//!
 //! Deciding existence of these homomorphisms is NP-complete in general
-//! (Chandra–Merlin); the search is exponential in the worst case.  Two
-//! engine-level optimisations keep the practical cases fast:
+//! (Chandra–Merlin); the search is exponential in the worst case.  These
+//! engine-level measures keep the practical cases fast:
 //!
 //! * a **per-relation target-atom index** built once per search, so candidate
 //!   target occurrences are looked up by relation instead of scanning every
@@ -25,12 +29,20 @@
 //! * **inequalities checked at bind time**: a CCQ search checks each source
 //!   inequality as soon as both of its variables are bound, head bindings
 //!   included, so a mapping that merges two variables that must differ is
-//!   cut where it merges them instead of at a leaf.  The accepted mappings
-//!   and their order are those of a leaf check.  Plain-CQ searches run an
-//!   instance of the recursion compiled without the check.
+//!   cut where it merges them instead of at a leaf.  Between members of a
+//!   complete description, whose variables all differ, the check is
+//!   injectivity: a variable may not take an image already taken.  The
+//!   accepted mappings and their order are those of a leaf check.
+//!   Plain-CQ searches are compiled without the check;
+//! * **no allocation per search**: the variable map, the target index, the
+//!   flags and the binding stack live in a per-thread scratch that every
+//!   search reuses, so once its buffers have grown a search allocates
+//!   nothing.
 
 use crate::mapping::VarMap;
-use annot_query::{Ccq, Cq, QVar};
+use annot_query::complete::Member;
+use annot_query::{Ccq, Cq, QVar, QueryView, RelId};
+use std::cell::Cell;
 
 /// Atom-selection order used by the backtracking search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,70 +76,78 @@ impl Default for SearchOptions {
     }
 }
 
-/// Target atom occurrences grouped by relation, so the search enumerates only
-/// same-relation candidates instead of scanning the whole atom list.
-struct TargetIndex {
-    by_relation: Vec<Vec<usize>>,
+/// Which variables of a query must take distinct values.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Inequalities {
+    /// None: a plain CQ.
+    None,
+    /// The pairs the query lists: a CCQ.
+    Listed,
+    /// Every two: a member of a complete description.
+    All,
 }
 
-impl TargetIndex {
-    fn new(target: &Cq) -> Self {
-        let buckets = target
-            .atoms()
-            .iter()
-            .map(|a| a.relation.0 as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let mut by_relation = vec![Vec::new(); buckets];
-        for (i, atom) in target.atoms().iter().enumerate() {
-            by_relation[atom.relation.0 as usize].push(i);
-        }
-        TargetIndex { by_relation }
+/// A query a [`HomSearch`] runs between: a plain CQ, a CCQ whose
+/// inequalities the homomorphism must preserve, or a member of a complete
+/// description, all of whose variables differ.
+pub trait SearchQuery: QueryView {
+    /// Which variables must differ.
+    const INEQUALITIES: Inequalities;
+
+    /// With [`Inequalities::Listed`]: whether the binding of `v` keeps every
+    /// source inequality `v ≠ w` whose `w` is bound in `map`.
+    fn keeps_inequalities(_source: &Self, _target: &Self, _v: QVar, _map: &VarMap) -> bool {
+        true
     }
 
-    fn candidates(&self, rel: annot_query::RelId) -> &[usize] {
-        self.by_relation
-            .get(rel.0 as usize)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-}
-
-/// A query a [`HomSearch`] runs between: a plain CQ, or a CCQ whose
-/// inequalities the homomorphism must preserve.
-pub trait SearchQuery {
-    /// The underlying CQ.
-    fn as_cq(&self) -> &Cq;
-    /// A search from `source` to `target`.
-    fn search<'a>(source: &'a Self, target: &'a Self) -> HomSearch<'a>;
     /// Whether counts leave room for a homomorphism from `source` into
-    /// `target`, or onto it when `onto`.  Always true between CQs; between
-    /// CCQs, the shape test of [`crate::kinds`] for sources whose variables
-    /// must all differ.
-    fn shape_admits(source: &Self, target: &Self, onto: bool) -> bool;
+    /// `target`, or onto it when `onto`: the shape test of [`crate::kinds`]
+    /// for sources whose variables must all differ, and true otherwise.
+    fn shape_admits(_source: &Self, _target: &Self, _onto: bool) -> bool {
+        true
+    }
+
+    /// How many atoms have relation `rel`.
+    fn occurrences(&self, rel: RelId) -> usize {
+        (0..self.num_atoms())
+            .filter(|&a| self.relation(a) == rel)
+            .count()
+    }
 }
 
 impl SearchQuery for Cq {
-    fn as_cq(&self) -> &Cq {
-        self
-    }
-
-    fn search<'a>(source: &'a Cq, target: &'a Cq) -> HomSearch<'a> {
-        HomSearch::new(source, target)
-    }
-
-    fn shape_admits(_: &Cq, _: &Cq, _: bool) -> bool {
-        true
-    }
+    const INEQUALITIES: Inequalities = Inequalities::None;
 }
 
 impl SearchQuery for Ccq {
-    fn as_cq(&self) -> &Cq {
-        self.cq()
-    }
+    const INEQUALITIES: Inequalities = Inequalities::Listed;
 
-    fn search<'a>(source: &'a Ccq, target: &'a Ccq) -> HomSearch<'a> {
-        HomSearch::new_ccq(source, target)
+    /// For every source inequality `v ≠ w` whose `w` is bound, the images
+    /// must be distinct variables, and — when both images are existential
+    /// variables of the target — the pair must itself be an inequality of
+    /// the target (automatically true for complete CCQs).  Checking each
+    /// inequality when its second variable is bound checks every one by the
+    /// leaf, and cuts only branches whose every completion would fail.
+    fn keeps_inequalities(source: &Ccq, target: &Ccq, v: QVar, map: &VarMap) -> bool {
+        let Some(hv) = map.get(v) else {
+            return true;
+        };
+        let distinct_images = |hw: QVar| {
+            hw != hv
+                && (target.cq().is_free(hv)
+                    || target.cq().is_free(hw)
+                    || target.must_differ(hv, hw))
+        };
+        source.inequalities().iter().all(|&(a, b)| {
+            let w = if v == a {
+                b
+            } else if v == b {
+                a
+            } else {
+                return true;
+            };
+            map.get(w).map_or(true, distinct_images)
+        })
     }
 
     fn shape_admits(source: &Ccq, target: &Ccq, onto: bool) -> bool {
@@ -135,40 +155,126 @@ impl SearchQuery for Ccq {
     }
 }
 
+impl SearchQuery for Member<'_> {
+    const INEQUALITIES: Inequalities = Inequalities::All;
+
+    /// A homomorphism out of a member is injective on variables and maps
+    /// distinct atoms to distinct atoms, so it needs no more variables and,
+    /// per relation, no more distinct atoms than the target has; a
+    /// surjective one needs equality in both.  The description counted the
+    /// distinct atoms once.
+    fn shape_admits(source: &Self, target: &Self, onto: bool) -> bool {
+        let fits = |a: usize, b: usize| if onto { a == b } else { a <= b };
+        fits(source.num_vars(), target.num_vars())
+            && (0..source.num_atoms()).all(|a| {
+                let rel = source.relation(a);
+                fits(source.distinct_atoms(rel), target.distinct_atoms(rel))
+            })
+    }
+
+    fn occurrences(&self, rel: RelId) -> usize {
+        Member::occurrences(self, rel)
+    }
+}
+
 /// A single search problem: find a homomorphism from `source` to `target`.
-pub struct HomSearch<'a> {
-    source: &'a Cq,
-    target: &'a Cq,
-    /// The source and target CCQs of an inequality-preserving search.
-    inequalities: Option<(&'a Ccq, &'a Ccq)>,
+pub struct HomSearch<'a, Q: SearchQuery = Cq> {
+    source: &'a Q,
+    target: &'a Q,
     options: SearchOptions,
     /// Optional pin: the source atom at index `.0` must map to the target
     /// atom occurrence at index `.1` (used for homomorphic coverings).
     pin: Option<(usize, usize)>,
 }
 
-impl<'a> HomSearch<'a> {
-    /// Creates a search between two plain CQs.
-    pub fn new(source: &'a Cq, target: &'a Cq) -> Self {
-        HomSearch {
-            source,
-            target,
-            inequalities: None,
-            options: SearchOptions::default(),
-            pin: None,
+/// The buffers one search works in, kept per thread between searches.
+#[derive(Default)]
+struct Scratch {
+    map: VarMap,
+    /// Per target variable: whether it is some bound variable's image
+    /// (kept for [`Inequalities::All`] only).
+    taken: Vec<bool>,
+    /// Per source atom: whether it is mapped.
+    assigned: Vec<bool>,
+    /// Per target atom: whether a source atom is mapped to it.
+    used: Vec<bool>,
+    /// The binding stack: candidates record their fresh bindings above a
+    /// mark and truncate back on backtrack.
+    touched: Vec<QVar>,
+    /// The target atoms grouped by relation: those of relation `r` are
+    /// `atoms[starts[r]..starts[r + 1]]`.
+    starts: Vec<u32>,
+    atoms: Vec<u32>,
+}
+
+impl Scratch {
+    const EMPTY: Scratch = Scratch {
+        map: VarMap::EMPTY,
+        taken: Vec::new(),
+        assigned: Vec::new(),
+        used: Vec::new(),
+        touched: Vec::new(),
+        starts: Vec::new(),
+        atoms: Vec::new(),
+    };
+
+    /// Groups `target`'s atoms by relation.
+    fn index<Q: QueryView>(&mut self, target: &Q) {
+        let m = target.num_atoms();
+        let buckets = (0..m).map(|a| target.relation(a).0 as usize + 1).max();
+        self.starts.clear();
+        self.starts.resize(buckets.unwrap_or(0) + 1, 0);
+        for a in 0..m {
+            self.starts[target.relation(a).0 as usize + 1] += 1;
+        }
+        for r in 1..self.starts.len() {
+            self.starts[r] += self.starts[r - 1];
+        }
+        self.atoms.clear();
+        self.atoms.resize(m, 0);
+        // `starts[r + 1]` is where relation `r`'s atoms end.  Placing the
+        // atoms from the back, each just below its relation's end, keeps
+        // them in order and moves each end down to its relation's start;
+        // shifting the starts down by one and closing them with `m` gives
+        // the index.
+        for a in (0..m).rev() {
+            let end = &mut self.starts[target.relation(a).0 as usize + 1];
+            *end -= 1;
+            self.atoms[*end as usize] = a as u32;
+        }
+        self.starts.rotate_left(1);
+        if let Some(last) = self.starts.last_mut() {
+            *last = m as u32;
         }
     }
 
-    /// Creates a search between two CCQs; the homomorphism must preserve the
-    /// source inequalities (Sec. 5: "homomorphisms … between CCQs should
-    /// preserve the inequalities").  Each inequality is checked as soon as
-    /// both of its variables are bound, so a branch that breaks one is cut
-    /// before it completes.
-    pub fn new_ccq(source: &'a Ccq, target: &'a Ccq) -> Self {
+    /// The target atoms of relation `rel`.
+    fn candidates(&self, rel: RelId) -> &[u32] {
+        let r = rel.0 as usize;
+        match (self.starts.get(r), self.starts.get(r + 1)) {
+            (Some(&from), Some(&to)) => &self.atoms[from as usize..to as usize],
+            _ => &[],
+        }
+    }
+}
+
+thread_local! {
+    /// The scratch every search on this thread reuses.  A search takes it
+    /// and puts it back, so a search started from inside another's
+    /// acceptance predicate works in fresh buffers.
+    static SCRATCH: Cell<Scratch> = const { Cell::new(Scratch::EMPTY) };
+}
+
+impl<'a, Q: SearchQuery> HomSearch<'a, Q> {
+    /// Creates a search from `source` to `target`.  Between CCQs the
+    /// homomorphism must preserve the source inequalities (Sec. 5:
+    /// "homomorphisms … between CCQs should preserve the inequalities");
+    /// between members of a complete description it is injective on
+    /// variables.
+    pub fn new(source: &'a Q, target: &'a Q) -> Self {
         HomSearch {
-            source: source.cq(),
-            target: target.cq(),
-            inequalities: Some((source, target)),
+            source,
+            target,
             options: SearchOptions::default(),
             pin: None,
         }
@@ -192,30 +298,39 @@ impl<'a> HomSearch<'a> {
     /// `false` if no accepted mapping exists.
     pub fn run(&self, accept: &mut dyn FnMut(&VarMap) -> bool) -> bool {
         // Head condition: h(u₂) = u₁ positionally.
-        if self.source.free_vars().len() != self.target.free_vars().len() {
+        if self.source.head().len() != self.target.head().len() {
             return false;
         }
-        let mut map = VarMap::new(self.source.num_vars());
-        for (v2, v1) in self.source.free_vars().iter().zip(self.target.free_vars()) {
-            if !map.bind(*v2, *v1) || !self.keeps_inequalities(*v2, &map) {
-                return false;
+        let mut scratch = SCRATCH.with(Cell::take);
+        let found = self.run_in(&mut scratch, accept);
+        SCRATCH.with(|cell| cell.set(scratch));
+        found
+    }
+
+    fn run_in(&self, s: &mut Scratch, accept: &mut dyn FnMut(&VarMap) -> bool) -> bool {
+        s.map.reset(self.source.num_vars());
+        if Q::INEQUALITIES == Inequalities::All {
+            s.taken.clear();
+            s.taken.resize(self.target.num_vars(), false);
+        }
+        s.touched.clear();
+        for (&v2, &v1) in self.source.head().iter().zip(self.target.head()) {
+            match s.map.get(v2) {
+                Some(bound) if bound != v1 => return false,
+                Some(_) => {}
+                None => {
+                    if !self.bind(s, v2, v1) {
+                        return false;
+                    }
+                }
             }
         }
-
-        let index = TargetIndex::new(self.target);
-        let mut assigned = vec![false; self.source.num_atoms()];
-        let mut used = vec![false; self.target.num_atoms()];
-        // One shared binding stack for the whole search: candidates record
-        // their fresh bindings above a mark and truncate back on backtrack,
-        // instead of allocating a scratch vector per candidate.
-        let mut touched: Vec<QVar> = Vec::new();
-        // Plain-CQ searches run an instance without the inequality check.
-        let (index, map, used, touched) = (&index, &mut map, &mut used, &mut touched);
-        if self.inequalities.is_some() {
-            self.recurse::<true>(index, 0, &mut assigned, map, used, touched, accept)
-        } else {
-            self.recurse::<false>(index, 0, &mut assigned, map, used, touched, accept)
-        }
+        s.index(self.target);
+        s.assigned.clear();
+        s.assigned.resize(self.source.num_atoms(), false);
+        s.used.clear();
+        s.used.resize(self.target.num_atoms(), false);
+        self.recurse(s, 0, accept)
     }
 
     /// Convenience: does any accepted mapping exist (with trivial acceptance)?
@@ -242,6 +357,35 @@ impl<'a> HomSearch<'a> {
         });
     }
 
+    /// Binds the unbound source variable `v` to `t` and pushes it on the
+    /// binding stack, unless an image already taken refuses it.  Returns
+    /// whether the binding keeps the query's inequalities; on `false` the
+    /// caller unwinds the stack, this binding included if it was made.
+    fn bind(&self, s: &mut Scratch, v: QVar, t: QVar) -> bool {
+        if Q::INEQUALITIES == Inequalities::All {
+            if s.taken[t.0 as usize] {
+                return false;
+            }
+            s.taken[t.0 as usize] = true;
+        }
+        s.map.bind(v, t);
+        s.touched.push(v);
+        Q::INEQUALITIES != Inequalities::Listed
+            || Q::keeps_inequalities(self.source, self.target, v, &s.map)
+    }
+
+    /// Undoes the bindings above `mark` on the binding stack.
+    fn unwind(s: &mut Scratch, mark: usize) {
+        for v in s.touched.drain(mark..) {
+            if Q::INEQUALITIES == Inequalities::All {
+                if let Some(t) = s.map.get(v) {
+                    s.taken[t.0 as usize] = false;
+                }
+            }
+            s.map.unbind(v);
+        }
+    }
+
     /// Whether mapping the source atom `source_index` onto the target
     /// occurrence `target_index` is admissible under the current partial
     /// state: the occurrence is free (when occurrence-injective), the pin is
@@ -263,11 +407,8 @@ impl<'a> HomSearch<'a> {
                 return false;
             }
         }
-        let atom = &self.source.atoms()[source_index];
-        let target_atom = &self.target.atoms()[target_index];
-        atom.args
-            .iter()
-            .zip(&target_atom.args)
+        (self.source.args(source_index).iter())
+            .zip(self.target.args(target_index))
             .all(|(&sv, &tv)| match map.get(sv) {
                 None => true,
                 Some(bound) => bound == tv,
@@ -277,20 +418,15 @@ impl<'a> HomSearch<'a> {
     /// Picks the next source atom to map.  The pinned atom (if any) always
     /// goes first so the pin prunes immediately; after that, syntactic order
     /// or dynamic most-constrained-next selection.
-    fn select_next(
-        &self,
-        index: &TargetIndex,
-        assigned: &[bool],
-        map: &VarMap,
-        used: &[bool],
-    ) -> usize {
+    fn select_next(&self, s: &Scratch) -> usize {
         if let Some((pinned, _)) = self.pin {
-            if !assigned[pinned] {
+            if !s.assigned[pinned] {
                 return pinned;
             }
         }
         match self.options.order {
-            AtomOrder::Syntactic => assigned
+            AtomOrder::Syntactic => s
+                .assigned
                 .iter()
                 .position(|&done| !done)
                 // invariant: guarded by the all-assigned check above
@@ -298,14 +434,13 @@ impl<'a> HomSearch<'a> {
             AtomOrder::MostConstrained => {
                 let mut best = usize::MAX;
                 let mut best_count = usize::MAX;
-                for (i, &done) in assigned.iter().enumerate() {
+                for (i, &done) in s.assigned.iter().enumerate() {
                     if done {
                         continue;
                     }
-                    let atom = &self.source.atoms()[i];
                     let mut count = 0;
-                    for &t in index.candidates(atom.relation) {
-                        if self.admissible(i, t, map, used) {
+                    for &t in s.candidates(self.source.relation(i)) {
+                        if self.admissible(i, t as usize, &s.map, &s.used) {
                             count += 1;
                             if count >= best_count {
                                 break;
@@ -325,105 +460,63 @@ impl<'a> HomSearch<'a> {
         }
     }
 
-    /// Extends the partial mapping by one source atom at a time.  With
-    /// `INEQUALITIES`, every fresh binding is checked against the source
-    /// inequalities whose other variable is already bound.
-    #[allow(clippy::too_many_arguments)]
-    fn recurse<const INEQUALITIES: bool>(
+    /// Extends the partial mapping by one source atom at a time.  Every
+    /// fresh binding is checked against the query's inequalities.
+    fn recurse(
         &self,
-        index: &TargetIndex,
+        s: &mut Scratch,
         depth: usize,
-        assigned: &mut Vec<bool>,
-        map: &mut VarMap,
-        used: &mut Vec<bool>,
-        touched: &mut Vec<QVar>,
         accept: &mut dyn FnMut(&VarMap) -> bool,
     ) -> bool {
         if depth == self.source.num_atoms() {
-            if !map.is_total() {
+            if !s.map.is_total() {
                 // Cannot happen for safe queries, but guard anyway.
                 return false;
             }
-            return accept(map);
+            return accept(&s.map);
         }
-        let source_index = self.select_next(index, assigned, map, used);
-        let atom = &self.source.atoms()[source_index];
-        assigned[source_index] = true;
-        for &target_index in index.candidates(atom.relation) {
-            if !self.admissible(source_index, target_index, map, used) {
+        let source_index = self.select_next(s);
+        let relation = self.source.relation(source_index);
+        s.assigned[source_index] = true;
+        let candidates = s.candidates(relation).len();
+        for c in 0..candidates {
+            let target_index = s.candidates(relation)[c] as usize;
+            if !self.admissible(source_index, target_index, &s.map, &s.used) {
                 continue;
             }
-            let target_atom = &self.target.atoms()[target_index];
             // Unify the argument lists (forward checking already validated
             // the bound positions; repeated variables can still conflict).
             // Fresh bindings go on the shared stack above `mark`.
-            let mark = touched.len();
+            let mark = s.touched.len();
             let mut ok = true;
-            for (&sv, &tv) in atom.args.iter().zip(&target_atom.args) {
-                if map.get(sv).is_none() {
-                    map.bind(sv, tv);
-                    touched.push(sv);
-                    if INEQUALITIES && !self.keeps_inequalities(sv, map) {
-                        ok = false;
-                        break;
+            let args = self.source.args(source_index);
+            for (&sv, &tv) in args.iter().zip(self.target.args(target_index)) {
+                match s.map.get(sv) {
+                    None => {
+                        if !self.bind(s, sv, tv) {
+                            ok = false;
+                            break;
+                        }
                     }
-                } else if map.get(sv) != Some(tv) {
-                    ok = false;
-                    break;
+                    Some(bound) => {
+                        if bound != tv {
+                            ok = false;
+                            break;
+                        }
+                    }
                 }
             }
             if ok {
-                used[target_index] = true;
-                if self.recurse::<INEQUALITIES>(
-                    index,
-                    depth + 1,
-                    assigned,
-                    map,
-                    used,
-                    touched,
-                    accept,
-                ) {
+                s.used[target_index] = true;
+                if self.recurse(s, depth + 1, accept) {
                     return true;
                 }
-                used[target_index] = false;
+                s.used[target_index] = false;
             }
-            for v in touched.drain(mark..) {
-                map.unbind(v);
-            }
+            Self::unwind(s, mark);
         }
-        assigned[source_index] = false;
+        s.assigned[source_index] = false;
         false
-    }
-
-    /// Inequality preservation at the binding of `v`: for every source
-    /// inequality `v ≠ w` whose `w` is bound, the images must be distinct
-    /// variables, and — when both images are existential variables of the
-    /// target — the pair must itself be an inequality of the target
-    /// (automatically true for complete CCQs).  Checking each inequality
-    /// when its second variable is bound checks every one by the leaf, and
-    /// cuts only branches whose every completion would fail.
-    fn keeps_inequalities(&self, v: QVar, map: &VarMap) -> bool {
-        let Some((source, target)) = self.inequalities else {
-            return true;
-        };
-        // invariant: called right after binding `v`
-        let hv = map.get(v).expect("bound variable");
-        let distinct_images = |hw: QVar| {
-            hw != hv
-                && (target.cq().is_free(hv)
-                    || target.cq().is_free(hw)
-                    || target.must_differ(hv, hw))
-        };
-        source.inequalities().iter().all(|&(a, b)| {
-            let w = if v == a {
-                b
-            } else if v == b {
-                a
-            } else {
-                return true;
-            };
-            map.get(w).map_or(true, distinct_images)
-        })
     }
 }
 
@@ -599,13 +692,13 @@ mod tests {
             .inequality("u", "v")
             .build_ccq();
         let tgt_loop = Ccq::completion_of(Cq::builder(&schema()).atom("R", &["x", "x"]).build());
-        assert!(!HomSearch::new_ccq(&src, &tgt_loop).exists());
+        assert!(!HomSearch::new(&src, &tgt_loop).exists());
         // Target R(x,y) with x ≠ y admits it.
         let tgt_edge = Ccq::completion_of(Cq::builder(&schema()).atom("R", &["x", "y"]).build());
-        assert!(HomSearch::new_ccq(&src, &tgt_edge).exists());
+        assert!(HomSearch::new(&src, &tgt_edge).exists());
         // Without the completion on the target, the image pair is not bound
         // by an inequality, so preservation fails.
         let tgt_plain = Ccq::from_cq(Cq::builder(&schema()).atom("R", &["x", "y"]).build());
-        assert!(!HomSearch::new_ccq(&src, &tgt_plain).exists());
+        assert!(!HomSearch::new(&src, &tgt_plain).exists());
     }
 }

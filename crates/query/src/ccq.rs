@@ -6,8 +6,15 @@
 //! every pair of distinct existential variables is bounded by an inequality —
 //! the building block of *complete descriptions* (Sec. 4.6 and 5), where the
 //! key property is that all endomorphisms of a CCQ are automorphisms.
+//!
+//! `Ccq` is not on the decide path: the deciders read the members of a flat
+//! [`crate::complete::Description`], in which every two variables differ.
+//! `Ccq` is the general form, with any set of inequalities, for tests,
+//! examples, the oracle's [`crate::Ducq`] and the materialised members of a
+//! description.
 
-use crate::cq::{Cq, QVar};
+use crate::cq::{Cq, QVar, QueryView};
+use crate::schema::{RelId, Schema};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -105,6 +112,32 @@ fn normalise(a: QVar, b: QVar) -> (QVar, QVar) {
     }
 }
 
+impl QueryView for Ccq {
+    fn schema(&self) -> &Schema {
+        self.cq.schema()
+    }
+
+    fn num_vars(&self) -> usize {
+        self.cq.num_vars()
+    }
+
+    fn num_atoms(&self) -> usize {
+        self.cq.num_atoms()
+    }
+
+    fn relation(&self, atom: usize) -> RelId {
+        self.cq.atoms()[atom].relation
+    }
+
+    fn args(&self, atom: usize) -> &[QVar] {
+        &self.cq.atoms()[atom].args
+    }
+
+    fn head(&self) -> &[QVar] {
+        self.cq.free_vars()
+    }
+}
+
 impl fmt::Display for Ccq {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.cq)?;
@@ -124,7 +157,6 @@ impl From<Cq> for Ccq {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Schema;
 
     fn schema() -> Schema {
         Schema::with_relations([("R", 2)])

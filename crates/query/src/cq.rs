@@ -171,6 +171,51 @@ impl Cq {
     }
 }
 
+/// Read access to a query's atoms, head and variables: what the
+/// homomorphism search and the canonical code read.  A [`Cq`] implements
+/// it, and so does a member of a flat complete description
+/// ([`crate::complete::Member`]), which has no atom vectors of its own.
+pub trait QueryView {
+    /// The schema the relations belong to.
+    fn schema(&self) -> &Schema;
+    /// The number of variables, numbered `0..num_vars()`.
+    fn num_vars(&self) -> usize;
+    /// The number of atoms.
+    fn num_atoms(&self) -> usize;
+    /// The relation of atom `atom`.
+    fn relation(&self, atom: usize) -> RelId;
+    /// The arguments of atom `atom`.
+    fn args(&self, atom: usize) -> &[QVar];
+    /// The free variables, in head order.
+    fn head(&self) -> &[QVar];
+}
+
+impl QueryView for Cq {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn num_vars(&self) -> usize {
+        self.var_names.len()
+    }
+
+    fn num_atoms(&self) -> usize {
+        self.atoms.len()
+    }
+
+    fn relation(&self, atom: usize) -> RelId {
+        self.atoms[atom].relation
+    }
+
+    fn args(&self, atom: usize) -> &[QVar] {
+        &self.atoms[atom].args
+    }
+
+    fn head(&self) -> &[QVar] {
+        &self.free
+    }
+}
+
 impl fmt::Display for Cq {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Q(")?;

@@ -31,7 +31,7 @@
 //! round; the atom order, class, partition and colour buffers are reused
 //! across rounds, search nodes and the members of a UCQ.
 
-use crate::{Cq, QVar, RelId, Ucq};
+use crate::{Cq, QVar, QueryView, RelId, Ucq};
 use std::cmp::Ordering;
 
 /// First word of every member code (the layout [`cq_code`] documents).
@@ -99,6 +99,21 @@ pub fn ucq_key(q: &Ucq) -> u64 {
     hash64(ucq_code(q))
 }
 
+/// Whether `q` has an automorphism that moves some variable: a renaming of
+/// its variables onto themselves that fixes the head positionally and maps
+/// the atom multiset onto itself.  The coding search finds one exactly when
+/// one exists.  It prunes only with automorphisms it has found, so without
+/// one it reaches every leaf, the least leaf's image under an automorphism
+/// among them, and that image serializes like the least leaf.  On a member
+/// of a complete description, whose variables all differ, this is the
+/// non-trivial automorphism that the covering criterion `⇉₂` asks about
+/// (Sec. 5.4).
+pub fn has_nontrivial_automorphism<Q: QueryView>(q: &Q) -> bool {
+    let mut search = Search::default();
+    search.code(q, &mut Vec::new());
+    !search.automorphisms.is_empty()
+}
+
 /// The least discrete partition the search has reached.
 #[derive(Default)]
 struct Best {
@@ -159,8 +174,8 @@ pub(crate) struct Search {
 
 impl Search {
     /// Runs the search over `q` and appends its code to `out`.
-    pub(crate) fn code(&mut self, q: &Cq, out: &mut Vec<u64>) {
-        let (n, free) = (q.num_vars(), q.free_vars());
+    pub(crate) fn code<Q: QueryView>(&mut self, q: &Q, out: &mut Vec<u64>) {
+        let (n, free) = (q.num_vars(), q.head());
         self.prepare(q);
         let schema = q.schema();
         let header: usize = (self.relations.iter())
@@ -191,19 +206,19 @@ impl Search {
 
     /// Resets the buffers for `q`: its relation table, the fixed offsets of
     /// its variables' signatures, and the uniform root colouring.
-    fn prepare(&mut self, q: &Cq) {
+    fn prepare<Q: QueryView>(&mut self, q: &Q) {
         let (n, m) = (q.num_vars(), q.num_atoms());
         let schema = q.schema();
         let spelled = |r: RelId| (schema.name(r), schema.arity(r));
         self.relations.clear();
-        self.relations.extend(q.atoms().iter().map(|a| a.relation));
+        self.relations.extend((0..m).map(|a| q.relation(a)));
         self.relations
             .sort_unstable_by(|&a, &b| spelled(a).cmp(&spelled(b)));
         self.relations.dedup();
         let relations = &self.relations;
         self.rank.clear();
-        self.rank.extend(q.atoms().iter().map(|a| {
-            let r = relations.binary_search_by(|&r| spelled(r).cmp(&spelled(a.relation)));
+        self.rank.extend((0..m).map(|a| {
+            let r = relations.binary_search_by(|&r| spelled(r).cmp(&spelled(q.relation(a))));
             r.unwrap_or_default() as u32
         }));
 
@@ -211,7 +226,7 @@ impl Search {
         // in it too.
         self.offsets.clear();
         self.offsets.resize(n + 1, 0);
-        for v in q.atoms().iter().flat_map(|a| &a.args).chain(q.free_vars()) {
+        for v in (0..m).flat_map(|a| q.args(a)).chain(q.head()) {
             self.offsets[v.0 as usize + 1] += 1;
         }
         for v in 0..n {
@@ -229,7 +244,7 @@ impl Search {
 
     /// Refines the colours at depth `level`, holding `cells` cells, until
     /// no cell splits, and returns the number of cells.
-    fn refine(&mut self, q: &Cq, level: usize, mut cells: usize) -> usize {
+    fn refine<Q: QueryView>(&mut self, q: &Q, level: usize, mut cells: usize) -> usize {
         let n = q.num_vars();
         let Search {
             rank,
@@ -255,12 +270,9 @@ impl Search {
             // class of its own.
             next.clear();
             next.extend_from_slice(&offsets[..n]);
-            let head = (u32::MAX, q.free_vars());
-            let body = q.atoms().iter().enumerate();
-            for (class, args) in body
-                .map(|(a, atom)| (class[a], &atom.args[..]))
-                .chain([head])
-            {
+            let head = (u32::MAX, q.head());
+            let body = (0..q.num_atoms()).map(|a| (class[a], q.args(a)));
+            for (class, args) in body.chain([head]) {
                 for (pos, v) in args.iter().enumerate() {
                     let cursor = &mut next[v.0 as usize];
                     signature[*cursor as usize] = (u64::from(class) << 32) | pos as u64;
@@ -291,7 +303,7 @@ impl Search {
     /// Explores the subtree below the node at depth `level`, reached by
     /// individualizing `path`.  Returns the depth of the node to jump back
     /// to when a leaf below matched an earlier leaf.
-    fn descend(&mut self, q: &Cq, level: usize, cells: usize) -> Option<usize> {
+    fn descend<Q: QueryView>(&mut self, q: &Q, level: usize, cells: usize) -> Option<usize> {
         let n = q.num_vars();
         if cells == n {
             return self.leaf(q, level);
@@ -347,7 +359,7 @@ impl Search {
     /// with the same label here; it maps the explored subtree below the
     /// node where the two paths diverge onto the current one, so the search
     /// returns to that node.  A smaller leaf becomes the best.
-    fn leaf(&mut self, q: &Cq, level: usize) -> Option<usize> {
+    fn leaf<Q: QueryView>(&mut self, q: &Q, level: usize) -> Option<usize> {
         self.leaves += 1;
         let n = q.num_vars();
         let label = &self.colours[level * n..(level + 1) * n];
@@ -356,11 +368,10 @@ impl Search {
         self.body.clear();
         // One word per free variable and argument, and a rank per atom.
         self.body.reserve(self.signature.len() + self.rank.len());
-        self.body.extend(q.free_vars().iter().map(labelled));
+        self.body.extend(q.head().iter().map(labelled));
         for &a in &self.atoms {
             self.body.push(u64::from(self.rank[a as usize]));
-            self.body
-                .extend(q.atoms()[a as usize].args.iter().map(labelled));
+            self.body.extend(q.args(a as usize).iter().map(labelled));
         }
         let best = &mut self.best;
         match best.body.cmp(&self.body) {
@@ -414,15 +425,21 @@ impl Search {
 }
 
 /// Orders atoms by relation rank, then by their arguments' colours.
-fn compare_atoms(q: &Cq, rank: &[u32], colour: &[u32], a: usize, b: usize) -> Ordering {
-    let coloured = |a: usize| q.atoms()[a].args.iter().map(|v| colour[v.0 as usize]);
+fn compare_atoms<Q: QueryView>(
+    q: &Q,
+    rank: &[u32],
+    colour: &[u32],
+    a: usize,
+    b: usize,
+) -> Ordering {
+    let coloured = |a: usize| q.args(a).iter().map(|v| colour[v.0 as usize]);
     rank[a]
         .cmp(&rank[b])
         .then_with(|| coloured(a).cmp(coloured(b)))
 }
 
 /// Fills `atoms` with the atom indices of `q` in [`compare_atoms`] order.
-fn sort_atoms(q: &Cq, rank: &[u32], colour: &[u32], atoms: &mut Vec<u32>) {
+fn sort_atoms<Q: QueryView>(q: &Q, rank: &[u32], colour: &[u32], atoms: &mut Vec<u32>) {
     atoms.clear();
     atoms.extend(0..rank.len() as u32);
     atoms.sort_unstable_by(|&a, &b| compare_atoms(q, rank, colour, a as usize, b as usize));
@@ -649,5 +666,92 @@ mod tests {
         assert_eq!(r2[0], CODE_TAG);
         assert_ne!(r2, cq_code(&on("T", &["x", "y"])));
         assert_ne!(r2, cq_code(&on("R", &["x", "y", "y"])));
+    }
+
+    /// Whether a permutation of `q`'s variables other than the identity
+    /// fixes the head positionally and maps the atom multiset onto itself,
+    /// by trying every permutation.
+    fn automorphic_by_permutations(q: &Cq) -> bool {
+        fn next(perm: &mut [u32]) -> bool {
+            let Some(i) = (1..perm.len()).rev().find(|&i| perm[i - 1] < perm[i]) else {
+                return false;
+            };
+            let j = (i..perm.len())
+                .rev()
+                .find(|&j| perm[i - 1] < perm[j])
+                .unwrap_or(i);
+            perm.swap(i - 1, j);
+            perm[i..].reverse();
+            true
+        }
+        let atoms = q.sorted_atoms();
+        let mut perm: Vec<u32> = (0..q.num_vars() as u32).collect();
+        while next(&mut perm) {
+            let image = |v: QVar| QVar(perm[v.0 as usize]);
+            if q.free_vars().iter().any(|&v| image(v) != v) {
+                continue;
+            }
+            let mut mapped: Vec<_> = q.atoms().iter().map(|a| a.map_vars(&image)).collect();
+            mapped.sort();
+            if mapped == atoms {
+                return true;
+            }
+        }
+        false
+    }
+
+    #[test]
+    fn automorphisms_of_symmetric_queries() {
+        let s = schema();
+        // R(x,y), R(y,x): swapping x and y is a non-trivial automorphism.
+        let symmetric = Cq::builder(&s)
+            .atom("R", &["x", "y"])
+            .atom("R", &["y", "x"])
+            .build();
+        assert!(has_nontrivial_automorphism(&symmetric));
+        // A path R(x,y), R(y,z) has only the identity automorphism.
+        let path = Cq::builder(&s)
+            .atom("R", &["x", "y"])
+            .atom("R", &["y", "z"])
+            .build();
+        assert!(!has_nontrivial_automorphism(&path));
+        // A 7-leaf star has 7! automorphisms; any leaf swap answers.
+        let leaves = ["a", "b", "c", "d", "e", "f", "g"];
+        let star = (leaves.iter()).fold(Cq::builder(&s), |b, leaf| b.atom("R", &["x", leaf]));
+        assert!(has_nontrivial_automorphism(&star.build()));
+        // Fixing the leaves as free variables leaves only the identity.
+        let pinned = (leaves.iter()).fold(Cq::builder(&s).free(&leaves), |b, leaf| {
+            b.atom("R", &["x", leaf])
+        });
+        assert!(!has_nontrivial_automorphism(&pinned.build()));
+    }
+
+    #[test]
+    fn automorphism_flag_matches_every_permutation() {
+        use crate::complete::Description;
+        use crate::generator::{GeneratorConfig, QueryGenerator, QueryShape};
+        let (mut automorphic, mut rigid) = (0, 0);
+        for seed in 0..30 {
+            for shape in [QueryShape::Chain, QueryShape::Star, QueryShape::Random] {
+                let mut generator = QueryGenerator::new(GeneratorConfig {
+                    num_atoms: 1 + seed as usize % 5,
+                    shape,
+                    num_relations: 1 + seed as usize % 2,
+                    var_pool: 5,
+                    free_vars: seed as usize % 3,
+                    seed,
+                });
+                let q = generator.cq();
+                for member in Description::new(std::slice::from_ref(&q)).members() {
+                    let flag = has_nontrivial_automorphism(&member);
+                    let ccq = member.to_ccq();
+                    assert_eq!(flag, automorphic_by_permutations(ccq.cq()), "{ccq}");
+                    assert_eq!(flag, has_nontrivial_automorphism(ccq.cq()), "{ccq}");
+                    automorphic += flag as usize;
+                    rigid += !flag as usize;
+                }
+            }
+        }
+        assert!(automorphic > 100 && rigid > 100, "{automorphic} / {rigid}");
     }
 }

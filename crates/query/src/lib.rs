@@ -18,7 +18,8 @@
 //!   [`eval::EvalState`] store relations with;
 //! * [`eval`] — semiring evaluation of CQs/CCQs/UCQs (Sec. 2);
 //! * [`CanonicalInstance`] — canonical instances ⟦Q⟧ (Sec. 4.6);
-//! * [`complete`] — complete descriptions ⟨Q⟩ (Sec. 4.6, 5);
+//! * [`complete`] — complete descriptions ⟨Q⟩ (Sec. 4.6, 5), flat, and
+//!   their members' isomorphism classes;
 //! * [`parser`] — a Datalog-style concrete syntax;
 //! * [`generator`] — random query/instance workload generators.
 //!
@@ -57,7 +58,7 @@ pub mod ucq;
 
 pub use canonical::CanonicalInstance;
 pub use ccq::Ccq;
-pub use cq::{Atom, Cq, CqBuilder, QVar};
+pub use cq::{Atom, Cq, CqBuilder, QVar, QueryView};
 pub use instance::Instance;
 pub use schema::{DbValue, Domain, IdTuple, RelId, Schema, SchemaError, Tuple, ValueId};
 pub use ucq::{Ducq, Ucq};

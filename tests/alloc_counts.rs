@@ -6,20 +6,29 @@
 //! fixed query pair — the first timed request of servebench's hit-serial
 //! stream at seed 2718 — and completes the 5-leaf star.  The counts repeat
 //! exactly on one toolchain, so they are work counters: a change that
-//! allocates per identifier, occurrence, refinement round or ⟨Q⟩ member
-//! again, or that searches where a count settles the question, fails here
-//! whatever the hardware.  Each bound is half the count of the
-//! implementation a stage replaced (on stable Rust: 184, 93, 1,045 and
-//! 7,715 for building and coding; 3,512, 4,081 and 5,681 for the decide
-//! stages, which searched or built relation maps per ⟨Q⟩ pair; 2,523 and
-//! 2,520 for the `T+` and `Viterbi` decides, which built a canonical
-//! instance and `N[X]` polynomials per ⟨Q⟩ member), not the current count,
-//! so allocator-visible differences between the stable and MSRV standard
-//! libraries do not flip it.
+//! allocates per identifier, occurrence, refinement round, ⟨Q⟩ member or
+//! search again, or that searches where a count settles the question, fails
+//! here whatever the hardware.  Each bound is half the count of the
+//! implementation a stage replaced, not the current count, so
+//! allocator-visible differences between the stable and MSRV standard
+//! libraries do not flip it.  The replaced counts, on stable Rust:
+//!
+//! * 184 and 93 for parsing and coding the pair;
+//! * 292 for building ⟨q1⟩ and 7,715 for ⟨5-leaf star⟩, which materialised
+//!   every member as a `Ccq`;
+//! * 3,512 for `↠_∞` on built descriptions, and 4,081 and 5,681 for the
+//!   `Trio[X]` and `B_2` decides, which searched or built relation maps per
+//!   ⟨Q⟩ pair;
+//! * 2,523 and 2,520 for the `T+` and `Viterbi` decides, which built a
+//!   canonical instance and `N[X]` polynomials per ⟨Q⟩ member;
+//! * 6,769 and 1,077 for the `N` and `N[X]` decides, which materialised
+//!   every member and gave every search fresh buffers;
+//! * 20 for a `B` decide after a warm-up decide on the same thread, whose
+//!   searches each allocated their buffers.
 
 use annot_core::registry::{decide_ucq_dyn, SemiringId};
-use annot_core::ucq::surjective::unique_surjective_on_descriptions;
-use annot_query::complete::complete_description_ucq;
+use annot_core::ucq::surjective::unique_surjective_on_classes;
+use annot_query::complete::{Classes, Description};
 use annot_query::key::ucq_code;
 use annot_query::{parser, Schema, Ucq};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -118,17 +127,17 @@ fn coding_the_fixed_pair() {
 #[test]
 fn completing_the_fixed_pair() {
     let (u1, _) = parse_pair();
-    let (description, count) = counted(|| black_box(complete_description_ucq(&u1)));
+    let (description, count) = counted(|| black_box(Description::new(u1.disjuncts())));
     assert_eq!(description.len(), 30);
-    assert_halved("complete_description_ucq(q1)", count, 1_045);
+    assert_halved("Description::new(q1)", count, 292);
 }
 
 #[test]
 fn completing_the_five_leaf_star() {
     let star = parser::parse_ucq(&mut Schema::new(), STAR).expect("star parses");
-    let (description, count) = counted(|| black_box(complete_description_ucq(&star)));
+    let (description, count) = counted(|| black_box(Description::new(star.disjuncts())));
     assert_eq!(description.len(), 203);
-    assert_halved("complete_description_ucq(5-leaf star)", count, 7_715);
+    assert_halved("Description::new(5-leaf star)", count, 7_715);
 }
 
 /// `decide_ucq_dyn` on the fixed pair for the named row.
@@ -140,11 +149,17 @@ fn decide(row: &str, q1: &Ucq, q2: &Ucq) -> Option<bool> {
 #[test]
 fn unique_surjection_on_the_fixed_pair() {
     let (u1, u2) = parse_pair();
-    let (d1, d2) = (complete_description_ucq(&u1), complete_description_ucq(&u2));
-    let (holds, count) = counted(|| black_box(unique_surjective_on_descriptions(&d1, &d2)));
+    let (d1, d2) = (
+        Description::new(u1.disjuncts()),
+        Description::new(u2.disjuncts()),
+    );
+    let (holds, count) = counted(|| {
+        let classes = Classes::joint(&d1, &d2);
+        black_box(unique_surjective_on_classes(&classes))
+    });
     assert!(!holds);
     assert_halved(
-        "unique_surjective_on_descriptions(⟨q1⟩, ⟨q2⟩)",
+        "Classes::joint + unique_surjective_on_classes",
         count,
         3_512,
     );
@@ -180,4 +195,31 @@ fn deciding_the_fixed_pair_over_viterbi() {
     let (verdict, count) = counted(|| black_box(decide("Viterbi", &u1, &u2)));
     assert_eq!(verdict, Some(true));
     assert_halved("decide_ucq_dyn(Viterbi, q1, q2)", count, 2_520);
+}
+
+#[test]
+fn deciding_the_fixed_pair_over_n() {
+    let (u1, u2) = parse_pair();
+    let (verdict, count) = counted(|| black_box(decide("N", &u1, &u2)));
+    assert_eq!(verdict, Some(false));
+    assert_halved("decide_ucq_dyn(N, q1, q2)", count, 6_769);
+}
+
+#[test]
+fn deciding_the_fixed_pair_over_n_x() {
+    let (u1, u2) = parse_pair();
+    let (verdict, count) = counted(|| black_box(decide("N[X]", &u1, &u2)));
+    assert_eq!(verdict, Some(false));
+    assert_halved("decide_ucq_dyn(N[X], q1, q2)", count, 1_077);
+}
+
+#[test]
+fn deciding_the_fixed_pair_over_b_after_a_warm_up() {
+    // The first decide on this thread grows the search buffers; the second
+    // reuses them.
+    let (u1, u2) = parse_pair();
+    let warm = decide("B", &u1, &u2);
+    let (verdict, count) = counted(|| black_box(decide("B", &u1, &u2)));
+    assert_eq!(verdict, warm);
+    assert_halved("decide_ucq_dyn(B, q1, q2), warmed up", count, 20);
 }

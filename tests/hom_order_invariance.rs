@@ -13,7 +13,7 @@
 //! across plain, occurrence-injective, pinned and inequality-preserving
 //! (CCQ) searches.
 
-use annot_hom::{AtomOrder, HomSearch, SearchOptions};
+use annot_hom::{AtomOrder, HomSearch, SearchOptions, SearchQuery};
 use annot_query::generator::{GeneratorConfig, QueryGenerator, QueryShape};
 use annot_query::{Ccq, Cq};
 
@@ -31,7 +31,7 @@ fn generated_pair(seed: u64) -> (Cq, Cq) {
     (generator.cq(), generator.cq())
 }
 
-fn count_homs(search: &HomSearch<'_>) -> usize {
+fn count_homs<Q: SearchQuery>(search: &HomSearch<'_, Q>) -> usize {
     let mut count = 0usize;
     search.for_each(&mut |_| count += 1);
     count
@@ -111,10 +111,10 @@ fn orders_agree_on_ccq_searches() {
                         occurrence_injective,
                         order,
                     };
-                    let exists = HomSearch::new_ccq(&c2, &c1)
+                    let exists = HomSearch::new(&c2, &c1)
                         .with_options(options.clone())
                         .exists();
-                    let count = count_homs(&HomSearch::new_ccq(&c2, &c1).with_options(options));
+                    let count = count_homs(&HomSearch::new(&c2, &c1).with_options(options));
                     (exists, count)
                 })
                 .collect();
