@@ -9,7 +9,7 @@
 //! (set semantics, walks the whole support-bounded instance space — the worst
 //! case).  The enumeration bench isolates the instance generator itself.
 
-use annot_core::brute_force::{find_counterexample_cq, for_each_instance, BruteForceConfig};
+use annot_core::brute_force::{find_counterexample, for_each_instance, BruteForceConfig};
 use annot_hom::{AtomOrder, HomSearch, SearchOptions};
 use annot_query::parser;
 use annot_query::{Cq, Schema};
@@ -40,11 +40,11 @@ fn oracle(c: &mut Criterion) {
         .measurement_time(Duration::from_millis(600));
     // Refutable over N (the search stops at the first counterexample).
     group.bench_function("bag/refutable", |b| {
-        b.iter(|| black_box(find_counterexample_cq::<Natural>(&q1, &q2, &config).is_some()))
+        b.iter(|| black_box(find_counterexample::<Natural>(&q1, &q2, &config).is_some()))
     });
     // Irrefutable over B (full walk of the support-bounded instance space).
     group.bench_function("set/irrefutable", |b| {
-        b.iter(|| black_box(find_counterexample_cq::<Bool>(&q1, &q2, &config).is_none()))
+        b.iter(|| black_box(find_counterexample::<Bool>(&q1, &q2, &config).is_none()))
     });
     group.finish();
 
@@ -71,13 +71,13 @@ fn oracle(c: &mut Criterion) {
             ..Default::default()
         };
         group.bench_function(format!("lineage/cap{cap}"), |b| {
-            b.iter(|| black_box(find_counterexample_cq::<Lineage>(&dq1, &dq2, &config).is_none()))
+            b.iter(|| black_box(find_counterexample::<Lineage>(&dq1, &dq2, &config).is_none()))
         });
         // The same irrefutable pair over Why[X] (`w ∪ w = w`, so `a ⊆ a²`
         // element-wise): the priciest shipped deep walk, since Why[X] has the
         // largest decisive sample set of the factorized semirings.
         group.bench_function(format!("why/cap{cap}"), |b| {
-            b.iter(|| black_box(find_counterexample_cq::<Why>(&dq1, &dq2, &config).is_none()))
+            b.iter(|| black_box(find_counterexample::<Why>(&dq1, &dq2, &config).is_none()))
         });
     }
     group.finish();
@@ -99,7 +99,7 @@ fn oracle(c: &mut Criterion) {
             ..Default::default()
         };
         group.bench_function(format!("why/cap{cap}"), |b| {
-            b.iter(|| black_box(find_counterexample_cq::<Why>(&dq1, &dq2, &config).is_none()))
+            b.iter(|| black_box(find_counterexample::<Why>(&dq1, &dq2, &config).is_none()))
         });
     }
     let config = BruteForceConfig {
@@ -108,7 +108,7 @@ fn oracle(c: &mut Criterion) {
         ..Default::default()
     };
     group.bench_function("natural/cap6", |b| {
-        b.iter(|| black_box(find_counterexample_cq::<Natural>(&dq1, &dq2, &config).is_none()))
+        b.iter(|| black_box(find_counterexample::<Natural>(&dq1, &dq2, &config).is_none()))
     });
     group.finish();
 

@@ -6,7 +6,7 @@
 //! against a 2-leaf star, whose 4,140 ⟨Q₁⟩ members fall into 45 classes.
 
 use annot_bench::{cq_workload, example_4_6};
-use annot_core::brute_force::{find_counterexample_cq, BruteForceConfig};
+use annot_core::brute_force::{find_counterexample, BruteForceConfig};
 use annot_core::decide::{decide_cq, decide_ucq};
 use annot_query::complete::Description;
 use annot_query::{parser, Schema};
@@ -87,9 +87,7 @@ fn small_model(c: &mut Criterion) {
             ..Default::default()
         };
         b.iter(|| {
-            black_box(
-                find_counterexample_cq::<Tropical>(&example.q1, &example.q2, &config).is_none(),
-            )
+            black_box(find_counterexample::<Tropical>(&example.q1, &example.q2, &config).is_none())
         })
     });
     group.finish();

@@ -4,7 +4,7 @@
 //! committed baseline snapshot and fails — exit code 1 — when any *gated*
 //! benchmark regressed beyond the threshold.  By default the gate covers the
 //! hot-path bench groups the repository's perf trajectory is pinned on
-//! (`oracle/*`, `oracle_mt/*`, `hom_scaling/*`, and the Table 1 deciders
+//! (`oracle/*`, `hom_scaling/*`, and the Table 1 deciders
 //! `table1_cq/*`, `table1_ucq/*` and `small_model/*`); everything else is
 //! reported but never fatal.
 //!
@@ -79,7 +79,6 @@ impl Default for GateConfig {
             min_mean_ns: 1000.0,
             gated_prefixes: vec![
                 "oracle/".into(),
-                "oracle_mt/".into(),
                 "hom_scaling/".into(),
                 "table1_cq/".into(),
                 "table1_ucq/".into(),
@@ -584,31 +583,37 @@ mod tests {
     }
 
     #[test]
-    fn multi_thread_oracle_group_is_gated() {
-        // `oracle_mt/*` is its own gated prefix — `"oracle/"` does not match
-        // it (prefix matching is literal, not path-segment aware), so the
-        // multi-thread tier must be listed explicitly to be enforced.
-        let base = snapshot(&[(
-            "oracle_mt/deep_counterexample_search",
-            "lineage/cap8/t4",
-            6_000_000.0,
-            100.0,
-        )]);
-        let cur = snapshot(&[(
-            "oracle_mt/deep_counterexample_search",
-            "lineage/cap8/t4",
-            12_000_000.0,
-            100.0,
-        )]);
-        let rows = compare(&base, &cur, &GateConfig::default());
-        assert_eq!(rows[0].verdict, Verdict::GatedRegression);
-        let only_single_thread_gated = GateConfig {
-            gated_prefixes: vec!["oracle/".into()],
+    fn gated_prefixes_match_literally() {
+        // Prefix matching is literal, not path-segment aware: `"oracle/"`
+        // gates the `oracle/*` groups but not a sibling group whose name
+        // merely starts with `oracle`, which must be listed on its own to
+        // be enforced.
+        let (group, sibling) = ("oracle/deep_counterexample_search", "oracle_x/deep");
+        let base = snapshot(&[
+            (group, "lineage/cap8", 6_000_000.0, 100.0),
+            (sibling, "lineage/cap8", 6_000_000.0, 100.0),
+        ]);
+        let cur = snapshot(&[
+            (group, "lineage/cap8", 12_000_000.0, 100.0),
+            (sibling, "lineage/cap8", 12_000_000.0, 100.0),
+        ]);
+        let verdicts = |config: &GateConfig| -> Vec<Verdict> {
+            compare(&base, &cur, config)
+                .into_iter()
+                .map(|row| row.verdict)
+                .collect()
+        };
+        assert_eq!(
+            verdicts(&GateConfig::default()),
+            [Verdict::GatedRegression, Verdict::UngatedRegression]
+        );
+        let sibling_listed = GateConfig {
+            gated_prefixes: vec!["oracle/".into(), "oracle_x/".into()],
             ..GateConfig::default()
         };
         assert_eq!(
-            compare(&base, &cur, &only_single_thread_gated)[0].verdict,
-            Verdict::UngatedRegression
+            verdicts(&sibling_listed),
+            [Verdict::GatedRegression, Verdict::GatedRegression]
         );
     }
 

@@ -41,33 +41,16 @@
 //! differing only on variables absent from both polynomials cannot change
 //! the verdict.
 //!
-//! With [`BruteForceConfig::threads`]` > 1` the tree is walked by a
-//! work-stealing scheduler (see [`crate::steal`]): every prefix node is a
-//! stealable task carrying its path from the root, each worker walks its own
-//! queue depth-first (children are enqueued where recursion would descend),
-//! and idle workers steal the shallowest pending subtree of a neighbour —
-//! skewed trees no longer pin the bulk of the walk on one core the way
-//! splitting only over top-level slots did.  A worker seeks its incremental
-//! evaluation states from its previous node to the next task's node by
-//! popping to the longest common prefix, so the owner's depth-first pops pay
-//! exactly the push/pop sequence of the recursive walk; a thief replays the
-//! (short) stolen prefix into its own states and re-seeds its sibling-memo
-//! caches locally — no evaluation state is ever shared between workers.
+//! The tree is walked depth-first on the calling thread, and the walk stops
+//! at the first violation, so the reported counterexample is the first
+//! violating node in depth-first order: the same on every run.  The budget
+//! [`BruteForceConfig::max_instances`] is exact: let `W` be the
+//! [`SearchStats::instances_visited`] of the search without a budget; any
+//! budget `≥ W` returns the same outcome with the same count, and any
+//! budget `< W` fails with [`BruteForceError::InstanceBudgetExceeded`].
 //!
-//! The reported counterexample is **deterministic** regardless of thread
-//! count: every violation is recorded together with the path of the node
-//! that produced it, the context keeps the lexicographically smallest path
-//! (= the first node in the sequential depth-first order), and instead of
-//! stopping on the first hit, parallel workers prune exactly the tasks at or
-//! after the current best path — the nodes the sequential walk would never
-//! have visited.  The one exception is a search aborted by
-//! [`BruteForceConfig::max_instances`]: which nodes fit under the budget is
-//! schedule-dependent, so a budget-truncated parallel search may surface a
-//! different (or no) witness.
-//!
-//! [`find_counterexample_ucq_naive`] retains the previous per-instance
-//! one-shot evaluation as the reference implementation for differential
-//! testing.
+//! [`find_counterexample_naive`] retains the previous per-instance one-shot
+//! evaluation as the reference implementation for differential testing.
 //!
 //! # Enumeration contract
 //!
@@ -108,59 +91,88 @@
 //! `sᵏ` instances each, the direct walk `orbits(k)·sᵏ` nodes of one
 //! instance each.  The regression tests below pin both closed forms.
 
-use crate::steal::StealPool;
-use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::sync::Mutex;
 use annot_polynomial::{Monomial, Polynomial, Var};
-use annot_query::eval::{eval_ducq_all_outputs, eval_ucq_all_outputs, EvalState};
+use annot_query::eval::{
+    eval_cq_all_outputs, eval_ducq_all_outputs, eval_ucq_all_outputs, EvalState,
+};
 use annot_query::{Cq, DbValue, Ducq, IdTuple, Instance, RelId, Schema, Tuple, Ucq, ValueId};
 use annot_semiring::{NatPoly, Semiring};
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-/// The path of a prefix-tree node from the root: one `(slot, branch)` pair
-/// per pushed fact (`branch` is always `0` in the factorized walk, a sample
-/// index in the direct one).  Paths double as the scheduler's task payload
-/// and as the total order on nodes — slice-lexicographic comparison is
-/// exactly the sequential depth-first visit order, which makes the smallest
-/// recorded path the deterministic witness.
-type PrefixPath = Vec<(u32, u32)>;
-
-/// A borrowed union query the brute-force oracle can search over: a plain
-/// [`Ucq`] or a [`Ducq`] (union of CCQs, whose disjuncts carry disequality
-/// constraints).  The two share every piece of the search machinery — the
-/// incremental [`EvalState`] has constructors for both, and the one-shot
+/// A query the brute-force oracle can search over: a [`Cq`], a [`Ucq`] or a
+/// [`Ducq`] (a union of CCQs, whose disjuncts carry disequality
+/// constraints).  All three share every piece of the search machinery: the
+/// incremental [`EvalState`] has a constructor for each, and the one-shot
 /// all-outputs evaluators differ only in which family they dispatch to.
-#[derive(Clone, Copy)]
-enum UnionQuery<'q> {
-    Ucq(&'q Ucq),
-    Ducq(&'q Ducq),
-}
-
-impl<'q> UnionQuery<'q> {
+pub trait OracleQuery {
     /// The schema of the first disjunct, if any.
-    fn first_schema(self) -> Option<&'q Schema> {
-        match self {
-            UnionQuery::Ucq(u) => u.disjuncts().first().map(|q| q.schema()),
-            UnionQuery::Ducq(d) => d.disjuncts().first().map(|c| c.cq().schema()),
-        }
-    }
+    fn first_schema(&self) -> Option<&Schema>;
 
     /// An incremental evaluation state for the query.
-    fn eval_state<K: Semiring>(self) -> EvalState<'q, K> {
-        match self {
-            UnionQuery::Ucq(u) => EvalState::for_ucq(u),
-            UnionQuery::Ducq(d) => EvalState::for_ducq(d),
-        }
-    }
+    fn eval_state<K: Semiring>(&self) -> EvalState<'_, K>;
 
     /// The one-shot all-outputs map over an instance (the naive oracle's
     /// evaluation path).
-    fn all_outputs<K: Semiring>(self, instance: &Instance<K>) -> BTreeMap<Tuple, K> {
-        match self {
-            UnionQuery::Ucq(u) => eval_ucq_all_outputs(u, instance),
-            UnionQuery::Ducq(d) => eval_ducq_all_outputs(d, instance),
-        }
+    fn all_outputs<K: Semiring>(&self, instance: &Instance<K>) -> BTreeMap<Tuple, K>;
+
+    /// Whether no atom mentions a concrete domain value, which the
+    /// symmetry quotient needs (see [`BruteForceConfig::symmetry_quotient`]).
+    fn constant_free(&self) -> bool;
+}
+
+impl OracleQuery for Cq {
+    fn first_schema(&self) -> Option<&Schema> {
+        Some(self.schema())
+    }
+
+    fn eval_state<K: Semiring>(&self) -> EvalState<'_, K> {
+        EvalState::for_cq(self)
+    }
+
+    fn all_outputs<K: Semiring>(&self, instance: &Instance<K>) -> BTreeMap<Tuple, K> {
+        eval_cq_all_outputs(self, instance)
+    }
+
+    fn constant_free(&self) -> bool {
+        cq_constant_free(self)
+    }
+}
+
+impl OracleQuery for Ucq {
+    fn first_schema(&self) -> Option<&Schema> {
+        self.disjuncts().first().map(|q| q.schema())
+    }
+
+    fn eval_state<K: Semiring>(&self) -> EvalState<'_, K> {
+        EvalState::for_ucq(self)
+    }
+
+    fn all_outputs<K: Semiring>(&self, instance: &Instance<K>) -> BTreeMap<Tuple, K> {
+        eval_ucq_all_outputs(self, instance)
+    }
+
+    fn constant_free(&self) -> bool {
+        self.disjuncts().iter().all(cq_constant_free)
+    }
+}
+
+impl OracleQuery for Ducq {
+    fn first_schema(&self) -> Option<&Schema> {
+        self.disjuncts().first().map(|c| c.cq().schema())
+    }
+
+    fn eval_state<K: Semiring>(&self) -> EvalState<'_, K> {
+        EvalState::for_ducq(self)
+    }
+
+    fn all_outputs<K: Semiring>(&self, instance: &Instance<K>) -> BTreeMap<Tuple, K> {
+        eval_ducq_all_outputs(self, instance)
+    }
+
+    fn constant_free(&self) -> bool {
+        self.disjuncts().iter().all(|c| cq_constant_free(c.cq()))
     }
 }
 
@@ -194,19 +206,12 @@ pub struct BruteForceConfig {
     pub domain_size: usize,
     /// Upper bound on the number of annotated tuples per instance.
     pub max_support: usize,
-    /// Number of worker threads the counterexample search distributes its
-    /// top-level branches over.  `1` (the default) searches sequentially on
-    /// the calling thread; `0` uses [`std::thread::available_parallelism`].
-    /// Only worth raising for searches big enough to amortise thread
-    /// startup — the cross-validation harness parallelises across *cases*
-    /// instead and keeps this at `1`.
-    pub threads: usize,
     /// Optional hard cap on the number of instances a single search may
     /// visit.  `None` (the default) is unbounded; with `Some(n)`, a search
     /// whose enumeration exceeds `n` instances aborts with
     /// [`BruteForceError::InstanceBudgetExceeded`] instead of running until
-    /// an external timeout kills the process.  Use this in CI so adversarial
-    /// schemas fail loudly.
+    /// an external timeout kills the process (the module docs state the
+    /// exact threshold).  Use this in CI so adversarial schemas fail loudly.
     pub max_instances: Option<u64>,
     /// Whether the prefix walk quotients the support enumeration by the
     /// symmetry of the domain values (default `true`): supports that are not
@@ -232,7 +237,6 @@ impl BruteForceConfig {
         BruteForceConfig {
             domain_size,
             max_support: domain_size.saturating_mul(domain_size),
-            threads: 1,
             max_instances: None,
             symmetry_quotient: true,
         }
@@ -255,27 +259,11 @@ impl BruteForceConfig {
         }
     }
 
-    /// Returns the config with the worker-thread count replaced.
-    pub fn with_threads(self, threads: usize) -> Self {
-        BruteForceConfig { threads, ..self }
-    }
-
     /// Returns the config with the instance budget replaced.
     pub fn with_max_instances(self, max_instances: Option<u64>) -> Self {
         BruteForceConfig {
             max_instances,
             ..self
-        }
-    }
-
-    /// The effective worker count (`0` resolved to the available
-    /// parallelism).
-    fn effective_threads(&self) -> usize {
-        match self.threads {
-            0 => crate::sync::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
         }
     }
 }
@@ -339,81 +327,32 @@ pub struct SearchOutcome<K: Semiring> {
 /// Searches for a counterexample to `Q₁ ⊆_K Q₂` among the K-instances over a
 /// domain of `config.domain_size` values whose annotations are drawn from
 /// [`Semiring::decisive_samples`] (a refutation-preserving subset of the
-/// sample elements; the naive reference oracle keeps the full set).
+/// sample elements; the naive reference oracle keeps the full set).  Each
+/// side is a [`Cq`], a [`Ucq`] or a [`Ducq`].
 ///
 /// Panics if the search exceeds `config.max_instances`; use
-/// [`try_find_counterexample_ucq`] to handle the budget as an error.
-pub fn find_counterexample_cq<K: Semiring>(
-    q1: &Cq,
-    q2: &Cq,
+/// [`try_find_counterexample`] to handle the budget as an error.
+pub fn find_counterexample<K: Semiring>(
+    q1: &impl OracleQuery,
+    q2: &impl OracleQuery,
     config: &BruteForceConfig,
 ) -> Option<CounterExample<K>> {
-    find_counterexample_ucq(&Ucq::single(q1.clone()), &Ucq::single(q2.clone()), config)
-}
-
-/// UCQ version of [`find_counterexample_cq`].
-pub fn find_counterexample_ucq<K: Semiring>(
-    q1: &Ucq,
-    q2: &Ucq,
-    config: &BruteForceConfig,
-) -> Option<CounterExample<K>> {
-    match try_find_counterexample_ucq(q1, q2, config) {
+    match try_find_counterexample(q1, q2, config) {
         Ok(outcome) => outcome.counterexample,
         // invariant: documented panic — the budget overflow contract of this wrapper (see its docs)
         Err(err) => panic!("{err}"),
     }
 }
 
-/// The prefix-memoized, optionally parallel counterexample search (see the
-/// module docs for the tree structure and sharing argument).
+/// The prefix-memoized counterexample search (see the module docs for the
+/// tree structure and sharing argument).
 ///
-/// Returns the first counterexample in the sequential depth-first search
-/// order together with enumeration counters, or
-/// [`BruteForceError::InstanceBudgetExceeded`] when `config.max_instances`
-/// ran out before the search settled.  The reported witness is
-/// **deterministic across thread counts**: with `config.threads > 1` the
-/// work-stealing walk records the violation at the smallest prefix path (see
-/// the module docs), which is the one the sequential walk reports.  Only a
-/// search truncated by `max_instances` is schedule-dependent.
-pub fn try_find_counterexample_ucq<K: Semiring>(
-    q1: &Ucq,
-    q2: &Ucq,
-    config: &BruteForceConfig,
-) -> Result<SearchOutcome<K>, BruteForceError> {
-    try_find_counterexample_union(UnionQuery::Ucq(q1), UnionQuery::Ucq(q2), config)
-}
-
-/// The union-of-CCQs counterpart of [`try_find_counterexample_ucq`]: the
-/// same prefix-memoized search with the disjuncts' disequality constraints
-/// enforced by the incremental evaluation states.
-pub fn try_find_counterexample_ducq<K: Semiring>(
-    q1: &Ducq,
-    q2: &Ducq,
-    config: &BruteForceConfig,
-) -> Result<SearchOutcome<K>, BruteForceError> {
-    try_find_counterexample_union(UnionQuery::Ducq(q1), UnionQuery::Ducq(q2), config)
-}
-
-/// The union-of-CCQs counterpart of [`find_counterexample_ucq`].
-///
-/// Panics if the search exceeds `config.max_instances`; use
-/// [`try_find_counterexample_ducq`] to handle the budget as an error.
-pub fn find_counterexample_ducq<K: Semiring>(
-    q1: &Ducq,
-    q2: &Ducq,
-    config: &BruteForceConfig,
-) -> Option<CounterExample<K>> {
-    match try_find_counterexample_ducq(q1, q2, config) {
-        Ok(outcome) => outcome.counterexample,
-        // invariant: documented panic — the budget overflow contract of this wrapper (see its docs)
-        Err(err) => panic!("{err}"),
-    }
-}
-
-/// The query-shape-agnostic core of the prefix-memoized search.
-fn try_find_counterexample_union<K: Semiring>(
-    q1: UnionQuery<'_>,
-    q2: UnionQuery<'_>,
+/// Returns the first counterexample in depth-first order together with
+/// enumeration counters, or [`BruteForceError::InstanceBudgetExceeded`] when
+/// `config.max_instances` ran out before the search settled.
+pub fn try_find_counterexample<K: Semiring>(
+    q1: &impl OracleQuery,
+    q2: &impl OracleQuery,
     config: &BruteForceConfig,
 ) -> Result<SearchOutcome<K>, BruteForceError> {
     let schema = match q1.first_schema().or_else(|| q2.first_schema()) {
@@ -439,12 +378,13 @@ fn try_find_counterexample_union<K: Semiring>(
     // The value-symmetry quotient: a domain permutation is an isomorphism of
     // instances, so for constant-free queries one support per orbit decides
     // the search.  The guard is asserted here — today it holds by
-    // construction of the AST (see `queries_are_constant_free`), and a
-    // future constants-capable AST falls back to the full walk.  An empty
+    // construction of the AST (see `cq_constant_free`), and a future
+    // constants-capable AST falls back to the full walk.  An empty
     // `orbit_maps` turns the per-node canonicity check off.
     let quotient = config.symmetry_quotient
         && config.domain_size <= MAX_QUOTIENT_DOMAIN
-        && queries_are_constant_free(q1, q2);
+        && q1.constant_free()
+        && q2.constant_free();
     let orbit_maps: Vec<Vec<u32>> = if quotient {
         slot_permutation_maps(&schema, &slots, config.domain_size)
             .into_iter()
@@ -452,6 +392,16 @@ fn try_find_counterexample_union<K: Semiring>(
             .collect()
     } else {
         Vec::new()
+    };
+
+    let ctx = SearchContext {
+        schema: &schema,
+        slots: &slots,
+        samples: &samples,
+        orbit_maps: &orbit_maps,
+        cap: config.max_support,
+        max_instances: config.max_instances,
+        visited: Cell::new(0),
     };
 
     // Factorization through `N[X]` pays when the sample assignments it
@@ -462,165 +412,43 @@ fn try_find_counterexample_union<K: Semiring>(
     // early-refuted searches that dominate interactive use: their cheap
     // native operations beat polynomial arithmetic before the sharing can
     // pay for itself, so they keep the direct walk.
-    let factorized = std::mem::needs_drop::<K>() && samples.len() >= 2;
-
-    // With no non-zero samples the root is the only instance; with a zero
-    // support cap the tree has no other nodes.  The factorized walk has one
-    // top-level job per choice of first annotated slot; the direct walk one
-    // per (slot, sample) pair.
-    let branches = if factorized { 1 } else { samples.len() };
-    let jobs = if config.max_support == 0 || samples.is_empty() {
-        0
+    let walked = if std::mem::needs_drop::<K>() && samples.len() >= 2 {
+        Factorized::new(&ctx, q1.eval_state(), q2.eval_state()).walk()
     } else {
-        slots.len() * branches
+        Direct::new(&ctx, q1.eval_state(), q2.eval_state()).walk()
     };
-    let threads = if jobs == 0 {
-        1
-    } else {
-        config.effective_threads().clamp(1, jobs)
-    };
-
-    let ctx = SearchContext {
-        q1,
-        q2,
-        schema: &schema,
-        slots: &slots,
-        samples: &samples,
-        orbit_maps: &orbit_maps,
-        cap: config.max_support,
-        max_instances: config.max_instances,
-        sequential: threads == 1,
-        visited: AtomicU64::new(0),
-        stop: AtomicBool::new(false),
-        budget_exceeded: AtomicBool::new(false),
-        incumbent: Incumbent::new(),
-    };
-
-    // The root of the prefix tree: the empty instance (shared by both
-    // strategies — with no facts the all-outputs maps are the constants of
-    // the atomless disjuncts either way).  Its path is empty, the minimum of
-    // the path order: a root violation is unbeatable and the walk is skipped.
-    let mut root_violated = false;
-    if ctx.count_instances(1) {
-        let mut worker = Worker::new(&ctx);
-        if let Some(violation) = worker.check_all_outputs() {
-            let counterexample = worker.materialise(violation);
-            ctx.record(&[], counterexample);
-            root_violated = true;
+    let counterexample = match walked {
+        Ok(()) => None,
+        Err(Halt::Found(counterexample)) => Some(counterexample),
+        Err(Halt::Budget) => {
+            return Err(BruteForceError::InstanceBudgetExceeded {
+                max_instances: config.max_instances.unwrap_or(0),
+            })
         }
-    }
-
-    if jobs > 0 && !root_violated && !ctx.stopped() {
-        if factorized {
-            drive_jobs(&ctx, threads, jobs, branches, Worker::new);
-        } else {
-            drive_jobs(&ctx, threads, jobs, branches, DirectWorker::new);
-        }
-    }
-
-    // relaxed: the worker scope has joined; these are the final values.
-    let visited = ctx.visited.load(Ordering::Relaxed);
-    let counterexample = ctx
-        .incumbent
-        .into_best()
-        .map(|(_path, counterexample)| counterexample);
-    // relaxed: same post-join argument as `visited` above.
-    if counterexample.is_none() && ctx.budget_exceeded.load(Ordering::Relaxed) {
-        return Err(BruteForceError::InstanceBudgetExceeded {
-            max_instances: config.max_instances.unwrap_or(0),
-        });
-    }
+    };
     Ok(SearchOutcome {
         counterexample,
         stats: SearchStats {
-            // Concurrent workers may overshoot the budget check by a few
-            // fetch_adds; never report more than the configured cap.
-            instances_visited: match config.max_instances {
-                Some(max) => visited.min(max),
-                None => visited,
-            },
+            instances_visited: ctx.visited.get(),
         },
     })
 }
 
-/// Drives the prefix walk over `jobs` top-level subtrees with `threads`
-/// workers.
-///
-/// With one thread everything runs recursively on the caller's stack — the
-/// cross-validation harness parallelises across *cases* and keeps it there,
-/// and the recursion avoids the (small) per-node task overhead.  With more,
-/// the walk runs on a [`StealPool`]: the depth-1 nodes are dealt round-robin
-/// as seed tasks, every clean node enqueues its children on its worker's own
-/// queue, and idle workers steal the shallowest pending subtree from a
-/// neighbour.  Each worker owns its evaluation states and seeks them between
-/// consecutive tasks (see [`PrefixWalk::seek`]); nothing but the
-/// [`SearchContext`] is shared.
-fn drive_jobs<'s, K, W>(
-    ctx: &'s SearchContext<'s, K>,
-    threads: usize,
-    jobs: usize,
-    branches: usize,
-    new_worker: impl Fn(&'s SearchContext<'s, K>) -> W + Copy + Send + Sync,
-) where
-    K: Semiring,
-    W: PrefixWalk<K>,
-{
-    if threads == 1 {
-        let mut worker = new_worker(ctx);
-        for job in 0..jobs {
-            if ctx.stopped() {
-                break;
-            }
-            worker.run_job(job);
-        }
-        return;
-    }
-    let pool: StealPool<PrefixPath> = StealPool::new(threads);
-    // Seed one task per *canonical* depth-1 node, dealt round-robin; highest
-    // jobs are pushed first so the owner end of every queue holds its lowest
-    // job and each worker starts in sequential order.  Non-canonical
-    // singleton supports root fully pruned subtrees (canonicity is
-    // prefix-closed), so their seeds are never enqueued; the slot whose
-    // tuple is the lexicographic minimum of its relation block is always
-    // canonical, so at least one seed survives.
-    for job in (0..jobs).rev() {
-        let slot = (job / branches) as u32;
-        if !ctx.canonical_support(&[slot]) {
-            continue;
-        }
-        let path = vec![(slot, (job % branches) as u32)];
-        pool.push(job % threads, path);
-    }
-    crate::sync::thread::scope(|scope| {
-        for me in 0..threads {
-            let pool = &pool;
-            scope.spawn(move || {
-                let mut worker = new_worker(ctx);
-                loop {
-                    if ctx.stopped() {
-                        break;
-                    }
-                    match pool.pop_own(me).or_else(|| pool.steal(me)) {
-                        Some(path) => {
-                            worker.run_task(pool, me, path);
-                            pool.task_done();
-                        }
-                        None if pool.pending() == 0 => break,
-                        None => crate::sync::thread::yield_now(),
-                    }
-                }
-            });
-        }
-    });
+/// Why a walk ended before exhausting its tree.
+enum Halt<K: Semiring> {
+    /// The node just checked violates the containment.
+    Found(CounterExample<K>),
+    /// The instance budget ran out.
+    Budget,
 }
 
 /// The depth-first control flow shared by both prefix-walk strategies:
 /// count a node's instances against the budget, push its newest fact, check
-/// and record, recurse over later slots, pop.  Strategies plug in how a
-/// tree edge branches ([`branches_per_slot`](PrefixWalk::branches_per_slot):
-/// `1` for the factorized walk, `|samples|` for the direct one), how many
-/// concrete instances a node covers, and how a node is checked — the
-/// budget/stop/record discipline lives here exactly once.
+/// it, recurse over later slots, pop.  Strategies plug in how a tree edge
+/// branches ([`branches_per_slot`](PrefixWalk::branches_per_slot): `1` for
+/// the factorized walk, `|samples|` for the direct one), how many concrete
+/// instances a node covers, and how a node is checked — the budget and stop
+/// discipline lives here exactly once.
 trait PrefixWalk<K: Semiring> {
     fn ctx(&self) -> &SearchContext<'_, K>;
     /// Branch choices per slot when extending a prefix.
@@ -629,126 +457,40 @@ trait PrefixWalk<K: Semiring> {
     fn instances_at(&self, depth: usize) -> u64;
     /// Current prefix length.
     fn depth(&self) -> usize;
-    /// The `(slot, branch)` pair at stack position `index`.
-    fn entry_at(&self, index: usize) -> (u32, u32);
+    /// The slot at stack position `index`.
+    fn slot_at(&self, index: usize) -> u32;
     /// Extends the prefix by `slot` (with the strategy's `branch` choice).
     fn push(&mut self, slot: usize, branch: usize);
     /// Undoes the most recent [`push`](PrefixWalk::push).
     fn pop(&mut self);
-    /// Checks the current node; a found violation is recorded into the
-    /// context and reported as `true`.
-    fn check_and_record(&mut self) -> bool;
+    /// Checks the current node, returning its counterexample if it
+    /// violates the containment.
+    fn check(&mut self) -> Option<CounterExample<K>>;
 
-    /// The current node's path from the root (the witness-priority key).
-    fn current_path(&self) -> PrefixPath {
-        (0..self.depth()).map(|i| self.entry_at(i)).collect()
-    }
-
-    /// Runs one top-level job: the subtree rooted at the single-slot prefix
-    /// `slot(job / branches) ↦ branch(job % branches)`.
-    fn run_job(&mut self, job: usize) {
-        let branches = self.branches_per_slot();
-        let (slot, branch) = (job / branches, job % branches);
-        // A non-canonical singleton support prunes the whole subtree (and
-        // all of its instance accounting): canonicity is prefix-closed, so
-        // no canonical support descends from it.
-        if !self.ctx().canonical_support(&[slot as u32]) {
-            return;
+    /// Walks the whole tree: the root (the empty instance, whose outputs
+    /// are the constants of the atomless disjuncts), then every support
+    /// prefix below it.
+    fn walk(&mut self) -> Result<(), Halt<K>> {
+        self.ctx().count_instances(1)?;
+        if let Some(counterexample) = self.check() {
+            return Err(Halt::Found(counterexample));
         }
-        if !self.ctx().count_instances(self.instances_at(1)) {
-            return;
-        }
-        self.push(slot, branch);
-        if !self.check_and_record() {
-            let budget = self.ctx().cap - 1;
-            self.descend(slot + 1, budget);
-        }
-        self.pop();
-    }
-
-    /// Runs one stealable task of the work-stealing walk: the single node at
-    /// `path`.  Prunes it when a better witness already exists, counts its
-    /// instances, seeks the evaluation states to it, checks it, and — when
-    /// it is clean and below the support cap — enqueues its children on this
-    /// worker's own queue.  Children are pushed highest-`(slot, branch)`
-    /// first so the owner, popping LIFO, walks them in ascending (sequential
-    /// depth-first) order while thieves take shallow subtrees from the other
-    /// end.
-    fn run_task(&mut self, pool: &StealPool<PrefixPath>, me: usize, path: PrefixPath) {
-        if self.ctx().pruned(&path) {
-            return;
-        }
-        // Children are filtered for canonicity at enqueue time below, so
-        // this entry check only ever fires for seed tasks — kept anyway to
-        // make "every executed task is canonical" a local invariant.
-        let mut support: Vec<u32> = path.iter().map(|&(slot, _)| slot).collect();
-        if !self.ctx().canonical_support(&support) {
-            return;
-        }
-        if !self.ctx().count_instances(self.instances_at(path.len())) {
-            return;
-        }
-        self.seek(&path);
-        if self.check_and_record() {
-            return;
-        }
-        if path.len() >= self.ctx().cap {
-            return;
-        }
-        let next_slot = path.last().map_or(0, |&(slot, _)| slot as usize + 1);
-        let depth = path.len();
-        support.push(0);
-        for slot in (next_slot..self.ctx().slots.len()).rev() {
-            // Skip non-canonical children here rather than at their own
-            // task entry: their whole subtrees are pruned either way (see
-            // `SearchContext::canonical_support`), and filtering at enqueue
-            // spares the queue churn.  The check is per *support*, so it is
-            // hoisted out of the branch loop.
-            support[depth] = slot as u32;
-            if !self.ctx().canonical_support(&support) {
-                continue;
-            }
-            for branch in (0..self.branches_per_slot()).rev() {
-                let mut child = Vec::with_capacity(path.len() + 1);
-                child.extend_from_slice(&path);
-                child.push((slot as u32, branch as u32));
-                pool.push(me, child);
-            }
-        }
-    }
-
-    /// Seeks the incremental evaluation states from the current node to
-    /// `path`: pops to the longest common prefix, then pushes the remainder.
-    /// For an owner popping its own children this is one pop run plus one
-    /// push — the exact backtracking of the recursive walk; a thief pays one
-    /// replay of the stolen prefix and re-seeds its node-local memo caches
-    /// from scratch (sharing none with the victim).
-    fn seek(&mut self, path: &[(u32, u32)]) {
-        let mut common = 0;
-        while common < self.depth() && common < path.len() && self.entry_at(common) == path[common]
-        {
-            common += 1;
-        }
-        while self.depth() > common {
-            self.pop();
-        }
-        for &(slot, branch) in &path[common..] {
-            self.push(slot as usize, branch as usize);
-        }
+        let cap = self.ctx().cap;
+        self.descend(0, cap)
     }
 
     /// Extends the current (already counted and checked) prefix by every
     /// annotated slot ≥ `next_slot`, depth-first.
-    fn descend(&mut self, next_slot: usize, budget: usize) {
+    fn descend(&mut self, next_slot: usize, budget: usize) -> Result<(), Halt<K>> {
         if budget == 0 {
-            return;
+            return Ok(());
         }
         // The child support is the current (ascending) slot stack plus the
         // candidate slot — rebuilt once per node, mutated in place per
         // child.  Canonicity is a property of the support alone, so the
         // check is hoisted out of the branch loop.
         let depth = self.depth();
-        let mut support: Vec<u32> = (0..depth).map(|i| self.entry_at(i).0).collect();
+        let mut support: Vec<u32> = (0..depth).map(|i| self.slot_at(i)).collect();
         support.push(0);
         for slot in next_slot..self.ctx().slots.len() {
             support[depth] = slot as u32;
@@ -756,26 +498,22 @@ trait PrefixWalk<K: Semiring> {
                 continue;
             }
             for branch in 0..self.branches_per_slot() {
-                let child_instances = self.instances_at(self.depth() + 1);
-                if self.ctx().stopped() || !self.ctx().count_instances(child_instances) {
-                    return;
-                }
+                self.ctx().count_instances(self.instances_at(depth + 1))?;
                 self.push(slot, branch);
-                if self.check_and_record() {
-                    self.pop();
-                    return;
-                }
-                self.descend(slot + 1, budget - 1);
+                let result = match self.check() {
+                    Some(counterexample) => Err(Halt::Found(counterexample)),
+                    None => self.descend(slot + 1, budget - 1),
+                };
                 self.pop();
+                result?;
             }
         }
+        Ok(())
     }
 }
 
-/// Search state shared by all workers of one counterexample search.
+/// The search state both walk strategies read.
 struct SearchContext<'s, K: Semiring> {
-    q1: UnionQuery<'s>,
-    q2: UnionQuery<'s>,
     schema: &'s Schema,
     /// Every tuple slot of the schema over the domain, in enumeration order,
     /// pre-interned into the schema's domain once — the walk never touches a
@@ -792,134 +530,21 @@ struct SearchContext<'s, K: Semiring> {
     /// Support cap (maximum depth of the prefix tree).
     cap: usize,
     max_instances: Option<u64>,
-    /// Whether the walk runs on the caller's thread alone.  The sequential
-    /// walk visits nodes in ascending path order, so its first recorded
-    /// violation is already the minimum and the search can stop outright;
-    /// parallel workers must instead keep walking the nodes before the
-    /// current best (see [`SearchContext::pruned`]).
-    sequential: bool,
-    visited: AtomicU64,
-    stop: AtomicBool,
-    budget_exceeded: AtomicBool,
-    incumbent: Incumbent<CounterExample<K>>,
-}
-
-/// The incumbent-witness protocol shared by the parallel walk's workers:
-/// keep the counterexample with the smallest prefix path (= first in the
-/// sequential depth-first order), and let workers cheaply skip subtrees that
-/// can no longer improve on it.  Extracted from [`SearchContext`] so the
-/// `loom_model` tests below can model-check it in isolation.
-struct Incumbent<V> {
-    /// Cheap flag mirroring `best.is_some()`, so the per-task prune check
-    /// only takes the mutex once a witness actually exists.  Published with
-    /// `Release` and read with `Acquire` so that a reader seeing `true` is
-    /// ordered after the store of the witness it advertises; a stale `false`
-    /// merely skips one prune opportunity, which is always conservative.
-    have_found: AtomicBool,
-    best: Mutex<Option<(PrefixPath, V)>>,
-}
-
-impl<V> Incumbent<V> {
-    fn new() -> Self {
-        Incumbent {
-            have_found: AtomicBool::new(false),
-            best: Mutex::new(None),
-        }
-    }
-
-    /// Records a witness found at `path`, keeping the smallest path.
-    fn record(&self, path: &[(u32, u32)], value: V) {
-        let mut slot = self
-            .best
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let improves = match &*slot {
-            Some((best, _)) => path < &best[..],
-            None => true,
-        };
-        if improves {
-            *slot = Some((path.to_vec(), value));
-            // Release: pairs with the Acquire in `pruned` — see the field
-            // docs; the slot itself is protected by the mutex either way.
-            self.have_found.store(true, Ordering::Release);
-        }
-    }
-
-    /// Whether the node at `path` can be skipped: a witness at or before it
-    /// already exists, so neither it nor any of its descendants (whose paths
-    /// all extend — and therefore exceed — `path`) can improve the minimum.
-    /// This is how a parallel search winds down after a hit: everything the
-    /// sequential walk would not have visited is discarded unvisited.
-    fn pruned(&self, path: &[(u32, u32)]) -> bool {
-        // Acquire: pairs with the Release in `record` — see the field docs.
-        if !self.have_found.load(Ordering::Acquire) {
-            return false;
-        }
-        let slot = self
-            .best
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        match &*slot {
-            Some((best, _)) => path >= &best[..],
-            None => false,
-        }
-    }
-
-    /// Consumes the incumbent, returning the best witness.
-    fn into_best(self) -> Option<(PrefixPath, V)> {
-        self.best
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
+    /// Instances visited so far.
+    visited: Cell<u64>,
 }
 
 impl<K: Semiring> SearchContext<'_, K> {
     /// Counts the `n` instances of one visited tree node (a node of depth
     /// `k` covers the `sᵏ` sample assignments of its support) against the
-    /// budget; `false` means the budget is exhausted and the search must
-    /// abort.
-    fn count_instances(&self, n: u64) -> bool {
-        // relaxed: RMW counters are exact at any ordering, and nobody infers
-        // the visibility of other data from the count.
-        let visited = self
-            .visited
-            .fetch_add(n, Ordering::Relaxed)
-            .saturating_add(n);
-        if let Some(max) = self.max_instances {
-            if visited > max {
-                // relaxed: advisory flags polled by workers; a worker acting
-                // on a stale value merely visits a few more nodes, and the
-                // final outcome is read after the scope join.
-                self.budget_exceeded.store(true, Ordering::Relaxed);
-                // relaxed: same advisory-stop argument as above.
-                self.stop.store(true, Ordering::Relaxed);
-                return false;
-            }
+    /// budget, halting the walk when it is exhausted.
+    fn count_instances(&self, n: u64) -> Result<(), Halt<K>> {
+        let visited = self.visited.get().saturating_add(n);
+        self.visited.set(visited);
+        match self.max_instances {
+            Some(max) if visited > max => Err(Halt::Budget),
+            _ => Ok(()),
         }
-        true
-    }
-
-    fn stopped(&self) -> bool {
-        // relaxed: advisory poll — a stale `false` only delays the stop by a
-        // few node visits; it never affects which witness wins.
-        self.stop.load(Ordering::Relaxed)
-    }
-
-    /// Records a counterexample found at the node `path` (see
-    /// [`Incumbent::record`]).  The sequential walk additionally stops
-    /// outright: it visits nodes in ascending path order, so its first hit
-    /// is already the minimum.
-    fn record(&self, path: &[(u32, u32)], counterexample: CounterExample<K>) {
-        self.incumbent.record(path, counterexample);
-        if self.sequential {
-            // relaxed: advisory stop; the witness is already recorded.
-            self.stop.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// Whether the node at `path` can be skipped (see [`Incumbent::pruned`]).
-    fn pruned(&self, path: &[(u32, u32)]) -> bool {
-        self.incumbent.pruned(path)
     }
 
     /// Whether `support` — the slot indices of a prefix node's path, in the
@@ -1042,13 +667,13 @@ impl<K> Default for RowMemo<K> {
 
 /// Per-row-and-side memo entries beyond this are evaluated directly instead
 /// of cached — a safety valve so adversarial sample/support combinations
-/// cannot balloon a worker's memory.
+/// cannot balloon the walk's memory.
 const MAX_MEMO_ENTRIES: usize = 1 << 14;
 
-/// One worker: the incremental `N[X]` evaluation states of both queries plus
-/// the stack of pushed slots (position `i` of the stack is annotated with
-/// the provenance variable `xᵢ`).
-struct Worker<'s, K: Semiring> {
+/// The factorized walk: the incremental `N[X]` evaluation states of both
+/// queries plus the stack of pushed slots (position `i` of the stack is
+/// annotated with the provenance variable `xᵢ`).
+struct Factorized<'s, K: Semiring> {
     ctx: &'s SearchContext<'s, K>,
     lhs: EvalState<'s, NatPoly>,
     rhs: EvalState<'s, NatPoly>,
@@ -1061,16 +686,20 @@ struct Worker<'s, K: Semiring> {
     caches: Vec<NodeCache<K>>,
 }
 
-impl<'s, K: Semiring> Worker<'s, K> {
-    fn new(ctx: &'s SearchContext<'s, K>) -> Self {
+impl<'s, K: Semiring> Factorized<'s, K> {
+    fn new(
+        ctx: &'s SearchContext<'s, K>,
+        lhs: EvalState<'s, NatPoly>,
+        rhs: EvalState<'s, NatPoly>,
+    ) -> Self {
         // Both states adopt the search's own domain: the pushed rows are
         // interned there, and q2 may have been built over an independent
         // (structurally equal) schema whose interner never saw them.
         let domain = ctx.schema.domain();
-        Worker {
+        Factorized {
             ctx,
-            lhs: ctx.q1.eval_state().with_domain(domain.clone()),
-            rhs: ctx.q2.eval_state().with_domain(domain.clone()),
+            lhs: lhs.with_domain(domain.clone()),
+            rhs: rhs.with_domain(domain.clone()),
             stack: Vec::new(),
             naturals: vec![K::zero(), K::one()],
             caches: vec![NodeCache::new()],
@@ -1079,7 +708,7 @@ impl<'s, K: Semiring> Worker<'s, K> {
 
     /// Pushes a slot into the lhs state only, annotated with the variable of
     /// its stack position; the rhs state is synced lazily (see
-    /// [`Worker::check_after_push`]).  Positivity makes tuples outside the
+    /// [`Factorized::check_node`]).  Positivity makes tuples outside the
     /// lhs support unable to witness a violation, and the lhs support only
     /// grows along a tree path, so prefixes whose lhs output is empty — the
     /// common case — never pay for a rhs evaluation at all.
@@ -1131,7 +760,7 @@ impl<'s, K: Semiring> Worker<'s, K> {
     /// so siblings (and later laps of the same node) replay them as hash
     /// lookups.
     fn check_tuple(&mut self, row: &IdTuple) -> Option<Violation<K>> {
-        let Worker {
+        let Factorized {
             ctx,
             lhs,
             rhs,
@@ -1270,47 +899,25 @@ impl<'s, K: Semiring> Worker<'s, K> {
         }
     }
 
-    /// The containment check after a push.
+    /// The containment check of the current node.
     ///
     /// An empty lhs output means no tuple can violate for any sample
     /// assignment (positivity), so the rhs is not even synced.  Otherwise
     /// the rhs catches up to the prefix: when it was only the newest fact
     /// behind — meaning the parent prefix ran this very check — only output
     /// tuples whose polynomial that fact changed (on either side) can newly
-    /// violate; after a longer catch-up the whole lhs support is checked.
-    fn check_after_push(&mut self) -> Option<Violation<K>> {
+    /// violate; at the root and after a longer catch-up the whole lhs
+    /// support is checked.
+    fn check_node(&mut self) -> Option<Violation<K>> {
         if self.lhs.outputs_rows().is_empty() {
             return None;
         }
-        if self.sync_rhs() > 1 {
-            return self.check_all_outputs();
-        }
-        let mut changed: Vec<IdTuple> = self
-            .lhs
-            .last_changed_rows()
-            .chain(self.rhs.last_changed_rows())
-            .cloned()
-            .collect();
-        changed.sort_unstable();
-        changed.dedup();
-        for row in &changed {
-            if let Some(v) = self.check_tuple(row) {
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    /// The full containment check, used at the tree root (where no "changed
-    /// since the parent" delta exists) and after a multi-fact rhs catch-up.
-    fn check_all_outputs(&mut self) -> Option<Violation<K>> {
-        let rows: Vec<IdTuple> = self.lhs.outputs_rows().keys().cloned().collect();
-        for row in &rows {
-            if let Some(v) = self.check_tuple(row) {
-                return Some(v);
-            }
-        }
-        None
+        let rows: Vec<IdTuple> = if self.sync_rhs() == 1 {
+            changed_rows(&self.lhs, &self.rhs)
+        } else {
+            self.lhs.outputs_rows().keys().cloned().collect()
+        };
+        rows.iter().find_map(|row| self.check_tuple(row))
     }
 
     /// Rebuilds the witnessing instance of a violation at the current prefix
@@ -1333,7 +940,7 @@ impl<'s, K: Semiring> Worker<'s, K> {
     }
 }
 
-impl<K: Semiring> PrefixWalk<K> for Worker<'_, K> {
+impl<K: Semiring> PrefixWalk<K> for Factorized<'_, K> {
     fn ctx(&self) -> &SearchContext<'_, K> {
         self.ctx
     }
@@ -1353,56 +960,50 @@ impl<K: Semiring> PrefixWalk<K> for Worker<'_, K> {
         self.stack.len()
     }
 
-    fn entry_at(&self, index: usize) -> (u32, u32) {
-        (self.stack[index] as u32, 0)
+    fn slot_at(&self, index: usize) -> u32 {
+        self.stack[index] as u32
     }
 
     fn push(&mut self, slot: usize, _branch: usize) {
-        Worker::push(self, slot);
+        Factorized::push(self, slot);
     }
 
     fn pop(&mut self) {
-        Worker::pop(self);
+        Factorized::pop(self);
     }
 
-    fn check_and_record(&mut self) -> bool {
-        match self.check_after_push() {
-            Some(violation) => {
-                let counterexample = self.materialise(violation);
-                self.ctx.record(&self.current_path(), counterexample);
-                true
-            }
-            None => false,
-        }
+    fn check(&mut self) -> Option<CounterExample<K>> {
+        let violation = self.check_node()?;
+        Some(self.materialise(violation))
     }
 }
 
-/// The direct worker: the incremental evaluation states of both queries over
+/// The direct walk: the incremental evaluation states of both queries over
 /// `K` itself, with the tree branching over `(slot, sample)` pairs.  Used
-/// when factorization would not pay (see [`try_find_counterexample_ucq`]):
-/// for scalar annotation domains the delta joins are cheaper in `K` than in
+/// when factorization would not pay (see [`try_find_counterexample`]): for
+/// scalar annotation domains the delta joins are cheaper in `K` than in
 /// `N[X]`, and with a single non-zero sample there is nothing to amortise.
-struct DirectWorker<'s, K: Semiring> {
+struct Direct<'s, K: Semiring> {
     ctx: &'s SearchContext<'s, K>,
     lhs: EvalState<'s, K>,
     rhs: EvalState<'s, K>,
     stack: Vec<(usize, usize)>,
 }
 
-impl<'s, K: Semiring> DirectWorker<'s, K> {
-    fn new(ctx: &'s SearchContext<'s, K>) -> Self {
-        // Same domain adoption as the factorized worker's (see above).
+impl<'s, K: Semiring> Direct<'s, K> {
+    fn new(ctx: &'s SearchContext<'s, K>, lhs: EvalState<'s, K>, rhs: EvalState<'s, K>) -> Self {
+        // Same domain adoption as the factorized walk's (see above).
         let domain = ctx.schema.domain();
-        DirectWorker {
+        Direct {
             ctx,
-            lhs: ctx.q1.eval_state().with_domain(domain.clone()),
-            rhs: ctx.q2.eval_state().with_domain(domain.clone()),
+            lhs: lhs.with_domain(domain.clone()),
+            rhs: rhs.with_domain(domain.clone()),
             stack: Vec::new(),
         }
     }
 
     /// Pushes a concretely-annotated fact into the lhs state only; the rhs
-    /// state is synced lazily exactly like the factorized worker's.
+    /// state is synced lazily exactly like the factorized walk's.
     fn push(&mut self, slot: usize, sample: usize) {
         let (rel, row) = &self.ctx.slots[slot];
         self.lhs
@@ -1447,68 +1048,42 @@ impl<'s, K: Semiring> DirectWorker<'s, K> {
         }
     }
 
-    /// The containment check after a push: same lazy-rhs / changed-delta
-    /// structure as the factorized worker, minus the sample loop.
-    ///
-    /// The changed rows are checked in sorted order — the same order the
-    /// full check below iterates — so a node with several violating rows
-    /// reports the same one no matter how far the rhs had lagged when the
-    /// node was reached (a stolen task arrives via a multi-fact catch-up
-    /// where the recursive walk arrives one fact behind; the deterministic
-    /// witness must not depend on which of the two happened).
-    fn check_after_push(&mut self) -> Option<(IdTuple, K, K)> {
+    /// The containment check of the current node: same lazy-rhs /
+    /// changed-delta structure as the factorized walk, minus the sample
+    /// loop.
+    fn check_node(&mut self) -> Option<(IdTuple, K, K)> {
         if self.lhs.outputs_rows().is_empty() {
             return None;
         }
-        if self.sync_rhs() > 1 {
-            for row in self.lhs.outputs_rows().keys() {
-                if let Some(v) = self.check_tuple(row) {
-                    return Some(v);
-                }
-            }
-            return None;
+        if self.sync_rhs() == 1 {
+            changed_rows(&self.lhs, &self.rhs)
+                .iter()
+                .find_map(|row| self.check_tuple(row))
+        } else {
+            self.lhs
+                .outputs_rows()
+                .keys()
+                .find_map(|row| self.check_tuple(row))
         }
-        let mut changed: Vec<IdTuple> = self
-            .lhs
-            .last_changed_rows()
-            .chain(self.rhs.last_changed_rows())
-            .cloned()
-            .collect();
-        changed.sort_unstable();
-        changed.dedup();
-        for row in &changed {
-            if let Some(v) = self.check_tuple(row) {
-                return Some(v);
-            }
-        }
-        None
     }
 
-    /// Rebuilds the instance of the current prefix and records a violation.
-    fn record(&self, (row, lhs, rhs): (IdTuple, K, K)) {
+    /// Rebuilds the instance of the current prefix around a violation.
+    fn materialise(&self, (row, lhs, rhs): (IdTuple, K, K)) -> CounterExample<K> {
         let mut instance = Instance::new(self.ctx.schema.clone());
         for &(slot, sample) in &self.stack {
             let (rel, r) = &self.ctx.slots[slot];
             instance.add_annotation_row(*rel, r, self.ctx.samples[sample].clone());
         }
-        let path: PrefixPath = self
-            .stack
-            .iter()
-            .map(|&(slot, sample)| (slot as u32, sample as u32))
-            .collect();
-        self.ctx.record(
-            &path,
-            CounterExample {
-                instance,
-                tuple: self.ctx.schema.domain().resolve_tuple(&row),
-                lhs,
-                rhs,
-            },
-        );
+        CounterExample {
+            instance,
+            tuple: self.ctx.schema.domain().resolve_tuple(&row),
+            lhs,
+            rhs,
+        }
     }
 }
 
-impl<K: Semiring> PrefixWalk<K> for DirectWorker<'_, K> {
+impl<K: Semiring> PrefixWalk<K> for Direct<'_, K> {
     fn ctx(&self) -> &SearchContext<'_, K> {
         self.ctx
     }
@@ -1527,35 +1102,44 @@ impl<K: Semiring> PrefixWalk<K> for DirectWorker<'_, K> {
         self.stack.len()
     }
 
-    fn entry_at(&self, index: usize) -> (u32, u32) {
-        let (slot, sample) = self.stack[index];
-        (slot as u32, sample as u32)
+    fn slot_at(&self, index: usize) -> u32 {
+        self.stack[index].0 as u32
     }
 
     fn push(&mut self, slot: usize, branch: usize) {
-        DirectWorker::push(self, slot, branch);
+        Direct::push(self, slot, branch);
     }
 
     fn pop(&mut self) {
-        DirectWorker::pop(self);
+        Direct::pop(self);
     }
 
-    fn check_and_record(&mut self) -> bool {
-        match self.check_after_push() {
-            Some(violation) => {
-                self.record(violation);
-                true
-            }
-            None => false,
-        }
+    fn check(&mut self) -> Option<CounterExample<K>> {
+        let violation = self.check_node()?;
+        Some(self.materialise(violation))
     }
+}
+
+/// The output rows whose annotation the newest fact changed on either side,
+/// each once and sorted — the order a full check iterates, so a node with
+/// several violating rows reports the least of them however it was
+/// checked.
+fn changed_rows<A: Semiring>(lhs: &EvalState<'_, A>, rhs: &EvalState<'_, A>) -> Vec<IdTuple> {
+    let mut changed: Vec<IdTuple> = lhs
+        .last_changed_rows()
+        .chain(rhs.last_changed_rows())
+        .cloned()
+        .collect();
+    changed.sort_unstable();
+    changed.dedup();
+    changed
 }
 
 /// One borrowed `(monomial, coefficient)` term of an output polynomial, as
 /// partitioned by the sibling-sharing check.
 type Term<'a> = (&'a Monomial, u64);
 
-/// The evaluation morphism of Prop. 3.2, specialised to the worker's needs:
+/// The evaluation morphism of Prop. 3.2, specialised to the factorized walk:
 /// evaluates a list of `N[X]` terms in `K` under the sample assignment
 /// `xᵢ ↦ samples[choice[i]]`, with coefficients interpreted through the
 /// (cached) canonical map `N → K`.  The sibling-sharing walk partitions
@@ -1639,40 +1223,18 @@ fn from_natural_cached<K: Semiring>(cache: &mut Vec<K>, c: u64) -> K {
 }
 
 /// The previous oracle: materialise each instance via [`for_each_instance`]
-/// and evaluate both queries from scratch with the one-shot
-/// [`eval_ucq_all_outputs`].
+/// and evaluate both queries from scratch with the one-shot all-outputs
+/// evaluators.
 ///
 /// Retained as the reference implementation the differential test-suite
 /// checks the prefix-memoized search against; it ignores
-/// [`BruteForceConfig::threads`] and [`BruteForceConfig::max_instances`].
-pub fn find_counterexample_ucq_naive<K: Semiring>(
-    q1: &Ucq,
-    q2: &Ucq,
+/// [`BruteForceConfig::max_instances`].
+pub fn find_counterexample_naive<K: Semiring>(
+    q1: &impl OracleQuery,
+    q2: &impl OracleQuery,
     config: &BruteForceConfig,
 ) -> Option<CounterExample<K>> {
-    find_counterexample_union_naive(UnionQuery::Ucq(q1), UnionQuery::Ucq(q2), config)
-}
-
-/// The union-of-CCQs counterpart of [`find_counterexample_ucq_naive`]: the
-/// per-instance one-shot reference oracle over
-/// [`eval_ducq_all_outputs`], retained for the differential suite.
-pub fn find_counterexample_ducq_naive<K: Semiring>(
-    q1: &Ducq,
-    q2: &Ducq,
-    config: &BruteForceConfig,
-) -> Option<CounterExample<K>> {
-    find_counterexample_union_naive(UnionQuery::Ducq(q1), UnionQuery::Ducq(q2), config)
-}
-
-fn find_counterexample_union_naive<K: Semiring>(
-    q1: UnionQuery<'_>,
-    q2: UnionQuery<'_>,
-    config: &BruteForceConfig,
-) -> Option<CounterExample<K>> {
-    let schema = match q1.first_schema().or_else(|| q2.first_schema()) {
-        Some(schema) => schema.clone(),
-        None => return None,
-    };
+    let schema = q1.first_schema().or_else(|| q2.first_schema())?.clone();
     let mut found: Option<CounterExample<K>> = None;
     for_each_instance(&schema, config, &mut |instance: &Instance<K>| {
         let lhs = q1.all_outputs(instance);
@@ -1814,28 +1376,21 @@ pub fn quotiented_instance_count(
     total
 }
 
-/// Whether the domain-permutation symmetry argument applies to a query
-/// pair: no atom may mention a concrete domain value, else permuting the
-/// domain is no longer containment-invariant.  Today this holds by
-/// construction — [`Atom::args`](annot_query::Atom) is typed `Vec<QVar>`
-/// and CCQ disequalities relate variables only, so the AST *cannot* express
-/// a constant — but the quotient's soundness rests on it, so the search
-/// re-establishes it here instead of silently assuming it.  The argument
-/// scan is kept as a real traversal with the element type pinned: an AST
-/// extension that adds constants to atom arguments fails to compile here
-/// and must teach this guard about the new shape (the search then falls
-/// back to the full, unquotiented walk for queries that use it).
-fn queries_are_constant_free(q1: UnionQuery<'_>, q2: UnionQuery<'_>) -> bool {
-    fn cq_constant_free(cq: &Cq) -> bool {
-        cq.atoms()
-            .iter()
-            .all(|atom| atom.args.iter().all(|_var: &annot_query::QVar| true))
-    }
-    let constant_free = |q: UnionQuery<'_>| match q {
-        UnionQuery::Ucq(u) => u.disjuncts().iter().all(cq_constant_free),
-        UnionQuery::Ducq(d) => d.disjuncts().iter().all(|c| cq_constant_free(c.cq())),
-    };
-    constant_free(q1) && constant_free(q2)
+/// Whether the domain-permutation symmetry argument applies to a
+/// conjunctive body: no atom may mention a concrete domain value, else
+/// permuting the domain is no longer containment-invariant.  Today this
+/// holds by construction — [`Atom::args`](annot_query::Atom) is typed
+/// `Vec<QVar>` and CCQ disequalities relate variables only, so the AST
+/// *cannot* express a constant — but the quotient's soundness rests on it,
+/// so the search re-establishes it instead of silently assuming it.  The
+/// argument scan is kept as a real traversal with the element type pinned:
+/// an AST extension that adds constants to atom arguments fails to compile
+/// here and must teach this guard about the new shape (the search then
+/// falls back to the full, unquotiented walk for queries that use it).
+fn cq_constant_free(cq: &Cq) -> bool {
+    cq.atoms()
+        .iter()
+        .all(|atom| atom.args.iter().all(|_var: &annot_query::QVar| true))
 }
 
 /// All permutations of `{0, …, n−1}`, identity included, in no particular
@@ -1986,114 +1541,6 @@ fn enumerate_supports<K: Semiring>(
     false
 }
 
-/// Exhaustive interleaving checks of the incumbent-witness protocol, run
-/// with `cargo test -p annot-core --features annot_loom`.  [`Incumbent`] is
-/// modelled directly (with a `u32` payload) — `record`/`pruned` are the
-/// entirety of the cross-worker protocol, and the surrounding walk only
-/// feeds them paths.
-#[cfg(all(test, feature = "annot_loom"))]
-mod loom_model {
-    use super::Incumbent;
-    use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-    /// Witness minimality: with two workers racing to record different
-    /// paths, every schedule ends with the smallest path as the incumbent,
-    /// and `pruned` never discards a node that precedes the minimum.
-    #[test]
-    fn incumbent_keeps_the_minimal_witness_in_every_schedule() {
-        loom::model(|| {
-            let incumbent: Incumbent<u32> = Incumbent::new();
-            crate::sync::thread::scope(|scope| {
-                {
-                    let incumbent = &incumbent;
-                    scope.spawn(move || incumbent.record(&[(1, 0)], 10));
-                }
-                let incumbent = &incumbent;
-                scope.spawn(move || {
-                    incumbent.record(&[(0, 1)], 5);
-                    // From here on the best path is ≤ (0,1) in every
-                    // schedule — the racing (1,0) record can never displace
-                    // it — so the recorder's own node is prunable …
-                    assert!(incumbent.pruned(&[(0, 1)]));
-                    // … and a node before the minimum never is.
-                    assert!(!incumbent.pruned(&[(0, 0)]));
-                });
-            });
-            let (path, value) = incumbent.into_best().expect("a witness was recorded");
-            assert_eq!((&path[..], value), (&[(0, 1)][..], 5));
-        });
-    }
-
-    /// Why `Incumbent` publishes `have_found` with `Release`/`Acquire`: a
-    /// reader that trusts the flag is ordered after the witness it
-    /// advertises.  Here the mutex-protected slot is distilled to a plain
-    /// atomic so the flag alone carries the ordering, as it would for any
-    /// future mutex-free fast path over the incumbent.
-    #[test]
-    fn have_found_publication_holds_exhaustively() {
-        loom::model(|| {
-            let witness = AtomicU64::new(0);
-            let have_found = AtomicBool::new(false);
-            crate::sync::thread::scope(|scope| {
-                {
-                    let witness = &witness;
-                    let have_found = &have_found;
-                    scope.spawn(move || {
-                        // relaxed: ordered by the Release store below.
-                        witness.store(7, Ordering::Relaxed);
-                        have_found.store(true, Ordering::Release);
-                    });
-                }
-                let witness = &witness;
-                let have_found = &have_found;
-                scope.spawn(move || {
-                    if have_found.load(Ordering::Acquire) {
-                        // relaxed: ordered by the Acquire load above.
-                        assert_eq!(witness.load(Ordering::Relaxed), 7);
-                    }
-                });
-            });
-        });
-    }
-
-    /// The same protocol with the Release edge deliberately severed by the
-    /// shim's test-only weakening knob: the checker must find the schedule
-    /// where the flag is visible but the witness is stale.  This is the
-    /// demonstration that the model actually distinguishes the orderings
-    /// the code relies on — `have_found_publication_holds_exhaustively`
-    /// passing is meaningful because this twin fails.
-    #[test]
-    #[should_panic(expected = "model failed")]
-    fn weakened_have_found_publication_is_caught() {
-        let mut builder = loom::Builder::new();
-        builder.weaken_release_to_relaxed = true;
-        builder.check(|| {
-            let witness = AtomicU64::new(0);
-            let have_found = AtomicBool::new(false);
-            crate::sync::thread::scope(|scope| {
-                {
-                    let witness = &witness;
-                    let have_found = &have_found;
-                    scope.spawn(move || {
-                        // relaxed: ordered by the (weakened) store below.
-                        witness.store(7, Ordering::Relaxed);
-                        have_found.store(true, Ordering::Release);
-                    });
-                }
-                let witness = &witness;
-                let have_found = &have_found;
-                scope.spawn(move || {
-                    if have_found.load(Ordering::Acquire) {
-                        // relaxed: would be ordered by the Acquire load, if
-                        // the knob had not severed the Release edge.
-                        assert_eq!(witness.load(Ordering::Relaxed), 7);
-                    }
-                });
-            });
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2118,7 +1565,7 @@ mod tests {
             max_support: 4,
             ..Default::default()
         };
-        let counterexample = find_counterexample_cq::<Natural>(&q1, &q2, &config);
+        let counterexample = find_counterexample::<Natural>(&q1, &q2, &config);
         assert!(counterexample.is_some());
         let ce = counterexample.unwrap();
         assert!(!ce.lhs.leq(&ce.rhs));
@@ -2132,10 +1579,10 @@ mod tests {
         assert_eq!(ce.rhs, rhs);
         // The same pair over T⁺ has no counterexample (Ex. 4.6: containment
         // holds over the tropical semiring).
-        assert!(find_counterexample_cq::<Tropical>(&q1, &q2, &config).is_none());
+        assert!(find_counterexample::<Tropical>(&q1, &q2, &config).is_none());
         // Over B (set semantics) the two queries are equivalent.
-        assert!(find_counterexample_cq::<Bool>(&q1, &q2, &config).is_none());
-        assert!(find_counterexample_cq::<Bool>(&q2, &q1, &config).is_none());
+        assert!(find_counterexample::<Bool>(&q1, &q2, &config).is_none());
+        assert!(find_counterexample::<Bool>(&q2, &q1, &config).is_none());
     }
 
     #[test]
@@ -2149,10 +1596,10 @@ mod tests {
             ..Default::default()
         };
         // Under set semantics the path is contained in the edge.
-        assert!(find_counterexample_cq::<Bool>(&q1, &q2, &config).is_none());
+        assert!(find_counterexample::<Bool>(&q1, &q2, &config).is_none());
         // Under bag semantics it is not (the counterexample requires
         // path > edge, e.g. a 2-cycle squared): the brute force finds one.
-        assert!(find_counterexample_cq::<Natural>(&q1, &q2, &config).is_some());
+        assert!(find_counterexample::<Natural>(&q1, &q2, &config).is_some());
     }
 
     #[test]
@@ -2164,18 +1611,15 @@ mod tests {
         let q = parser::parse_ucq(&mut s, "Q() :- R(u, v)").unwrap();
         let config = BruteForceConfig::default();
         assert_eq!(config.max_support, 4);
-        assert!(find_counterexample_ucq::<Natural>(&Ucq::empty(), &q, &config).is_none());
-        assert!(find_counterexample_ucq::<Natural>(&q, &Ucq::empty(), &config).is_some());
-        assert!(
-            find_counterexample_ucq::<Natural>(&Ucq::empty(), &Ucq::empty(), &config).is_none()
-        );
+        assert!(find_counterexample::<Natural>(&Ucq::empty(), &q, &config).is_none());
+        assert!(find_counterexample::<Natural>(&q, &Ucq::empty(), &config).is_some());
+        assert!(find_counterexample::<Natural>(&Ucq::empty(), &Ucq::empty(), &config).is_none());
     }
 
     #[test]
     fn default_config_is_bounded_and_schema_derived_caps_fit() {
         assert_eq!(BruteForceConfig::default().domain_size, 2);
         assert_eq!(BruteForceConfig::default().max_support, 4);
-        assert_eq!(BruteForceConfig::default().threads, 1);
         assert_eq!(BruteForceConfig::default().max_instances, None);
         assert!(BruteForceConfig::default().symmetry_quotient);
         assert_eq!(BruteForceConfig::with_domain_size(3).max_support, 9);
@@ -2229,8 +1673,8 @@ mod tests {
     /// The prefix-tree search walks the support-bounded instance set
     /// quotiented by value symmetry: on a pair with no counterexample
     /// (`Q ⊆ Q` always holds) a full walk visits exactly the quotiented
-    /// closed form, sequentially and in parallel — and exactly the
-    /// unquotiented closed form with the quotient knob off.
+    /// closed form — and exactly the unquotiented closed form with the
+    /// quotient knob off.
     #[test]
     fn prefix_tree_walks_the_closed_form_instance_count() {
         let mut s = schema();
@@ -2243,23 +1687,19 @@ mod tests {
             let quotiented = quotiented_instance_count(&s, 2, nonzero_samples, cap) as u64;
             let full = bounded_instance_count(4, nonzero_samples, cap) as u64;
             assert!(quotiented <= full, "quotient must not add instances");
-            for threads in [1usize, 4] {
-                for (symmetry_quotient, expected) in [(true, quotiented), (false, full)] {
-                    let config = BruteForceConfig {
-                        domain_size: 2,
-                        max_support: cap,
-                        threads,
-                        symmetry_quotient,
-                        ..Default::default()
-                    };
-                    let outcome = try_find_counterexample_ucq::<Natural>(&q, &q, &config).unwrap();
-                    assert!(outcome.counterexample.is_none(), "Q ⊆ Q must hold");
-                    assert_eq!(
-                        outcome.stats.instances_visited, expected,
-                        "cap {cap}, threads {threads}, quotient {symmetry_quotient}: \
-                         wrong instance count"
-                    );
-                }
+            for (symmetry_quotient, expected) in [(true, quotiented), (false, full)] {
+                let config = BruteForceConfig {
+                    domain_size: 2,
+                    max_support: cap,
+                    symmetry_quotient,
+                    ..Default::default()
+                };
+                let outcome = try_find_counterexample::<Natural>(&q, &q, &config).unwrap();
+                assert!(outcome.counterexample.is_none(), "Q ⊆ Q must hold");
+                assert_eq!(
+                    outcome.stats.instances_visited, expected,
+                    "cap {cap}, quotient {symmetry_quotient}: wrong instance count"
+                );
             }
         }
     }
@@ -2347,7 +1787,7 @@ mod tests {
         let mut s = schema();
         let q1 = parser::parse_ucq(&mut s, "Q() :- R(u, v)").unwrap();
         let config = BruteForceConfig::default();
-        let outcome = try_find_counterexample_ucq::<Natural>(&q1, &Ucq::empty(), &config).unwrap();
+        let outcome = try_find_counterexample::<Natural>(&q1, &Ucq::empty(), &config).unwrap();
         assert!(outcome.counterexample.is_some());
         let nonzero = Natural::decisive_samples()
             .into_iter()
@@ -2368,12 +1808,12 @@ mod tests {
         let config = BruteForceConfig::default();
         for (a, b) in [(&q1, &q2), (&q2, &q1)] {
             assert_eq!(
-                find_counterexample_ucq::<Natural>(a, b, &config).is_some(),
-                find_counterexample_ucq_naive::<Natural>(a, b, &config).is_some()
+                find_counterexample::<Natural>(a, b, &config).is_some(),
+                find_counterexample_naive::<Natural>(a, b, &config).is_some()
             );
             assert_eq!(
-                find_counterexample_ucq::<Bool>(a, b, &config).is_some(),
-                find_counterexample_ucq_naive::<Bool>(a, b, &config).is_some()
+                find_counterexample::<Bool>(a, b, &config).is_some(),
+                find_counterexample_naive::<Bool>(a, b, &config).is_some()
             );
         }
     }
@@ -2384,7 +1824,7 @@ mod tests {
         let mut s = schema();
         let q1 = parser::parse_ucq(&mut s, "Q() :- R(u, v), R(v, w)").unwrap();
         let config = BruteForceConfig::default().with_max_instances(Some(10));
-        let err = try_find_counterexample_ucq::<Natural>(&q1, &q1, &config).unwrap_err();
+        let err = try_find_counterexample::<Natural>(&q1, &q1, &config).unwrap_err();
         assert_eq!(
             err,
             BruteForceError::InstanceBudgetExceeded { max_instances: 10 }
@@ -2397,11 +1837,11 @@ mod tests {
             .count();
         let full = quotiented_instance_count(&s, 2, nonzero, 4) as u64;
         let config = BruteForceConfig::default().with_max_instances(Some(full));
-        assert!(try_find_counterexample_ucq::<Natural>(&q1, &q1, &config).is_ok());
+        assert!(try_find_counterexample::<Natural>(&q1, &q1, &config).is_ok());
         // A search that refutes within the budget succeeds even though the
         // full walk would not fit.
         let config = BruteForceConfig::default().with_max_instances(Some(10));
-        let outcome = try_find_counterexample_ucq::<Natural>(&q1, &Ucq::empty(), &config).unwrap();
+        let outcome = try_find_counterexample::<Natural>(&q1, &Ucq::empty(), &config).unwrap();
         assert!(outcome.counterexample.is_some());
     }
 
@@ -2411,11 +1851,11 @@ mod tests {
         let mut s = schema();
         let q1 = parser::parse_cq(&mut s, "Q() :- R(u, v), R(v, w)").unwrap();
         let config = BruteForceConfig::default().with_max_instances(Some(3));
-        let _ = find_counterexample_cq::<Natural>(&q1, &q1, &config);
+        let _ = find_counterexample::<Natural>(&q1, &q1, &config);
     }
 
     /// Queries built over *independent* (structurally equal, non-domain-
-    /// sharing) schemas are valid oracle input: the workers adopt the
+    /// sharing) schemas are valid oracle input: the walks adopt the
     /// search's own domain, so the walk neither panics (debug id-range
     /// asserts) nor mixes interners.
     #[test]
@@ -2426,65 +1866,9 @@ mod tests {
         let q2 = parser::parse_ucq(&mut s2, "Q() :- R(u, v), R(u, v)").unwrap();
         let config = BruteForceConfig::default();
         // N refutes Q1 ⊆ Q2 (Ex. 4.6), B holds in both directions.
-        assert!(find_counterexample_ucq::<Natural>(&q1, &q2, &config).is_some());
-        assert!(find_counterexample_ucq::<Bool>(&q1, &q2, &config).is_none());
-        assert!(find_counterexample_ucq::<Bool>(&q2, &q1, &config).is_none());
-    }
-
-    /// The parallel search reports the *same witness* as the sequential one
-    /// (the work-stealing walk keeps the smallest-path violation, which is
-    /// the one the depth-first order finds first).
-    #[test]
-    fn parallel_search_agrees_with_sequential() {
-        let mut s = schema();
-        let q1 = parser::parse_ucq(&mut s, "Q() :- R(u, v), R(u, w)").unwrap();
-        let q2 = parser::parse_ucq(&mut s, "Q() :- R(u, v), R(u, v)").unwrap();
-        for (a, b) in [(&q1, &q2), (&q2, &q1), (&q1, &q1)] {
-            let sequential = find_counterexample_ucq::<Natural>(
-                a,
-                b,
-                &BruteForceConfig::default().with_threads(1),
-            );
-            let parallel = find_counterexample_ucq::<Natural>(
-                a,
-                b,
-                &BruteForceConfig::default().with_threads(4),
-            );
-            assert_eq!(sequential.is_some(), parallel.is_some());
-            if let (Some(seq), Some(par)) = (sequential, parallel) {
-                assert!(!par.lhs.leq(&par.rhs));
-                assert_eq!(seq.instance, par.instance);
-                assert_eq!(seq.tuple, par.tuple);
-                assert_eq!(seq.lhs, par.lhs);
-                assert_eq!(seq.rhs, par.rhs);
-            }
-        }
-    }
-
-    /// More workers than top-level jobs is valid (the pool clamps to the job
-    /// count) and thieves that replay stolen prefixes still produce the
-    /// sequential witness and the exact full-walk count.
-    #[test]
-    fn oversubscribed_thread_counts_stay_deterministic() {
-        let mut s = schema();
-        let q1 = parser::parse_ucq(&mut s, "Q() :- R(u, v), R(u, w)").unwrap();
-        let q2 = parser::parse_ucq(&mut s, "Q() :- R(u, v), R(u, v)").unwrap();
-        let sequential =
-            find_counterexample_ucq::<Natural>(&q1, &q2, &BruteForceConfig::default()).unwrap();
-        for threads in [2, 3, 8, 16] {
-            let parallel = find_counterexample_ucq::<Natural>(
-                &q1,
-                &q2,
-                &BruteForceConfig::default().with_threads(threads),
-            )
-            .unwrap();
-            assert_eq!(sequential.instance, parallel.instance, "threads {threads}");
-            assert_eq!(sequential.tuple, parallel.tuple);
-            assert_eq!(
-                (&sequential.lhs, &sequential.rhs),
-                (&parallel.lhs, &parallel.rhs)
-            );
-        }
+        assert!(find_counterexample::<Natural>(&q1, &q2, &config).is_some());
+        assert!(find_counterexample::<Bool>(&q1, &q2, &config).is_none());
+        assert!(find_counterexample::<Bool>(&q2, &q1, &config).is_none());
     }
 
     /// The packed memo fingerprint is injective over its stated bounds and

@@ -293,7 +293,7 @@ fn bounds_ucq(q1: &Ucq, q2: &Ucq, profile: &crate::classes::ClassProfile) -> Dec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute_force::{find_counterexample_ucq, BruteForceConfig};
+    use crate::brute_force::{find_counterexample, BruteForceConfig};
     use crate::registry::{decide_cq_dyn, SemiringId};
     use annot_hom::kinds;
     use annot_query::parser;
@@ -370,7 +370,7 @@ mod tests {
         fn refuted<K: ClassifiedSemiring>(u1: &Ucq, u2: &Ucq) {
             assert_eq!(decide_ucq::<K>(u1, u2).decided(), Some(false));
             let config = BruteForceConfig::with_domain_size(1);
-            assert!(find_counterexample_ucq::<K>(u1, u2, &config).is_some());
+            assert!(find_counterexample::<K>(u1, u2, &config).is_some());
         }
         refuted::<NatPoly>(&u1, &u2);
         refuted::<Trio>(&u1, &u2);

@@ -15,8 +15,8 @@
 //! | [`small_model`] | the canonical-instance procedure of Thm. 4.17, on UCQs; a CQ is a singleton union | Sec. 4.6 |
 //! | [`poly_order`] | decidable polynomial orders `¹_K` backing the small-model procedure | Sec. 3.2, 4.6 |
 //! | [`matching`] | Hall's condition with multiplicities as a maximum flow, used by `↠_∞` over classes; bipartite matching as its unit case | Sec. 5.3 |
-//! | [`brute_force`] | semantic baseline used for cross-validation | — |
-//! | [`steal`] | the work-stealing task pool driving the baseline's parallel walk | — |
+//! | [`brute_force`] | semantic baseline used for cross-validation: one sequential depth-first walk over small instances | Prop. 3.2, Thm. 4.17 |
+//! | [`sync`] | the `std`/loom facade the service's threads and locks go through | — |
 //! | [`registry`] | runtime dispatch by semiring name ([`SemiringId`], `decide_*_dyn`) | Table 1 |
 //!
 //! ## Quick example
@@ -55,7 +55,6 @@ pub mod matching;
 pub mod poly_order;
 pub mod registry;
 pub mod small_model;
-pub mod steal;
 pub mod sync;
 pub mod ucq;
 

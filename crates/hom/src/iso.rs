@@ -8,9 +8,11 @@
 //! members: `annot_query::complete::Classes` groups a description's members
 //! into isomorphism classes, and the covering criterion `⇉₂` reads the
 //! automorphism flag of the canonical code's search
-//! (`annot_query::key::has_nontrivial_automorphism`).  The predicates here
-//! serve the semantic cache, which keys decisions by isomorphism, and the
-//! tests.
+//! (`annot_query::key::has_nontrivial_automorphism`).  Nor does the
+//! semantic cache: it keys decisions by canonical codes
+//! (`annot_query::key::ucq_code`), equal exactly for isomorphic queries, and
+//! compares them word for word.  The predicates here serve the tests and
+//! servebench's traced check that a hit was isomorphic to its entry.
 
 use crate::mapping::VarMap;
 use crate::search::{HomSearch, SearchOptions};
@@ -88,13 +90,19 @@ fn is_isomorphism(map: &VarMap, a: &Ccq, b: &Ccq) -> bool {
 /// Whether two plain CQs are isomorphic: a bijective variable renaming
 /// (fixing the free variables positionally) mapping the atom multiset of one
 /// exactly onto the other.  This is [`are_isomorphic`] with empty inequality
-/// sets — the semantic-cache layer keys decisions by this equivalence, since
-/// every containment criterion of the paper is invariant under it.
+/// sets, searched on the CQs themselves: a warmed check allocates nothing.
+/// Every containment criterion of the paper is invariant under it.
 pub fn are_isomorphic_cq(a: &Cq, b: &Cq) -> bool {
-    are_isomorphic(
-        &Ccq::new(a.clone(), std::iter::empty()),
-        &Ccq::new(b.clone(), std::iter::empty()),
-    )
+    a.num_atoms() == b.num_atoms()
+        && a.num_vars() == b.num_vars()
+        && a.free_vars().len() == b.free_vars().len()
+        && crate::kinds::relation_counts_dominated(a, b)
+        && HomSearch::new(a, b)
+            .with_options(SearchOptions {
+                occurrence_injective: true,
+                ..Default::default()
+            })
+            .run(&mut |map| map.is_injective_on_vars())
 }
 
 /// Whether two UCQs are isomorphic as *multisets* of CQs: a bijection between

@@ -81,14 +81,10 @@ impl VarMap {
     /// Whether the mapping, restricted to its defined part, is injective on
     /// variables.
     pub fn is_injective_on_vars(&self) -> bool {
-        let mut seen = Vec::new();
-        for target in self.map.iter().flatten() {
-            if seen.contains(target) {
-                return false;
-            }
-            seen.push(*target);
-        }
-        true
+        self.map
+            .iter()
+            .enumerate()
+            .all(|(i, image)| image.is_none() || !self.map[i + 1..].contains(image))
     }
 }
 

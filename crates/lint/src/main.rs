@@ -11,7 +11,8 @@
 //!    else in `crates/core/src` is a violation.  `crates/service/src` (the
 //!    concurrent decision server) is facade-scoped too: it must import the
 //!    primitives from `annot_core::sync` so its synchronisation stays
-//!    swappable onto the model checker alongside the core's.
+//!    swappable onto the model checker, which the cache's loom model runs
+//!    on.
 //! 2. **Undocumented `Relaxed`** — every `Ordering::Relaxed` in non-test
 //!    code must carry a `// relaxed:` justification on the same line or the
 //!    few lines above, stating why the weakest ordering suffices.
@@ -271,7 +272,7 @@ mod tests {
             .collect()
     }
 
-    const CORE: &str = "crates/core/src/steal.rs";
+    const CORE: &str = "crates/core/src/brute_force.rs";
     const QUERY: &str = "crates/query/src/eval.rs";
 
     #[test]

@@ -574,3 +574,65 @@ mod tests {
         assert_eq!(run(), (hits, stats));
     }
 }
+
+/// Exhaustive interleavings of concurrent requests on one cache, run with
+/// `cargo test -p annot-service --features annot_loom` (the feature swaps
+/// the cache's mutexes and atomics onto the vendored loom shim).
+#[cfg(all(test, feature = "annot_loom"))]
+mod loom_model {
+    use super::*;
+    use annot_core::registry::decide_ucq_dyn;
+    use annot_query::{parser, Schema};
+
+    /// Two clients insert beside a hit under a budget that fits one entry:
+    /// one decides a fresh pair and re-requests it, the other decides a
+    /// fresh pair of its own in another shard.  The two misses, the two
+    /// inserts' byte updates and the two budget sweeps race, and the
+    /// re-request hits or, when a sweep evicted its entry, decides again.
+    /// In every schedule the tracked bytes end within the budget and equal
+    /// to the live entries' footprints, the insert/evict books balance,
+    /// each of the three requests counts once as a hit or a miss, and every
+    /// reply is the decider's.
+    #[test]
+    fn inserts_beside_a_hit_keep_the_books_and_the_budget() {
+        let mut s = Schema::new();
+        let n = SemiringId::from_name("N").unwrap();
+        let mut pair = |i: usize| {
+            let q1 = parser::parse_ucq(&mut s, &format!("Q() :- C{i}(x, y), C{i}(y, z)")).unwrap();
+            let q2 = parser::parse_ucq(&mut s, &format!("Q() :- C{i}(u, v)")).unwrap();
+            (q1, q2)
+        };
+        let shard = |(q1, q2): &(Ucq, Ucq)| {
+            (Cache::fingerprint(n, &ucq_code(q1), &ucq_code(q2)) as usize) % NUM_SHARDS
+        };
+        let first = pair(0);
+        let second = (1..)
+            .map(&mut pair)
+            .find(|candidate| shard(candidate) != shard(&first))
+            .unwrap();
+        let decide = |q1: &Ucq, q2: &Ucq| decide_ucq_dyn(n, q1, q2);
+        let expected = (decide(&first.0, &first.1), decide(&second.0, &second.1));
+        let one = entry_footprint(&ucq_code(&first.0), &ucq_code(&first.1));
+        assert_eq!(
+            one,
+            entry_footprint(&ucq_code(&second.0), &ucq_code(&second.1))
+        );
+        let budget = one + one / 2;
+        loom::model(|| {
+            let cache = Cache::with_byte_budget(budget);
+            let request = |(q1, q2): &(Ucq, Ucq)| cache.get_or_decide(n, q1, q2, decide).0;
+            let replies = annot_core::sync::thread::scope(|scope| {
+                let repeat = scope.spawn(|| (request(&first), request(&first)));
+                let other = scope.spawn(|| request(&second));
+                (repeat.join().unwrap(), other.join().unwrap())
+            });
+            let want = ((expected.0.clone(), expected.0.clone()), expected.1.clone());
+            assert_eq!(replies, want);
+            let stats = cache.stats();
+            assert!(stats.approx_bytes <= budget, "{stats:?}");
+            assert_eq!(stats.approx_bytes, stats.entries * one, "{stats:?}");
+            assert_eq!(stats.inserts, stats.entries + stats.evictions, "{stats:?}");
+            assert_eq!(stats.hits + stats.misses, 3, "{stats:?}");
+        });
+    }
+}

@@ -7,7 +7,7 @@
 //!
 //! Run with `cargo run --example bag_semantics_rewriting`.
 
-use annot_core::brute_force::{find_counterexample_cq, BruteForceConfig};
+use annot_core::brute_force::{find_counterexample, BruteForceConfig};
 use annot_core::decide::decide_cq;
 use annot_core::ucq::{covering, surjective};
 use annot_query::eval::eval_boolean_cq;
@@ -40,7 +40,7 @@ fn main() {
         max_support: 4,
         ..Default::default()
     };
-    if let Some(ce) = find_counterexample_cq::<Natural>(&path2, &edge, &config) {
+    if let Some(ce) = find_counterexample::<Natural>(&path2, &edge, &config) {
         println!("\ncounterexample to `path2 ⊆ edge` under bag semantics:");
         println!("{}", ce.instance);
         println!("  path2 count = {:?}, edge count = {:?}", ce.lhs, ce.rhs);

@@ -4,14 +4,15 @@
 //! A counting global allocator tallies `alloc` and `realloc` calls made by
 //! the measuring thread while it parses, codes, completes and decides one
 //! fixed query pair — the first timed request of servebench's hit-serial
-//! stream at seed 2718 — and completes the 5-leaf star.  The counts repeat
-//! exactly on one toolchain, so they are work counters: a change that
-//! allocates per identifier, occurrence, refinement round, ⟨Q⟩ member or
-//! search again, or that searches where a count settles the question, fails
-//! here whatever the hardware.  Each bound is half the count of the
-//! implementation a stage replaced, not the current count, so
-//! allocator-visible differences between the stable and MSRV standard
-//! libraries do not flip it.  The replaced counts, on stable Rust:
+//! stream at seed 2718 — checks it against a renamed copy, and completes
+//! the 5-leaf star.  The counts repeat exactly on one toolchain, so they
+//! are work counters: a change that allocates per identifier, occurrence,
+//! refinement round, ⟨Q⟩ member or search again, or that searches where a
+//! count settles the question, fails here whatever the hardware.  Each
+//! bound is half the count of the implementation a stage replaced, not the
+//! current count, so allocator-visible differences between the stable and
+//! MSRV standard libraries do not flip it.  The replaced counts, on stable
+//! Rust:
 //!
 //! * 184 and 93 for parsing and coding the pair;
 //! * 292 for building ⟨q1⟩ and 7,715 for ⟨5-leaf star⟩, which materialised
@@ -24,10 +25,14 @@
 //! * 6,769 and 1,077 for the `N` and `N[X]` decides, which materialised
 //!   every member and gave every search fresh buffers;
 //! * 20 for a `B` decide after a warm-up decide on the same thread, whose
-//!   searches each allocated their buffers.
+//!   searches each allocated their buffers;
+//! * 115 for a warmed `are_isomorphic_ucq` of both sides of the pair
+//!   against renamed copies, which cloned both CQs into `Ccq`s for every
+//!   disjunct pair it tried.
 
 use annot_core::registry::{decide_ucq_dyn, SemiringId};
 use annot_core::ucq::surjective::unique_surjective_on_classes;
+use annot_hom::are_isomorphic_ucq;
 use annot_query::complete::{Classes, Description};
 use annot_query::key::ucq_code;
 use annot_query::{parser, Schema, Ucq};
@@ -222,4 +227,28 @@ fn deciding_the_fixed_pair_over_b_after_a_warm_up() {
     let (verdict, count) = counted(|| black_box(decide("B", &u1, &u2)));
     assert_eq!(verdict, warm);
     assert_halved("decide_ucq_dyn(B, q1, q2), warmed up", count, 20);
+}
+
+#[test]
+fn isomorphism_of_the_fixed_pair_to_a_renamed_copy_after_a_warm_up() {
+    // The same pair with every variable renamed and the disjuncts of each
+    // side swapped; the first check on this thread grows the search
+    // buffers, the second reuses them.
+    let rename = |src: &str| {
+        let mut disjuncts: Vec<&str> = src.split(" ; ").collect();
+        disjuncts.reverse();
+        disjuncts
+            .join(" ; ")
+            .replace("(v", "(w")
+            .replace(", v", ", w")
+    };
+    let mut schema = Schema::new();
+    let mut parse = |src: &str| parser::parse_ucq(&mut schema, src).expect("parses");
+    let (u1, u2) = (parse(Q1), parse(Q2));
+    let (r1, r2) = (parse(&rename(Q1)), parse(&rename(Q2)));
+    let check = || are_isomorphic_ucq(&u1, &r1) && are_isomorphic_ucq(&u2, &r2);
+    assert!(check());
+    let (same, count) = counted(|| black_box(check()));
+    assert!(same);
+    assert_halved("are_isomorphic_ucq × 2, warmed up", count, 115);
 }

@@ -1,7 +1,7 @@
 //! Experiment E6 (DESIGN.md): the offset hierarchy and empirical
 //! classification of the shipped semirings.
 
-use annot_core::brute_force::{find_counterexample_ucq, BruteForceConfig};
+use annot_core::brute_force::{find_counterexample, BruteForceConfig};
 use annot_core::classes::{ClassifiedSemiring, CqCriterion, Offset};
 use annot_core::classify::classify;
 use annot_core::ucq::bijective;
@@ -130,7 +130,7 @@ fn offset_acceptance_matches_bounded_bag_semantics() {
         max_support: 2,
         ..Default::default()
     };
-    assert!(find_counterexample_ucq::<BoundedNat<2>>(&q1, &q2, &config).is_none());
-    assert!(find_counterexample_ucq::<NatPoly>(&q1, &q2, &config).is_some());
-    assert!(find_counterexample_ucq::<Natural>(&q1, &q2, &config).is_some());
+    assert!(find_counterexample::<BoundedNat<2>>(&q1, &q2, &config).is_none());
+    assert!(find_counterexample::<NatPoly>(&q1, &q2, &config).is_some());
+    assert!(find_counterexample::<Natural>(&q1, &q2, &config).is_some());
 }

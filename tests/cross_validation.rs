@@ -19,10 +19,7 @@
 //!    counterexample, and a semantic counterexample must force a
 //!    `NotContained` verdict from the exact-criterion deciders.
 
-use annot_core::brute_force::{
-    find_counterexample_cq, find_counterexample_ducq, find_counterexample_ducq_naive,
-    find_counterexample_ucq, BruteForceConfig,
-};
+use annot_core::brute_force::{find_counterexample, find_counterexample_naive, BruteForceConfig};
 use annot_core::classes::ClassifiedSemiring;
 use annot_core::decide::{decide_cq, decide_ucq, Decision, Verdict};
 use annot_hom::kinds;
@@ -43,60 +40,38 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 // Parallel case driver
 // ---------------------------------------------------------------------------
 
-/// Reads a numeric harness knob from the environment (`0`/unset = default).
-fn env_knob(name: &str, default: usize) -> usize {
-    match std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        None | Some(0) => default,
-        Some(n) => n,
-    }
-}
-
-/// Worker threads for the oracle harness (`ANNOT_XV_THREADS`, default: the
-/// available parallelism).  The per-semiring `#[test]`s already parallelise
-/// at the libtest level, so the default stays modest on big machines.
-fn xv_threads() -> usize {
-    env_knob(
-        "ANNOT_XV_THREADS",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(4),
-    )
-}
-
-/// Cases handed to a worker per claim (`ANNOT_XV_BATCH`, default 8): big
-/// enough to amortise the claim, small enough to balance skewed case costs.
-fn xv_batch() -> usize {
-    env_knob("ANNOT_XV_BATCH", 8)
-}
+/// Cases handed to a worker per claim: big enough to amortise the claim,
+/// small enough to balance skewed case costs.
+const BATCH: usize = 8;
 
 /// Drives `total` independent oracle cases (identified by their index) in
-/// parallel batches over a scoped thread pool.  A panicking case (a failed
+/// parallel batches over a scoped pool of up to four threads (the
+/// per-semiring `#[test]`s already parallelise at the libtest level, so the
+/// pool stays modest on big machines).  A panicking case (a failed
 /// assertion) propagates out of the scope and fails the test with its
 /// original message.
 fn run_cases(total: usize, check: impl Fn(u64) + Sync) {
-    let threads = xv_threads();
-    let batch = xv_batch().max(1);
-    if threads <= 1 || total <= batch {
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(4);
+    if threads <= 1 || total <= BATCH {
         for case in 0..total {
             check(case as u64);
         }
         return;
     }
     let next = AtomicUsize::new(0);
-    let workers = threads.min(total.div_ceil(batch));
+    let workers = threads.min(total.div_ceil(BATCH));
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| loop {
-                    let start = next.fetch_add(batch, Ordering::Relaxed);
+                    let start = next.fetch_add(BATCH, Ordering::Relaxed);
                     if start >= total {
                         break;
                     }
-                    for case in start..(start + batch).min(total) {
+                    for case in start..(start + BATCH).min(total) {
                         check(case as u64);
                     }
                 })
@@ -325,7 +300,7 @@ fn oracle_cq<K: ClassifiedSemiring>(exact: bool) {
     run_cases(CQ_CASES_PER_SEMIRING, |seed| {
         let (q1, q2) = cq_pair(3000 + seed);
         let answer = decide_cq::<K>(&q1, &q2);
-        let refuted = find_counterexample_cq::<K>(&q1, &q2, &config).is_some();
+        let refuted = find_counterexample::<K>(&q1, &q2, &config).is_some();
         check_against_oracle(name, &format!("{} vs {}", q1, q2), &answer, refuted, exact);
     });
 }
@@ -340,7 +315,7 @@ fn oracle_ucq<K: ClassifiedSemiring>(exact: bool) {
     run_cases(UCQ_CASES_PER_SEMIRING, |seed| {
         let (u1, u2) = ucq_pair(5000 + seed);
         let answer = decide_ucq::<K>(&u1, &u2);
-        let refuted = find_counterexample_ucq::<K>(&u1, &u2, &config).is_some();
+        let refuted = find_counterexample::<K>(&u1, &u2, &config).is_some();
         let case = format!("{} vs {} (seed {})", u1, u2, 5000 + seed);
         check_against_oracle(name, &case, &answer, refuted, exact);
     });
@@ -463,8 +438,8 @@ fn oracle_ducq<K: Semiring>(cases: usize) {
     };
     run_cases(cases, |seed| {
         let (d1, d2) = ducq_pair(11_000 + seed);
-        let memoized = find_counterexample_ducq::<K>(&d1, &d2, &config);
-        let naive = find_counterexample_ducq_naive::<K>(&d1, &d2, &config);
+        let memoized = find_counterexample::<K>(&d1, &d2, &config);
+        let naive = find_counterexample_naive::<K>(&d1, &d2, &config);
         assert_eq!(
             memoized.is_some(),
             naive.is_some(),
@@ -528,7 +503,7 @@ fn oracle_cq_bool_is_two_sided() {
     for seed in 0..60u64 {
         let (q1, q2) = cq_pair(7000 + seed);
         let answer = decide_cq::<Bool>(&q1, &q2).decided().expect("B is exact");
-        let refuted = find_counterexample_cq::<Bool>(&q1, &q2, &config).is_some();
+        let refuted = find_counterexample::<Bool>(&q1, &q2, &config).is_some();
         assert_eq!(
             answer, !refuted,
             "B: decider and complete brute force disagree on {} vs {}",
@@ -591,15 +566,15 @@ fn universal_bounds_on_random_queries() {
         // Sufficiency of bijective homomorphisms, tested over Why[X]
         // (idempotent) and N (non-idempotent).
         if kinds::exists_bijective_hom(&q2, &q1) {
-            assert!(find_counterexample_cq::<Why>(&q1, &q2, &config).is_none());
-            assert!(find_counterexample_cq::<Natural>(&q1, &q2, &config).is_none());
+            assert!(find_counterexample::<Why>(&q1, &q2, &config).is_none());
+            assert!(find_counterexample::<Natural>(&q1, &q2, &config).is_none());
         }
         // Necessity of plain homomorphisms: if no homomorphism Q2 → Q1
         // exists there must be a small Boolean counterexample (the canonical
         // instance of Q1 fits in the search bounds for these workloads).
         if !kinds::exists_hom(&q2, &q1) {
             assert!(
-                find_counterexample_cq::<Bool>(&q1, &q2, &config).is_some() || q1.num_vars() > 2,
+                find_counterexample::<Bool>(&q1, &q2, &config).is_some() || q1.num_vars() > 2,
                 "no homomorphism but no small Boolean counterexample: {} vs {}",
                 q1,
                 q2

@@ -12,9 +12,7 @@
 //!   match the `DbValue`-boundary references on the cross-validation
 //!   representative semirings.
 
-use annot_core::brute_force::{
-    find_counterexample_ucq, find_counterexample_ucq_naive, BruteForceConfig,
-};
+use annot_core::brute_force::{find_counterexample, find_counterexample_naive, BruteForceConfig};
 use annot_query::eval::{eval_cq, eval_cq_all_outputs, eval_cq_all_outputs_rows, resolve_outputs};
 use annot_query::generator::{GeneratorConfig, QueryGenerator, QueryShape};
 use annot_query::{DbValue, Domain, Instance, Schema, Tuple, Ucq};
@@ -196,8 +194,8 @@ fn oracle_differential<K: Semiring>() {
     for case in 0..8u32 {
         let (q1, q2) = (generator.cq(), generator.cq());
         let (u1, u2) = (Ucq::single(q1), Ucq::single(q2));
-        let memoized = find_counterexample_ucq::<K>(&u1, &u2, &config);
-        let naive = find_counterexample_ucq_naive::<K>(&u1, &u2, &config);
+        let memoized = find_counterexample::<K>(&u1, &u2, &config);
+        let naive = find_counterexample_naive::<K>(&u1, &u2, &config);
         assert_eq!(
             memoized.is_some(),
             naive.is_some(),

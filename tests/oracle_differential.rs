@@ -3,7 +3,7 @@
 //! The brute-force oracle now has three evaluation strategies that must be
 //! observationally identical:
 //!
-//! * the **naive** path ([`find_counterexample_ucq_naive`]): materialise
+//! * the **naive** path ([`find_counterexample_naive`]): materialise
 //!   every support-bounded instance, evaluate both queries from scratch;
 //! * the **direct** prefix-memoized walk (incremental [`EvalState`] over
 //!   `K`), used for scalar annotation domains;
@@ -24,21 +24,17 @@
 //! set: every memoized-vs-naive agreement check below therefore doubles as
 //! a reduced-vs-full differential.  The `quotient_sweep_*` tests add the
 //! quotiented-vs-unquotiented axis explicitly (via the config knob) across
-//! CQ/UCQ/DUCQ shapes and thread counts {1, 2, 8}, with per-mode witness
-//! bit-equality.
+//! CQ/UCQ/DUCQ shapes.
 //!
-//! The `thread_sweep_*` tests (PR 6) pin the work-stealing scheduler: the
-//! reported counterexample must be bit-identical across thread counts
-//! {1, 2, 8}, the visit invariant must survive stealing, and a search
-//! truncated by `max_instances` — where workers race the stop flag — must
-//! fail cleanly or report a genuine witness, never anything in between.
-//! CI runs them under `RUST_TEST_THREADS=1` so the oracle's own workers are
-//! the only concurrency being exercised.
+//! The `budget_threshold_*` tests pin the instance budget on both walks: a
+//! budget at or above the unbudgeted search's visit count returns exactly
+//! the unbudgeted outcome, and any smaller budget fails with the budget
+//! error.
 
 use annot_core::brute_force::{
-    bounded_instance_count, find_counterexample_ducq, find_counterexample_ducq_naive,
-    find_counterexample_ucq, find_counterexample_ucq_naive, quotiented_instance_count,
-    try_find_counterexample_ucq, BruteForceConfig, BruteForceError, CounterExample,
+    bounded_instance_count, find_counterexample, find_counterexample_naive,
+    quotiented_instance_count, try_find_counterexample, BruteForceConfig, BruteForceError,
+    CounterExample, SearchOutcome,
 };
 use annot_query::eval::{
     eval_ccq_all_outputs, eval_cq, eval_ducq_all_outputs, eval_ucq_all_outputs, EvalState,
@@ -64,8 +60,8 @@ fn generator(seed: u64) -> QueryGenerator {
 /// counterexample, and every reported counterexample must replay under the
 /// one-shot evaluators (`lhs = Q₁ᴵ(t)`, `rhs = Q₂ᴵ(t)`, `lhs ≰ rhs`).
 fn check_agreement<K: Semiring>(u1: &Ucq, u2: &Ucq, config: &BruteForceConfig, case: u64) {
-    let memoized = find_counterexample_ucq::<K>(u1, u2, config);
-    let naive = find_counterexample_ucq_naive::<K>(u1, u2, config);
+    let memoized = find_counterexample::<K>(u1, u2, config);
+    let naive = find_counterexample_naive::<K>(u1, u2, config);
     assert_eq!(
         memoized.is_some(),
         naive.is_some(),
@@ -332,9 +328,8 @@ fn eval_state_ducq_maps_match_under_random_walks() {
 /// An irrefutable search (`Q ⊆ Q` always holds) must walk exactly
 /// `Σ_{k≤cap} orbits(k)·sᵏ` instances over the decisive samples — for the
 /// factorized walk (which visits `Σ orbits(k)` tree nodes and *accounts*
-/// `sᵏ` instances per node) just as for the direct walk, sequentially and
-/// in parallel — and exactly `Σ_{k≤cap} C(n,k)·sᵏ` with the symmetry
-/// quotient turned off.
+/// `sᵏ` instances per node) just as for the direct walk — and exactly
+/// `Σ_{k≤cap} C(n,k)·sᵏ` with the symmetry quotient turned off.
 fn full_walk_counts<K: Semiring>() {
     let mut schema = Schema::with_relations([("R", 2)]);
     let q = annot_query::parser::parse_ucq(&mut schema, "Q() :- R(u, v), R(v, w)").unwrap();
@@ -345,25 +340,21 @@ fn full_walk_counts<K: Semiring>() {
     for cap in 0..=4usize {
         let quotiented = quotiented_instance_count(&schema, 2, nonzero, cap) as u64;
         let full = bounded_instance_count(4, nonzero, cap) as u64;
-        for threads in [1usize, 2] {
-            for (symmetry_quotient, expected) in [(true, quotiented), (false, full)] {
-                let config = BruteForceConfig {
-                    domain_size: 2,
-                    max_support: cap,
-                    threads,
-                    symmetry_quotient,
-                    ..Default::default()
-                };
-                let outcome = try_find_counterexample_ucq::<K>(&q, &q, &config).unwrap();
-                assert!(outcome.counterexample.is_none(), "Q ⊆ Q must hold");
-                assert_eq!(
-                    outcome.stats.instances_visited,
-                    expected,
-                    "{}: cap {cap}, threads {threads}, quotient {symmetry_quotient}: \
-                     wrong instance count",
-                    K::NAME
-                );
-            }
+        for (symmetry_quotient, expected) in [(true, quotiented), (false, full)] {
+            let config = BruteForceConfig {
+                domain_size: 2,
+                max_support: cap,
+                symmetry_quotient,
+                ..Default::default()
+            };
+            let outcome = try_find_counterexample::<K>(&q, &q, &config).unwrap();
+            assert!(outcome.counterexample.is_none(), "Q ⊆ Q must hold");
+            assert_eq!(
+                outcome.stats.instances_visited,
+                expected,
+                "{}: cap {cap}, quotient {symmetry_quotient}: wrong instance count",
+                K::NAME
+            );
         }
     }
 }
@@ -376,10 +367,10 @@ fn full_walk_counts<K: Semiring>() {
 /// node, the sample-assignment evaluations of the unchanged (parent) output
 /// polynomials and re-evaluates only monomials containing the newly
 /// branched slot's variable — must return exactly the same counterexample
-/// verdicts as the naive one-shot oracle at caps 1–4, sequentially and in
-/// parallel, and a full (irrefutable, `Q ⊆ Q`) walk must still visit
-/// exactly `Σ_{k≤cap} C(n,k)·sᵏ` instances under both thread counts.
-/// `cases` scales the random-pair load per (cap, thread) cell: the naive
+/// verdicts as the naive one-shot oracle at caps 1–4, and a full
+/// (irrefutable, `Q ⊆ Q`) walk must still visit exactly
+/// `Σ_{k≤cap} orbits(k)·sᵏ` instances.
+/// `cases` scales the random-pair load per cap: the naive
 /// reference's cost grows with the semiring's non-zero sample count, so
 /// `Why[X]` (6 non-zero samples) runs fewer pairs than `Lin[X]`/`N[X]`.
 fn sibling_sharing_matches_naive<K: Semiring>(cases: u64) {
@@ -396,44 +387,35 @@ fn sibling_sharing_matches_naive<K: Semiring>(cases: u64) {
         for seed in 0..cases {
             let mut g = generator(9800 + seed);
             let (u1, u2) = (g.ucq(2), g.ucq(2));
-            // The naive verdict is thread-independent; compute it once and
-            // hold the shared-substitution walk to it under both counts.
-            let naive = find_counterexample_ucq_naive::<K>(&u1, &u2, &config);
-            for threads in [1usize, 2] {
-                let config = config.clone().with_threads(threads);
-                let shared = find_counterexample_ucq::<K>(&u1, &u2, &config);
-                assert_eq!(
-                    shared.is_some(),
-                    naive.is_some(),
-                    "{}: cap {cap}, threads {threads}: sibling-sharing walk and naive \
-                     oracle disagree on {} vs {}",
-                    K::NAME,
-                    u1,
-                    u2
-                );
-                if let Some(ce) = shared {
-                    let lhs = eval_ucq(&u1, &ce.instance, &ce.tuple);
-                    let rhs = eval_ucq(&u2, &ce.instance, &ce.tuple);
-                    assert_eq!(ce.lhs, lhs, "{}: reported lhs replay", K::NAME);
-                    assert_eq!(ce.rhs, rhs, "{}: reported rhs replay", K::NAME);
-                    assert!(!lhs.leq(&rhs), "{}: reported violation replay", K::NAME);
-                }
+            let naive = find_counterexample_naive::<K>(&u1, &u2, &config);
+            let shared = find_counterexample::<K>(&u1, &u2, &config);
+            assert_eq!(
+                shared.is_some(),
+                naive.is_some(),
+                "{}: cap {cap}: sibling-sharing walk and naive oracle disagree on {} vs {}",
+                K::NAME,
+                u1,
+                u2
+            );
+            if let Some(ce) = shared {
+                let lhs = eval_ucq(&u1, &ce.instance, &ce.tuple);
+                let rhs = eval_ucq(&u2, &ce.instance, &ce.tuple);
+                assert_eq!(ce.lhs, lhs, "{}: reported lhs replay", K::NAME);
+                assert_eq!(ce.rhs, rhs, "{}: reported rhs replay", K::NAME);
+                assert!(!lhs.leq(&rhs), "{}: reported violation replay", K::NAME);
             }
         }
         // The Σ orbits(k)·sᵏ visit invariant on an irrefutable full walk.
         let mut schema = Schema::with_relations([("R", 2)]);
         let q = annot_query::parser::parse_ucq(&mut schema, "Q() :- R(u, v), R(v, w)").unwrap();
-        for threads in [1usize, 2] {
-            let config = config.clone().with_threads(threads);
-            let outcome = try_find_counterexample_ucq::<K>(&q, &q, &config).unwrap();
-            assert!(outcome.counterexample.is_none());
-            assert_eq!(
-                outcome.stats.instances_visited,
-                quotiented_instance_count(&schema, 2, nonzero, cap) as u64,
-                "{}: cap {cap}, threads {threads}: wrong visit count",
-                K::NAME
-            );
-        }
+        let outcome = try_find_counterexample::<K>(&q, &q, &config).unwrap();
+        assert!(outcome.counterexample.is_none());
+        assert_eq!(
+            outcome.stats.instances_visited,
+            quotiented_instance_count(&schema, 2, nonzero, cap) as u64,
+            "{}: cap {cap}: wrong visit count",
+            K::NAME
+        );
     }
 }
 
@@ -458,217 +440,108 @@ fn full_walk_counts_direct_natural() {
 }
 
 // ---------------------------------------------------------------------------
-// The work-stealing walk: thread sweeps (PR 6)
+// The instance budget is exact
 // ---------------------------------------------------------------------------
 
-/// Across thread counts {1, 2, 8} the oracle must report the *same*
-/// counterexample — bit-identical instance, tuple and annotations — on every
-/// refutable pair, not merely agree that one exists.  The sequential walk's
-/// first hit is the DFS-minimal violating prefix; the stealing walk keeps the
-/// lexicographically smallest (job, prefix-path) witness, which coincides
-/// with it.  Randomized pairs supply multi-counterexample workloads where a
-/// "first thread wins" scheduler would diverge run to run.
-fn thread_sweep_witnesses<K: Semiring>(cases: u64) {
-    let base = BruteForceConfig {
-        domain_size: 2,
-        max_support: 3,
+/// Pins the budget threshold on one pair: the unbudgeted search settles with
+/// the expected verdict after exactly `w` instances; every budget `≥ w`
+/// returns the same witness and count; every budget `< w` fails with the
+/// budget error naming that budget.
+fn budget_threshold<K: Semiring>(
+    pair: (&str, &str),
+    domain_size: usize,
+    max_support: usize,
+    refuted: bool,
+    w: u64,
+) {
+    let mut schema = Schema::with_relations([("R", 2)]);
+    let q1 = annot_query::parser::parse_ucq(&mut schema, pair.0).unwrap();
+    let q2 = annot_query::parser::parse_ucq(&mut schema, pair.1).unwrap();
+    let config = BruteForceConfig {
+        domain_size,
+        max_support,
         ..Default::default()
     };
-    let mut refuted = 0u64;
-    for seed in 0..cases {
-        let mut g = generator(9900 + seed);
-        let (u1, u2) = (g.ucq(2), g.ucq(2));
-        let sequential = find_counterexample_ucq::<K>(&u1, &u2, &base.clone().with_threads(1));
-        for threads in [2usize, 8] {
-            let swept = find_counterexample_ucq::<K>(&u1, &u2, &base.clone().with_threads(threads));
-            match (&sequential, &swept) {
-                (None, None) => {}
-                (Some(seq), Some(par)) => {
-                    assert_eq!(
-                        seq.instance,
-                        par.instance,
-                        "{}: threads {threads}: witness instance drifted on {} vs {}",
-                        K::NAME,
-                        u1,
-                        u2
-                    );
-                    assert_eq!(seq.tuple, par.tuple, "{}: witness tuple drifted", K::NAME);
-                    assert_eq!(seq.lhs, par.lhs, "{}: witness lhs drifted", K::NAME);
-                    assert_eq!(seq.rhs, par.rhs, "{}: witness rhs drifted", K::NAME);
-                }
-                _ => panic!(
-                    "{}: threads {threads}: verdict flipped on {} vs {}",
-                    K::NAME,
-                    u1,
-                    u2
-                ),
-            }
-        }
-        refuted += u64::from(sequential.is_some());
-    }
-    assert!(
-        refuted > 0,
-        "{}: workload never refuted — the witness sweep is vacuous",
-        K::NAME
+    let label = format!("{}: {} ⊆ {}", K::NAME, pair.0, pair.1);
+    let unbudgeted = try_find_counterexample::<K>(&q1, &q2, &config).unwrap();
+    assert_eq!(
+        unbudgeted.counterexample.is_some(),
+        refuted,
+        "{label}: verdict"
     );
-}
-
-#[test]
-fn thread_sweep_witnesses_direct_natural() {
-    thread_sweep_witnesses::<Natural>(quick(12));
-}
-
-#[test]
-fn thread_sweep_witnesses_factorized_lineage() {
-    thread_sweep_witnesses::<Lineage>(quick(8));
-}
-
-#[test]
-fn thread_sweep_witnesses_factorized_why() {
-    thread_sweep_witnesses::<Why>(quick(4));
-}
-
-/// Example 4.6's pair (`R(u,v), R(u,w)` vs `R(u,v), R(u,v)`) has *many*
-/// violating instances over ℕ at cap ≥ 2 — any two facts sharing a first
-/// column refute it — so the deterministic-witness guarantee is exercised on
-/// a workload where thread scheduling genuinely has rival witnesses to pick
-/// from, for both the direct (ℕ) and factorized (ℕ[X]) walks.
-#[test]
-fn thread_sweep_multi_witness_workload_is_deterministic() {
-    let mut schema = Schema::with_relations([("R", 2)]);
-    let q1 = annot_query::parser::parse_ucq(&mut schema, "Q() :- R(u, v), R(u, w)").unwrap();
-    let q2 = annot_query::parser::parse_ucq(&mut schema, "Q() :- R(u, v), R(u, v)").unwrap();
-    for cap in [2usize, 4] {
-        let config = BruteForceConfig {
-            domain_size: 2,
-            max_support: cap,
-            ..Default::default()
-        };
-        let seq_nat = find_counterexample_ucq::<Natural>(&q1, &q2, &config.clone().with_threads(1))
-            .expect("Example 4.6 refutes over ℕ");
-        let seq_poly =
-            find_counterexample_ucq::<NatPoly>(&q1, &q2, &config.clone().with_threads(1))
-                .expect("Example 4.6 refutes over ℕ[X]");
-        for threads in [2usize, 8] {
-            let config = config.clone().with_threads(threads);
-            let par_nat = find_counterexample_ucq::<Natural>(&q1, &q2, &config)
-                .expect("refutation must survive the thread sweep");
-            assert_eq!(
-                seq_nat.instance, par_nat.instance,
-                "ℕ: cap {cap}, threads {threads}"
-            );
-            assert_eq!(seq_nat.tuple, par_nat.tuple);
-            assert_eq!(seq_nat.lhs, par_nat.lhs);
-            assert_eq!(seq_nat.rhs, par_nat.rhs);
-            let par_poly = find_counterexample_ucq::<NatPoly>(&q1, &q2, &config)
-                .expect("refutation must survive the thread sweep");
-            assert_eq!(
-                seq_poly.instance, par_poly.instance,
-                "ℕ[X]: cap {cap}, threads {threads}"
-            );
-            assert_eq!(seq_poly.tuple, par_poly.tuple);
-            assert_eq!(seq_poly.lhs, par_poly.lhs);
-            assert_eq!(seq_poly.rhs, par_poly.rhs);
-        }
+    assert_eq!(unbudgeted.stats.instances_visited, w, "{label}: W");
+    let witness = |outcome: &SearchOutcome<K>| {
+        outcome.counterexample.as_ref().map(|ce| {
+            (
+                ce.instance.clone(),
+                ce.tuple.clone(),
+                ce.lhs.clone(),
+                ce.rhs.clone(),
+            )
+        })
+    };
+    for budget in [w, w + 1, 2 * w] {
+        let outcome = try_find_counterexample::<K>(
+            &q1,
+            &q2,
+            &config.clone().with_max_instances(Some(budget)),
+        )
+        .unwrap_or_else(|err| panic!("{label}: budget {budget} ≥ W failed: {err}"));
+        assert_eq!(
+            witness(&outcome),
+            witness(&unbudgeted),
+            "{label}: budget {budget}"
+        );
+        assert_eq!(
+            outcome.stats.instances_visited, w,
+            "{label}: budget {budget}"
+        );
     }
-}
-
-/// The quotiented visit invariant must survive stealing: every canonical
-/// prefix node is counted exactly once no matter which worker's deque it
-/// ends up on, including oversubscribed pools (8 workers, 1-ish cores) —
-/// and stolen-prefix replay must respect the pruned order in both quotient
-/// modes (`Σ orbits(k)·sᵏ` with the quotient on, `Σ C(n,k)·sᵏ` off).
-fn thread_sweep_visit_invariant<K: Semiring>() {
-    let mut schema = Schema::with_relations([("R", 2)]);
-    let q = annot_query::parser::parse_ucq(&mut schema, "Q() :- R(u, v), R(v, w)").unwrap();
-    let nonzero = K::decisive_samples()
-        .into_iter()
-        .filter(|k| !k.is_zero())
-        .count();
-    for cap in [2usize, 4] {
-        let quotiented = quotiented_instance_count(&schema, 2, nonzero, cap) as u64;
-        let full = bounded_instance_count(4, nonzero, cap) as u64;
-        for threads in [1usize, 2, 8] {
-            for (symmetry_quotient, expected) in [(true, quotiented), (false, full)] {
-                let config = BruteForceConfig {
-                    domain_size: 2,
-                    max_support: cap,
-                    threads,
-                    symmetry_quotient,
-                    ..Default::default()
-                };
-                let outcome = try_find_counterexample_ucq::<K>(&q, &q, &config).unwrap();
-                assert!(outcome.counterexample.is_none(), "Q ⊆ Q must hold");
-                assert_eq!(
-                    outcome.stats.instances_visited,
-                    expected,
-                    "{}: cap {cap}, threads {threads}, quotient {symmetry_quotient}: \
-                     stealing broke the visit count",
-                    K::NAME
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn thread_sweep_visit_invariant_direct_natural() {
-    thread_sweep_visit_invariant::<Natural>();
-}
-
-#[test]
-fn thread_sweep_visit_invariant_factorized_why() {
-    thread_sweep_visit_invariant::<Why>();
-}
-
-/// Workers race the `max_instances` stop flag: whichever way the race
-/// resolves, the outcome must be either a clean budget error or a genuine,
-/// replaying counterexample — never a fabricated witness, a wrong error
-/// payload, or a hang.
-#[test]
-fn thread_sweep_budget_race_fails_cleanly_or_finds_a_real_witness() {
-    let mut schema = Schema::with_relations([("R", 2)]);
-    let q1 = annot_query::parser::parse_ucq(&mut schema, "Q() :- R(u, v), R(u, w)").unwrap();
-    let q2 = annot_query::parser::parse_ucq(&mut schema, "Q() :- R(u, v), R(u, v)").unwrap();
-    let irrefutable = annot_query::parser::parse_ucq(&mut schema, "Q() :- R(u, v)").unwrap();
-    for threads in [1usize, 2, 8] {
-        let config = BruteForceConfig {
-            domain_size: 2,
-            max_support: 3,
-            threads,
-            max_instances: Some(10),
-            symmetry_quotient: true,
-        };
-        // An irrefutable pair (full walk ≫ 10 instances) can only exhaust
-        // the budget, on every thread count.
-        let err = try_find_counterexample_ucq::<Natural>(&irrefutable, &irrefutable, &config)
-            .expect_err("budget must trip before the full walk completes");
+    for budget in [0, 1, w / 2, w - 1] {
+        let err = try_find_counterexample::<K>(
+            &q1,
+            &q2,
+            &config.clone().with_max_instances(Some(budget)),
+        )
+        .expect_err("a budget below W must not settle the search");
         assert_eq!(
             err,
-            BruteForceError::InstanceBudgetExceeded { max_instances: 10 }
+            BruteForceError::InstanceBudgetExceeded {
+                max_instances: budget
+            },
+            "{label}: budget {budget}"
         );
-        // A refutable pair may beat the budget to a witness or lose the
-        // race, depending on scheduling — but a reported witness must
-        // replay, and a failure must be the budget error.
-        match try_find_counterexample_ucq::<Natural>(&q1, &q2, &config) {
-            Ok(outcome) => {
-                let ce = outcome
-                    .counterexample
-                    .expect("a walk that beat the budget must carry the refutation");
-                let lhs = eval_ucq(&q1, &ce.instance, &ce.tuple);
-                let rhs = eval_ucq(&q2, &ce.instance, &ce.tuple);
-                assert_eq!(ce.lhs, lhs, "threads {threads}: reported lhs replay");
-                assert_eq!(ce.rhs, rhs, "threads {threads}: reported rhs replay");
-                assert!(
-                    !lhs.leq(&rhs),
-                    "threads {threads}: reported violation replay"
-                );
-            }
-            Err(err) => assert_eq!(
-                err,
-                BruteForceError::InstanceBudgetExceeded { max_instances: 10 }
-            ),
-        }
+    }
+}
+
+/// Example 4.6's pair, refuted over `N` and `Why[X]`.
+const EX_4_6: (&str, &str) = ("Q() :- R(u, v), R(u, w)", "Q() :- R(u, v), R(u, v)");
+/// A pair that holds over every semiring, so its walk is full.
+const EDGE: (&str, &str) = ("Q() :- R(u, v)", "Q() :- R(u, v)");
+
+#[test]
+fn budget_threshold_direct_natural() {
+    budget_threshold::<Natural>(EX_4_6, 2, 3, true, 3);
+    budget_threshold::<Natural>(EDGE, 2, 3, false, 361);
+}
+
+#[test]
+fn budget_threshold_factorized_why() {
+    budget_threshold::<Why>(EX_4_6, 2, 3, true, 21);
+    budget_threshold::<Why>(EDGE, 2, 4, false, 457);
+}
+
+#[test]
+fn budget_threshold_factorized_lineage() {
+    budget_threshold::<Lineage>(
+        ("Q() :- R(u, v)", "Q() :- R(u, v), R(v, w)"),
+        2,
+        3,
+        true,
+        88,
+    );
+    if !cfg!(miri) {
+        budget_threshold::<Lineage>(EDGE, 3, 4, false, 2_482);
     }
 }
 
@@ -694,13 +567,12 @@ fn eval_ducq<K: Semiring>(d: &Ducq, instance: &Instance<K>, t: &Tuple) -> K {
 }
 
 /// Runs one (pair, shape) cell of the quotient sweep: for both positions of
-/// the `symmetry_quotient` knob the sequential verdict must match the
-/// full-sample naive oracle's, the witness must be bit-identical across
-/// thread counts {1, 2, 8} *within* each mode, and every reported witness
-/// must replay under the one-shot evaluators.  (Across modes only the
-/// verdict is pinned: the unquotiented walk may legitimately stop at a
-/// witness whose support the quotiented walk prunes as non-canonical.)
-/// Returns whether the pair was refuted.
+/// the `symmetry_quotient` knob the verdict must match the full-sample
+/// naive oracle's, and every reported witness must replay under the
+/// one-shot evaluators.  (Across modes only the verdict is pinned: the
+/// unquotiented walk may legitimately stop at a witness whose support the
+/// quotiented walk prunes as non-canonical.)  Returns whether the pair was
+/// refuted.
 fn sweep_quotient_modes<K: Semiring>(
     base: &BruteForceConfig,
     naive_refutes: bool,
@@ -714,7 +586,7 @@ fn sweep_quotient_modes<K: Semiring>(
             symmetry_quotient,
             ..base.clone()
         };
-        let reference = run(&config.clone().with_threads(1));
+        let reference = run(&config);
         assert_eq!(
             reference.is_some(),
             naive_refutes,
@@ -733,37 +605,13 @@ fn sweep_quotient_modes<K: Semiring>(
             );
             refuted = true;
         }
-        for threads in [2usize, 8] {
-            let swept = run(&config.clone().with_threads(threads));
-            match (&reference, &swept) {
-                (None, None) => {}
-                (Some(seq), Some(par)) => {
-                    assert_eq!(
-                        seq.instance,
-                        par.instance,
-                        "{}: {label}: threads {threads}, quotient {symmetry_quotient}: \
-                         witness instance drifted",
-                        K::NAME
-                    );
-                    assert_eq!(seq.tuple, par.tuple, "{}: witness tuple drifted", K::NAME);
-                    assert_eq!(seq.lhs, par.lhs, "{}: witness lhs drifted", K::NAME);
-                    assert_eq!(seq.rhs, par.rhs, "{}: witness rhs drifted", K::NAME);
-                }
-                _ => panic!(
-                    "{}: {label}: threads {threads}, quotient {symmetry_quotient}: \
-                     verdict drifted across threads",
-                    K::NAME
-                ),
-            }
-        }
     }
     refuted
 }
 
 /// The quotiented-vs-unquotiented differential across CQ/UCQ/DUCQ shapes:
-/// randomized pairs, both `symmetry_quotient` positions, thread counts
-/// {1, 2, 8}, verdicts held to the full-sample naive reference and
-/// witnesses held bit-identical across threads.
+/// randomized pairs, both `symmetry_quotient` positions, verdicts held to
+/// the full-sample naive reference.
 fn quotient_sweep<K: Semiring>(cases: u64) {
     let base = BruteForceConfig {
         domain_size: 2,
@@ -776,11 +624,11 @@ fn quotient_sweep<K: Semiring>(cases: u64) {
         let cq_pair = (Ucq::single(g.cq()), Ucq::single(g.cq()));
         let ucq_pair = (g.ucq(2), g.ucq(2));
         for (shape, (u1, u2)) in [("CQ", cq_pair), ("UCQ", ucq_pair)] {
-            let naive = find_counterexample_ucq_naive::<K>(&u1, &u2, &base).is_some();
+            let naive = find_counterexample_naive::<K>(&u1, &u2, &base).is_some();
             let hit = sweep_quotient_modes::<K>(
                 &base,
                 naive,
-                &|config| find_counterexample_ucq::<K>(&u1, &u2, config),
+                &|config| find_counterexample::<K>(&u1, &u2, config),
                 &|ce| {
                     (
                         eval_ucq(&u1, &ce.instance, &ce.tuple),
@@ -792,11 +640,11 @@ fn quotient_sweep<K: Semiring>(cases: u64) {
             refuted += u64::from(hit);
         }
         let (d1, d2) = (g.ducq(2), g.ducq(2));
-        let naive = find_counterexample_ducq_naive::<K>(&d1, &d2, &base).is_some();
+        let naive = find_counterexample_naive::<K>(&d1, &d2, &base).is_some();
         let hit = sweep_quotient_modes::<K>(
             &base,
             naive,
-            &|config| find_counterexample_ducq::<K>(&d1, &d2, config),
+            &|config| find_counterexample::<K>(&d1, &d2, config),
             &|ce| {
                 (
                     eval_ducq(&d1, &ce.instance, &ce.tuple),

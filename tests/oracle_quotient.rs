@@ -10,9 +10,9 @@
 //!
 //! * the shipped closed form agrees with the independent enumeration;
 //! * an irrefutable **direct** walk (scalar `ℕ`) visits exactly
-//!   `Σ_{k≤cap} orbits(k)·sᵏ` instances at threads {1, 2, 8};
+//!   `Σ_{k≤cap} orbits(k)·sᵏ` instances;
 //! * an irrefutable **factorized** walk (heap-carrying `Lin[X]`, `Why[X]`)
-//!   accounts exactly the same closed form at threads {1, 2, 8}.
+//!   accounts exactly the same closed form.
 //!
 //! Nothing here imports the oracle's own permutation tables: a bug that
 //! warped both the pruning predicate and the closed form the same way would
@@ -20,7 +20,7 @@
 //! group action.
 
 use annot_core::brute_force::{
-    quotiented_instance_count, try_find_counterexample_ucq, BruteForceConfig,
+    quotiented_instance_count, try_find_counterexample, BruteForceConfig,
 };
 use annot_query::{parser, Schema};
 use annot_semiring::{Lineage, Natural, Semiring, Why};
@@ -102,7 +102,7 @@ fn orbit_profile(rels: &[(&str, usize)], d: usize, cap: usize) -> Vec<u128> {
 
 /// Pins one workload: the shipped closed form and the walk's visit counter
 /// against this file's independent orbit enumeration, at every cap up to
-/// `max_cap` and thread counts {1, 2, 8}.
+/// `max_cap`.
 fn pin_quotiented_walk<K: Semiring>(
     rels: &[(&str, usize)],
     d: usize,
@@ -129,23 +129,19 @@ fn pin_quotiented_walk<K: Semiring>(
              independent orbit enumeration",
             K::NAME
         );
-        for threads in [1usize, 2, 8] {
-            let config = BruteForceConfig {
-                domain_size: d,
-                max_support: cap,
-                threads,
-                ..Default::default()
-            };
-            let outcome = try_find_counterexample_ucq::<K>(&q, &q, &config).unwrap();
-            assert!(outcome.counterexample.is_none(), "Q ⊆ Q must hold");
-            assert_eq!(
-                outcome.stats.instances_visited,
-                expected as u64,
-                "{}: domain {d}, cap {cap}, threads {threads}: quotiented walk \
-                 drifted from the orbit closed form",
-                K::NAME
-            );
-        }
+        let config = BruteForceConfig {
+            domain_size: d,
+            max_support: cap,
+            ..Default::default()
+        };
+        let outcome = try_find_counterexample::<K>(&q, &q, &config).unwrap();
+        assert!(outcome.counterexample.is_none(), "Q ⊆ Q must hold");
+        assert_eq!(
+            outcome.stats.instances_visited,
+            expected as u64,
+            "{}: domain {d}, cap {cap}: quotiented walk drifted from the orbit closed form",
+            K::NAME
+        );
     }
 }
 

@@ -2,7 +2,7 @@
 //! DESIGN.md): Example 4.6, Example 5.4, Example 5.7 and Example 5.20,
 //! plus the CQ-admissibility examples of Sec. 4.5 (experiment E4).
 
-use annot_core::brute_force::{find_counterexample_cq, find_counterexample_ucq, BruteForceConfig};
+use annot_core::brute_force::{find_counterexample, BruteForceConfig};
 use annot_core::decide::{decide_cq, decide_ucq};
 use annot_core::small_model::ucq_contained_small_model;
 use annot_core::ucq::{bijective, covering, local, surjective};
@@ -42,9 +42,9 @@ fn example_4_6_tropical_containment_without_injective_hom() {
         max_support: 4,
         ..Default::default()
     };
-    assert!(find_counterexample_cq::<Tropical>(&q1, &q2, &config).is_none());
+    assert!(find_counterexample::<Tropical>(&q1, &q2, &config).is_none());
     // … while the same containment FAILS over bag semantics and N[X].
-    assert!(find_counterexample_cq::<Natural>(&q1, &q2, &config).is_some());
+    assert!(find_counterexample::<Natural>(&q1, &q2, &config).is_some());
     assert_eq!(decide_cq::<NatPoly>(&q1, &q2).decided(), Some(false));
 }
 
@@ -102,7 +102,7 @@ fn example_5_4_local_method_fails_for_tropical() {
         max_support: 4,
         ..Default::default()
     };
-    assert!(find_counterexample_ucq::<Tropical>(&q1, &q2, &config).is_none());
+    assert!(find_counterexample::<Tropical>(&q1, &q2, &config).is_none());
     // Over set semantics the containment also holds (homomorphism from each
     // member of Q2 … to Q11), but over N[X] it fails.
     assert!(local::contained_chom(&q1, &q2));
@@ -135,7 +135,7 @@ fn example_5_7_counting_criterion() {
         max_support: 3,
         ..Default::default()
     };
-    assert!(find_counterexample_ucq::<NatPoly>(&q1, &q2, &config).is_none());
+    assert!(find_counterexample::<NatPoly>(&q1, &q2, &config).is_none());
     // The ↠_∞ criterion (sufficient for bag semantics) holds as well.
     assert!(surjective::unique_surjective(&q1, &q2));
 }
@@ -166,8 +166,8 @@ fn example_5_7_offsets() {
         max_support: 3,
         ..Default::default()
     };
-    assert!(find_counterexample_ucq::<BoundedNat<2>>(&q1, &q2, &config).is_none());
-    assert!(find_counterexample_ucq::<NatPoly>(&q1, &q2, &config).is_some());
+    assert!(find_counterexample::<BoundedNat<2>>(&q1, &q2, &config).is_none());
+    assert!(find_counterexample::<NatPoly>(&q1, &q2, &config).is_some());
 }
 
 /// Example 5.20: for semirings in S_hcov the covering of a member of Q1 may
@@ -191,10 +191,10 @@ fn example_5_20_covering_needs_both_members() {
         max_support: 4,
         ..Default::default()
     };
-    assert!(find_counterexample_ucq::<Lineage>(&q1, &q2, &config).is_none());
+    assert!(find_counterexample::<Lineage>(&q1, &q2, &config).is_none());
     assert_eq!(decide_ucq::<Lineage>(&q1, &q2).decided(), Some(true));
     // Over set semantics it holds too, over N[X] it does not.
-    assert!(find_counterexample_ucq::<Bool>(&q1, &q2, &config).is_none());
+    assert!(find_counterexample::<Bool>(&q1, &q2, &config).is_none());
     assert!(!bijective::counting_infinite(&q1, &q2));
 }
 
@@ -234,13 +234,13 @@ fn theorem_5_2_local_homomorphism_is_exact_for_set_semantics() {
         ..Default::default()
     };
     let criterion = local::contained_chom(&q1, &q2);
-    let semantic = find_counterexample_ucq::<Bool>(&q1, &q2, &config).is_none();
+    let semantic = find_counterexample::<Bool>(&q1, &q2, &config).is_none();
     assert_eq!(criterion, semantic);
     assert_eq!(decide_ucq::<Bool>(&q1, &q2).decided(), Some(criterion));
     // The reverse direction: Q2 is NOT contained in Q1 over B (R alone does
     // not imply R ∧ S), and the criterion agrees.
     let criterion_rev = local::contained_chom(&q2, &q1);
-    let semantic_rev = find_counterexample_ucq::<Bool>(&q2, &q1, &config).is_none();
+    let semantic_rev = find_counterexample::<Bool>(&q2, &q1, &config).is_none();
     assert!(!criterion_rev);
     assert_eq!(criterion_rev, semantic_rev);
 }
@@ -260,10 +260,10 @@ fn why_provenance_surjective_criterion() {
     // Q1 ⊆_{Why[X]} Q2 fails: no surjective homomorphism, and brute force
     // finds a counterexample.
     assert!(!kinds::exists_surjective_hom(&q2, &q1));
-    assert!(find_counterexample_cq::<Why>(&q1, &q2, &config).is_some());
+    assert!(find_counterexample::<Why>(&q1, &q2, &config).is_some());
     // Q2 ⊆_{Why[X]} Q1 holds: a surjective homomorphism exists and brute
     // force finds no counterexample.
     assert!(kinds::exists_surjective_hom(&q1, &q2));
-    assert!(find_counterexample_cq::<Why>(&q2, &q1, &config).is_none());
+    assert!(find_counterexample::<Why>(&q2, &q1, &config).is_none());
     assert_eq!(decide_cq::<Why>(&q2, &q1).decided(), Some(true));
 }

@@ -8,7 +8,7 @@
 //! directions exercises both soundness and completeness of the criterion at
 //! these sizes.
 
-use annot_core::brute_force::{find_counterexample_cq, BruteForceConfig};
+use annot_core::brute_force::{find_counterexample, BruteForceConfig};
 use annot_core::classes::ClassifiedSemiring;
 use annot_core::decide::decide_cq;
 use annot_query::generator::{GeneratorConfig, QueryGenerator, QueryShape};
@@ -54,7 +54,7 @@ fn agreement<K: ClassifiedSemiring + Semiring>(
 ) {
     for (q1, q2) in pairs {
         let predicted = contained::<K>(q1, q2);
-        let counterexample = find_counterexample_cq::<K>(q1, q2, config);
+        let counterexample = find_counterexample::<K>(q1, q2, config);
         if predicted {
             assert!(
                 counterexample.is_none(),
@@ -82,7 +82,7 @@ fn refutation_soundness<K: ClassifiedSemiring + Semiring>(
     name: &str,
 ) {
     for (q1, q2) in pairs {
-        if find_counterexample_cq::<K>(q1, q2, config).is_some() {
+        if find_counterexample::<K>(q1, q2, config).is_some() {
             assert!(
                 !contained::<K>(q1, q2),
                 "[{}] semantics refutes containment but the criterion accepts\nQ1 = {}\nQ2 = {}",
@@ -184,7 +184,7 @@ fn bag_semantics_bounds_are_consistent() {
     for (q1, q2) in &pairs {
         match decide_cq::<Natural>(q1, q2).decided() {
             Some(true) => assert!(
-                find_counterexample_cq::<Natural>(q1, q2, &config).is_none(),
+                find_counterexample::<Natural>(q1, q2, &config).is_none(),
                 "sufficient bound contradicted semantically: {} vs {}",
                 q1,
                 q2

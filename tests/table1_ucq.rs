@@ -4,7 +4,7 @@
 //! brute-force semantics over small instances (soundness of acceptance, and
 //! rejection whenever a semantic counterexample exists).
 
-use annot_core::brute_force::{find_counterexample_ucq, BruteForceConfig};
+use annot_core::brute_force::{find_counterexample, BruteForceConfig};
 use annot_core::small_model::ucq_contained_small_model;
 use annot_core::ucq::{bijective, covering, local, surjective};
 use annot_query::generator::{GeneratorConfig, QueryGenerator, QueryShape};
@@ -41,7 +41,7 @@ fn check<K: Semiring>(criterion: &dyn Fn(&Ucq, &Ucq) -> bool, pairs: &[(Ucq, Ucq
     };
     for (q1, q2) in pairs {
         let predicted = criterion(q1, q2);
-        let counterexample = find_counterexample_ucq::<K>(q1, q2, &config);
+        let counterexample = find_counterexample::<K>(q1, q2, &config);
         if predicted {
             assert!(
                 counterexample.is_none(),
@@ -104,7 +104,7 @@ fn row_cinf_sur_unique_surjection_is_sound_for_bags() {
     for (q1, q2) in &pairs {
         if surjective::unique_surjective(q1, q2) {
             assert!(
-                find_counterexample_ucq::<Natural>(q1, q2, &config).is_none(),
+                find_counterexample::<Natural>(q1, q2, &config).is_none(),
                 "↠_∞ accepted but N-containment fails: {} vs {}",
                 q1,
                 q2
@@ -152,9 +152,9 @@ fn local_method_is_sound_for_all_idempotent_semirings() {
     };
     for (q1, q2) in &pairs {
         if local::contained_c1bi(q1, q2) {
-            assert!(find_counterexample_ucq::<NatPoly>(q1, q2, &config).is_none());
-            assert!(find_counterexample_ucq::<Why>(q1, q2, &config).is_none());
-            assert!(find_counterexample_ucq::<Lineage>(q1, q2, &config).is_none());
+            assert!(find_counterexample::<NatPoly>(q1, q2, &config).is_none());
+            assert!(find_counterexample::<Why>(q1, q2, &config).is_none());
+            assert!(find_counterexample::<Lineage>(q1, q2, &config).is_none());
         }
     }
 }
