@@ -190,11 +190,11 @@ pub trait ClassifiedSemiring: Semiring {
     fn class_profile() -> ClassProfile;
 
     /// The decidable polynomial order `¹_K` of this semiring, when one is
-    /// implemented ([`crate::poly_order::PolynomialOrder`]).  The unified
-    /// dispatcher ([`crate::decide`]) uses it to run the small-model
-    /// procedure of Thm. 4.17 for `SmallModel`-criterion semirings; the
-    /// default (`None`) makes the dispatcher fall back to the sufficient /
-    /// necessary homomorphism bounds.
+    /// implemented ([`crate::poly_order::PolynomialOrder`]).  On a
+    /// `SmallModel`-criterion row, the decide pass ([`crate::decide`]) runs
+    /// the small-model procedure of Thm. 4.17 with it on every pair the
+    /// pass's bounds leave open.  A row without one (the default, `None`)
+    /// has no exact ⟨Q⟩ criterion, like `N`.
     fn poly_order() -> Option<PolyLeqFn> {
         None
     }

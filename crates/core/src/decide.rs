@@ -1,29 +1,58 @@
-//! The unified containment API: dispatch on a semiring's class profile.
+//! The unified containment API: one decide pass per Table 1 row.
 //!
-//! [`decide_cq`] and [`decide_ucq`] pick, for a given
-//! [`ClassifiedSemiring`], the decision procedure Table 1 assigns to it
-//! (homomorphism, covering, injective, surjective, bijective, small-model,
-//! or the local / counting / unique-surjection UCQ criteria) and report a
-//! [`Decision`]: the verdict, the *method* that produced it, and — for the
-//! single-homomorphism criteria — the witnessing variable mapping.
+//! [`decide_ucq`] decides `Q₁ ⊆_K Q₂` by `K`'s row of Table 1 and reports
+//! a [`Decision`]: the verdict, the *method* that produced it, and, for a
+//! verdict settled by one homomorphism, the witnessing variable mapping.
+//! [`decide_cq`] is the same decision on singleton unions, so the two
+//! entry points never disagree on single CQs.  The small-model procedure
+//! of Thm. 4.17 is reached through the [`ClassifiedSemiring::poly_order`]
+//! hook, so one entry point per query type serves every registered
+//! semiring.
 //!
-//! The former `decide_*` / `decide_*_with_poly_order` split is gone: the
-//! small-model procedure of Thm. 4.17 is reached through the
-//! [`ClassifiedSemiring::poly_order`] hook, so one entry point per query
-//! type serves every registered semiring.  For semirings with no known
-//! exact procedure (bag semantics `N`, `Trio[X]` at the UCQ level, …) the
-//! dispatcher falls back to the paper's sufficient and necessary bounds and
-//! may answer [`Verdict::Unknown`].
+//! # The pass
+//!
+//! A row whose UCQ criterion is member-wise (`C_hom`, `C¹_in`, `C¹_sur`,
+//! `C¹_bi`) or the covering `⇉₁` (`C¹_hcov`) answers with its criterion;
+//! on single CQs that is its CQ criterion, with the witness.  A row whose
+//! procedure reads the complete descriptions ⟨Q₁⟩ and ⟨Q₂⟩ (`N[X]`,
+//! `Trio[X]`, `T+`, `T-`, `Viterbi`, `N`, `B_k`) first tries the bounds the
+//! paper proves sound for it, cheapest first, and builds ⟨Q⟩ only for a
+//! pair none of them settles:
+//!
+//! 1. **Exact CQ criterion.**  On single CQs, a row whose CQ criterion is a
+//!    homomorphism kind answers with it and its witness: `N[X]` with `⤖`
+//!    and `Trio[X]` with `↠`.  On single CQs `↪_∞` is `⤖` and `↠_∞` is `↠`.
+//! 2. **Sufficient bounds.**  Distinct bijective witnesses, on every row
+//!    ([`local::sufficient_for_all_semirings`]).  Then the row's CQ
+//!    sufficient bound (`S_hcov` `⇉`, else `S_in` `↪`, else `S_sur` `↠`):
+//!    on single CQs that bound itself, with its witness; on ⊕-idempotent
+//!    rows, every member of `Q₁` in some member of `Q₂` by it (Prop. 5.1).
+//! 3. **Necessary bounds.**  Member-wise homomorphism, necessary on every
+//!    positive semiring; on single CQs, the row's CQ necessary bound
+//!    instead (`N_in ∩ N_sur` `⤖`, `N_sur` `↠`, `N_in` `↪`, `N_hcov` `⇉`,
+//!    else `→`), which implies it.
+//! 4. **⟨Q⟩.**  The row's criterion over complete descriptions: `↪_∞`,
+//!    `↠_∞`, `↪_k`, `⇉₂` or the small-model procedure.  A row with none
+//!    (`N`, `B_k`) reads one set of joint classes for `↠_∞`, sufficient on
+//!    `S_sur`, and `⇉₂`, necessary on `N²_hcov`, and may answer
+//!    [`Verdict::Unknown`].
+//!
+//! Every bound is sound for its row, so on a row with an exact criterion no
+//! verdict depends on which step settled it; on `N` and `B_k` a bound can
+//! only settle what ⟨Q⟩ leaves `Unknown`.  The method string names the
+//! criterion or the bound that settled the pair.  Steps 1–3 allocate
+//! nothing on a pair they leave open once the homomorphism searches'
+//! per-thread buffers have grown.
 //!
 //! Runtime dispatch by semiring *name* (for wire protocols and other
 //! monomorphization-hostile callers) lives in [`crate::registry`].
 
-use crate::classes::{ClassifiedSemiring, CqCriterion, UcqCriterion};
-use crate::{small_model, ucq};
+use crate::classes::{ClassProfile, ClassifiedSemiring, CqCriterion, UcqCriterion};
+use crate::small_model;
+use crate::ucq::{bijective, covering, local, surjective};
 use annot_hom::{kinds, VarMap};
 use annot_query::complete::{Classes, Description};
 use annot_query::{Cq, Ucq};
-use std::cell::OnceCell;
 use std::slice;
 
 /// The verdict of a containment question, without the provenance of *how*
@@ -53,10 +82,11 @@ pub struct Decision {
     pub answer: Verdict,
     /// Human-readable name of the criterion / procedure used.
     pub method: &'static str,
-    /// For `Contained` verdicts established by exhibiting one homomorphism
-    /// (the `C_hom`, `C_in`, `C_sur`, `C_bi` rows): the mapping found.
-    /// `None` for covering / counting / small-model procedures, refutations
-    /// and UCQ-level verdicts.
+    /// For `Contained` verdicts on single CQs established by exhibiting one
+    /// homomorphism (the `C_hom`, `C_in`, `C_sur`, `C_bi` criteria and the
+    /// `S_in`, `S_sur` bounds): the mapping found.  `None` for covering /
+    /// counting / small-model procedures, refutations and verdicts on
+    /// unions of several CQs.
     pub witness: Option<VarMap>,
 }
 
@@ -82,210 +112,279 @@ impl Decision {
         }
     }
 
-    /// A decision settled by searching for one homomorphism: `Contained`
-    /// with the witness if found, `NotContained` otherwise.
-    fn of_witness(witness: Option<VarMap>, method: &'static str) -> Decision {
+    /// `Contained` with the witness `found` carries, or `NotContained`
+    /// when nothing was found.
+    fn found(found: Option<Option<VarMap>>, method: &'static str) -> Decision {
         Decision {
-            answer: if witness.is_some() {
+            answer: if found.is_some() {
                 Verdict::Contained
             } else {
                 Verdict::NotContained
             },
             method,
-            witness,
+            witness: found.flatten(),
         }
     }
 }
 
-/// Decides `Q₁ ⊆_K Q₂` for CQs, dispatching on `K`'s Table 1 row.
+/// A homomorphism kind between CQs (Sec. 3–4), from `Q₂` to `Q₁`.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// `Q₂ → Q₁`.
+    Hom,
+    /// `Q₂ ⇉ Q₁`.
+    Covering,
+    /// `Q₂ ↪ Q₁`.
+    Injective,
+    /// `Q₂ ↠ Q₁`.
+    Surjective,
+    /// `Q₂ ⤖ Q₁`.
+    Bijective,
+}
+
+impl Kind {
+    /// The kind a CQ criterion asks for, when it asks for one.
+    fn criterion(criterion: CqCriterion) -> Option<Kind> {
+        match criterion {
+            CqCriterion::Homomorphism => Some(Kind::Hom),
+            CqCriterion::Covering => Some(Kind::Covering),
+            CqCriterion::Injective => Some(Kind::Injective),
+            CqCriterion::Surjective => Some(Kind::Surjective),
+            CqCriterion::Bijective => Some(Kind::Bijective),
+            CqCriterion::SmallModel | CqCriterion::OpenProblem => None,
+        }
+    }
+
+    /// The strongest kind the row's sufficient classes make sufficient for
+    /// CQ containment (Sec. 4.1, 4.2, 4.4), with the methods naming it
+    /// between single CQs and member-wise between unions (Prop. 5.1).  `⤖`
+    /// is left to the distinct bijective witnesses.
+    fn sufficient(profile: &ClassProfile) -> Option<(Kind, [&'static str; 2])> {
+        if profile.in_s_hcov {
+            Some((
+                Kind::Covering,
+                [
+                    "sufficient bound: homomorphic covering (S_hcov)",
+                    "sufficient bound: member-wise homomorphic covering (S_hcov, Prop. 5.1)",
+                ],
+            ))
+        } else if profile.in_s_in {
+            Some((
+                Kind::Injective,
+                [
+                    "sufficient bound: injective homomorphism (S_in)",
+                    "sufficient bound: member-wise injective homomorphism (S_in, Prop. 5.1)",
+                ],
+            ))
+        } else if profile.in_s_sur {
+            Some((
+                Kind::Surjective,
+                [
+                    "sufficient bound: surjective homomorphism (S_sur)",
+                    "sufficient bound: member-wise surjective homomorphism (S_sur, Prop. 5.1)",
+                ],
+            ))
+        } else {
+            None
+        }
+    }
+
+    /// The strongest kind the row's necessary classes make necessary for CQ
+    /// containment; a homomorphism is necessary on every positive semiring.
+    fn necessary(profile: &ClassProfile) -> Kind {
+        if profile.in_n_in && profile.in_n_sur {
+            Kind::Bijective
+        } else if profile.in_n_sur {
+            Kind::Surjective
+        } else if profile.in_n_in {
+            Kind::Injective
+        } else if profile.in_n_hcov {
+            Kind::Covering
+        } else {
+            Kind::Hom
+        }
+    }
+
+    /// Whether `q2` relates to `q1` by this kind.
+    fn holds(self, q2: &Cq, q1: &Cq) -> bool {
+        match self {
+            Kind::Hom => kinds::exists_hom(q2, q1),
+            Kind::Covering => kinds::homomorphically_covers(slice::from_ref(q2), q1),
+            Kind::Injective => kinds::exists_injective_hom(q2, q1),
+            Kind::Surjective => kinds::exists_surjective_hom(q2, q1),
+            Kind::Bijective => kinds::exists_bijective_hom(q2, q1),
+        }
+    }
+
+    /// `Some` when `q2` relates to `q1` by this kind, holding the mapping
+    /// found when the kind is one homomorphism.
+    fn find(self, q2: &Cq, q1: &Cq) -> Option<Option<VarMap>> {
+        match self {
+            Kind::Hom => kinds::find_hom(q2, q1).map(Some),
+            Kind::Covering => self.holds(q2, q1).then_some(None),
+            Kind::Injective => kinds::find_injective_hom(q2, q1).map(Some),
+            Kind::Surjective => kinds::find_surjective_hom(q2, q1).map(Some),
+            Kind::Bijective => kinds::find_bijective_hom(q2, q1).map(Some),
+        }
+    }
+
+    /// The method of the CQ criterion of this kind.
+    fn criterion_method(self) -> &'static str {
+        match self {
+            Kind::Hom => "homomorphism (C_hom)",
+            Kind::Covering => "homomorphic covering (C_hcov)",
+            Kind::Injective => "injective homomorphism (C_in)",
+            Kind::Surjective => "surjective homomorphism (C_sur)",
+            Kind::Bijective => "bijective homomorphism (C_bi)",
+        }
+    }
+
+    /// The method of a refutation by this kind as a necessary bound.
+    fn violated_method(self) -> &'static str {
+        match self {
+            Kind::Hom => "necessary bound violated: member-wise homomorphism",
+            Kind::Covering => "necessary bound violated: homomorphic covering (N_hcov)",
+            Kind::Injective => "necessary bound violated: injective homomorphism (N_in)",
+            Kind::Surjective => "necessary bound violated: surjective homomorphism (N_sur)",
+            Kind::Bijective => "necessary bound violated: bijective homomorphism (N_in ∩ N_sur)",
+        }
+    }
+}
+
+/// Decides `Q₁ ⊆_K Q₂` for CQs: [`decide_ucq`] on singleton unions.
 pub fn decide_cq<K: ClassifiedSemiring>(q1: &Cq, q2: &Cq) -> Decision {
-    let profile = K::class_profile();
-    match profile.cq_criterion {
-        CqCriterion::Homomorphism => {
-            Decision::of_witness(kinds::find_hom(q2, q1), "homomorphism (C_hom)")
-        }
-        CqCriterion::Covering => Decision::of(
-            kinds::homomorphically_covers(slice::from_ref(q2), q1),
-            "homomorphic covering (C_hcov)",
-        ),
-        CqCriterion::Injective => Decision::of_witness(
-            kinds::find_injective_hom(q2, q1),
-            "injective homomorphism (C_in)",
-        ),
-        CqCriterion::Surjective => Decision::of_witness(
-            kinds::find_surjective_hom(q2, q1),
-            "surjective homomorphism (C_sur)",
-        ),
-        CqCriterion::Bijective => Decision::of_witness(
-            kinds::find_bijective_hom(q2, q1),
-            "bijective homomorphism (C_bi)",
-        ),
-        // Thm. 4.17 is the UCQ procedure on singleton unions.
-        CqCriterion::SmallModel => match K::poly_order() {
-            Some(leq) => Decision::of(
-                small_model::ucq_contained_small_model_with(
-                    &Ucq::from(q1.clone()),
-                    &Ucq::from(q2.clone()),
-                    leq,
-                ),
-                "small-model / canonical instances (Thm. 4.17)",
-            ),
-            None => bounds_cq(q1, q2, &profile),
-        },
-        CqCriterion::OpenProblem => bounds_cq(q1, q2, &profile),
-    }
+    decide_ucq::<K>(&Ucq::single(q1.clone()), &Ucq::single(q2.clone()))
 }
 
-fn bounds_cq(q1: &Cq, q2: &Cq, profile: &crate::classes::ClassProfile) -> Decision {
-    // Strongest sufficient condition available from the profile; the
-    // single-homomorphism bounds carry their witness.
-    let sufficient = if profile.in_s_hcov {
-        Decision::of(
-            kinds::homomorphically_covers(slice::from_ref(q2), q1),
-            "sufficient homomorphism bound",
-        )
-    } else if profile.in_s_in {
-        Decision::of_witness(
-            kinds::find_injective_hom(q2, q1),
-            "sufficient homomorphism bound",
-        )
-    } else if profile.in_s_sur {
-        Decision::of_witness(
-            kinds::find_surjective_hom(q2, q1),
-            "sufficient homomorphism bound",
-        )
-    } else {
-        Decision::of_witness(
-            kinds::find_bijective_hom(q2, q1),
-            "sufficient homomorphism bound",
-        )
+/// Decides `Q₁ ⊆_K Q₂` for UCQs by `K`'s Table 1 row, in the pass the
+/// module docs describe.
+pub fn decide_ucq<K: ClassifiedSemiring>(q1: &Ucq, q2: &Ucq) -> Decision {
+    let profile = K::class_profile();
+    let single = match (q1.disjuncts(), q2.disjuncts()) {
+        ([a], [b]) => Some((a, b)),
+        _ => None,
     };
-    if sufficient.answer == Verdict::Contained {
-        return sufficient;
+    if let (Some((a, b)), Some(kind)) = (single, Kind::criterion(profile.cq_criterion)) {
+        return Decision::found(kind.find(b, a), kind.criterion_method());
     }
-    // Strongest necessary condition.
-    let necessary = if profile.in_n_in && profile.in_n_sur {
-        kinds::exists_bijective_hom(q2, q1)
-    } else if profile.in_n_sur {
-        kinds::exists_surjective_hom(q2, q1)
-    } else if profile.in_n_in {
-        kinds::exists_injective_hom(q2, q1)
-    } else if profile.in_n_hcov {
-        kinds::homomorphically_covers(slice::from_ref(q2), q1)
-    } else {
-        kinds::exists_hom(q2, q1)
+    let member_wise = match profile.ucq_criterion {
+        UcqCriterion::LocalHomomorphism => Some((
+            local::contained_chom(q1, q2),
+            "member-wise homomorphism (C_hom)",
+        )),
+        UcqCriterion::LocalInjective => Some((
+            local::contained_c1in(q1, q2),
+            "member-wise injective homomorphism (C¹_in)",
+        )),
+        UcqCriterion::LocalSurjective => Some((
+            local::contained_c1sur(q1, q2),
+            "member-wise surjective homomorphism (C¹_sur)",
+        )),
+        UcqCriterion::LocalBijective => Some((
+            local::contained_c1bi(q1, q2),
+            "member-wise bijective homomorphism (C¹_bi)",
+        )),
+        UcqCriterion::Covering1 => Some((covering::covering1(q1, q2), "covering ⇉₁ (C¹_hcov)")),
+        _ => None,
     };
-    if !necessary {
-        return Decision::of(false, "necessary homomorphism bound violated");
+    if let Some((holds, method)) = member_wise {
+        return Decision::of(holds, method);
+    }
+    bounds(&profile, q1, q2, single).unwrap_or_else(|| complete_descriptions::<K>(&profile, q1, q2))
+}
+
+/// Steps 2 and 3 of the pass: the decision of the first bound that settles
+/// the pair, if any.  `single` holds the two CQs of a pair of single CQs.
+fn bounds(
+    profile: &ClassProfile,
+    q1: &Ucq,
+    q2: &Ucq,
+    single: Option<(&Cq, &Cq)>,
+) -> Option<Decision> {
+    if local::sufficient_for_all_semirings(q1, q2) {
+        return Some(Decision::of(
+            true,
+            "sufficient bound: distinct bijective witnesses",
+        ));
+    }
+    if let Some((kind, [single_method, union_method])) = Kind::sufficient(profile) {
+        if let Some((a, b)) = single {
+            if let Some(witness) = kind.find(b, a) {
+                return Some(Decision {
+                    answer: Verdict::Contained,
+                    method: single_method,
+                    witness,
+                });
+            }
+        } else if profile.offset.is_idempotent()
+            && local::locally_contained(q1, q2, &|a, b| kind.holds(b, a))
+        {
+            return Some(Decision::of(true, union_method));
+        }
+    }
+    let necessary = single.map_or(Kind::Hom, |_| Kind::necessary(profile));
+    if !local::locally_contained(q1, q2, &|a, b| necessary.holds(b, a)) {
+        return Some(Decision::of(false, necessary.violated_method()));
+    }
+    None
+}
+
+/// Step 4 of the pass: the row's criterion over complete descriptions, or,
+/// on a row without one, the bounds ⟨Q⟩ gives.
+fn complete_descriptions<K: ClassifiedSemiring>(
+    profile: &ClassProfile,
+    q1: &Ucq,
+    q2: &Ucq,
+) -> Decision {
+    let exact = match profile.ucq_criterion {
+        UcqCriterion::CountingOffset(k) => Some((
+            bijective::counting_offset(q1, q2, k),
+            "complete-description counting ↪_k (C^k_bi)",
+        )),
+        UcqCriterion::CountingInfinite => Some((
+            bijective::counting_infinite(q1, q2),
+            "complete-description counting ↪_∞ (C^∞_bi)",
+        )),
+        UcqCriterion::UniqueSurjective => Some((
+            surjective::unique_surjective(q1, q2),
+            "unique surjection ↠_∞ (C^∞_sur)",
+        )),
+        UcqCriterion::Covering2 => Some((covering::covering2(q1, q2), "covering ⇉₂ (C²_hcov)")),
+        UcqCriterion::SmallModel => K::poly_order().map(|leq| {
+            let method = if q1.len() == 1 && q2.len() == 1 {
+                "small-model / canonical instances (Thm. 4.17)"
+            } else {
+                "small-model / canonical instances (UCQ extension of Thm. 4.17)"
+            };
+            (
+                small_model::ucq_contained_small_model_with(q1, q2, leq),
+                method,
+            )
+        }),
+        _ => None,
+    };
+    if let Some((holds, method)) = exact {
+        return Decision::of(holds, method);
+    }
+    if profile.in_s_sur || profile.in_n_hcov {
+        let (d1, d2) = (
+            Description::new(q1.disjuncts()),
+            Description::new(q2.disjuncts()),
+        );
+        let classes = Classes::joint(&d1, &d2);
+        if profile.in_s_sur && surjective::unique_surjective_on_classes(&classes) {
+            return Decision::of(true, "sufficient bound: unique surjection ↠_∞ (S_sur)");
+        }
+        if profile.in_n_hcov && !covering::covering2_on_classes(&classes) {
+            return Decision::of(false, "necessary bound violated: covering ⇉₂ (N²_hcov)");
+        }
     }
     Decision {
         answer: Verdict::Unknown {
             sufficient_holds: false,
-            necessary_holds: necessary,
+            necessary_holds: true,
         },
-        method: "sufficient/necessary homomorphism bounds",
-        witness: None,
-    }
-}
-
-/// Decides `Q₁ ⊆_K Q₂` for UCQs, dispatching on `K`'s Table 1 row.
-pub fn decide_ucq<K: ClassifiedSemiring>(q1: &Ucq, q2: &Ucq) -> Decision {
-    let profile = K::class_profile();
-    match profile.ucq_criterion {
-        UcqCriterion::LocalHomomorphism => Decision::of(
-            ucq::local::contained_chom(q1, q2),
-            "member-wise homomorphism (C_hom)",
-        ),
-        UcqCriterion::LocalInjective => Decision::of(
-            ucq::local::contained_c1in(q1, q2),
-            "member-wise injective homomorphism (C¹_in)",
-        ),
-        UcqCriterion::LocalSurjective => Decision::of(
-            ucq::local::contained_c1sur(q1, q2),
-            "member-wise surjective homomorphism (C¹_sur)",
-        ),
-        UcqCriterion::LocalBijective => Decision::of(
-            ucq::local::contained_c1bi(q1, q2),
-            "member-wise bijective homomorphism (C¹_bi)",
-        ),
-        UcqCriterion::Covering1 => {
-            Decision::of(ucq::covering::covering1(q1, q2), "covering ⇉₁ (C¹_hcov)")
-        }
-        UcqCriterion::Covering2 => {
-            Decision::of(ucq::covering::covering2(q1, q2), "covering ⇉₂ (C²_hcov)")
-        }
-        UcqCriterion::CountingOffset(k) => Decision::of(
-            ucq::bijective::counting_offset(q1, q2, k),
-            "complete-description counting ↪_k (C^k_bi)",
-        ),
-        UcqCriterion::CountingInfinite => Decision::of(
-            ucq::bijective::counting_infinite(q1, q2),
-            "complete-description counting ↪_∞ (C^∞_bi)",
-        ),
-        UcqCriterion::UniqueSurjective => Decision::of(
-            ucq::surjective::unique_surjective(q1, q2),
-            "unique surjection ↠_∞ (C^∞_sur)",
-        ),
-        UcqCriterion::SmallModel => match K::poly_order() {
-            Some(leq) => Decision::of(
-                small_model::ucq_contained_small_model_with(q1, q2, leq),
-                "small-model / canonical instances (UCQ extension of Thm. 4.17)",
-            ),
-            None => bounds_ucq(q1, q2, &profile),
-        },
-        UcqCriterion::OpenProblem => bounds_ucq(q1, q2, &profile),
-    }
-}
-
-fn bounds_ucq(q1: &Ucq, q2: &Ucq, profile: &crate::classes::ClassProfile) -> Decision {
-    // Both bounds of a row in S_sur ∩ N²_hcov (bag semantics) read the
-    // joint classes of the complete descriptions: build them once, on
-    // first use.
-    let descriptions = OnceCell::new();
-    let classes = OnceCell::new();
-    let classed = || {
-        classes.get_or_init(|| {
-            let (d1, d2) = descriptions.get_or_init(|| {
-                (
-                    Description::new(q1.disjuncts()),
-                    Description::new(q2.disjuncts()),
-                )
-            });
-            Classes::joint(d1, d2)
-        })
-    };
-    // Sufficient: the unique-witness bijective condition works for every
-    // semiring; for S_sur semirings the ↠_∞ criterion is stronger.
-    let sufficient = if profile.in_s_sur {
-        ucq::surjective::unique_surjective_on_classes(classed())
-    } else {
-        ucq::local::sufficient_for_all_semirings(q1, q2)
-    };
-    if sufficient {
-        return Decision::of(
-            true,
-            "sufficient UCQ bound (↠_∞ / distinct bijective witnesses)",
-        );
-    }
-    // Necessary: member-wise homomorphism is necessary for every positive
-    // semiring; for semirings in N²_hcov (e.g. bag semantics) the covering
-    // ⇉₂ is stronger (Cor. 5.23).
-    let necessary = if profile.in_n_hcov {
-        ucq::covering::covering2_on_classes(classed())
-    } else {
-        q1.disjuncts()
-            .iter()
-            .all(|m1| q2.disjuncts().iter().any(|m2| kinds::exists_hom(m2, m1)))
-    };
-    if !necessary {
-        return Decision::of(false, "necessary UCQ bound violated");
-    }
-    Decision {
-        answer: Verdict::Unknown {
-            sufficient_holds: sufficient,
-            necessary_holds: necessary,
-        },
-        method: "sufficient/necessary UCQ bounds",
+        method: "sufficient/necessary bounds",
         witness: None,
     }
 }
@@ -462,10 +561,13 @@ mod tests {
         assert_row::<NatPoly>(&q1, &q2, false, "bijective homomorphism (C_bi)");
         assert_row::<NatPoly>(&q2, &q1, true, "bijective homomorphism (C_bi)");
         // The tropical semiring lies in none of these classes: its
-        // small-model procedure finds both directions contained.
+        // small-model procedure finds Q1 ⊆ Q2, which no bound settles, and
+        // the bijective homomorphism Q1 ⤖ Q2 proves Q2 ⊆ Q1 on every
+        // semiring before any complete description is built.
         let small_model = "small-model / canonical instances (Thm. 4.17)";
         assert_row::<Tropical>(&q1, &q2, true, small_model);
-        assert_row::<Tropical>(&q2, &q1, true, small_model);
+        let bijective = "sufficient bound: distinct bijective witnesses";
+        assert_row::<Tropical>(&q2, &q1, true, bijective);
     }
 
     #[test]
@@ -488,9 +590,10 @@ mod tests {
     #[test]
     fn bag_bounds_behave() {
         let (q1, q2) = cqs();
-        // Q2 ⊆_N Q1: a surjective homomorphism Q1 ↠ Q2 exists (map u↦u, and
-        // both v,w ↦ v), so the sufficient bound fires.
-        assert_row::<Natural>(&q2, &q1, true, "sufficient homomorphism bound");
+        // Q2 ⊆_N Q1: the homomorphism Q1 → Q2 mapping u↦u and both v,w ↦ v
+        // is bijective on atoms, so the bound of every semiring fires.
+        let bijective = "sufficient bound: distinct bijective witnesses";
+        assert_row::<Natural>(&q2, &q1, true, bijective);
         // Q1 ⊆_N Q2 is refuted by neither bound: the covering Q2 ⇉ Q1 holds
         // and no surjective homomorphism exists, so the answer is unknown
         // from the bounds alone (in fact it is false for N).
@@ -501,8 +604,14 @@ mod tests {
             .atom("R", &["x", "y"])
             .atom("S", &["x"])
             .build();
-        let necessary = "necessary homomorphism bound violated";
+        let necessary = "necessary bound violated: homomorphic covering (N_hcov)";
         assert_row::<Natural>(&q3, &q1, false, necessary);
+        // A surjective homomorphism that is not bijective: the sufficient
+        // bound of S_sur fires, with its witness.
+        let single = Cq::builder(&schema()).atom("R", &["x", "y"]).build();
+        let surjective = "sufficient bound: surjective homomorphism (S_sur)";
+        assert_row::<Natural>(&single, &q2, true, surjective);
+        assert!(decide_cq::<Natural>(&single, &q2).witness.is_some());
     }
 
     #[test]
@@ -513,9 +622,11 @@ mod tests {
         // subsets of variables sent to −∞.
         let atoms: Vec<String> = (0..40).map(|i| format!("R{i}(x)")).collect();
         let text = format!("Q() :- {}", atoms.join(", "));
-        let q = parser::parse_cq(&mut Schema::new(), &text).unwrap();
-        let small_model = "small-model / canonical instances (Thm. 4.17)";
-        assert_row::<Schedule>(&q, &q, true, small_model);
+        // `decide_cq` would settle q ⊑ q by its bijective bound, so the
+        // procedure is called directly.
+        let q = Ucq::from(parser::parse_cq(&mut Schema::new(), &text).unwrap());
+        let leq = Schedule::poly_order().expect("T- has a polynomial order");
+        assert!(small_model::ucq_contained_small_model_with(&q, &q, leq));
     }
 
     #[test]

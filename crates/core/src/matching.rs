@@ -13,6 +13,8 @@
 //! copies each vertex as often as its supply or capacity says, without
 //! building the copies: the copies of a vertex are interchangeable, so a
 //! path found for one copy carries as many units as its bottleneck allows.
+//! [`saturates_left`] is the unit case on bit sets, for at most 64 right
+//! vertices.
 
 /// A maximum flow from the left vertices, each with its `supply`, to the
 /// right vertices, each taking at most its `capacity`, along `edges`:
@@ -72,39 +74,32 @@ pub fn saturates_supply(supply: &[u64], capacity: &[u64], edges: &[(usize, usize
     flow.iter().sum::<u64>() == supply.iter().sum::<u64>()
 }
 
-/// The edges of `adjacency`, where `adjacency[l]` lists the right vertices
-/// of left vertex `l`.
-fn edges_of(adjacency: &[Vec<usize>]) -> Vec<(usize, usize)> {
-    (adjacency.iter().enumerate())
-        .flat_map(|(l, rights)| rights.iter().map(move |&r| (l, r)))
-        .collect()
+/// Whether every left vertex can be matched to a distinct right vertex,
+/// where bit `r` of `rows[l]` says left vertex `l` may take right vertex
+/// `r`: Kuhn's augmenting paths over at most 64 right vertices, on bit
+/// sets and the stack, so it allocates nothing.  More than 64 left
+/// vertices never fit.
+pub fn saturates_left(rows: &[u64]) -> bool {
+    // Per right vertex: the left vertex matched to it, if any.
+    let mut owner = [usize::MAX; 64];
+    rows.len() <= 64 && (0..rows.len()).all(|l| augment_bits(rows, l, &mut 0, &mut owner))
 }
 
-/// Computes a maximum matching of the bipartite graph with `left` vertices
-/// `0..adjacency.len()` and `right` vertices `0..num_right`, where
-/// `adjacency[l]` lists the right vertices compatible with left vertex `l`.
-/// Returns the matching as `matched_right[r] = Some(l)`.
-pub fn maximum_matching(adjacency: &[Vec<usize>], num_right: usize) -> Vec<Option<usize>> {
-    let edges = edges_of(adjacency);
-    let flow = maximum_flow(&vec![1; adjacency.len()], &vec![1; num_right], &edges);
-    let mut matched_right = vec![None; num_right];
-    for (&(l, r), &units) in edges.iter().zip(&flow) {
-        if units > 0 {
-            matched_right[r] = Some(l);
+/// Matches left vertex `l`, moving earlier matches along an augmenting
+/// path if need be; `visited` holds the right vertices this search reached.
+fn augment_bits(rows: &[u64], l: usize, visited: &mut u64, owner: &mut [usize; 64]) -> bool {
+    loop {
+        let open = rows[l] & !*visited;
+        if open == 0 {
+            return false;
+        }
+        let r = open.trailing_zeros() as usize;
+        *visited |= 1 << r;
+        if owner[r] == usize::MAX || augment_bits(rows, owner[r], visited, owner) {
+            owner[r] = l;
+            return true;
         }
     }
-    matched_right
-}
-
-/// Whether a matching saturating every left vertex exists (i.e. the maximum
-/// matching has size `adjacency.len()`).
-pub fn has_left_saturating_matching(adjacency: &[Vec<usize>], num_right: usize) -> bool {
-    let ones = |n| vec![1; n];
-    saturates_supply(
-        &ones(adjacency.len()),
-        &ones(num_right),
-        &edges_of(adjacency),
-    )
 }
 
 /// The state of one [`maximum_flow`].
@@ -161,39 +156,44 @@ impl Augment<'_> {
 mod tests {
     use super::*;
 
+    /// Bit sets of right vertices, one per left vertex.
+    fn rows(adjacency: &[&[usize]]) -> Vec<u64> {
+        (adjacency.iter())
+            .map(|rights| rights.iter().fold(0, |row, &r| row | 1 << r))
+            .collect()
+    }
+
     #[test]
     fn perfect_matching_found() {
         // 0-{0,1}, 1-{1}, 2-{0,2}
-        let adj = vec![vec![0, 1], vec![1], vec![0, 2]];
-        assert!(has_left_saturating_matching(&adj, 3));
-        let matched = maximum_matching(&adj, 3);
-        assert_eq!(matched.iter().filter(|m| m.is_some()).count(), 3);
+        assert!(saturates_left(&rows(&[&[0, 1], &[1], &[0, 2]])));
     }
 
     #[test]
     fn saturation_fails_when_neighbourhood_too_small() {
         // Hall violation: three left vertices all only compatible with {0,1}.
-        let adj = vec![vec![0, 1], vec![0, 1], vec![0, 1]];
-        assert!(!has_left_saturating_matching(&adj, 2));
-        let matched = maximum_matching(&adj, 2);
-        assert_eq!(matched.iter().filter(|m| m.is_some()).count(), 2);
+        assert!(!saturates_left(&rows(&[&[0, 1], &[0, 1], &[0, 1]])));
+        // 65 left vertices never fit into 64 right ones.
+        assert!(!saturates_left(&[u64::MAX; 65]));
+        assert!(saturates_left(&[u64::MAX; 64]));
     }
 
     #[test]
     fn empty_graphs() {
-        assert!(has_left_saturating_matching(&[], 0));
-        assert!(has_left_saturating_matching(&[], 5));
-        assert!(!has_left_saturating_matching(&[vec![]], 3));
+        assert!(saturates_left(&[]));
+        assert!(!saturates_left(&[0]));
     }
 
     #[test]
     fn augmenting_paths_reassign() {
         // 0-{0}, 1-{0,1}: greedy would block without augmentation.
-        let adj = vec![vec![0], vec![0, 1]];
-        assert!(has_left_saturating_matching(&adj, 2));
+        assert!(saturates_left(&rows(&[&[0], &[0, 1]])));
+        // 0-{0,1}, 1-{0}: the first match moves over.
+        assert!(saturates_left(&rows(&[&[0, 1], &[0]])));
         // 0-{0}, 1-{0}: impossible.
-        let adj2 = vec![vec![0], vec![0]];
-        assert!(!has_left_saturating_matching(&adj2, 2));
+        assert!(!saturates_left(&rows(&[&[0], &[0]])));
+        // A path through right vertex 63.
+        assert!(saturates_left(&rows(&[&[0, 63], &[0], &[63, 5]])));
     }
 
     #[test]
@@ -210,6 +210,14 @@ mod tests {
         // Zero supplies and capacities are fine.
         assert!(saturates_supply(&[0, 0], &[0, 0], &edges));
         assert!(!saturates_supply(&[1], &[0, 0], &edges[..2]));
+    }
+
+    /// The edges of `adjacency`, where `adjacency[l]` lists the right
+    /// vertices of left vertex `l`.
+    fn edges_of(adjacency: &[Vec<usize>]) -> Vec<(usize, usize)> {
+        (adjacency.iter().enumerate())
+            .flat_map(|(l, rights)| rights.iter().map(move |&r| (l, r)))
+            .collect()
     }
 
     /// Kuhn's algorithm on unit vertices, as a reference: the size of a
@@ -271,6 +279,13 @@ mod tests {
                 })
                 .collect();
             let size = matching_size(&blown, rights.len());
+            // The bit-set matching of the blown-up graph, when it fits.
+            if rights.len() <= 64 {
+                let bits: Vec<u64> = (blown.iter())
+                    .map(|rs| rs.iter().fold(0, |row, &r| row | 1 << r))
+                    .collect();
+                assert_eq!(saturates_left(&bits), size == lefts.len());
+            }
             let edges = edges_of(&adjacency);
             let flow = maximum_flow(&supply, &capacity, &edges);
             assert_eq!(flow.iter().sum::<u64>() as usize, size);

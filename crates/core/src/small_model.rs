@@ -16,8 +16,9 @@
 //!
 //! The procedure is implemented once, on UCQs (used to verify Ex. 5.4):
 //! evaluate the unions over the canonical instances of `⟨Q₁⟩`.  On singleton
-//! unions that is Thm. 4.17's CQ procedure, and
-//! [`crate::decide::decide_cq`] calls it that way.
+//! unions that is Thm. 4.17's CQ procedure.  The decide pass
+//! ([`crate::decide`]) calls it on the pairs its homomorphism bounds leave
+//! open.
 //!
 //! It evaluates one representative per isomorphism class of `⟨Q₁⟩`
 //! ([`Classes`]).  Isomorphic members give the same comparison up to

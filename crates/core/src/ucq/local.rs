@@ -8,6 +8,7 @@
 //! (Thm. 5.13, k = 1), and the generic sufficient condition for any class
 //! inside `S¹`.
 
+use crate::matching::saturates_left;
 use annot_hom::kinds;
 use annot_query::{Cq, Ucq};
 
@@ -47,20 +48,28 @@ pub fn contained_c1bi(q1: &Ucq, q2: &Ucq) -> bool {
 /// (Sec. 5.2, after [Green 2011]): if every member of `q1` is bijectively
 /// covered by a *distinct* member of `q2`, then `Q₁ ⊆_K Q₂` for every
 /// positive `K`.  (Not necessary even for `N[X]`; see Ex. 5.7.)
+///
+/// The witnesses of each member of `q1` are one bit set over the members
+/// of `q2`, and [`saturates_left`] matches them, so the check allocates
+/// nothing.  A `q2` of more than 64 members is not checked: the answer is
+/// then `false`, which a sufficient condition may always give.
 pub fn sufficient_for_all_semirings(q1: &Ucq, q2: &Ucq) -> bool {
-    let adjacency: Vec<Vec<usize>> = q1
-        .disjuncts()
-        .iter()
-        .map(|member1| {
-            q2.disjuncts()
-                .iter()
-                .enumerate()
-                .filter(|(_, member2)| kinds::exists_bijective_hom(member2, member1))
-                .map(|(j, _)| j)
-                .collect()
-        })
-        .collect();
-    crate::matching::has_left_saturating_matching(&adjacency, q2.len())
+    let (members1, members2) = (q1.disjuncts(), q2.disjuncts());
+    if members1.len() > members2.len() || members2.len() > 64 {
+        return false;
+    }
+    let mut witnesses = [0u64; 64];
+    for (row, member1) in witnesses.iter_mut().zip(members1) {
+        for (j, member2) in members2.iter().enumerate() {
+            if kinds::exists_bijective_hom(member2, member1) {
+                *row |= 1 << j;
+            }
+        }
+        if *row == 0 {
+            return false;
+        }
+    }
+    saturates_left(&witnesses[..members1.len()])
 }
 
 #[cfg(test)]

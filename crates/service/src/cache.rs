@@ -26,11 +26,14 @@
 //! global byte budget that is always on ([`DEFAULT_BYTE_BUDGET`] unless the
 //! caller picks another).  The per-entry footprint that `STATS` reports as
 //! `approx_bytes` (the entry struct plus its code words) is also the
-//! enforcement input: after every insert the cache evicts, round-robin
-//! across shards and one shard lock at a time, until the tracked total is
-//! at or under the budget.  An entry larger than the whole budget is never
-//! stored; it counts as one insert and one eviction, so the identity
-//! `inserts = entries + evictions` holds whenever the cache is quiescent.
+//! enforcement input: after every insert the cache evicts until the tracked
+//! total is at or under the budget, one shard lock at a time.  One global
+//! hand, an atomic shard cursor, picks the shards round-robin across all
+//! inserts, and the sweep never evicts the entry just inserted: while any
+//! other entry exists, a new arrival survives its own insert.  An entry
+//! larger than the whole budget is never stored; it counts as one insert
+//! and one eviction, so the identity `inserts = entries + evictions` holds
+//! whenever the cache is quiescent.
 //!
 //! Each shard evicts by the classic second-chance (CLOCK) ring: a new
 //! entry joins the back of the shard's ring, and a hit sets the entry's
@@ -42,7 +45,7 @@
 
 use annot_core::decide::Decision;
 use annot_core::registry::SemiringId;
-use annot_core::sync::atomic::{AtomicU64, Ordering};
+use annot_core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use annot_core::sync::{Mutex, PoisonError};
 use annot_query::key::{hash64, ucq_code};
 use annot_query::Ucq;
@@ -123,6 +126,9 @@ pub struct Cache {
     /// Tracked total of every live entry's footprint — the byte-budget
     /// enforcement input and the `STATS.approx_bytes` source.
     bytes: AtomicU64,
+    /// The eviction hand: the shard the next sweep step visits, modulo
+    /// [`NUM_SHARDS`].
+    hand: AtomicUsize,
 }
 
 impl Cache {
@@ -151,6 +157,7 @@ impl Cache {
             inserts: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
+            hand: AtomicUsize::new(0),
         }
     }
 
@@ -197,6 +204,7 @@ impl Cache {
             self.evictions.fetch_add(1, Ordering::Relaxed);
             return (decision, false);
         }
+        let arrival;
         {
             let mut guard = self.lock(shard);
             if Self::lookup(&mut guard, key, semiring, &c1, &c2).is_some() {
@@ -216,19 +224,29 @@ impl Cache {
             // relaxed: monotonic statistics counters, no ordering needed
             self.inserts.fetch_add(1, Ordering::Relaxed);
             self.bytes.fetch_add(entry_bytes, Ordering::Relaxed);
+            arrival = (key, id);
         }
-        self.enforce_byte_budget(shard_index);
+        self.enforce_byte_budget(arrival);
         (decision, false)
     }
 
     /// Evicts one entry from `shard` by the second-chance scan: the ring
     /// front goes unless a hit referenced it since its last turn, in which
-    /// case it loses the bit and moves to the back.  Returns `false` when
-    /// the shard is empty.  Caller holds the shard lock.
-    fn evict_one(&self, shard: &mut Shard) -> bool {
-        // Each entry moves to the back at most once before its bit is
-        // clear, so the scan ends within two laps of the ring.
-        while let Some((key, id)) = shard.ring.pop_front() {
+    /// case it loses the bit and moves to the back.  The `spared` slot, the
+    /// arrival whose insert runs the sweep, moves to the back untouched.
+    /// Returns `false` when the shard holds no other entry.  Caller holds
+    /// the shard lock.
+    fn evict_one(&self, shard: &mut Shard, spared: (u64, u64)) -> bool {
+        // Each other entry moves to the back at most once before its bit is
+        // clear, so two laps of the ring reach a victim if there is one.
+        for _ in 0..2 * shard.ring.len() {
+            let Some((key, id)) = shard.ring.pop_front() else {
+                break;
+            };
+            if (key, id) == spared {
+                shard.ring.push_back((key, id));
+                continue;
+            }
             let Some(bucket) = shard.table.get_mut(&key) else {
                 continue;
             };
@@ -253,23 +271,25 @@ impl Cache {
         false
     }
 
-    /// Brings the tracked byte total back under the budget by evicting
-    /// round-robin across shards, starting at the shard just inserted
-    /// into.  One shard lock at a time — never two, so no ordering cycle.
-    /// Stops early when a full round frees nothing (all remaining bytes
-    /// belong to entries raced in by concurrent inserts, each of which
-    /// runs its own enforcement after its insert).
-    fn enforce_byte_budget(&self, start: usize) {
+    /// Brings the tracked byte total back under the budget, visiting the
+    /// shards round-robin from the global hand and sparing the `arrival`
+    /// slot.  One shard lock at a time — never two, so no ordering cycle.
+    /// Stops early when a full round frees nothing (every remaining byte
+    /// belongs to the arrival or to entries raced in by concurrent inserts,
+    /// each of which runs its own enforcement after its insert).
+    fn enforce_byte_budget(&self, arrival: (u64, u64)) {
         // relaxed: approximate pressure reading; the loop re-reads it
         while self.bytes.load(Ordering::Relaxed) > self.byte_budget {
             let mut freed_any = false;
-            for offset in 0..NUM_SHARDS {
+            for _ in 0..NUM_SHARDS {
                 // relaxed: approximate pressure reading
                 if self.bytes.load(Ordering::Relaxed) <= self.byte_budget {
                     return;
                 }
-                let shard = &self.shards[(start + offset) % NUM_SHARDS];
-                freed_any |= self.evict_one(&mut self.lock(shard));
+                // relaxed: the hand only spreads the sweeps over the shards;
+                // any value picks a valid shard
+                let next = self.hand.fetch_add(1, Ordering::Relaxed) % NUM_SHARDS;
+                freed_any |= self.evict_one(&mut self.lock(&self.shards[next]), arrival);
             }
             if !freed_any {
                 return;
@@ -481,6 +501,67 @@ mod tests {
     }
 
     #[test]
+    fn a_full_cache_admits_new_pairs() {
+        // Under a two-entry budget every insert after the second evicts one
+        // entry, and the sweep spares the arrival: the cache keeps taking
+        // new pairs instead of keeping its first two forever.
+        let mut s = Schema::with_relations([("R", 2)]);
+        let pairs = distinct_pairs(&mut s, 12);
+        let n = SemiringId::from_name("N").unwrap();
+        let one = pair_footprint(&pairs[0]);
+        let cache = Cache::with_byte_budget(one * 2 + one / 2);
+        for (q1, q2) in &pairs {
+            let (_, hit) = cache.get_or_decide(n, q1, q2, decide_with(n));
+            assert!(!hit);
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evictions), (2, 10), "{stats:?}");
+        let (q1, q2) = &pairs[11];
+        let (_, hit) = cache.get_or_decide(n, q1, q2, |_, _| panic!("the last pair is cached"));
+        assert!(hit);
+        // Which older pair stays beside it depends on where the hand meets
+        // the shards, as CLOCK approximates recency.
+        let stats = cache.stats();
+        assert_eq!(stats.inserts, stats.entries + stats.evictions, "{stats:?}");
+    }
+
+    #[test]
+    fn an_arrival_survives_its_own_insert() {
+        // A seeded stream over 96 distinct pairs under budgets of 2 to 64
+        // entries: whenever a miss inserts beside another entry, an
+        // immediate re-request of the same pair hits.
+        let mut s = Schema::with_relations([("R", 2)]);
+        let pairs = distinct_pairs(&mut s, 96);
+        let n = SemiringId::from_name("N").unwrap();
+        let one = pair_footprint(&pairs[0]);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for entries in [2, 3, 5, 8, 16, 32, 64] {
+            let cache = Cache::with_byte_budget(one * entries + one / 2);
+            for _ in 0..200 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let (q1, q2) = &pairs[(state % 96) as usize];
+                let others = cache.stats().entries;
+                let (_, hit) = cache.get_or_decide(n, q1, q2, decide_with(n));
+                if hit || others == 0 {
+                    continue;
+                }
+                let (_, again) =
+                    cache.get_or_decide(n, q1, q2, |_, _| panic!("the arrival was evicted"));
+                assert!(again, "budget of {entries} entries");
+                assert!(
+                    cache.stats().entries <= entries,
+                    "budget of {entries} entries"
+                );
+            }
+            let stats = cache.stats();
+            assert!(stats.evictions > 0, "{stats:?}");
+            assert_eq!(stats.inserts, stats.entries + stats.evictions, "{stats:?}");
+        }
+    }
+
+    #[test]
     fn an_entry_larger_than_the_whole_budget_is_never_cached() {
         let mut s = Schema::with_relations([("R", 2)]);
         let q1 = parser::parse_ucq(&mut s, "Q() :- R(u, v), R(u, w)").unwrap();
@@ -510,8 +591,10 @@ mod tests {
         // Pin the second-chance policy exactly: find three pairs that
         // land in the SAME shard (by probing the fingerprints, so no
         // hashing luck is involved), fill the budget with two of them, hit
-        // one, then insert the third — the sweep starts at that shard, and
-        // the unreferenced entry must be the victim.
+        // one, then insert the third.  Wherever the hand stands, that shard
+        // is the only one holding an entry the sweep may take: the third is
+        // the arrival, which it spares, the hit one gets its second chance,
+        // and the unreferenced one must be the victim.
         let mut s = Schema::with_relations([("R", 2)]);
         let n = SemiringId::from_name("N").unwrap();
         let pairs = distinct_pairs(&mut s, 256);

@@ -88,7 +88,7 @@ fn main() {
         decide_cq::<Fuzzy>(&q_direct, &q_loose)
     );
     println!(
-        "  staleness costs (T+, small-model):          {:?}",
+        "  staleness costs (T+, small-model row):      {:?}",
         decide_cq::<Tropical>(&q_direct, &q_loose)
     );
     println!("\nand the reverse, Q_loose ⊆ Q_direct?");

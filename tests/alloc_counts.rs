@@ -21,7 +21,9 @@
 //!   `Trio[X]` and `B_2` decides, which searched or built relation maps per
 //!   ⟨Q⟩ pair;
 //! * 2,523 and 2,520 for the `T+` and `Viterbi` decides, which built a
-//!   canonical instance and `N[X]` polynomials per ⟨Q⟩ member;
+//!   canonical instance and `N[X]` polynomials per ⟨Q⟩ member, and then 66
+//!   for each of them and for the `B_2` decide, which built ⟨Q⟩ before
+//!   trying the bounds that settle those pairs;
 //! * 6,769 and 1,077 for the `N` and `N[X]` decides, which materialised
 //!   every member and gave every search fresh buffers;
 //! * 20 for a `B` decide after a warm-up decide on the same thread, whose
@@ -29,9 +31,18 @@
 //! * 115 for a warmed `are_isomorphic_ucq` of both sides of the pair
 //!   against renamed copies, which cloned both CQs into `Ccq`s for every
 //!   disjunct pair it tried.
+//!
+//! The `N`, `N[X]` and `Trio[X]` decides leave the fixed pair to their ⟨Q⟩
+//! procedures.  Their stages also pin, after a warm-up on the same thread,
+//! that the decide allocates no more than that procedure called alone: the
+//! bounds the decide tries first allocate nothing on a pair they leave
+//! open.  A relative bound holds on every toolchain.
 
+use annot_core::decide::Decision;
 use annot_core::registry::{decide_ucq_dyn, SemiringId};
-use annot_core::ucq::surjective::unique_surjective_on_classes;
+use annot_core::ucq::bijective::counting_infinite;
+use annot_core::ucq::covering::covering2_on_classes;
+use annot_core::ucq::surjective::{unique_surjective, unique_surjective_on_classes};
 use annot_hom::are_isomorphic_ucq;
 use annot_query::complete::{Classes, Description};
 use annot_query::key::ucq_code;
@@ -147,8 +158,32 @@ fn completing_the_five_leaf_star() {
 
 /// `decide_ucq_dyn` on the fixed pair for the named row.
 fn decide(row: &str, q1: &Ucq, q2: &Ucq) -> Option<bool> {
+    decision(row, q1, q2).decided()
+}
+
+fn decision(row: &str, q1: &Ucq, q2: &Ucq) -> Decision {
     let id = SemiringId::from_name(row).expect("registered row");
-    decide_ucq_dyn(id, q1, q2).decided()
+    decide_ucq_dyn(id, q1, q2)
+}
+
+/// Asserts that, once both have run on this thread, `decide_ucq_dyn` for
+/// `row` on a pair its bounds leave open allocates no more than
+/// `procedure`, the row's ⟨Q⟩ procedure called alone.
+fn assert_open_pair_costs_its_procedure(
+    row: &str,
+    q1: &Ucq,
+    q2: &Ucq,
+    procedure: impl Fn() -> bool,
+) {
+    procedure();
+    decide(row, q1, q2);
+    let (_, alone) = counted(|| black_box(procedure()));
+    let (_, decided) = counted(|| black_box(decide(row, q1, q2)));
+    eprintln!("{row}, warmed up: decide {decided} allocations, its procedure alone {alone}");
+    assert!(
+        decided <= alone,
+        "{row}: the decide allocates {decided} times, its ⟨Q⟩ procedure {alone}"
+    );
 }
 
 #[test]
@@ -176,30 +211,37 @@ fn deciding_the_fixed_pair_over_trio() {
     let (verdict, count) = counted(|| black_box(decide("Trio[X]", &u1, &u2)));
     assert_eq!(verdict, Some(false));
     assert_halved("decide_ucq_dyn(Trio[X], q1, q2)", count, 4_081);
+    assert_open_pair_costs_its_procedure("Trio[X]", &u1, &u2, || unique_surjective(&u1, &u2));
 }
 
 #[test]
 fn deciding_the_reversed_pair_over_b2() {
     let (u1, u2) = parse_pair();
-    let (verdict, count) = counted(|| black_box(decide("B_2", &u2, &u1)));
-    assert_eq!(verdict, Some(false));
-    assert_halved("decide_ucq_dyn(B_2, q2, q1)", count, 5_681);
+    let (decided, count) = counted(|| black_box(decision("B_2", &u2, &u1)));
+    assert_eq!(decided.decided(), Some(false));
+    let refuted = "necessary bound violated: member-wise homomorphism";
+    assert_eq!(decided.method, refuted);
+    assert_halved("decide_ucq_dyn(B_2, q2, q1)", count, 66);
 }
 
 #[test]
 fn deciding_the_fixed_pair_over_t_plus() {
     let (u1, u2) = parse_pair();
-    let (verdict, count) = counted(|| black_box(decide("T+", &u1, &u2)));
-    assert_eq!(verdict, Some(true));
-    assert_halved("decide_ucq_dyn(T+, q1, q2)", count, 2_523);
+    let (decided, count) = counted(|| black_box(decision("T+", &u1, &u2)));
+    assert_eq!(decided.decided(), Some(true));
+    let prop_5_1 = "sufficient bound: member-wise injective homomorphism (S_in, Prop. 5.1)";
+    assert_eq!(decided.method, prop_5_1);
+    assert_halved("decide_ucq_dyn(T+, q1, q2)", count, 66);
 }
 
 #[test]
 fn deciding_the_fixed_pair_over_viterbi() {
     let (u1, u2) = parse_pair();
-    let (verdict, count) = counted(|| black_box(decide("Viterbi", &u1, &u2)));
-    assert_eq!(verdict, Some(true));
-    assert_halved("decide_ucq_dyn(Viterbi, q1, q2)", count, 2_520);
+    let (decided, count) = counted(|| black_box(decision("Viterbi", &u1, &u2)));
+    assert_eq!(decided.decided(), Some(true));
+    let prop_5_1 = "sufficient bound: member-wise injective homomorphism (S_in, Prop. 5.1)";
+    assert_eq!(decided.method, prop_5_1);
+    assert_halved("decide_ucq_dyn(Viterbi, q1, q2)", count, 66);
 }
 
 #[test]
@@ -208,6 +250,16 @@ fn deciding_the_fixed_pair_over_n() {
     let (verdict, count) = counted(|| black_box(decide("N", &u1, &u2)));
     assert_eq!(verdict, Some(false));
     assert_halved("decide_ucq_dyn(N, q1, q2)", count, 6_769);
+    // N has no exact ⟨Q⟩ criterion: its procedure is the pair of ⟨Q⟩
+    // bounds, `↠_∞` sufficient and `⇉₂` necessary, on one set of classes.
+    assert_open_pair_costs_its_procedure("N", &u1, &u2, || {
+        let (d1, d2) = (
+            Description::new(u1.disjuncts()),
+            Description::new(u2.disjuncts()),
+        );
+        let classes = Classes::joint(&d1, &d2);
+        unique_surjective_on_classes(&classes) || covering2_on_classes(&classes)
+    });
 }
 
 #[test]
@@ -216,6 +268,7 @@ fn deciding_the_fixed_pair_over_n_x() {
     let (verdict, count) = counted(|| black_box(decide("N[X]", &u1, &u2)));
     assert_eq!(verdict, Some(false));
     assert_halved("decide_ucq_dyn(N[X], q1, q2)", count, 1_077);
+    assert_open_pair_costs_its_procedure("N[X]", &u1, &u2, || counting_infinite(&u1, &u2));
 }
 
 #[test]

@@ -10,7 +10,8 @@
 //!    the tropical order.
 //!
 //! 2. **The oracle harness**: for one representative semiring per class of
-//!    Table 1 (`B`, `Lin[X]`, `T⁺`, `Viterbi`, `Why[X]`, `N[X]`, `N`), generate ≥100
+//!    Table 1 (`B`, `Lin[X]`, `T⁺`, `T⁻`, `Viterbi`, `Why[X]`, `Trio[X]`,
+//!    `N[X]`, `N`, `B_2`, `B_3`), generate ≥100
 //!    random CQ pairs and UCQ pairs via [`annot_query::generator`] and check
 //!    the class-dispatching deciders of [`annot_core::decide`] against the
 //!    exhaustive semantic search of [`annot_core::brute_force`] over small
@@ -30,7 +31,8 @@ use annot_query::eval::{eval_boolean_cq, eval_cq, eval_ducq};
 use annot_query::generator::{GeneratorConfig, QueryGenerator, QueryShape};
 use annot_query::{CanonicalInstance, Cq, Ducq, Instance, Ucq};
 use annot_semiring::{
-    eval_polynomial, Bool, Lineage, NatPoly, Natural, Semiring, Tropical, Viterbi, Why,
+    eval_polynomial, Bool, BoundedNat, Lineage, NatPoly, Natural, Schedule, Semiring, Trio,
+    Tropical, Viterbi, Why,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -354,6 +356,28 @@ fn oracle_cq_nat_poly() {
 }
 
 #[test]
+fn oracle_cq_schedule() {
+    oracle_cq::<Schedule>(true);
+}
+
+#[test]
+fn oracle_cq_trio() {
+    oracle_cq::<Trio>(true);
+}
+
+#[test]
+fn oracle_cq_bounded_2() {
+    // B_2 and B_3 have no exact criterion either: their verdicts come from
+    // the bounds, which must agree with the semantics where they decide.
+    oracle_cq::<BoundedNat<2>>(false);
+}
+
+#[test]
+fn oracle_cq_bounded_3() {
+    oracle_cq::<BoundedNat<3>>(false);
+}
+
+#[test]
 fn oracle_cq_natural() {
     // Bag semantics is the open row of Table 1: the decider may answer
     // Unknown, but its Contained/NotContained answers must still agree with
@@ -394,6 +418,26 @@ fn oracle_ucq_nat_poly() {
 #[test]
 fn oracle_ucq_natural() {
     oracle_ucq::<Natural>(false);
+}
+
+#[test]
+fn oracle_ucq_schedule() {
+    oracle_ucq::<Schedule>(true);
+}
+
+#[test]
+fn oracle_ucq_trio() {
+    oracle_ucq::<Trio>(true);
+}
+
+#[test]
+fn oracle_ucq_bounded_2() {
+    oracle_ucq::<BoundedNat<2>>(false);
+}
+
+#[test]
+fn oracle_ucq_bounded_3() {
+    oracle_ucq::<BoundedNat<3>>(false);
 }
 
 // ---------------------------------------------------------------------------
