@@ -63,13 +63,9 @@ pub enum Verdict {
     Contained,
     /// Containment does not hold.
     NotContained,
-    /// The available bounds do not settle the question.
-    Unknown {
-        /// Whether the strongest known sufficient condition held.
-        sufficient_holds: bool,
-        /// Whether the strongest known necessary condition held.
-        necessary_holds: bool,
-    },
+    /// The available bounds do not settle the question: the row's
+    /// sufficient conditions failed and its necessary ones held.
+    Unknown,
 }
 
 /// The outcome of a containment question: the verdict, the criterion that
@@ -96,7 +92,7 @@ impl Decision {
         match self.answer {
             Verdict::Contained => Some(true),
             Verdict::NotContained => Some(false),
-            Verdict::Unknown { .. } => None,
+            Verdict::Unknown => None,
         }
     }
 
@@ -380,10 +376,7 @@ fn complete_descriptions<K: ClassifiedSemiring>(
         }
     }
     Decision {
-        answer: Verdict::Unknown {
-            sufficient_holds: false,
-            necessary_holds: true,
-        },
+        answer: Verdict::Unknown,
         method: "sufficient/necessary bounds",
         witness: None,
     }
@@ -488,16 +481,8 @@ mod tests {
         assert!(t.method.contains("small-model"));
         assert!(t.witness.is_none());
         let n = decide_cq::<Natural>(&q1, &q2);
-        match n.answer {
-            Verdict::Unknown {
-                sufficient_holds,
-                necessary_holds,
-            } => {
-                assert!(!sufficient_holds);
-                assert!(necessary_holds);
-            }
-            other => panic!("unexpected answer {:?}", other),
-        }
+        assert_eq!(n.answer, Verdict::Unknown);
+        assert_eq!(n.method, "sufficient/necessary bounds");
         // Refutations have no witness.
         assert!(decide_cq::<Why>(&q1, &q2).witness.is_none());
     }

@@ -18,12 +18,11 @@
 //! Every order reads both polynomials as exponent rows ([`Terms`]), the form
 //! in which the small-model procedure evaluates them: `N[X]` compares
 //! coefficients row by row, `B[X]` compares the sets of rows, and the finite
-//! semirings evaluate each row at each point of their carrier.
-//! [`PolynomialOrder::poly_leq`] converts [`Polynomial`]s for tests and
-//! examples.
+//! semirings evaluate each row at each point of their carrier.  A
+//! [`Polynomial`](annot_polynomial::Polynomial) converts with `Terms::from(&p)`.
 
 use annot_polynomial::poly::n_fold_sum;
-use annot_polynomial::{leq_tropical, Polynomial, Terms, TropicalKind};
+use annot_polynomial::{leq_tropical, Terms, TropicalKind};
 use annot_semiring::{
     BoolPoly, BoundedNat, Clearance, NatPoly, Schedule, Semiring, Tropical, Viterbi,
 };
@@ -34,11 +33,6 @@ pub trait PolynomialOrder: Semiring {
     /// Decides `p1 ¹_K p2` on exponent rows: for every valuation
     /// `ν : Var → K`, `Eval_ν(p1) ¹ Eval_ν(p2)`.
     fn terms_leq(p1: &Terms, p2: &Terms) -> bool;
-
-    /// [`PolynomialOrder::terms_leq`] on the rows of two [`Polynomial`]s.
-    fn poly_leq(p1: &Polynomial, p2: &Polynomial) -> bool {
-        Self::terms_leq(&p1.into(), &p2.into())
-    }
 }
 
 impl PolynomialOrder for Tropical {
@@ -115,8 +109,9 @@ fn check_rec<K: Semiring>(
 }
 
 /// Evaluates `p` with the variable of column `i` set to `values[i]`, in the
-/// order of [`Polynomial::eval_generic`]: each monomial's powers from the
-/// lowest column up, then its coefficient as an `n`-fold sum.
+/// order of [`annot_polynomial::Polynomial::eval_generic`]: each monomial's
+/// powers from the lowest column up, then its coefficient as an `n`-fold
+/// sum.
 fn eval_terms<K: Semiring>(p: &Terms, values: &[K]) -> K {
     let add = |a: &K, b: &K| a.add(b);
     let mut total = K::zero();
@@ -158,7 +153,7 @@ impl<const K: u64> PolynomialOrder for BoundedNat<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use annot_polynomial::{Monomial, Var};
+    use annot_polynomial::{Monomial, Polynomial, Var};
     use annot_semiring::{eval_polynomial, Bool};
 
     fn x() -> Polynomial {
@@ -168,14 +163,19 @@ mod tests {
         Polynomial::var(Var(1))
     }
 
+    /// `K`'s order on the rows of two polynomials.
+    fn leq<K: PolynomialOrder>(p1: &Polynomial, p2: &Polynomial) -> bool {
+        K::terms_leq(&p1.into(), &p2.into())
+    }
+
     #[test]
     fn tropical_orders_delegate() {
         let lhs = x().plus(&y()).pow(2);
         let rhs = x().pow(2).plus(&y().pow(2));
-        assert!(Tropical::poly_leq(&lhs, &rhs));
-        assert!(Tropical::poly_leq(&rhs, &lhs));
-        assert!(!Schedule::poly_leq(&x(), &x().times(&y())));
-        assert!(Schedule::poly_leq(&x(), &x().plus(&y())));
+        assert!(leq::<Tropical>(&lhs, &rhs));
+        assert!(leq::<Tropical>(&rhs, &lhs));
+        assert!(!leq::<Schedule>(&x(), &x().times(&y())));
+        assert!(leq::<Schedule>(&x(), &x().plus(&y())));
     }
 
     #[test]
@@ -190,13 +190,13 @@ mod tests {
             (x().pow(2), x()),
         ];
         for (p, q) in &pairs {
-            assert_eq!(Viterbi::poly_leq(p, q), Tropical::poly_leq(p, q));
-            assert_eq!(Viterbi::poly_leq(q, p), Tropical::poly_leq(q, p));
+            assert_eq!(leq::<Viterbi>(p, q), leq::<Tropical>(p, q));
+            assert_eq!(leq::<Viterbi>(q, p), leq::<Tropical>(q, p));
         }
         // Spot-check against direct enumeration over the Viterbi samples:
         // the universal order implies the sampled order.
         for (p, q) in &pairs {
-            if Viterbi::poly_leq(p, q) {
+            if leq::<Viterbi>(p, q) {
                 let (p, q) = (p.into(), q.into());
                 assert!(poly_leq_by_enumeration(&Viterbi::sample_elements(), &p, &q));
             }
@@ -205,29 +205,29 @@ mod tests {
 
     #[test]
     fn nat_poly_order_is_coefficientwise() {
-        assert!(NatPoly::poly_leq(&x(), &x().plus(&y())));
-        assert!(!NatPoly::poly_leq(&x().plus(&x()), &x()));
-        assert!(NatPoly::poly_leq(&x(), &x().plus(&x())));
+        assert!(leq::<NatPoly>(&x(), &x().plus(&y())));
+        assert!(!leq::<NatPoly>(&x().plus(&x()), &x()));
+        assert!(leq::<NatPoly>(&x(), &x().plus(&x())));
         // x ⋠ x² in N[X] (no monomial containment)
-        assert!(!NatPoly::poly_leq(&x(), &x().pow(2)));
+        assert!(!leq::<NatPoly>(&x(), &x().pow(2)));
     }
 
     #[test]
     fn bool_poly_order_forgets_coefficients() {
-        assert!(BoolPoly::poly_leq(&x().plus(&x()), &x()));
-        assert!(BoolPoly::poly_leq(&x(), &x().plus(&y())));
-        assert!(!BoolPoly::poly_leq(&y(), &x()));
+        assert!(leq::<BoolPoly>(&x().plus(&x()), &x()));
+        assert!(leq::<BoolPoly>(&x(), &x().plus(&y())));
+        assert!(!leq::<BoolPoly>(&y(), &x()));
     }
 
     #[test]
     fn boolean_enumeration_is_logical_implication() {
         // x·y ¹_B x + y  (conjunction implies disjunction)
-        assert!(Bool::poly_leq(&x().times(&y()), &x().plus(&y())));
+        assert!(leq::<Bool>(&x().times(&y()), &x().plus(&y())));
         // x + y ⋠_B x·y
-        assert!(!Bool::poly_leq(&x().plus(&y()), &x().times(&y())));
+        assert!(!leq::<Bool>(&x().plus(&y()), &x().times(&y())));
         // x ¹_B x²  (idempotence)
-        assert!(Bool::poly_leq(&x(), &x().pow(2)));
-        assert!(Bool::poly_leq(&x().pow(2), &x()));
+        assert!(leq::<Bool>(&x(), &x().pow(2)));
+        assert!(leq::<Bool>(&x().pow(2), &x()));
     }
 
     #[test]
@@ -235,13 +235,13 @@ mod tests {
         // In B₂, x + x ¹ 2·x trivially and 3·x =_K 2·x, so 3x ¹ 2x holds.
         let three_x = x().plus(&x()).plus(&x());
         let two_x = x().plus(&x());
-        assert!(BoundedNat::<2>::poly_leq(&three_x, &two_x));
+        assert!(leq::<BoundedNat<2>>(&three_x, &two_x));
         // In N[X] this fails.
-        assert!(!NatPoly::poly_leq(&three_x, &two_x));
+        assert!(!leq::<NatPoly>(&three_x, &two_x));
         // x² ¹ x fails in B₃ (x = 1 gives 1 ≤ 1, x = 2 gives 3 vs 2? 2²=4→3 > 2) — so not ≤.
-        assert!(!BoundedNat::<3>::poly_leq(&x().pow(2), &x()));
+        assert!(!leq::<BoundedNat<3>>(&x().pow(2), &x()));
         // Clearance (a lattice): x·y ¹ x.
-        assert!(Clearance::poly_leq(&x().times(&y()), &x()));
+        assert!(leq::<Clearance>(&x().times(&y()), &x()));
     }
 
     /// The enumeration order on `Polynomial`s, through `eval_polynomial`:
@@ -301,27 +301,27 @@ mod tests {
             let context = || format!("{p1} vs {p2}");
             let verdicts = [
                 (
-                    NatPoly::poly_leq(&p1, &p2),
+                    leq::<NatPoly>(&p1, &p2),
                     NatPoly::new(p1.clone()).leq(&NatPoly::new(p2.clone())),
                 ),
                 (
-                    BoolPoly::poly_leq(&p1, &p2),
+                    leq::<BoolPoly>(&p1, &p2),
                     BoolPoly::from_nat_poly(&p1).leq(&BoolPoly::from_nat_poly(&p2)),
                 ),
                 (
-                    Bool::poly_leq(&p1, &p2),
+                    leq::<Bool>(&p1, &p2),
                     leq_by_enumerating_polynomials(&Bool::sample_elements(), &p1, &p2),
                 ),
                 (
-                    Clearance::poly_leq(&p1, &p2),
+                    leq::<Clearance>(&p1, &p2),
                     leq_by_enumerating_polynomials(&Clearance::sample_elements(), &p1, &p2),
                 ),
                 (
-                    BoundedNat::<2>::poly_leq(&p1, &p2),
+                    leq::<BoundedNat<2>>(&p1, &p2),
                     leq_by_enumerating_polynomials(&[0, 1, 2].map(BoundedNat::<2>::new), &p1, &p2),
                 ),
                 (
-                    BoundedNat::<3>::poly_leq(&p1, &p2),
+                    leq::<BoundedNat<3>>(&p1, &p2),
                     leq_by_enumerating_polynomials(
                         &[0, 1, 2, 3].map(BoundedNat::<3>::new),
                         &p1,

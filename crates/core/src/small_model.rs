@@ -359,7 +359,6 @@ impl Records {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use annot_polynomial::Polynomial;
     use annot_query::complete::complete_description_ucq;
     use annot_query::eval::eval_ucq_all_outputs_rows;
     use annot_query::generator::{GeneratorConfig, QueryGenerator, QueryShape};
@@ -539,7 +538,7 @@ mod tests {
     fn contained_by_canonical_instances(
         q1: &Ucq,
         q2: &Ucq,
-        orders: &[fn(&Polynomial, &Polynomial) -> bool],
+        orders: &[fn(&Terms, &Terms) -> bool],
     ) -> Vec<bool> {
         let zero = NatPoly::zero();
         let mut holds = vec![true; orders.len()];
@@ -548,7 +547,9 @@ mod tests {
             let m1 = eval_ucq_all_outputs_rows(q1, canonical.instance());
             let m2 = eval_ucq_all_outputs_rows(q2, canonical.instance());
             for (leq, holds) in orders.iter().zip(&mut holds) {
-                let leq = |p1: &NatPoly, p2: &NatPoly| leq(p1.polynomial(), p2.polynomial());
+                let leq = |p1: &NatPoly, p2: &NatPoly| {
+                    leq(&p1.polynomial().into(), &p2.polynomial().into())
+                };
                 *holds = *holds
                     && (m1.iter()).all(|(t, p1)| leq(p1, m2.get(t).unwrap_or(&zero)))
                     && (m2.iter()).all(|(t, p2)| m1.contains_key(t) || leq(&zero, p2));
@@ -563,15 +564,15 @@ mod tests {
             "T+", "T-", "Viterbi", "N[X]", "B[X]", "B", "Access", "B_2", "B_3",
         ];
         let orders = [
-            Tropical::poly_leq,
-            Schedule::poly_leq,
-            Viterbi::poly_leq,
-            NatPoly::poly_leq,
-            BoolPoly::poly_leq,
-            Bool::poly_leq,
-            Clearance::poly_leq,
-            BoundedNat::<2>::poly_leq,
-            BoundedNat::<3>::poly_leq,
+            Tropical::terms_leq,
+            Schedule::terms_leq,
+            Viterbi::terms_leq,
+            NatPoly::terms_leq,
+            BoolPoly::terms_leq,
+            Bool::terms_leq,
+            Clearance::terms_leq,
+            BoundedNat::<2>::terms_leq,
+            BoundedNat::<3>::terms_leq,
         ];
         let mut holds = [0usize; 9];
         let mut pairs = 0;

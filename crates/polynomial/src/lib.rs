@@ -58,7 +58,7 @@ pub use monomial::Monomial;
 pub use poly::Polynomial;
 pub use rational::Rational;
 pub use terms::Terms;
-pub use tropical::{eq_tropical, leq_max_plus, leq_min_plus, leq_tropical, TropicalKind};
+pub use tropical::{leq_tropical, TropicalKind};
 pub use var::{Var, VarPool};
 
 #[cfg(test)]
@@ -89,19 +89,19 @@ mod integration_tests {
 
     #[test]
     fn reexports_are_usable() {
-        assert!(leq_min_plus(&Polynomial::zero(), &Polynomial::one()));
-        assert!(leq_max_plus(&Polynomial::zero(), &Polynomial::one()));
+        let (zero, one) = (
+            Terms::from(&Polynomial::zero()),
+            Terms::from(&Polynomial::one()),
+        );
+        assert!(leq_tropical(&zero, &one, TropicalKind::MinPlus));
+        assert!(leq_tropical(&zero, &one, TropicalKind::MaxPlus));
         assert!(is_cq_admissible(&Polynomial::var(Var(3))));
         assert_eq!(Rational::new(2, 4), Rational::new(1, 2));
         let m = Monomial::var(Var(1));
         assert_eq!(m.degree(), 1);
         let mut pool = VarPool::new();
         assert_eq!(pool.var("x"), Var(0));
-        assert!(eq_tropical(
-            &Polynomial::one(),
-            &Polynomial::one(),
-            TropicalKind::MinPlus
-        ));
+        assert!(leq_tropical(&one, &one, TropicalKind::MinPlus));
         assert!(find_admissible_representation(&Polynomial::one()).is_some());
     }
 }

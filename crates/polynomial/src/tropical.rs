@@ -37,9 +37,8 @@
 //! [`leq_tropical`] reads both polynomials as [`Terms`]: monomials are
 //! exponent rows, divisibility compares two row slices, and an LP is built
 //! straight from row differences over the variables that occur.  The
-//! small-model procedure hands it rows it evaluated directly;
-//! [`leq_min_plus`], [`leq_max_plus`] and [`eq_tropical`] convert
-//! [`Polynomial`]s for tests and examples.
+//! small-model procedure hands it rows it evaluated directly; a
+//! [`Polynomial`] converts with `Terms::from(&p)`.
 
 use crate::linear::{Constraint, System};
 use crate::poly::Polynomial;
@@ -54,26 +53,6 @@ pub enum TropicalKind {
     MinPlus,
     /// `T⁻ = ⟨N ∪ {−∞}, max, +, −∞, 0⟩` — the schedule (max-plus) algebra.
     MaxPlus,
-}
-
-/// Decides `p1 ¹_{T⁺} p2` (tropical min-plus order on polynomials, universally
-/// quantified over all assignments into `T⁺`): [`leq_tropical`] on the
-/// polynomials' rows.
-pub fn leq_min_plus(p1: &Polynomial, p2: &Polynomial) -> bool {
-    leq_tropical(&p1.into(), &p2.into(), TropicalKind::MinPlus)
-}
-
-/// Decides `p1 ¹_{T⁻} p2` (schedule-algebra order on polynomials, universally
-/// quantified over all assignments into `T⁻`): [`leq_tropical`] on the
-/// polynomials' rows.
-pub fn leq_max_plus(p1: &Polynomial, p2: &Polynomial) -> bool {
-    leq_tropical(&p1.into(), &p2.into(), TropicalKind::MaxPlus)
-}
-
-/// Decides `p1 =_{T} p2` for the chosen tropical semiring.
-pub fn eq_tropical(p1: &Polynomial, p2: &Polynomial, kind: TropicalKind) -> bool {
-    let (p1, p2) = (p1.into(), p2.into());
-    leq_tropical(&p1, &p2, kind) && leq_tropical(&p2, &p1, kind)
 }
 
 /// Decides `p1 ¹_K p2` where `K` is the chosen tropical semiring, one
@@ -195,6 +174,16 @@ mod tests {
     }
     fn y() -> Polynomial {
         Polynomial::var(Var(1))
+    }
+
+    /// `p1 ¹_{T⁺} p2` on the polynomials' rows.
+    fn min_plus(p1: &Polynomial, p2: &Polynomial) -> bool {
+        leq_tropical(&p1.into(), &p2.into(), TropicalKind::MinPlus)
+    }
+
+    /// `p1 ¹_{T⁻} p2` on the polynomials' rows.
+    fn max_plus(p1: &Polynomial, p2: &Polynomial) -> bool {
+        leq_tropical(&p1.into(), &p2.into(), TropicalKind::MaxPlus)
     }
 
     fn union_vars(p1: &Polynomial, p2: &Polynomial) -> Vec<Var> {
@@ -324,10 +313,10 @@ mod tests {
         // fails.  A subset loop over 2³³ masks overflows its shift here.
         let x0 = Polynomial::var(Var(0));
         let product = Polynomial::product_of_vars(&(0..33).map(Var).collect::<Vec<_>>());
-        assert!(!leq_max_plus(&x0, &product));
-        assert!(!leq_max_plus(&product, &x0));
-        assert!(leq_max_plus(&product, &product));
-        assert!(leq_max_plus(&x0, &x0.plus(&product)));
+        assert!(!max_plus(&x0, &product));
+        assert!(!max_plus(&product, &x0));
+        assert!(max_plus(&product, &product));
+        assert!(max_plus(&x0, &x0.plus(&product)));
     }
 
     #[test]
@@ -335,35 +324,34 @@ mod tests {
         // Example 4.6 (continued): x₁² + 2x₁x₂ + x₂² =_{T⁺} x₁² + x₂².
         let lhs = x().plus(&y()).pow(2); // x² + 2xy + y²
         let rhs = x().pow(2).plus(&y().pow(2));
-        assert!(leq_min_plus(&lhs, &rhs));
-        assert!(leq_min_plus(&rhs, &lhs));
-        assert!(eq_tropical(&lhs, &rhs, TropicalKind::MinPlus));
+        assert!(min_plus(&lhs, &rhs));
+        assert!(min_plus(&rhs, &lhs));
     }
 
     #[test]
     fn min_plus_strict_failures() {
         // x ¹_{T⁺} x·y fails: at y large, min of RHS = a_x + a_y > a_x.
         // (Recall ¹_{T⁺} requires RHS ≤ LHS numerically at every point.)
-        assert!(!leq_min_plus(&x(), &x().times(&y())));
+        assert!(!min_plus(&x(), &x().times(&y())));
         // Conversely x·y ¹_{T⁺} x holds: a_x ≤ a_x + a_y always.
-        assert!(leq_min_plus(&x().times(&y()), &x()));
+        assert!(min_plus(&x().times(&y()), &x()));
         // x ¹_{T⁺} x holds.
-        assert!(leq_min_plus(&x(), &x()));
+        assert!(min_plus(&x(), &x()));
     }
 
     #[test]
     fn min_plus_sum_behaviour() {
         // x + y evaluates to min(a_x, a_y) ≤ a_x, so x ¹_{T⁺} x + y.
-        assert!(leq_min_plus(&x(), &x().plus(&y())));
+        assert!(min_plus(&x(), &x().plus(&y())));
         // And x + y ¹_{T⁺} x fails (at a_x = 5, a_y = 0 the LHS min is 0 < 5).
-        assert!(!leq_min_plus(&x().plus(&y()), &x()));
+        assert!(!min_plus(&x().plus(&y()), &x()));
     }
 
     #[test]
     fn min_plus_zero_polynomial() {
-        assert!(leq_min_plus(&Polynomial::zero(), &x()));
-        assert!(!leq_min_plus(&x(), &Polynomial::zero()));
-        assert!(leq_min_plus(&Polynomial::zero(), &Polynomial::zero()));
+        assert!(min_plus(&Polynomial::zero(), &x()));
+        assert!(!min_plus(&x(), &Polynomial::zero()));
+        assert!(min_plus(&Polynomial::zero(), &Polynomial::zero()));
     }
 
     #[test]
@@ -371,27 +359,27 @@ mod tests {
         // A constant term makes the min-plus value 0, the top of ¹_{T⁺};
         // so P ¹_{T⁺} (1 + x) for any P.
         let one_plus_x = Polynomial::one().plus(&x());
-        assert!(leq_min_plus(&x(), &one_plus_x));
-        assert!(leq_min_plus(&x().times(&y()), &one_plus_x));
+        assert!(min_plus(&x(), &one_plus_x));
+        assert!(min_plus(&x().times(&y()), &one_plus_x));
         // but (1 + x) ¹_{T⁺} x fails (at a_x = 1: lhs value 0, rhs 1 — need 1 ≤ 0).
-        assert!(!leq_min_plus(&one_plus_x, &x()));
+        assert!(!min_plus(&one_plus_x, &x()));
     }
 
     #[test]
     fn max_plus_basics() {
         // x ¹_{T⁻} x + y: max(a_x, a_y) ≥ a_x always... but with y ↦ −∞ the
         // monomial y drops and we compare a_x ≤ a_x, still fine.
-        assert!(leq_max_plus(&x(), &x().plus(&y())));
+        assert!(max_plus(&x(), &x().plus(&y())));
         // x ¹_{T⁻} x·y FAILS because of the −∞ assignment to y (the paper's
         // semiring includes −∞): rhs becomes −∞ while lhs stays finite.
-        assert!(!leq_max_plus(&x(), &x().times(&y())));
+        assert!(!max_plus(&x(), &x().times(&y())));
         // x·y ¹_{T⁻} x fails at finite points already (a_y > 0).
-        assert!(!leq_max_plus(&x().times(&y()), &x()));
+        assert!(!max_plus(&x().times(&y()), &x()));
         // x·y ¹_{T⁻} x·y + x²y² holds: the bigger monomial only helps the max,
         // and −∞ assignments kill both sides together.
         let xy = x().times(&y());
         let big = xy.plus(&x().pow(2).times(&y().pow(2)));
-        assert!(leq_max_plus(&xy, &big));
+        assert!(max_plus(&xy, &big));
     }
 
     #[test]
@@ -399,18 +387,18 @@ mod tests {
         // T⁻ satisfies ⊗-semi-idempotence: x·y ¹ x·x·y (Sec. 4.4).
         let xy = x().times(&y());
         let xxy = x().times(&x()).times(&y());
-        assert!(leq_max_plus(&xy, &xxy));
+        assert!(max_plus(&xy, &xxy));
         // T⁺ does not satisfy it: ¹_{T⁺} is the reverse numeric order, so
         // x·y ¹_{T⁺} x·x·y would need 2a_x + a_y ≤ a_x + a_y at every point,
         // which fails as soon as a_x > 0.  The opposite direction does hold.
-        assert!(!leq_min_plus(&xy, &xxy));
-        assert!(leq_min_plus(&xxy, &xy));
+        assert!(!min_plus(&xy, &xxy));
+        assert!(min_plus(&xxy, &xy));
     }
 
     #[test]
     fn max_plus_zero_polynomial() {
-        assert!(leq_max_plus(&Polynomial::zero(), &x()));
-        assert!(!leq_max_plus(&x(), &Polynomial::zero()));
+        assert!(max_plus(&Polynomial::zero(), &x()));
+        assert!(!max_plus(&x(), &Polynomial::zero()));
     }
 
     #[test]
@@ -425,10 +413,10 @@ mod tests {
         let s = Polynomial::var(Var(1));
         let lhs = r.times(&s);
         let rhs = r.pow(2).plus(&s.pow(2));
-        assert!(leq_min_plus(&lhs, &rhs));
+        assert!(min_plus(&lhs, &rhs));
         // But r·s is not ¹_{T⁺}-below r² alone, nor s² alone:
-        assert!(!leq_min_plus(&lhs, &r.pow(2)));
-        assert!(!leq_min_plus(&lhs, &s.pow(2)));
+        assert!(!min_plus(&lhs, &r.pow(2)));
+        assert!(!min_plus(&lhs, &s.pow(2)));
     }
 
     #[test]
@@ -457,7 +445,7 @@ mod tests {
         // 2xy and xy are =_{T⁺} and =_{T⁻} since ⊕ is idempotent.
         let xy = x().times(&y());
         let two_xy = Polynomial::from_monomial(Monomial::from_vars([Var(0), Var(1)]), 2);
-        assert!(eq_tropical(&xy, &two_xy, TropicalKind::MinPlus));
-        assert!(eq_tropical(&xy, &two_xy, TropicalKind::MaxPlus));
+        assert!(min_plus(&xy, &two_xy) && min_plus(&two_xy, &xy));
+        assert!(max_plus(&xy, &two_xy) && max_plus(&two_xy, &xy));
     }
 }

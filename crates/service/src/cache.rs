@@ -8,52 +8,48 @@
 //! both queries ([`annot_query::key::ucq_code`], equal exactly for
 //! isomorphic queries, relations spelled by name and arity), and a lookup
 //! compares them word for word.  A 64-bit fingerprint of the three only
-//! picks the shard and the bucket; colliding fingerprints share a bucket
-//! and never an answer.
+//! picks the bucket; colliding fingerprints share a bucket and never an
+//! answer.
 //!
-//! The map is sharded: each shard is its own mutex-guarded table, picked
-//! by key, so concurrent decisions on different pairs rarely contend.
-//! Decisions are computed *outside* the shard lock — a duplicated compute
-//! when two clients race on the same fresh pair is benign (both arrive at
-//! the same [`Decision`]), a decider running under a shard lock would
-//! serialise the server.
+//! One mutex guards the whole table: the buckets, the eviction ring and
+//! the counters.  The canonical codes and the fingerprint are computed
+//! before the lock, so a hit holds it once and a miss twice (the probe,
+//! then the insert), each time for a hash probe and a code comparison.
+//! The decider runs *outside* the lock — a decider running under it would
+//! serialise the server.  When two clients race on the same fresh pair,
+//! both decide (and arrive at the same [`Decision`]); the first to take the
+//! lock again inserts, and the other stores nothing.
 //!
 //! ## The byte budget and eviction
 //!
 //! A cached decision never goes stale: it is a fixed function of the
 //! semiring's Table 1 row and the isomorphism class of the query pair.  So
 //! memory is the only reason to drop one, and the cache has one bound, a
-//! global byte budget that is always on ([`DEFAULT_BYTE_BUDGET`] unless the
+//! byte budget that is always on ([`DEFAULT_BYTE_BUDGET`] unless the
 //! caller picks another).  The per-entry footprint that `STATS` reports as
 //! `approx_bytes` (the entry struct plus its code words) is also the
-//! enforcement input: after every insert the cache evicts until the tracked
-//! total is at or under the budget, one shard lock at a time.  One global
-//! hand, an atomic shard cursor, picks the shards round-robin across all
-//! inserts, and the sweep never evicts the entry just inserted: while any
-//! other entry exists, a new arrival survives its own insert.  An entry
-//! larger than the whole budget is never stored; it counts as one insert
-//! and one eviction, so the identity `inserts = entries + evictions` holds
-//! whenever the cache is quiescent.
+//! enforcement input: an insert evicts, under the same lock, until the
+//! tracked total is back within the budget, so `approx_bytes ≤ budget` and
+//! `inserts = entries + evictions` hold at every unlock.  An entry larger
+//! than the whole budget is never stored; it counts as one insert and one
+//! eviction.
 //!
-//! Each shard evicts by the classic second-chance (CLOCK) ring: a new
-//! entry joins the back of the shard's ring, and a hit sets the entry's
+//! Eviction is the classic second-chance (CLOCK) ring over all entries: a
+//! new entry joins the back of the ring, and a hit sets the entry's
 //! `referenced` bit.  The evictor pops the ring front; a referenced entry
-//! loses its bit and goes to the back, and the first unreferenced entry is
-//! evicted.  This is O(1) amortised with no per-hit reordering, and, since
-//! all of it runs under the shard mutex, deterministic for a fixed order
-//! of operations.
+//! loses its bit and goes to the back, the arrival whose insert runs the
+//! eviction goes to the back untouched, and the first other unreferenced
+//! entry is evicted.  So an arrival survives its own insert while any
+//! other entry exists.  This is O(1) amortised with no per-hit reordering,
+//! and deterministic for a fixed order of operations: the tests run it
+//! beside a sequential reference model of the ring and require equal hits.
 
 use annot_core::decide::Decision;
 use annot_core::registry::SemiringId;
-use annot_core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use annot_core::sync::{Mutex, PoisonError};
+use annot_core::sync::{Mutex, MutexGuard, PoisonError};
 use annot_query::key::{hash64, ucq_code};
 use annot_query::Ucq;
 use std::collections::{HashMap, VecDeque};
-
-/// Number of independently locked shards.  A small power of two well above
-/// the worker count keeps contention negligible without wasting memory.
-const NUM_SHARDS: usize = 64;
 
 /// The byte budget of [`Cache::new`] and of the default server: 64 MiB,
 /// about 100,000 entries at the ~660 bytes a typical entry takes.
@@ -66,69 +62,58 @@ struct Entry {
     code1: Box<[u64]>,
     code2: Box<[u64]>,
     decision: Decision,
-    /// Shard-unique id linking this entry to its ring slot.
+    /// Cache-unique id linking this entry to its ring slot.
     id: u64,
     /// Second-chance bit: set on every hit, cleared (once) by the
     /// eviction scan before the entry becomes a victim.
     referenced: bool,
 }
 
-/// One shard: the fingerprint-keyed table plus the second-chance ring.
-/// All fields are guarded by the shard mutex.
-struct Shard {
-    table: HashMap<u64, Vec<Entry>>,
-    /// `(fingerprint, entry id)` of every entry in the shard, in the
-    /// CLOCK scan's order.  Entries leave the table only through the scan,
-    /// so every slot names a live entry.
+/// Everything the cache's one mutex guards.
+struct Table {
+    /// The entries by fingerprint.
+    buckets: HashMap<u64, Vec<Entry>>,
+    /// `(fingerprint, entry id)` of every entry, in the CLOCK scan's order.
+    /// Entries leave the table only through the scan, so every slot names a
+    /// live entry.
     ring: VecDeque<(u64, u64)>,
-    /// Source of shard-unique entry ids.
+    /// Source of entry ids.
     next_id: u64,
+    /// The counters, updated with the table they count.
+    stats: CacheStats,
 }
 
 /// Counter snapshot returned by [`Cache::stats`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Requests answered from the cache.
     pub hits: u64,
     /// Requests that missed and ran a decider.
     pub misses: u64,
-    /// Decider executions.  Every miss runs the decider, so this equals
-    /// [`CacheStats::misses`].
+    /// Decider executions, counted when the decider returns.  Every miss
+    /// runs the decider, so this equals [`CacheStats::misses`] whenever no
+    /// decide is in flight.
     pub decides: u64,
     /// Decisions admitted to the cache.  When two requests race on the
     /// same fresh pair, both decide but only the first inserts; the other
-    /// finds the entry and stores nothing.  At quiescence `inserts =
-    /// entries + evictions`.
+    /// finds the entry and stores nothing.  `inserts = entries +
+    /// evictions` in every snapshot.
     pub inserts: u64,
     /// Entries currently stored.
     pub entries: u64,
     /// Entries evicted to keep within the byte budget, including entries
     /// larger than the whole budget, which are evicted as they arrive.
     pub evictions: u64,
-    /// Entries per shard, indexed by shard number — the load-balance view
-    /// of the fingerprint distribution.  Sums to [`CacheStats::entries`].
-    pub shard_entries: Vec<u64>,
     /// Approximate bytes held by the cached entries: the entry structs plus
     /// their code words.  A capacity-planning number — and the byte-budget
     /// enforcement input — not an allocator audit.
     pub approx_bytes: u64,
 }
 
-/// The sharded semantic cache.
+/// The semantic cache: one table under one mutex.
 pub struct Cache {
     byte_budget: u64,
-    shards: Vec<Mutex<Shard>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    decides: AtomicU64,
-    inserts: AtomicU64,
-    evictions: AtomicU64,
-    /// Tracked total of every live entry's footprint — the byte-budget
-    /// enforcement input and the `STATS.approx_bytes` source.
-    bytes: AtomicU64,
-    /// The eviction hand: the shard the next sweep step visits, modulo
-    /// [`NUM_SHARDS`].
-    hand: AtomicUsize,
+    table: Mutex<Table>,
 }
 
 impl Cache {
@@ -142,27 +127,17 @@ impl Cache {
     pub fn with_byte_budget(byte_budget: u64) -> Cache {
         Cache {
             byte_budget,
-            shards: (0..NUM_SHARDS)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        table: HashMap::new(),
-                        ring: VecDeque::new(),
-                        next_id: 0,
-                    })
-                })
-                .collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            decides: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            hand: AtomicUsize::new(0),
+            table: Mutex::new(Table {
+                buckets: HashMap::new(),
+                ring: VecDeque::new(),
+                next_id: 0,
+                stats: CacheStats::default(),
+            }),
         }
     }
 
     /// The fingerprint of a request: semiring + canonical codes of the
-    /// (ordered) query pair.  It picks the shard and the bucket only.
+    /// (ordered) query pair.  It picks the bucket only.
     fn fingerprint(semiring: SemiringId, c1: &[u64], c2: &[u64]) -> u64 {
         let name = hash64(semiring.name().bytes().map(u64::from));
         let codes = c1.iter().chain(c2).copied();
@@ -181,73 +156,92 @@ impl Cache {
     ) -> (Decision, bool) {
         let (c1, c2) = (ucq_code(q1), ucq_code(q2));
         let key = Self::fingerprint(semiring, &c1, &c2);
-        let shard_index = (key as usize) % NUM_SHARDS;
-        let shard = &self.shards[shard_index];
-        let cached = Self::lookup(&mut self.lock(shard), key, semiring, &c1, &c2);
-        if let Some(found) = cached {
-            // relaxed: monotonic statistics counter, no ordering needed
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (found, true);
+        {
+            let mut table = self.lock();
+            if let Some(found) = table.lookup(key, semiring, &c1, &c2) {
+                table.stats.hits += 1;
+                return (found, true);
+            }
+            table.stats.misses += 1;
         }
-        // relaxed: monotonic statistics counter, no ordering needed
-        self.misses.fetch_add(1, Ordering::Relaxed);
         // Decide outside the lock; see the module docs for the race note.
         let decision = decide(q1, q2);
-        // relaxed: monotonic statistics counter, no ordering needed
-        self.decides.fetch_add(1, Ordering::Relaxed);
         let entry_bytes = entry_footprint(&c1, &c2);
+        let mut table = self.lock();
+        table.stats.decides += 1;
         if entry_bytes > self.byte_budget {
             // Storing it would evict every other entry and then itself:
             // count the insert and its eviction, store nothing.
-            // relaxed: monotonic statistics counters, no ordering needed
-            self.inserts.fetch_add(1, Ordering::Relaxed);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            table.stats.inserts += 1;
+            table.stats.evictions += 1;
             return (decision, false);
         }
-        let arrival;
-        {
-            let mut guard = self.lock(shard);
-            if Self::lookup(&mut guard, key, semiring, &c1, &c2).is_some() {
-                return (decision, false); // a racing request inserted first
-            }
-            let id = guard.next_id;
-            guard.next_id += 1;
-            guard.table.entry(key).or_default().push(Entry {
-                semiring,
-                code1: c1.into_boxed_slice(),
-                code2: c2.into_boxed_slice(),
-                decision: decision.clone(),
-                id,
-                referenced: false,
-            });
-            guard.ring.push_back((key, id));
-            // relaxed: monotonic statistics counters, no ordering needed
-            self.inserts.fetch_add(1, Ordering::Relaxed);
-            self.bytes.fetch_add(entry_bytes, Ordering::Relaxed);
-            arrival = (key, id);
+        if table.lookup(key, semiring, &c1, &c2).is_some() {
+            return (decision, false); // a racing request inserted first
         }
-        self.enforce_byte_budget(arrival);
+        let id = table.next_id;
+        table.next_id += 1;
+        table.buckets.entry(key).or_default().push(Entry {
+            semiring,
+            code1: c1.into_boxed_slice(),
+            code2: c2.into_boxed_slice(),
+            decision: decision.clone(),
+            id,
+            referenced: false,
+        });
+        table.ring.push_back((key, id));
+        table.stats.inserts += 1;
+        table.stats.entries += 1;
+        table.stats.approx_bytes += entry_bytes;
+        while table.stats.approx_bytes > self.byte_budget && table.evict_one((key, id)) {}
         (decision, false)
     }
 
-    /// Evicts one entry from `shard` by the second-chance scan: the ring
-    /// front goes unless a hit referenced it since its last turn, in which
-    /// case it loses the bit and moves to the back.  The `spared` slot, the
-    /// arrival whose insert runs the sweep, moves to the back untouched.
-    /// Returns `false` when the shard holds no other entry.  Caller holds
-    /// the shard lock.
-    fn evict_one(&self, shard: &mut Shard, spared: (u64, u64)) -> bool {
+    fn lock(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// An exact snapshot of the counters, taken under the lock.
+    pub fn stats(&self) -> CacheStats {
+        self.lock().stats.clone()
+    }
+}
+
+impl Table {
+    /// The decision stored under the exact key, whose entry the lookup
+    /// marks referenced.
+    fn lookup(
+        &mut self,
+        key: u64,
+        semiring: SemiringId,
+        c1: &[u64],
+        c2: &[u64],
+    ) -> Option<Decision> {
+        let bucket = self.buckets.get_mut(&key)?;
+        let entry = bucket
+            .iter_mut()
+            .find(|e| e.semiring == semiring && *e.code1 == *c1 && *e.code2 == *c2)?;
+        entry.referenced = true; // second chance for the evictor
+        Some(entry.decision.clone())
+    }
+
+    /// Evicts one entry by the second-chance scan: the ring front goes
+    /// unless a hit referenced it since its last turn, in which case it
+    /// loses the bit and moves to the back.  The `spared` slot, the arrival
+    /// whose insert runs the eviction, moves to the back untouched.
+    /// Returns `false` when the table holds no other entry.
+    fn evict_one(&mut self, spared: (u64, u64)) -> bool {
         // Each other entry moves to the back at most once before its bit is
         // clear, so two laps of the ring reach a victim if there is one.
-        for _ in 0..2 * shard.ring.len() {
-            let Some((key, id)) = shard.ring.pop_front() else {
+        for _ in 0..2 * self.ring.len() {
+            let Some((key, id)) = self.ring.pop_front() else {
                 break;
             };
             if (key, id) == spared {
-                shard.ring.push_back((key, id));
+                self.ring.push_back((key, id));
                 continue;
             }
-            let Some(bucket) = shard.table.get_mut(&key) else {
+            let Some(bucket) = self.buckets.get_mut(&key) else {
                 continue;
             };
             let Some(pos) = bucket.iter().position(|e| e.id == id) else {
@@ -255,96 +249,19 @@ impl Cache {
             };
             if bucket[pos].referenced {
                 bucket[pos].referenced = false;
-                shard.ring.push_back((key, id));
+                self.ring.push_back((key, id));
                 continue;
             }
             let entry = bucket.swap_remove(pos);
             if bucket.is_empty() {
-                shard.table.remove(&key);
+                self.buckets.remove(&key);
             }
-            let freed = entry_footprint(&entry.code1, &entry.code2);
-            // relaxed: monotonic statistics counters, no ordering needed
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            self.bytes.fetch_sub(freed, Ordering::Relaxed);
+            self.stats.evictions += 1;
+            self.stats.entries -= 1;
+            self.stats.approx_bytes -= entry_footprint(&entry.code1, &entry.code2);
             return true;
         }
         false
-    }
-
-    /// Brings the tracked byte total back under the budget, visiting the
-    /// shards round-robin from the global hand and sparing the `arrival`
-    /// slot.  One shard lock at a time — never two, so no ordering cycle.
-    /// Stops early when a full round frees nothing (every remaining byte
-    /// belongs to the arrival or to entries raced in by concurrent inserts,
-    /// each of which runs its own enforcement after its insert).
-    fn enforce_byte_budget(&self, arrival: (u64, u64)) {
-        // relaxed: approximate pressure reading; the loop re-reads it
-        while self.bytes.load(Ordering::Relaxed) > self.byte_budget {
-            let mut freed_any = false;
-            for _ in 0..NUM_SHARDS {
-                // relaxed: approximate pressure reading
-                if self.bytes.load(Ordering::Relaxed) <= self.byte_budget {
-                    return;
-                }
-                // relaxed: the hand only spreads the sweeps over the shards;
-                // any value picks a valid shard
-                let next = self.hand.fetch_add(1, Ordering::Relaxed) % NUM_SHARDS;
-                freed_any |= self.evict_one(&mut self.lock(&self.shards[next]), arrival);
-            }
-            if !freed_any {
-                return;
-            }
-        }
-    }
-
-    fn lookup(
-        shard: &mut Shard,
-        key: u64,
-        semiring: SemiringId,
-        c1: &[u64],
-        c2: &[u64],
-    ) -> Option<Decision> {
-        shard.table.get_mut(&key).and_then(|bucket| {
-            bucket
-                .iter_mut()
-                .find(|e| e.semiring == semiring && *e.code1 == *c1 && *e.code2 == *c2)
-                .map(|e| {
-                    e.referenced = true; // second chance for the evictor
-                    e.decision.clone()
-                })
-        })
-    }
-
-    fn lock<'a>(&self, shard: &'a Mutex<Shard>) -> annot_core::sync::MutexGuard<'a, Shard> {
-        shard.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// A consistent-enough snapshot of the counters (each counter is read
-    /// atomically; the set is not).  The entry count walks the shards one
-    /// lock at a time — `STATS` is rare, and holding one shard briefly
-    /// never blocks decisions on the others.
-    pub fn stats(&self) -> CacheStats {
-        let shard_entries: Vec<u64> = self
-            .shards
-            .iter()
-            .map(|shard| self.lock(shard).ring.len() as u64)
-            .collect();
-        CacheStats {
-            // relaxed: statistics snapshot, approximate by design
-            hits: self.hits.load(Ordering::Relaxed),
-            // relaxed: statistics snapshot, approximate by design
-            misses: self.misses.load(Ordering::Relaxed),
-            // relaxed: statistics snapshot, approximate by design
-            decides: self.decides.load(Ordering::Relaxed),
-            // relaxed: statistics snapshot, approximate by design
-            inserts: self.inserts.load(Ordering::Relaxed),
-            entries: shard_entries.iter().sum(),
-            // relaxed: statistics snapshot, approximate by design
-            evictions: self.evictions.load(Ordering::Relaxed),
-            shard_entries,
-            // relaxed: statistics snapshot, approximate by design
-            approx_bytes: self.bytes.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -365,6 +282,8 @@ mod tests {
     use super::*;
     use annot_core::registry::decide_ucq_dyn;
     use annot_query::{parser, Schema};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn decide_with(semiring: SemiringId) -> impl Fn(&Ucq, &Ucq) -> Decision {
         move |a: &Ucq, b: &Ucq| decide_ucq_dyn(semiring, a, b)
@@ -376,7 +295,7 @@ mod tests {
     /// same byte footprint, and every decide stays cheap (3 variables —
     /// growing the queries instead would hand the worst-case-exponential
     /// deciders an exponentially growing job).
-    fn distinct_pairs(s: &mut Schema, count: usize) -> Vec<(Ucq, Ucq)> {
+    pub(super) fn distinct_pairs(s: &mut Schema, count: usize) -> Vec<(Ucq, Ucq)> {
         (0..count)
             .map(|i| {
                 let q1 = parser::parse_ucq(s, &format!("Q() :- C{i}(x, y), C{i}(y, z)")).unwrap();
@@ -387,7 +306,7 @@ mod tests {
     }
 
     /// The footprint every pair of [`distinct_pairs`] takes.
-    fn pair_footprint(pair: &(Ucq, Ucq)) -> u64 {
+    pub(super) fn pair_footprint(pair: &(Ucq, Ucq)) -> u64 {
         entry_footprint(&ucq_code(&pair.0), &ucq_code(&pair.1))
     }
 
@@ -433,11 +352,10 @@ mod tests {
     }
 
     #[test]
-    fn stats_report_shard_occupancy_and_bytes() {
+    fn stats_report_entries_and_bytes() {
         let cache = Cache::new();
         let empty = cache.stats();
-        assert_eq!(empty.shard_entries, vec![0; NUM_SHARDS]);
-        assert_eq!(empty.approx_bytes, 0);
+        assert_eq!((empty.entries, empty.approx_bytes), (0, 0));
 
         let mut s = Schema::with_relations([("R", 2)]);
         let q1 = parser::parse_ucq(&mut s, "Q() :- R(u, v), R(u, w)").unwrap();
@@ -447,13 +365,7 @@ mod tests {
         cache.get_or_decide(n, &q2, &q1, decide_with(n));
 
         let stats = cache.stats();
-        assert_eq!(stats.shard_entries.len(), NUM_SHARDS);
         assert_eq!(stats.entries, 2);
-        assert_eq!(
-            stats.shard_entries.iter().sum::<u64>(),
-            stats.entries,
-            "per-shard occupancy must sum to the entry counter"
-        );
         assert!(
             stats.approx_bytes > 0,
             "two cached entries must occupy bytes"
@@ -503,8 +415,9 @@ mod tests {
     #[test]
     fn a_full_cache_admits_new_pairs() {
         // Under a two-entry budget every insert after the second evicts one
-        // entry, and the sweep spares the arrival: the cache keeps taking
-        // new pairs instead of keeping its first two forever.
+        // entry and spares the arrival: the cache keeps taking new pairs
+        // instead of keeping its first two forever, and, as no entry was
+        // hit, the ring keeps the two most recent.
         let mut s = Schema::with_relations([("R", 2)]);
         let pairs = distinct_pairs(&mut s, 12);
         let n = SemiringId::from_name("N").unwrap();
@@ -516,11 +429,10 @@ mod tests {
         }
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.evictions), (2, 10), "{stats:?}");
-        let (q1, q2) = &pairs[11];
-        let (_, hit) = cache.get_or_decide(n, q1, q2, |_, _| panic!("the last pair is cached"));
-        assert!(hit);
-        // Which older pair stays beside it depends on where the hand meets
-        // the shards, as CLOCK approximates recency.
+        for (q1, q2) in &pairs[10..] {
+            let (_, hit) = cache.get_or_decide(n, q1, q2, |_, _| panic!("the last two are cached"));
+            assert!(hit);
+        }
         let stats = cache.stats();
         assert_eq!(stats.inserts, stats.entries + stats.evictions, "{stats:?}");
     }
@@ -588,36 +500,20 @@ mod tests {
 
     #[test]
     fn recently_hit_entries_survive_capacity_eviction() {
-        // Pin the second-chance policy exactly: find three pairs that
-        // land in the SAME shard (by probing the fingerprints, so no
-        // hashing luck is involved), fill the budget with two of them, hit
-        // one, then insert the third.  Wherever the hand stands, that shard
-        // is the only one holding an entry the sweep may take: the third is
-        // the arrival, which it spares, the hit one gets its second chance,
-        // and the unreferenced one must be the victim.
+        // Pin the second-chance policy exactly: fill the budget with two
+        // pairs, hit one, then insert a third.  The third is the arrival,
+        // which the scan spares, the hit one gets its second chance, and
+        // the unreferenced one must be the victim.
         let mut s = Schema::with_relations([("R", 2)]);
         let n = SemiringId::from_name("N").unwrap();
-        let pairs = distinct_pairs(&mut s, 256);
+        let pairs = distinct_pairs(&mut s, 3);
         let one = pair_footprint(&pairs[0]);
         let cache = Cache::with_byte_budget(one * 2 + one / 2);
-        let mut by_shard: HashMap<usize, Vec<usize>> = HashMap::new();
-        let mut colliding: Option<Vec<usize>> = None;
-        for (i, (q1, q2)) in pairs.iter().enumerate() {
-            let key = Cache::fingerprint(n, &ucq_code(q1), &ucq_code(q2));
-            let shard = (key as usize) % NUM_SHARDS;
-            let bucket = by_shard.entry(shard).or_default();
-            bucket.push(i);
-            if bucket.len() == 3 {
-                colliding = Some(bucket.clone());
-                break;
-            }
-        }
-        let idx = colliding.expect("256 distinct pairs must collide 3-deep in some shard");
-        let (a1, a2) = &pairs[idx[0]];
-        let (b1, b2) = &pairs[idx[1]];
-        let (c1, c2) = &pairs[idx[2]];
-        cache.get_or_decide(n, a1, a2, decide_with(n)); // shard: [A]
-        cache.get_or_decide(n, b1, b2, decide_with(n)); // shard: [A, B] — budget full
+        let [(a1, a2), (b1, b2), (c1, c2)] = &pairs[..] else {
+            unreachable!("three pairs");
+        };
+        cache.get_or_decide(n, a1, a2, decide_with(n)); // ring: [A]
+        cache.get_or_decide(n, b1, b2, decide_with(n)); // ring: [A, B] — budget full
         let (_, hit) = cache.get_or_decide(n, a1, a2, |_, _| panic!("cached"));
         assert!(hit, "A is cached; the hit sets its second-chance bit");
         cache.get_or_decide(n, c1, c2, decide_with(n)); // over budget: evict one
@@ -634,7 +530,7 @@ mod tests {
 
     #[test]
     fn eviction_is_deterministic_for_a_fixed_operation_order() {
-        // All eviction state sits under the shard locks, so two identical
+        // All eviction state sits under the one lock, so two identical
         // runs hit, miss and evict identically.
         let run = || {
             let mut s = Schema::with_relations([("R", 2)]);
@@ -656,55 +552,116 @@ mod tests {
         assert!(hits.contains(&true), "{hits:?}");
         assert_eq!(run(), (hits, stats));
     }
+
+    /// The eviction policy's reference: a second-chance ring over pair
+    /// indices in which every entry takes one unit of budget.
+    struct ClockModel {
+        capacity: usize,
+        /// `(pair, referenced)` in scan order.
+        ring: VecDeque<(usize, bool)>,
+    }
+
+    impl ClockModel {
+        /// Whether a request for `pair` hits.  A hit sets the pair's bit; a
+        /// miss joins the back, then the front is popped until the ring is
+        /// back within capacity: the arrival and every referenced pair go to
+        /// the back with a clear bit, any other pair is evicted.
+        fn request(&mut self, pair: usize) -> bool {
+            if let Some(slot) = self.ring.iter_mut().find(|(p, _)| *p == pair) {
+                slot.1 = true;
+                return true;
+            }
+            self.ring.push_back((pair, false));
+            while self.ring.len() > self.capacity {
+                let (front, referenced) = self.ring.pop_front().expect("holds the arrival");
+                if front == pair || referenced {
+                    self.ring.push_back((front, false));
+                }
+            }
+            false
+        }
+    }
+
+    #[test]
+    fn eviction_matches_a_reference_clock_on_a_skewed_stream() {
+        // A seeded stream over 128 pairs, Zipf-skewed (pair i drawn with
+        // weight 1/(i+1)), under budgets of 2 to 64 entries: every request
+        // hits exactly when the model's does.
+        let mut s = Schema::with_relations([("R", 2)]);
+        let pairs = distinct_pairs(&mut s, 128);
+        let one = pair_footprint(&pairs[0]);
+        assert!(pairs.iter().all(|pair| pair_footprint(pair) == one));
+        let n = SemiringId::from_name("N").unwrap();
+        let cumulative: Vec<u64> = (1..=pairs.len() as u64)
+            .scan(0, |sum, rank| {
+                *sum += 1_000_000 / rank;
+                Some(*sum)
+            })
+            .collect();
+        let total = cumulative[pairs.len() - 1];
+        let mut rng = StdRng::seed_from_u64(0x2718);
+        for entries in [2, 3, 4, 8, 16, 32, 64] {
+            let cache = Cache::with_byte_budget(one * entries as u64 + one / 2);
+            let mut model = ClockModel {
+                capacity: entries,
+                ring: VecDeque::new(),
+            };
+            let mut hits = 0;
+            for step in 0..600 {
+                let drawn = rng.gen_range(0..total);
+                let i = cumulative.partition_point(|&c| c <= drawn);
+                let (q1, q2) = &pairs[i];
+                let (_, hit) = cache.get_or_decide(n, q1, q2, decide_with(n));
+                assert_eq!(
+                    hit,
+                    model.request(i),
+                    "budget of {entries} entries, step {step}, pair {i}"
+                );
+                hits += hit as usize;
+            }
+            let stats = cache.stats();
+            assert_eq!(stats.entries, model.ring.len() as u64, "{stats:?}");
+            assert!(stats.evictions > 0 && hits > 0, "{stats:?}");
+        }
+    }
 }
 
 /// Exhaustive interleavings of concurrent requests on one cache, run with
 /// `cargo test -p annot-service --features annot_loom` (the feature swaps
-/// the cache's mutexes and atomics onto the vendored loom shim).
+/// the cache's mutex onto the vendored loom shim).
 #[cfg(all(test, feature = "annot_loom"))]
 mod loom_model {
+    use super::tests::{distinct_pairs, pair_footprint};
     use super::*;
     use annot_core::registry::decide_ucq_dyn;
-    use annot_query::{parser, Schema};
+    use annot_core::sync::thread;
+    use annot_query::Schema;
+
+    fn decide(q1: &Ucq, q2: &Ucq) -> Decision {
+        decide_ucq_dyn(SemiringId::from_name("N").unwrap(), q1, q2)
+    }
 
     /// Two clients insert beside a hit under a budget that fits one entry:
     /// one decides a fresh pair and re-requests it, the other decides a
-    /// fresh pair of its own in another shard.  The two misses, the two
-    /// inserts' byte updates and the two budget sweeps race, and the
-    /// re-request hits or, when a sweep evicted its entry, decides again.
-    /// In every schedule the tracked bytes end within the budget and equal
-    /// to the live entries' footprints, the insert/evict books balance,
-    /// each of the three requests counts once as a hit or a miss, and every
-    /// reply is the decider's.
+    /// fresh pair of its own.  The two misses, the two inserts and their
+    /// evictions race, and the re-request hits or, when the other insert
+    /// evicted its entry, decides again.  In every schedule the tracked
+    /// bytes end within the budget and equal to the live entries'
+    /// footprints, the insert/evict books balance, each of the three
+    /// requests counts once as a hit or a miss, and every reply is the
+    /// decider's.
     #[test]
     fn inserts_beside_a_hit_keep_the_books_and_the_budget() {
-        let mut s = Schema::new();
         let n = SemiringId::from_name("N").unwrap();
-        let mut pair = |i: usize| {
-            let q1 = parser::parse_ucq(&mut s, &format!("Q() :- C{i}(x, y), C{i}(y, z)")).unwrap();
-            let q2 = parser::parse_ucq(&mut s, &format!("Q() :- C{i}(u, v)")).unwrap();
-            (q1, q2)
-        };
-        let shard = |(q1, q2): &(Ucq, Ucq)| {
-            (Cache::fingerprint(n, &ucq_code(q1), &ucq_code(q2)) as usize) % NUM_SHARDS
-        };
-        let first = pair(0);
-        let second = (1..)
-            .map(&mut pair)
-            .find(|candidate| shard(candidate) != shard(&first))
-            .unwrap();
-        let decide = |q1: &Ucq, q2: &Ucq| decide_ucq_dyn(n, q1, q2);
+        let [first, second] = <[_; 2]>::try_from(distinct_pairs(&mut Schema::new(), 2)).unwrap();
         let expected = (decide(&first.0, &first.1), decide(&second.0, &second.1));
-        let one = entry_footprint(&ucq_code(&first.0), &ucq_code(&first.1));
-        assert_eq!(
-            one,
-            entry_footprint(&ucq_code(&second.0), &ucq_code(&second.1))
-        );
+        let one = pair_footprint(&first);
+        assert_eq!(one, pair_footprint(&second));
         let budget = one + one / 2;
         loom::model(|| {
             let cache = Cache::with_byte_budget(budget);
             let request = |(q1, q2): &(Ucq, Ucq)| cache.get_or_decide(n, q1, q2, decide).0;
-            let replies = annot_core::sync::thread::scope(|scope| {
+            let replies = thread::scope(|scope| {
                 let repeat = scope.spawn(|| (request(&first), request(&first)));
                 let other = scope.spawn(|| request(&second));
                 (repeat.join().unwrap(), other.join().unwrap())
@@ -717,5 +674,38 @@ mod loom_model {
             assert_eq!(stats.inserts, stats.entries + stats.evictions, "{stats:?}");
             assert_eq!(stats.hits + stats.misses, 3, "{stats:?}");
         });
+    }
+
+    /// Two clients race on the same fresh pair.  Both may miss and decide,
+    /// but only the first to take the lock again inserts; a client that
+    /// comes after the insert hits.  In every schedule each request counts
+    /// once as a hit or a miss, every miss decides, one entry is stored,
+    /// and both replies are the decider's; the schedules reach both one
+    /// miss and two.
+    #[test]
+    fn racing_requests_on_one_fresh_pair_insert_once() {
+        let n = SemiringId::from_name("N").unwrap();
+        let [(q1, q2)] = <[_; 1]>::try_from(distinct_pairs(&mut Schema::new(), 1)).unwrap();
+        let expected = decide(&q1, &q2);
+        let misses_seen = std::cell::Cell::new([false; 3]);
+        loom::model(|| {
+            let cache = Cache::new();
+            let request = || cache.get_or_decide(n, &q1, &q2, decide).0;
+            let replies = thread::scope(|scope| {
+                let a = scope.spawn(request);
+                let b = scope.spawn(request);
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            assert_eq!(replies, (expected.clone(), expected.clone()));
+            let stats = cache.stats();
+            assert_eq!(stats.hits + stats.misses, 2, "{stats:?}");
+            assert_eq!(stats.decides, stats.misses, "{stats:?}");
+            assert_eq!(stats.inserts, stats.entries + stats.evictions, "{stats:?}");
+            assert_eq!((stats.inserts, stats.entries), (1, 1), "{stats:?}");
+            let mut seen = misses_seen.get();
+            seen[stats.misses as usize] = true;
+            misses_seen.set(seen);
+        });
+        assert_eq!(misses_seen.get(), [false, true, true]);
     }
 }

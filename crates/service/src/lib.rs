@@ -5,9 +5,9 @@
 //! Query Containment"* (Kostylev, Reutter, Salamon; PODS 2012).
 //!
 //! * [`proto`] — the line protocol (`DECIDE <semiring> <q1> ⊑ <q2>`, …);
-//! * [`cache`] — the sharded semantic cache, keyed exactly by the
-//!   canonical codes of the query pair *up to isomorphism* and bounded by
-//!   one byte budget;
+//! * [`cache`] — the semantic cache, one table under one lock, keyed
+//!   exactly by the canonical codes of the query pair *up to isomorphism*
+//!   and bounded by one byte budget through a second-chance (CLOCK) ring;
 //! * [`server`] — request handling over request-local schemas and the
 //!   thread-per-core accept loop over a `TcpListener`, with admission
 //!   control (decide budgets, connection cap, read timeouts) and pipelined

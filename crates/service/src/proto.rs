@@ -24,7 +24,7 @@
 //! ```text
 //! OK <verdict> <cache> <method>     verdict ∈ {contained, not-contained, unknown}
 //!                                   cache  ∈ {hit, miss}
-//! OK stats hits=… … shards=…,…,…    see `format_stats`
+//! OK stats hits=… … approx_bytes=…  see `format_stats`
 //! OK pong
 //! OK bye
 //! OK shutting-down
@@ -54,8 +54,8 @@
 //! ← DONE 3
 //! ```
 //!
-//! Replies may arrive **out of order** (items are decided concurrently
-//! across cache shards); the sequence tag, not the arrival order,
+//! Replies may arrive **out of order** (items are decided concurrently by
+//! a small worker pool); the sequence tag, not the arrival order,
 //! identifies the item.  Only `DECIDE`, `PING` and `STATS` are allowed
 //! inside a batch — `QUIT`, `SHUTDOWN` and nested `BATCH` answer a tagged
 //! `ERR` and the batch continues.  The framing is transactional at the
@@ -166,7 +166,7 @@ pub fn format_decision(decision: &Decision, hit: bool) -> String {
     let verdict = match decision.answer {
         Verdict::Contained => "contained",
         Verdict::NotContained => "not-contained",
-        Verdict::Unknown { .. } => "unknown",
+        Verdict::Unknown => "unknown",
     };
     let cache = if hit { "hit" } else { "miss" };
     format!("OK {verdict} {cache} {}", decision.method)
@@ -184,14 +184,12 @@ pub struct ServiceCounters {
 }
 
 /// Formats the `STATS` reply: the request, insert and eviction counters,
-/// the admission-control counters, the approximate byte footprint (the
-/// byte-budget enforcement input), then one comma-separated occupancy
-/// count per shard.
+/// the admission-control counters, then the approximate byte footprint
+/// (the byte-budget enforcement input).
 pub fn format_stats(stats: &CacheStats, service: &ServiceCounters) -> String {
-    let shards: Vec<String> = stats.shard_entries.iter().map(u64::to_string).collect();
     format!(
         "OK stats hits={} misses={} decides={} inserts={} entries={} evictions={} \
-         overloads={} busy={} batches={} approx_bytes={} shards={}",
+         overloads={} busy={} batches={} approx_bytes={}",
         stats.hits,
         stats.misses,
         stats.decides,
@@ -202,7 +200,6 @@ pub fn format_stats(stats: &CacheStats, service: &ServiceCounters) -> String {
         service.busy,
         service.batches,
         stats.approx_bytes,
-        shards.join(",")
     )
 }
 
@@ -265,7 +262,6 @@ mod tests {
             inserts: 2,
             entries: 1,
             evictions: 1,
-            shard_entries: vec![0, 1, 0],
             approx_bytes: 640,
         };
         let service = ServiceCounters {
@@ -276,7 +272,7 @@ mod tests {
         assert_eq!(
             format_stats(&stats, &service),
             "OK stats hits=1 misses=2 decides=2 inserts=2 entries=1 evictions=1 \
-             overloads=4 busy=5 batches=6 approx_bytes=640 shards=0,1,0"
+             overloads=4 busy=5 batches=6 approx_bytes=640"
         );
     }
 

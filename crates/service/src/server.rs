@@ -49,9 +49,10 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
-/// How many worker threads a batch fans out over.  Batch items share no
-/// state before the cache shard their key picks, so they complete out of
-/// order; the pool stays small because every batch spawns it afresh.
+/// How many worker threads a batch fans out over.  Batch items share
+/// nothing but the cache, whose lock each holds only for a probe or an
+/// insert, so they decide in parallel and complete out of order; the pool
+/// stays small because every batch spawns it afresh.
 const BATCH_WORKERS: usize = 4;
 
 /// Knobs for the server's sustained-traffic behaviour.  The default bounds
@@ -242,8 +243,8 @@ impl Service {
 
     /// Executes the items of a `BATCH` and returns `(sequence, reply)`
     /// pairs **in completion order** — items are decided concurrently
-    /// over a small worker pool, so replies for independent cache shards
-    /// overtake each other.  The sequence number identifies the item.
+    /// over a small worker pool, so a quick item overtakes a slow one.
+    /// The sequence number identifies the item.
     ///
     /// Only `DECIDE`, `PING` and `STATS` run inside a batch; connection
     /// control verbs answer a tagged `ERR` and the batch continues.
@@ -722,13 +723,6 @@ mod tests {
         ] {
             assert_eq!(stat(&reply, key), expected, "stats counter {key}");
         }
-        let shards = reply
-            .split_whitespace()
-            .find_map(|w| w.strip_prefix("shards="))
-            .expect("STATS reply carries per-shard occupancy");
-        let counts: Vec<u64> = shards.split(',').map(|c| c.parse().unwrap()).collect();
-        assert_eq!(counts.len(), 64, "one occupancy count per shard");
-        assert_eq!(counts.iter().sum::<u64>(), 2, "shard counts sum to entries");
         assert_eq!(service.handle_line("QUIT"), Outcome::Close("OK bye".into()));
         assert_eq!(
             service.handle_line("SHUTDOWN"),

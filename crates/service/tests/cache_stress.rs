@@ -2,15 +2,19 @@
 //! family through a server with a small cache byte budget, forcing
 //! eviction churn while hits, misses and evictions race.
 //!
-//! Afterwards the books must balance — every request was a hit or a miss,
-//! every miss decided exactly once, entries = inserts − evictions — and
-//! the tracked byte footprint must respect the configured budget.
+//! The cache's one lock makes every `STATS` an exact snapshot, so after
+//! each of its requests a client sees the tracked byte footprint within
+//! the configured budget and entries = inserts − evictions.  Afterwards the
+//! books must balance — every request was a hit or a miss and every miss
+//! decided exactly once.
 
-use annot_service::{serve, Service, ServiceConfig, ShutdownFlag};
+mod common;
+
+use annot_service::{Service, ServiceConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 
 const CLIENTS: usize = 8;
 const REQUESTS_PER_CLIENT: usize = 60;
@@ -71,40 +75,51 @@ fn eviction_churn_storm_balances_the_books_and_respects_the_budget() {
         cache_byte_budget: BYTE_BUDGET,
         ..ServiceConfig::default()
     };
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("local addr");
     let service = Service::with_config(config);
-    let shutdown = ShutdownFlag::new();
 
-    annot_core::sync::thread::scope(|s| {
-        s.spawn(|| serve(&listener, &service, &shutdown, CLIENTS));
-
-        let storm: Vec<_> = (0..CLIENTS)
-            .map(|client| {
-                s.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(0xCAFE + client as u64);
-                    let mut connection = Client::connect(addr);
-                    for i in 0..REQUESTS_PER_CLIENT {
-                        // Many families (eviction churn across shards) but
-                        // skewed so reuse — and therefore hits — happen too.
-                        let family = if rng.gen_bool(0.5) {
-                            rng.gen_range(0..4usize)
-                        } else {
-                            rng.gen_range(0..64usize)
-                        };
-                        let reply = connection.roundtrip(&family_request(family, client, i));
-                        assert!(
-                            reply.starts_with("OK "),
-                            "client {client} request {i}: {reply}"
-                        );
-                    }
-                    connection.roundtrip("QUIT")
+    common::serve_during(&service, CLIENTS, |addr| {
+        annot_core::sync::thread::scope(|s| {
+            let storm: Vec<_> = (0..CLIENTS)
+                .map(|client| {
+                    s.spawn(move || {
+                        let mut rng = StdRng::seed_from_u64(0xCAFE + client as u64);
+                        let mut connection = Client::connect(addr);
+                        for i in 0..REQUESTS_PER_CLIENT {
+                            // Many families (eviction churn) but skewed so
+                            // reuse — and therefore hits — happen too.
+                            let family = if rng.gen_bool(0.5) {
+                                rng.gen_range(0..4usize)
+                            } else {
+                                rng.gen_range(0..64usize)
+                            };
+                            let reply = connection.roundtrip(&family_request(family, client, i));
+                            assert!(
+                                reply.starts_with("OK "),
+                                "client {client} request {i}: {reply}"
+                            );
+                            // Mid-storm, every snapshot is within the budget
+                            // and balances inserts against the entries and
+                            // evictions.
+                            let stats = connection.roundtrip("STATS");
+                            assert!(
+                                stat_u64(&stats, "approx_bytes") <= BYTE_BUDGET,
+                                "footprint after client {client} request {i} exceeds \
+                                 the byte budget {BYTE_BUDGET}: {stats}"
+                            );
+                            assert_eq!(
+                                stat_u64(&stats, "inserts"),
+                                stat_u64(&stats, "entries") + stat_u64(&stats, "evictions"),
+                                "books after client {client} request {i}: {stats}"
+                            );
+                        }
+                        connection.roundtrip("QUIT")
+                    })
                 })
-            })
-            .collect();
-        for worker in storm {
-            assert_eq!(worker.join().expect("storm client"), "OK bye");
-        }
+                .collect();
+            for worker in storm {
+                assert_eq!(worker.join().expect("storm client"), "OK bye");
+            }
+        });
 
         // Post-storm, the server is quiescent: every client joined after
         // its QUIT was answered, so all counters are settled.
@@ -138,17 +153,6 @@ fn eviction_churn_storm_balances_the_books_and_respects_the_budget() {
         assert!(
             approx_bytes <= BYTE_BUDGET,
             "post-storm footprint {approx_bytes} exceeds the byte budget {BYTE_BUDGET}: {stats}"
-        );
-        let shard_sum: u64 = stats
-            .split_whitespace()
-            .find_map(|w| w.strip_prefix("shards="))
-            .expect("shards field")
-            .split(',')
-            .map(|c| c.parse::<u64>().expect("shard count"))
-            .sum();
-        assert_eq!(
-            shard_sum, entries,
-            "shard occupancy sums to entries: {stats}"
         );
 
         assert_eq!(probe.roundtrip("SHUTDOWN"), "OK shutting-down");

@@ -9,11 +9,13 @@
 //! Deterministic: every generator is driven by `StdRng::seed_from_u64`
 //! (the vendored offline rand shim), so a failure reproduces exactly.
 
-use annot_service::{parse_request, serve, Request, Service, ServiceConfig, ShutdownFlag};
+mod common;
+
+use annot_service::{parse_request, Request, Service, ServiceConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 
 /// Bytes we splice random lines from: protocol fragments, query syntax,
 /// whitespace, digits, a containment sign, some unicode.
@@ -163,12 +165,8 @@ fn structured(reply: &str) -> bool {
 }
 
 fn with_server(config: ServiceConfig, session: impl FnOnce(SocketAddr)) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("local addr");
     let service = Service::with_config(config);
-    let shutdown = ShutdownFlag::new();
-    annot_core::sync::thread::scope(|s| {
-        s.spawn(|| serve(&listener, &service, &shutdown, 2));
+    common::serve_during(&service, 2, |addr| {
         session(addr);
         let mut finisher = Client::connect(addr);
         assert_eq!(finisher.roundtrip("SHUTDOWN"), "OK shutting-down");

@@ -25,7 +25,7 @@ use annot_core::classes::ClassifiedSemiring;
 use annot_core::decide::{decide_cq, decide_ucq, Decision, Verdict};
 use annot_hom::kinds;
 use annot_polynomial::admissible::is_cq_admissible;
-use annot_polynomial::{leq_min_plus, Monomial, Polynomial, Var};
+use annot_polynomial::{leq_tropical, Monomial, Polynomial, Terms, TropicalKind, Var};
 use annot_query::complete::complete_description_cq;
 use annot_query::eval::{eval_boolean_cq, eval_cq, eval_ducq};
 use annot_query::generator::{GeneratorConfig, QueryGenerator, QueryShape};
@@ -197,9 +197,12 @@ fn tropical_order_is_monotone() {
         let p = random_polynomial(&mut rng);
         let q = random_polynomial(&mut rng);
         let r = random_polynomial(&mut rng);
-        assert!(leq_min_plus(&p, &p));
-        if leq_min_plus(&p, &q) {
-            assert!(leq_min_plus(&p.plus(&r), &q.plus(&r)));
+        let leq = |p: &Polynomial, q: &Polynomial| {
+            leq_tropical(&Terms::from(p), &Terms::from(q), TropicalKind::MinPlus)
+        };
+        assert!(leq(&p, &p));
+        if leq(&p, &q) {
+            assert!(leq(&p.plus(&r), &q.plus(&r)));
         }
     }
 }

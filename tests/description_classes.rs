@@ -134,7 +134,9 @@ fn small_model_by_members<K: PolynomialOrder>(q1: &Ucq, q2: &Ucq) -> bool {
             let canonical = CanonicalInstance::of_ccq(member);
             let m1 = eval_ucq_all_outputs_rows(q1, canonical.instance());
             let m2 = eval_ucq_all_outputs_rows(q2, canonical.instance());
-            let leq = |p1: &NatPoly, p2: &NatPoly| K::poly_leq(p1.polynomial(), p2.polynomial());
+            let leq = |p1: &NatPoly, p2: &NatPoly| {
+                K::terms_leq(&p1.polynomial().into(), &p2.polynomial().into())
+            };
             (m1.iter()).all(|(t, p1)| leq(p1, m2.get(t).unwrap_or(&zero)))
                 && (m2.iter()).all(|(t, p2)| m1.contains_key(t) || leq(&zero, p2))
         })

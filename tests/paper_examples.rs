@@ -4,11 +4,12 @@
 
 use annot_core::brute_force::{find_counterexample, BruteForceConfig};
 use annot_core::decide::{decide_cq, decide_ucq};
+use annot_core::poly_order::PolynomialOrder;
 use annot_core::small_model::ucq_contained_small_model;
 use annot_core::ucq::{bijective, covering, local, surjective};
 use annot_hom::kinds;
 use annot_polynomial::admissible::is_cq_admissible;
-use annot_polynomial::{leq_min_plus, Polynomial, Var};
+use annot_polynomial::{Polynomial, Terms, Var};
 use annot_query::complete::complete_description_cq;
 use annot_query::eval::eval_boolean_cq;
 use annot_query::{parser, CanonicalInstance, Cq, Schema, Ucq};
@@ -75,8 +76,9 @@ fn example_4_6_canonical_polynomials() {
     assert_eq!(p1.polynomial(), &x1.plus(&x2).pow(2));
     assert_eq!(p2.polynomial(), &x1.pow(2).plus(&x2.pow(2)));
     // x₁² + 2x₁x₂ + x₂² =_{T⁺} x₁² + x₂² (the paper's displayed equation).
-    assert!(leq_min_plus(p1.polynomial(), p2.polynomial()));
-    assert!(leq_min_plus(p2.polynomial(), p1.polynomial()));
+    let (t1, t2) = (Terms::from(p1.polynomial()), Terms::from(p2.polynomial()));
+    assert!(Tropical::terms_leq(&t1, &t2));
+    assert!(Tropical::terms_leq(&t2, &t1));
 }
 
 /// Example 5.4: over T⁺ the UCQ Q1 = {∃v R(v),S(v)} is contained in
