@@ -50,7 +50,7 @@
 
 use crate::ccq::Ccq;
 use crate::cq::{Atom, Cq, QVar, QueryView};
-use crate::key::Search;
+use crate::key::{mix, Search};
 use crate::schema::{RelId, Schema};
 use crate::ucq::{Ducq, Ucq};
 use std::cell::Cell;
@@ -726,14 +726,6 @@ impl Buffers {
 
 /// The pseudo-relation of head positions in the slot hashes.
 const HEAD: u64 = 1 << 63;
-
-/// The SplitMix64 finaliser: a bijective mix of the bits of `x`.
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// The Bell number `B(n)`: the number of members of the complete
 /// description of a CQ with `n` distinct variables, or `None` once it

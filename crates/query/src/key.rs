@@ -18,40 +18,84 @@
 //! colours refined again; the code is the least serialization over the
 //! discrete partitions this reaches.  Two leaves that serialize equally
 //! differ by an automorphism, which prunes every child in the orbit of an
-//! explored sibling: a k-leaf star or a k-clique takes k leaves, not k!.
+//! explored sibling.
+//!
+//! Some automorphisms are known before any leaf.  Two non-free variables
+//! are *twins* when swapping them alone maps the atom multiset onto itself;
+//! twinship is an equivalence, and every permutation of a twin class is an
+//! automorphism.  After the root refinement the search finds the classes:
+//! candidates are the variables of one cell whose incident atoms hash
+//! alike, and each is confirmed by an exact swap check on those atoms.  It
+//! then never explores a variable whose twin it explored at the same node,
+//! and a first cell of twins is individualized in one step, its members
+//! taking consecutive positions in variable order, with no refinement, when
+//! no atom holds two of the class's occurrences beside another variable:
+//! individualizing one such twin splits no other cell, so that is the node
+//! the one-at-a-time route reaches, and the code is the same.  A k-leaf
+//! star or a k-clique takes one leaf, not k or k!; leaves without twins,
+//! such as those of disjoint directed cycles, still take one search each.
 //!
 //! Relation identity is spelled exactly: each member code carries the
 //! sorted `(name, arity)` table of the relations it uses, and atoms refer to
 //! ranks in it.  Equal codes therefore mean isomorphic queries by
 //! construction, whatever schemas the queries were parsed into.
 //!
-//! The search allocates per query, not per refinement round or search
-//! node.  A variable's occurrences never change, so its signature words sit
-//! in one flat buffer at fixed offsets and are rewritten in place each
-//! round; the atom order, class, partition and colour buffers are reused
-//! across rounds, search nodes and the members of a UCQ.
+//! Each call borrows its thread's search and puts it back, so once warmed
+//! up a call allocates only its output.  A variable's occurrences never
+//! change, so its signature words sit in one flat buffer at fixed offsets
+//! and are rewritten in place each round; the atom order, class, partition
+//! and colour buffers are reused across rounds, search nodes, the members
+//! of a UCQ and the queries of a thread.
 
 use crate::{Cq, QVar, QueryView, RelId, Ucq};
+use std::cell::Cell;
 use std::cmp::Ordering;
 
 /// First word of every member code (the layout [`cq_code`] documents).
 const CODE_TAG: u64 = 2;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The starting state and the multiplier of [`hash64`]'s word steps.
+const HASH_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+const HASH_MUL: u64 = 0x517c_c1b7_2722_0a95;
 
-/// FNV-1a over a word sequence, each word as its eight little-endian bytes
-/// — the fingerprint used throughout this module.  Several slices hash as
-/// one by chaining them, without copying them together.
+/// The atom of a free-tuple occurrence in [`Search::incident`].
+const HEAD: u32 = u32::MAX;
+
+/// How many twin classes of its run a candidate is checked against.
+const SWAP_CHECKS: usize = 3;
+
+thread_local! {
+    /// The search every code on this thread runs in.
+    static SEARCH: Cell<Search> = Cell::new(Search::default());
+}
+
+/// Runs `f` on this thread's search, taken out of its cell and put back.
+fn with_search<T>(f: impl FnOnce(&mut Search) -> T) -> T {
+    let mut search = SEARCH.with(Cell::take);
+    let out = f(&mut search);
+    SEARCH.with(|cell| cell.set(search));
+    out
+}
+
+/// A fingerprint of a word sequence, one multiply and rotate per word and
+/// the SplitMix64 finaliser at the end — the fingerprint used throughout
+/// this module.  Several slices hash as one by chaining them, without
+/// copying them together.
 pub fn hash64(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = FNV_OFFSET;
-    for w in words {
-        for byte in w.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
+    mix(words.into_iter().fold(HASH_SEED, step))
+}
+
+/// One word step of [`hash64`].
+fn step(h: u64, w: u64) -> u64 {
+    (h.rotate_left(5) ^ w).wrapping_mul(HASH_MUL)
+}
+
+/// The SplitMix64 finaliser: a bijective mix of the bits of `x`.
+pub(crate) fn mix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// The canonical code of a CQ: a serialization equal exactly for isomorphic
@@ -63,7 +107,7 @@ pub fn hash64(words: impl IntoIterator<Item = u64>) -> u64 {
 /// atom is `[relation rank, argument labels…]`, atoms sorted.
 pub fn cq_code(q: &Cq) -> Vec<u64> {
     let mut code = Vec::new();
-    Search::default().code(q, &mut code);
+    with_search(|search| search.code(q, &mut code));
     code
 }
 
@@ -71,22 +115,7 @@ pub fn cq_code(q: &Cq) -> Vec<u64> {
 /// `[members, (len, member code…)…]`.  Equal exactly for UCQs whose
 /// disjunct multisets match up to isomorphism.
 pub fn ucq_code(q: &Ucq) -> Vec<u64> {
-    let mut search = Search::default();
-    let mut codes = Vec::new();
-    let mut spans = Vec::with_capacity(q.len());
-    for member in q.disjuncts() {
-        let start = codes.len();
-        search.code(member, &mut codes);
-        spans.push((start, codes.len()));
-    }
-    spans.sort_unstable_by(|&(a, b), &(c, d)| codes[a..b].cmp(&codes[c..d]));
-    let mut out = Vec::with_capacity(1 + spans.len() + codes.len());
-    out.push(q.len() as u64);
-    for (start, end) in spans {
-        out.push((end - start) as u64);
-        out.extend_from_slice(&codes[start..end]);
-    }
-    out
+    with_search(|search| search.ucq_code(q))
 }
 
 /// 64-bit fingerprint of [`cq_code`].
@@ -101,17 +130,15 @@ pub fn ucq_key(q: &Ucq) -> u64 {
 
 /// Whether `q` has an automorphism that moves some variable: a renaming of
 /// its variables onto themselves that fixes the head positionally and maps
-/// the atom multiset onto itself.  The coding search finds one exactly when
-/// one exists.  It prunes only with automorphisms it has found, so without
-/// one it reaches every leaf, the least leaf's image under an automorphism
-/// among them, and that image serializes like the least leaf.  On a member
-/// of a complete description, whose variables all differ, this is the
-/// non-trivial automorphism that the covering criterion `⇉₂` asks about
-/// (Sec. 5.4).
+/// the atom multiset onto itself.  Two twins answer at once.  Otherwise the
+/// coding search finds one exactly when one exists: it prunes only with
+/// automorphisms it has found, so without one it reaches every leaf, the
+/// least leaf's image under an automorphism among them, and that image
+/// serializes like the least leaf.  On a member of a complete description,
+/// whose variables all differ, this is the non-trivial automorphism that
+/// the covering criterion `⇉₂` asks about (Sec. 5.4).
 pub fn has_nontrivial_automorphism<Q: QueryView>(q: &Q) -> bool {
-    let mut search = Search::default();
-    search.code(q, &mut Vec::new());
-    !search.automorphisms.is_empty()
+    with_search(|search| search.automorphic(q))
 }
 
 /// The least discrete partition the search has reached.
@@ -143,6 +170,9 @@ pub(crate) struct Search {
     /// Per variable, at its offset: its sorted `(atom class << 32) |
     /// position` words, rewritten by every refinement round.
     signature: Vec<u64>,
+    /// Per occurrence, at its variable's offset: the atom holding it, the
+    /// free tuple's as [`HEAD`] after the atoms'.
+    incident: Vec<u32>,
     /// Atom indices sorted by relation rank and argument colours.
     atoms: Vec<u32>,
     /// Per atom: the position in `atoms` where its run of equals starts.
@@ -153,6 +183,16 @@ pub(crate) struct Search {
     next: Vec<u32>,
     /// The colours of every node on the current path, `n` per depth.
     colours: Vec<u32>,
+    /// Per variable: a hash of its incident atoms, which twins share.
+    hashes: Vec<u64>,
+    /// Per variable: the least variable of its twin class.
+    twin: Vec<u32>,
+    /// Per twin class, at its least variable: whether an atom holds two of
+    /// its occurrences beside a variable outside it.
+    open: Vec<bool>,
+    /// Scratch for swap checks: the atoms at each variable's occurrences.
+    at_u: Vec<u32>,
+    at_v: Vec<u32>,
     /// The variables individualized on the current path.
     path: Vec<u32>,
     /// The members of each open node's target cell, node after node.
@@ -167,6 +207,9 @@ pub(crate) struct Search {
     body: Vec<u64>,
     /// Scratch: the variable holding each label at the leaf being recorded.
     by_label: Vec<u32>,
+    /// Scratch for [`ucq_code`]: the member codes, and each one's span.
+    codes: Vec<u64>,
+    spans: Vec<(usize, usize)>,
     best: Best,
     /// Leaves reached: the work the pruning bounds.
     pub(crate) leaves: u64,
@@ -195,6 +238,7 @@ impl Search {
         }
 
         let cells = self.refine(q, 0, usize::from(n > 0));
+        self.find_twins(q, cells);
         self.descend(q, 0, cells);
 
         let (labels, atoms) = self.best.body.split_at(free.len());
@@ -202,6 +246,40 @@ impl Search {
         out.extend_from_slice(labels);
         out.push(q.num_atoms() as u64);
         out.extend_from_slice(atoms);
+    }
+
+    /// The code of the UCQ `q`, as [`ucq_code`] lays it out.
+    fn ucq_code(&mut self, q: &Ucq) -> Vec<u64> {
+        let mut codes = std::mem::take(&mut self.codes);
+        let mut spans = std::mem::take(&mut self.spans);
+        codes.clear();
+        spans.clear();
+        for member in q.disjuncts() {
+            let start = codes.len();
+            self.code(member, &mut codes);
+            spans.push((start, codes.len()));
+        }
+        spans.sort_unstable_by(|&(a, b), &(c, d)| codes[a..b].cmp(&codes[c..d]));
+        let mut out = Vec::with_capacity(1 + spans.len() + codes.len());
+        out.push(q.len() as u64);
+        for &(start, end) in &spans {
+            out.push((end - start) as u64);
+            out.extend_from_slice(&codes[start..end]);
+        }
+        (self.codes, self.spans) = (codes, spans);
+        out
+    }
+
+    /// Whether `q` has an automorphism that moves some variable (see
+    /// [`has_nontrivial_automorphism`]).
+    fn automorphic<Q: QueryView>(&mut self, q: &Q) -> bool {
+        self.prepare(q);
+        let cells = self.refine(q, 0, usize::from(q.num_vars() > 0));
+        if self.find_twins(q, cells) {
+            return true;
+        }
+        self.descend(q, 0, cells);
+        !self.automorphisms.is_empty()
     }
 
     /// Resets the buffers for `q`: its relation table, the fixed offsets of
@@ -300,6 +378,172 @@ impl Search {
         cells
     }
 
+    /// Finds the twin classes once the root refinement has left `cells`
+    /// cells, filling `twin` and `open`, and returns whether some class has
+    /// two members.
+    ///
+    /// Twins share a root cell, so the candidates are the non-free members
+    /// of cells with several variables.  Each gets a hash of its incident
+    /// atoms, seen from it with the other members of its cell blurred into
+    /// one symbol, which twins share; candidates of equal colour and hash
+    /// form a run, and each is swap-checked against at most
+    /// [`SWAP_CHECKS`] of its run's classes, the latest first.  A candidate
+    /// that matches none starts a class, which only loses pruning.
+    fn find_twins<Q: QueryView>(&mut self, q: &Q, cells: usize) -> bool {
+        let n = q.num_vars();
+        let Search {
+            rank,
+            offsets,
+            incident,
+            order,
+            next,
+            colours,
+            hashes,
+            twin,
+            open,
+            ..
+        } = self;
+        twin.clear();
+        twin.extend(0..n as u32);
+        open.clear();
+        open.resize(n, false);
+        if cells == n {
+            return false;
+        }
+        // Each occurrence's atom at its variable's cursor; the free tuple's
+        // occurrences come last and stay `HEAD`.
+        next.clear();
+        next.extend_from_slice(&offsets[..n]);
+        incident.clear();
+        incident.resize(offsets[n] as usize, HEAD);
+        for a in 0..q.num_atoms() {
+            for v in q.args(a) {
+                let cursor = &mut next[v.0 as usize];
+                incident[*cursor as usize] = a as u32;
+                *cursor += 1;
+            }
+        }
+        let colour = &colours[..n];
+        next.clear();
+        next.resize(n, 0);
+        for &c in colour {
+            next[c as usize] += 1;
+        }
+        let span = |v: usize| offsets[v] as usize..offsets[v + 1] as usize;
+        let free = |v: usize| span(v).next_back().is_some_and(|o| incident[o] == HEAD);
+        let candidate = |v: &usize| next[colour[*v] as usize] > 1 && !free(*v);
+        order.clear();
+        order.extend((0..n).filter(candidate).map(|v| v as u32));
+        hashes.clear();
+        hashes.resize(n, 0);
+        for &v in order.iter() {
+            let blurred = |x: &QVar| match x.0 {
+                x if x == v => 0,
+                x if colour[x as usize] == colour[v as usize] => 1,
+                x => u64::from(x) + 2,
+            };
+            let atoms = incident[span(v as usize)].iter();
+            hashes[v as usize] = atoms.fold(0, |sum: u64, &a| {
+                let args = q.args(a as usize).iter();
+                let seen = args.fold(u64::from(rank[a as usize]), |h, x| step(h, blurred(x)));
+                sum.wrapping_add(mix(seen))
+            });
+        }
+        order.sort_unstable_by_key(|&v| (colour[v as usize], hashes[v as usize], v));
+
+        let mut twinned = false;
+        let mut start = 0;
+        while start < self.order.len() {
+            let key = |v: u32| (self.colours[v as usize], self.hashes[v as usize]);
+            let run = key(self.order[start]);
+            let end = start + self.order[start..].partition_point(|&v| key(v) == run);
+            // The least members of the run's latest classes, latest first.
+            let mut classes = [0; SWAP_CHECKS];
+            let mut found = 0;
+            for i in start..end {
+                let v = self.order[i];
+                let class = classes[..found]
+                    .iter()
+                    .copied()
+                    .find(|&t| self.swaps(q, t, v));
+                if let Some(t) = class {
+                    self.twin[v as usize] = t;
+                    twinned = true;
+                } else {
+                    classes.copy_within(..SWAP_CHECKS - 1, 1);
+                    classes[0] = v;
+                    found = (found + 1).min(SWAP_CHECKS);
+                }
+            }
+            start = end;
+        }
+        if twinned {
+            let (twin, open) = (&self.twin, &mut self.open);
+            for a in 0..q.num_atoms() {
+                let args = q.args(a);
+                for (i, x) in args.iter().enumerate() {
+                    let t = twin[x.0 as usize];
+                    let of_t = |y: &QVar| twin[y.0 as usize] == t;
+                    if args[i + 1..].iter().any(of_t) && !args.iter().all(of_t) {
+                        open[t as usize] = true;
+                    }
+                }
+            }
+        }
+        twinned
+    }
+
+    /// Whether swapping the non-free variables `u` and `v` maps the atom
+    /// multiset of `q` onto itself.  It does exactly when the atoms at `u`'s
+    /// occurrences, seen from `u`, match those at `v`'s seen from `v`, each
+    /// seeing itself and the other as two fixed symbols: the swap then maps
+    /// the one multiset onto the other and fixes every other atom.  The
+    /// occurrence order often pairs them already; otherwise both are sorted.
+    fn swaps<Q: QueryView>(&mut self, q: &Q, u: u32, v: u32) -> bool {
+        let Search {
+            rank,
+            offsets,
+            incident,
+            at_u,
+            at_v,
+            ..
+        } = self;
+        let span =
+            |w: u32| &incident[offsets[w as usize] as usize..offsets[w as usize + 1] as usize];
+        let (of_u, of_v) = (span(u), span(v));
+        if of_u.len() != of_v.len() {
+            return false;
+        }
+        let seen = |a: u32, me: u32, other: u32| {
+            let args = q.args(a as usize).iter().map(move |x| match x.0 {
+                x if x == me => 0,
+                x if x == other => 1,
+                x => u64::from(x) + 2,
+            });
+            (rank[a as usize], args)
+        };
+        let matched = |a: &u32, b: &u32| {
+            let ((r, mine), (s, theirs)) = (seen(*a, u, v), seen(*b, v, u));
+            r == s && mine.eq(theirs)
+        };
+        if of_u.iter().zip(of_v).all(|(a, b)| matched(a, b)) {
+            return true;
+        }
+        let order = |me: u32, other: u32| {
+            move |a: &u32, b: &u32| {
+                let ((r, x), (s, y)) = (seen(*a, me, other), seen(*b, me, other));
+                r.cmp(&s).then_with(|| x.cmp(y))
+            }
+        };
+        at_u.clear();
+        at_u.extend_from_slice(of_u);
+        at_u.sort_unstable_by(order(u, v));
+        at_v.clear();
+        at_v.extend_from_slice(of_v);
+        at_v.sort_unstable_by(order(v, u));
+        at_u.iter().zip(at_v.iter()).all(|(a, b)| matched(a, b))
+    }
+
     /// Explores the subtree below the node at depth `level`, reached by
     /// individualizing `path`.  Returns the depth of the node to jump back
     /// to when a leaf below matched an earlier leaf.
@@ -325,24 +569,48 @@ impl Search {
         if self.colours.len() < (level + 2) * n {
             self.colours.resize((level + 2) * n, 0);
         }
+        // A cell of twins, of a class that no atom holds twice beside an
+        // outside variable, is individualized in one step, in variable
+        // order, with no refinement: individualizing one of them splits no
+        // other cell, so the partition stays equitable, and this is the
+        // node the one-at-a-time route reaches.
+        let twin = &self.twin;
+        let t = twin[self.members[first] as usize];
+        let at_once = !self.open[t as usize]
+            && (self.members[first..last].iter()).all(|&u| twin[u as usize] == t);
         let mut jump = None;
         for i in first..last {
             let v = self.members[i];
-            if self.in_explored_orbit(v, explored, n) {
+            // Swapping v with a twin explored here maps that subtree onto
+            // v's, as does an automorphism mapping an explored member to v.
+            let twin = &self.twin;
+            let explored_twin =
+                (self.explored[explored..].iter()).any(|&u| twin[u as usize] == twin[v as usize]);
+            if explored_twin || self.in_explored_orbit(v, explored, n) {
                 continue;
             }
             // Individualize v: it keeps the cell's start, the rest of the
-            // cell moves one position up.
+            // cell moves one position up — or, at once, every member takes
+            // the next position.
             let (parent, child) = self.colours.split_at_mut((level + 1) * n);
             let child = &mut child[..n];
             child.copy_from_slice(&parent[level * n..]);
-            for &u in &self.members[first..last] {
-                child[u as usize] += u32::from(u != v);
-            }
-            let cells = self.refine(q, level + 1, cells + 1);
-            self.path.push(v);
+            let depth = self.path.len();
+            let cells = if at_once {
+                for (position, &u) in (cell..).zip(&self.members[first..last]) {
+                    child[u as usize] = position;
+                }
+                self.path.extend_from_slice(&self.members[first..last]);
+                cells + (last - first - 1)
+            } else {
+                for &u in &self.members[first..last] {
+                    child[u as usize] += u32::from(u != v);
+                }
+                self.path.push(v);
+                self.refine(q, level + 1, cells + 1)
+            };
             let below = self.descend(q, level + 1, cells);
-            self.path.pop();
+            self.path.truncate(depth);
             self.explored.push(v);
             if below.is_some_and(|target| target < self.path.len()) {
                 jump = below;
@@ -577,17 +845,13 @@ mod tests {
         let s = Schema::with_relations([("R", 2)]);
         for k in 2..=8usize {
             let names: Vec<String> = (0..k).map(|i| format!("v{i}")).collect();
-            // A k-leaf star: k! labelings, k leaves.
+            // A k-leaf star: k! labelings, and its leaves are twins.
             let star = names
                 .iter()
                 .fold(Cq::builder(&s), |b, leaf| b.atom("R", &["c", leaf]))
                 .build();
-            let star_leaves = leaves(&star);
-            assert!(
-                star_leaves <= 2 * k as u64,
-                "{k}-star took {star_leaves} leaves"
-            );
-            // K_k with both directions of every edge.
+            assert_eq!(leaves(&star), 1, "{k}-star");
+            // K_k with both directions of every edge: all twins.
             let mut clique = Cq::builder(&s);
             for a in &names {
                 for b in &names {
@@ -596,18 +860,110 @@ mod tests {
                     }
                 }
             }
-            let clique_leaves = leaves(&clique.build());
-            assert!(
-                clique_leaves <= 2 * k as u64,
-                "K_{k} took {clique_leaves} leaves"
-            );
+            assert_eq!(leaves(&clique.build()), 1, "K_{k}");
         }
-        // A directed cycle: one rotation prunes every other start.
+        // A directed cycle has no twins: one rotation prunes every other
+        // start.
         let mut cycle = Cq::builder(&s);
         for i in 0..6 {
             cycle = cycle.atom("R", &[&format!("v{i}"), &format!("v{}", (i + 1) % 6)]);
         }
         assert_eq!(leaves(&cycle.build()), 2);
+    }
+
+    /// The twin classes of `q` with two or more members, each as its
+    /// variables' names.
+    fn twins(q: &Cq) -> Vec<Vec<&str>> {
+        let mut search = Search::default();
+        search.code(q, &mut Vec::new());
+        let names = q.var_names();
+        let classes = (0..names.len() as u32).map(|t| {
+            let members = (0..names.len()).filter(|&v| search.twin[v] == t);
+            members.map(|v| names[v].as_str()).collect::<Vec<_>>()
+        });
+        classes.filter(|class| class.len() > 1).collect()
+    }
+
+    #[test]
+    fn twin_classes_of_small_shapes() {
+        let parse = |q: &str| parser::parse_cq(&mut Schema::new(), q).unwrap();
+        // K_{2,3}: each side is a class, and each is the first cell in turn.
+        let k23 = parse("Q() :- R(a1, b1), R(a1, b2), R(a1, b3), R(a2, b1), R(a2, b2), R(a2, b3)");
+        assert_eq!(twins(&k23), [&["a1", "a2"][..], &["b1", "b2", "b3"]]);
+        // A centre with R-leaves and S-leaves: a class per relation.
+        // Refinement already splits them, so each class is a cell.
+        let two_kinds = parse("Q() :- R(c, a1), R(c, a2), R(c, a3), S(c, b1), S(c, b2)");
+        assert_eq!(twins(&two_kinds), [&["a1", "a2", "a3"][..], &["b1", "b2"]]);
+        // u and v share both atoms, swapped.
+        let pair = parse("Q() :- S(c, u, v), S(c, v, u)");
+        assert_eq!(twins(&pair), [["u", "v"]]);
+        // The undirected K_{3,3}: two classes in one cell.
+        let mut edges = Vec::new();
+        for a in ["a1", "a2", "a3"] {
+            for b in ["b1", "b2", "b3"] {
+                edges.extend([format!("R({a}, {b})"), format!("R({b}, {a})")]);
+            }
+        }
+        let k33 = parse(&format!("Q() :- {}", edges.join(", ")));
+        assert_eq!(twins(&k33), [["a1", "a2", "a3"], ["b1", "b2", "b3"]]);
+        for q in [&k23, &two_kinds, &pair] {
+            assert_eq!(leaves(q), 1, "{q}");
+            assert!(has_nontrivial_automorphism(q), "{q}");
+        }
+        // One leaf per class of the shared cell.
+        assert_eq!(leaves(&k33), 2);
+        assert!(has_nontrivial_automorphism(&k33));
+        // Free leaves are never twins: the head pins them.
+        let free = parse("Q(a, b, d) :- R(c, a), R(c, b), R(c, d)");
+        assert!(twins(&free).is_empty());
+        assert_eq!(leaves(&free), 1);
+        assert!(!has_nontrivial_automorphism(&free));
+    }
+
+    #[test]
+    fn open_twin_classes_keep_the_one_at_a_time_code() {
+        // t0, t1 and t2 are twins, and atoms hold two of them beside d0 or
+        // d1: individualizing one splits the cell {d0, d1}, so the class is
+        // individualized one member at a time.  All three at once orders
+        // that cell otherwise and serializes differently.  Each d has six
+        // atoms W(·, ·, ·, d) and six W(·, d, ·, ·) over the twins: d0 in
+        // the patterns (a, b, b) and (a, a, b), d1 in (a, b, c) and twice
+        // (a, a, a).
+        let t = ["t0", "t1", "t2"];
+        let mut atoms: Vec<String> = t.iter().map(|x| format!("A({x})")).collect();
+        for a in t {
+            for b in t {
+                for c in t {
+                    let (ab, bc, ac) = (a == b, b == c, a == c);
+                    if !ab && bc {
+                        atoms.push(format!("W({a}, {b}, {c}, d0)"));
+                    }
+                    if ab && !bc {
+                        atoms.push(format!("W({a}, d0, {b}, {c})"));
+                    }
+                    if !ab && !bc && !ac {
+                        atoms.push(format!("W({a}, {b}, {c}, d1)"));
+                    }
+                    if ab && bc {
+                        let loop_atom = format!("W({a}, d1, {b}, {c})");
+                        atoms.extend([loop_atom.clone(), loop_atom]);
+                    }
+                }
+            }
+        }
+        let q = parser::parse_cq(&mut Schema::new(), &format!("Q() :- {}", atoms.join(", ")));
+        let q = q.unwrap();
+        assert_eq!(twins(&q), [["t0", "t1", "t2"]]);
+        assert_eq!(
+            cq_code(&q),
+            [
+                2, 2, 1, 65, 1, 1, 87, 4, 5, 0, 27, 0, 0, 0, 1, 0, 2, 1, 0, 1, 1, 4, 1, 0, 1, 2, 3,
+                1, 0, 2, 1, 3, 1, 0, 2, 2, 4, 1, 0, 3, 0, 0, 1, 0, 3, 0, 0, 1, 0, 4, 0, 1, 1, 0, 4,
+                0, 2, 1, 1, 0, 0, 4, 1, 1, 0, 2, 3, 1, 1, 2, 0, 3, 1, 1, 2, 2, 4, 1, 1, 3, 1, 1, 1,
+                1, 3, 1, 1, 1, 1, 4, 1, 0, 1, 1, 4, 1, 2, 1, 2, 0, 0, 4, 1, 2, 0, 1, 3, 1, 2, 1, 0,
+                3, 1, 2, 1, 1, 4, 1, 2, 3, 2, 2, 1, 2, 3, 2, 2, 1, 2, 4, 2, 0, 1, 2, 4, 2, 1
+            ]
+        );
     }
 
     #[test]

@@ -32,6 +32,9 @@
 //!   against renamed copies, which cloned both CQs into `Ccq`s for every
 //!   disjunct pair it tried.
 //!
+//! A warmed `ucq_code` of both sides is bounded by its two output vectors
+//! instead: it allocated 33 times while every call built a fresh search.
+//!
 //! The `N`, `N[X]` and `Trio[X]` decides leave the fixed pair to their ⟨Q⟩
 //! procedures.  Their stages also pin, after a warm-up on the same thread,
 //! that the decide allocates no more than that procedure called alone: the
@@ -138,6 +141,18 @@ fn coding_the_fixed_pair() {
     let (codes, count) = counted(|| black_box((ucq_code(&u1), ucq_code(&u2))));
     assert_ne!(codes.0, codes.1);
     assert_halved("ucq_code × 2", count, 93);
+}
+
+#[test]
+fn coding_the_fixed_pair_after_a_warm_up() {
+    // The first codes on this thread grow the search's buffers; the second
+    // reuse them, so only the two codes themselves are allocated.
+    let (u1, u2) = parse_pair();
+    let warm = (ucq_code(&u1), ucq_code(&u2));
+    let (codes, count) = counted(|| black_box((ucq_code(&u1), ucq_code(&u2))));
+    assert_eq!(codes, warm);
+    eprintln!("ucq_code × 2, warmed up: {count} allocations (bound 2)");
+    assert!(count <= 2, "ucq_code × 2, warmed up: {count} allocations");
 }
 
 #[test]

@@ -9,8 +9,8 @@
 //! * **exact**: equal codes only for isomorphic queries.  The differentials
 //!   below hold code equality against `are_isomorphic_ucq`, in both
 //!   directions, over seeded random queries and high-symmetry shapes
-//!   (stars, cycles, cliques, disjoint copies), whose colour refinement
-//!   alone cannot tell apart.
+//!   (stars, cycles, twin classes, cliques, disjoint copies), whose colour
+//!   refinement alone cannot tell apart.
 
 use annot_core::registry::{decide_cq_dyn, decide_ucq_dyn, SemiringId};
 use annot_hom::iso::are_isomorphic_ucq;
@@ -313,6 +313,21 @@ fn cycle(len: usize, names: &[&str], copy: usize) -> Vec<String> {
         .collect()
 }
 
+/// The complete bipartite graph with `left` sources and `right` sinks,
+/// each edge `R(a, b)`, and also `R(b, a)` when `undirected`.
+fn bipartite(schema: &Schema, left: usize, right: usize, undirected: bool) -> Cq {
+    let mut body = Vec::new();
+    for a in 0..left {
+        for b in 0..right {
+            body.push(format!("R(a{a}, b{b})"));
+            if undirected {
+                body.push(format!("R(b{b}, a{a})"));
+            }
+        }
+    }
+    query(schema, &body.join(", "))
+}
+
 fn clique(schema: &Schema, size: usize) -> Cq {
     let mut body = Vec::new();
     for a in 0..size {
@@ -325,9 +340,10 @@ fn clique(schema: &Schema, size: usize) -> Cq {
     query(schema, &body.join(", "))
 }
 
-/// Stars with 2–8 leaves, cycles C3–C8, cliques K3–K6, two triangles and a
-/// hexagon, and disjoint copies of R/S-alternating cycles: shapes whose
-/// colour refinement leaves large cells for the search to split.
+/// Stars with 2–8 leaves, cycles C3–C8, twin classes, cliques K3–K6, two
+/// triangles and a hexagon, and disjoint copies of R/S-alternating cycles:
+/// shapes whose colour refinement leaves large cells for the search to
+/// split.
 fn symmetric_shapes(schema: &Schema) -> Vec<Cq> {
     let mut shapes = Vec::new();
     for leaves in 2..=8 {
@@ -336,6 +352,19 @@ fn symmetric_shapes(schema: &Schema) -> Vec<Cq> {
     for len in 3..=8 {
         shapes.push(query(schema, &cycle(len, &["R"], 0).join(", ")));
     }
+    // Twin classes: one per side of K_{2,3}; one per relation around a
+    // centre; a pair sharing two ternary atoms, swapped (over `T`, as `S`
+    // is binary here); two in one cell of the undirected K_{3,3}; and none
+    // among a star's free leaves.
+    shapes.push(bipartite(schema, 2, 3, false));
+    shapes.push(query(
+        schema,
+        "R(c, a1), R(c, a2), R(c, a3), S(c, b1), S(c, b2)",
+    ));
+    shapes.push(query(schema, "T(c, u, v), T(c, v, u)"));
+    shapes.push(bipartite(schema, 3, 3, true));
+    let free_star = "Q(l0, l1, l2) :- R(c, l0), R(c, l1), R(c, l2)";
+    shapes.push(parser::parse_cq(&mut schema.clone(), free_star).expect("test query parses"));
     for size in 3..=6 {
         shapes.push(clique(schema, size));
     }
