@@ -55,7 +55,7 @@ use std::cmp::Ordering;
 const CODE_TAG: u64 = 2;
 
 /// The starting state and the multiplier of [`hash64`]'s word steps.
-const HASH_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+pub(crate) const HASH_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 const HASH_MUL: u64 = 0x517c_c1b7_2722_0a95;
 
 /// The atom of a free-tuple occurrence in [`Search::incident`].
@@ -86,7 +86,8 @@ pub fn hash64(words: impl IntoIterator<Item = u64>) -> u64 {
 }
 
 /// One word step of [`hash64`].
-fn step(h: u64, w: u64) -> u64 {
+#[inline]
+pub(crate) fn step(h: u64, w: u64) -> u64 {
     (h.rotate_left(5) ^ w).wrapping_mul(HASH_MUL)
 }
 

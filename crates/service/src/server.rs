@@ -301,6 +301,13 @@ impl Service {
             Ok(u2) => u2,
             Err(e) => return format!("ERR right query: {e}"),
         };
+        // Containment relates queries of one arity only (Sec. 2); the empty
+        // union has every arity.
+        if let (Some(a1), Some(a2)) = (head_arity(&u1), head_arity(&u2)) {
+            if a1 != a2 {
+                return format!("ERR queries disagree on head arity: {a1} and {a2}");
+            }
+        }
         if let Some(refusal) = self.admission_refusal(&u1, &u2) {
             // relaxed: monotonic statistics counter, no ordering needed
             self.overloads.fetch_add(1, Ordering::Relaxed);
@@ -348,6 +355,12 @@ impl Service {
         }
         Some(ConnGuard { service: self })
     }
+}
+
+/// The number of head variables every member of `u` has, or `None` for the
+/// empty union.
+fn head_arity(u: &Ucq) -> Option<usize> {
+    u.disjuncts().first().map(|cq| cq.free_vars().len())
 }
 
 /// RAII release of a connection slot claimed by [`Service::try_admit`].
@@ -752,6 +765,34 @@ mod tests {
             "{:?}",
             ok.reply()
         );
+    }
+
+    #[test]
+    fn sides_of_different_head_arity_are_an_error_before_the_cache() {
+        let service = Service::new();
+        let reply = service.handle_line("DECIDE B Q(x) :- R(x) <= Q() :- R(x)");
+        assert_eq!(reply.reply(), "ERR queries disagree on head arity: 1 and 0");
+        let items = [BatchItem::from(
+            "DECIDE N Q() :- R(x, y) <= Q(x, y) :- R(x, y)",
+        )];
+        assert_eq!(
+            service.handle_batch(&items),
+            [(0, "ERR queries disagree on head arity: 0 and 2".to_string())]
+        );
+        let stats = service.handle_line("STATS").reply().to_string();
+        assert_eq!(stat(&stats, "misses") + stat(&stats, "hits"), 0);
+        // The empty union stays valid beside a query of any arity.
+        for line in [
+            "DECIDE B ; <= Q(x) :- R(x)",
+            "DECIDE B Q(x, y) :- R(x, y) <= ;",
+        ] {
+            let reply = service.handle_line(line);
+            assert!(
+                reply.reply().starts_with("OK "),
+                "{line}: {}",
+                reply.reply()
+            );
+        }
     }
 
     #[test]

@@ -59,9 +59,8 @@ fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
 }
 
 /// A fresh UCQ of width 1–2 whose rules hold 1–3 binary atoms over a pool
-/// of at most four variables, with a common head arity of 0 or 1.
-fn fresh_query(rng: &mut StdRng) -> Query {
-    let head_arity = rng.gen_range(0..2usize);
+/// of at most four variables, with a common head arity.
+fn fresh_query(rng: &mut StdRng, head_arity: usize) -> Query {
     (0..rng.gen_range(1..3usize))
         .map(|_| {
             let pool = rng.gen_range(2..5usize);
@@ -223,13 +222,16 @@ fn replay(service: &Service, exact: bool) -> Replay {
     for step in 0..requests {
         let (row, q1, q2, alias) = match (step, rng.gen_range(0..10)) {
             (0..=9, _) | (_, 0..=3) => {
-                let q1 = fresh_query(&mut rng);
+                // Both sides share a head arity of 0 or 1: containment
+                // relates queries of one arity only.
+                let head_arity = rng.gen_range(0..2usize);
+                let q1 = fresh_query(&mut rng, head_arity);
                 // Half the right-hand sides reuse the left's shape, so both
                 // verdicts occur.
                 let q2 = if rng.gen_bool(0.5) {
                     near_miss(&q1, &mut rng)
                 } else {
-                    fresh_query(&mut rng)
+                    fresh_query(&mut rng, head_arity)
                 };
                 (rng.gen_range(0..ROWS.len()), q1, q2, false)
             }

@@ -50,6 +50,18 @@ const ALPHABET: &[&str] = &[
     "λ",
     "…",
     "!=",
+    // The query lexer's edge cases: Unicode whitespace, empty literals and
+    // arguments, identifier characters, a dangling head and a reflexive
+    // inequality.
+    "\u{a0}",
+    "\u{2003}",
+    ",,",
+    "R( )",
+    "R(x,)",
+    "x'",
+    "_y",
+    "Q(x) :-",
+    "x != x",
 ];
 
 fn random_line(rng: &mut StdRng) -> String {
