@@ -16,7 +16,6 @@
 //! | [`poly_order`] | decidable polynomial orders `¹_K` backing the small-model procedure | Sec. 3.2, 4.6 |
 //! | [`matching`] | Hall's condition with multiplicities as a maximum flow, used by `↠_∞` over classes; bipartite matching as its unit case | Sec. 5.3 |
 //! | [`brute_force`] | semantic baseline used for cross-validation: one sequential depth-first walk over small instances | Prop. 3.2, Thm. 4.17 |
-//! | [`sync`] | the `std`/loom facade the service's threads and locks go through | — |
 //! | [`registry`] | runtime dispatch by semiring name ([`SemiringId`], `decide_*_dyn`) | Table 1 |
 //!
 //! ## Quick example
@@ -55,7 +54,6 @@ pub mod matching;
 pub mod poly_order;
 pub mod registry;
 pub mod small_model;
-pub mod sync;
 pub mod ucq;
 
 pub use classes::{

@@ -4,15 +4,14 @@
 //! *project* rules that no off-the-shelf lint knows about, by line-level
 //! text analysis over the workspace sources:
 //!
-//! 1. **Facade bypass** — `annot-core` must reach `std::sync` /
-//!    `std::thread` only through its `crate::sync` facade (`sync.rs`), so
-//!    the `annot_loom` feature can swap every primitive onto the vendored
-//!    model checker.  A direct `std::sync`/`std::thread` mention anywhere
-//!    else in `crates/core/src` is a violation.  `crates/service/src` (the
-//!    concurrent decision server) is facade-scoped too: it must import the
-//!    primitives from `annot_core::sync` so its synchronisation stays
-//!    swappable onto the model checker, which the cache's loom model runs
-//!    on.
+//! 1. **Facade bypass** — `annot-service` (the concurrent decision server)
+//!    must reach `std::sync` / `std::thread` only through its private
+//!    `sync` facade (`crates/service/src/sync.rs`), so the `annot_loom`
+//!    feature can swap every primitive onto the vendored model checker
+//!    that the cache's loom models run on.  A direct `std::sync` /
+//!    `std::thread` mention anywhere else in `crates/service/src` is a
+//!    violation, and so is one anywhere in `crates/core/src`: `annot-core`
+//!    runs on one thread and has no facade.
 //! 2. **Undocumented `Relaxed`** — every `Ordering::Relaxed` in non-test
 //!    code must carry a `// relaxed:` justification on the same line or the
 //!    few lines above, stating why the weakest ordering suffices.
@@ -62,7 +61,8 @@ impl fmt::Display for Rule {
         let (name, hint) = match self {
             Rule::FacadeBypass => (
                 "facade-bypass",
-                "use the annot-core sync facade, not std::sync/std::thread (annot-core and annot-service)",
+                "annot-service goes through its sync facade, not std::sync/std::thread; \
+                 annot-core runs on one thread",
             ),
             Rule::UndocumentedRelaxed => (
                 "undocumented-relaxed",
@@ -97,8 +97,8 @@ struct Violation {
 /// The path-derived facts that decide which rules apply to a file.
 #[derive(Clone, Copy, Debug, Default)]
 struct FileClass {
-    /// Inside `crates/core/src` (excluding the facade itself) or
-    /// `crates/service/src` (rule 1).
+    /// Inside `crates/core/src`, or inside `crates/service/src` but not
+    /// its facade `sync.rs` (rule 1).
     facade_scoped: bool,
     /// Inside a deterministic search crate: `core`, `query`, `hom` (rule 4).
     deterministic: bool,
@@ -112,9 +112,9 @@ impl FileClass {
     /// Classifies a workspace-relative path with `/` separators.
     fn of(path: &str) -> FileClass {
         FileClass {
-            facade_scoped: (path.starts_with("crates/core/src/")
-                && path != "crates/core/src/sync.rs")
-                || path.starts_with("crates/service/src/"),
+            facade_scoped: path.starts_with("crates/core/src/")
+                || (path.starts_with("crates/service/src/")
+                    && path != "crates/service/src/sync.rs"),
             deterministic: ["crates/core/src/", "crates/query/src/", "crates/hom/src/"]
                 .iter()
                 .any(|p| path.starts_with(p)),
@@ -276,10 +276,14 @@ mod tests {
     const QUERY: &str = "crates/query/src/eval.rs";
 
     #[test]
-    fn facade_bypass_fires_only_in_core_outside_the_facade() {
+    fn facade_bypass_fires_in_every_core_file() {
         let src = "use std::sync::Mutex;\n";
         assert_eq!(rules(FileClass::of(CORE), src), vec![Rule::FacadeBypass]);
-        assert_eq!(rules(FileClass::of("crates/core/src/sync.rs"), src), vec![]);
+        // annot-core runs on one thread: no file of it is a facade.
+        assert_eq!(
+            rules(FileClass::of("crates/core/src/sync.rs"), src),
+            vec![Rule::FacadeBypass]
+        );
         assert_eq!(rules(FileClass::of(QUERY), src), vec![]);
         let thread = "let n = std::thread::available_parallelism();\n";
         assert_eq!(rules(FileClass::of(CORE), thread), vec![Rule::FacadeBypass]);
@@ -299,8 +303,13 @@ mod tests {
                 "{path}"
             );
         }
-        // … but not wall-clock scoped (a server may measure time), and
-        // other crates stay unaffected.
+        // The facade itself is where the primitives come from …
+        assert_eq!(
+            rules(FileClass::of("crates/service/src/sync.rs"), src),
+            vec![]
+        );
+        // … the service is not wall-clock scoped (a server may measure
+        // time), and other crates stay unaffected.
         let clock = "let t = std::time::Instant::now();\n";
         assert_eq!(
             rules(FileClass::of("crates/service/src/server.rs"), clock),

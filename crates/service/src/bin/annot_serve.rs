@@ -22,7 +22,8 @@
 //! * `--max-connections N` — concurrently served connections; excess
 //!   connections get `BUSY connections cap=N` and are closed;
 //! * `--read-timeout-ms MS` — per-connection idle/read timeout, the
-//!   slow-loris defence;
+//!   slow-loris defence (at least 1; without the flag a connection waits
+//!   forever);
 //! * `--max-line-bytes N` — request line cap (default 65536); overlong
 //!   lines answer a structured `ERR` and the connection stays usable.
 
@@ -46,10 +47,11 @@ fn main() {
                 config.max_connections = Some(parse_flag(&mut args, "--max-connections"));
             }
             "--read-timeout-ms" => {
-                config.read_timeout = Some(Duration::from_millis(parse_flag(
-                    &mut args,
-                    "--read-timeout-ms",
-                )));
+                let ms: u64 = parse_flag(&mut args, "--read-timeout-ms");
+                if ms == 0 {
+                    die("--read-timeout-ms needs a positive number (omit it to wait forever)");
+                }
+                config.read_timeout = Some(Duration::from_millis(ms));
             }
             "--max-line-bytes" => config.max_line_bytes = parse_flag(&mut args, "--max-line-bytes"),
             "--help" | "-h" => {

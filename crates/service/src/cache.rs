@@ -7,63 +7,70 @@
 //! key is exact: an entry holds the semiring and the canonical codes of
 //! both queries ([`annot_query::key::ucq_code`], equal exactly for
 //! isomorphic queries, relations spelled by name and arity), and a lookup
-//! compares them word for word.  A 64-bit fingerprint of the three only
-//! picks the bucket; colliding fingerprints share a bucket and never an
-//! answer.
+//! compares them word for word.  A 64-bit fingerprint of the three picks
+//! the entry, and the table holds one entry per fingerprint: a pair whose
+//! fingerprint another pair's entry holds (odds about n²/2⁶⁵ among n
+//! entries) fails the comparison, is decided afresh on every request and
+//! is never stored, so no answer is ever shared.
 //!
-//! One mutex guards the whole table: the buckets, the eviction ring and
+//! An entry holds the verdict and the method of its [`Decision`], not the
+//! witness.  Every Table 1 criterion is invariant under isomorphism, so
+//! verdict and method are a fixed function of the semiring's row and the
+//! pair's isomorphism class; a witness homomorphism names one pair's
+//! variables and does not fit an isomorphic variant.  A hit answers with
+//! `witness: None`; a miss returns the decider's own decision.
+//!
+//! One mutex guards the whole table: the entries, the eviction ring and
 //! the counters.  The canonical codes and the fingerprint are computed
 //! before the lock, so a hit holds it once and a miss twice (the probe,
-//! then the insert), each time for a hash probe and a code comparison.
-//! The decider runs *outside* the lock — a decider running under it would
-//! serialise the server.  When two clients race on the same fresh pair,
-//! both decide (and arrive at the same [`Decision`]); the first to take the
-//! lock again inserts, and the other stores nothing.
+//! then the insert), each time for one hash probe.  The decider runs
+//! *outside* the lock — a decider running under it would serialise the
+//! server.  When two clients race on the same fresh pair, both decide (and
+//! arrive at the same verdict); the first to take the lock again inserts,
+//! and the other finds the fingerprint taken and stores nothing.
 //!
 //! ## The byte budget and eviction
 //!
-//! A cached decision never goes stale: it is a fixed function of the
-//! semiring's Table 1 row and the isomorphism class of the query pair.  So
-//! memory is the only reason to drop one, and the cache has one bound, a
-//! byte budget that is always on ([`DEFAULT_BYTE_BUDGET`] unless the
-//! caller picks another).  The per-entry footprint that `STATS` reports as
-//! `approx_bytes` (the entry struct plus its code words) is also the
-//! enforcement input: an insert evicts, under the same lock, until the
-//! tracked total is back within the budget, so `approx_bytes ≤ budget` and
-//! `inserts = entries + evictions` hold at every unlock.  An entry larger
-//! than the whole budget is never stored; it counts as one insert and one
-//! eviction.
+//! A cached answer never goes stale, so memory is the only reason to drop
+//! one, and the cache has one bound, a byte budget that is always on
+//! ([`DEFAULT_BYTE_BUDGET`] unless the caller picks another).  The
+//! per-entry footprint that `STATS` reports as `approx_bytes` (the entry
+//! struct plus its code words) is also the enforcement input: an insert
+//! evicts, under the same lock, until the tracked total is back within the
+//! budget, so `approx_bytes ≤ budget` and `inserts = entries + evictions`
+//! hold at every unlock.  An entry larger than the whole budget is never
+//! stored; it counts as one insert and one eviction.
 //!
 //! Eviction is the classic second-chance (CLOCK) ring over all entries: a
-//! new entry joins the back of the ring, and a hit sets the entry's
-//! `referenced` bit.  The evictor pops the ring front; a referenced entry
-//! loses its bit and goes to the back, the arrival whose insert runs the
-//! eviction goes to the back untouched, and the first other unreferenced
-//! entry is evicted.  So an arrival survives its own insert while any
-//! other entry exists.  This is O(1) amortised with no per-hit reordering,
-//! and deterministic for a fixed order of operations: the tests run it
-//! beside a sequential reference model of the ring and require equal hits.
+//! new entry's fingerprint joins the back of the ring, and a hit sets the
+//! entry's `referenced` bit.  The evictor pops the ring front; a referenced
+//! entry loses its bit and goes to the back, the arrival whose insert runs
+//! the eviction goes to the back untouched, and the first other
+//! unreferenced entry is evicted.  So an arrival survives its own insert
+//! while any other entry exists.  This is O(1) amortised with no per-hit
+//! reordering, and deterministic for a fixed order of operations: the
+//! tests run it beside a sequential reference model of the ring and
+//! require equal hits.
 
-use annot_core::decide::Decision;
+use crate::sync::{Mutex, MutexGuard, PoisonError};
+use annot_core::decide::{Decision, Verdict};
 use annot_core::registry::SemiringId;
-use annot_core::sync::{Mutex, MutexGuard, PoisonError};
 use annot_query::key::{hash64, ucq_code};
 use annot_query::Ucq;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{hash_map, HashMap, VecDeque};
 
 /// The byte budget of [`Cache::new`] and of the default server: 64 MiB,
-/// about 100,000 entries at the ~660 bytes a typical entry takes.
+/// about 100,000 entries at the ~640 bytes a typical entry takes.
 pub const DEFAULT_BYTE_BUDGET: u64 = 64 << 20;
 
-/// One cached decision: the question it answers (semiring and canonical
-/// codes of both queries), the decision, and the eviction bookkeeping.
+/// One cached answer: the question it answers (semiring and canonical
+/// codes of both queries), its verdict and method, and the eviction bit.
 struct Entry {
     semiring: SemiringId,
     code1: Box<[u64]>,
     code2: Box<[u64]>,
-    decision: Decision,
-    /// Cache-unique id linking this entry to its ring slot.
-    id: u64,
+    answer: Verdict,
+    method: &'static str,
     /// Second-chance bit: set on every hit, cleared (once) by the
     /// eviction scan before the entry becomes a victim.
     referenced: bool,
@@ -71,14 +78,12 @@ struct Entry {
 
 /// Everything the cache's one mutex guards.
 struct Table {
-    /// The entries by fingerprint.
-    buckets: HashMap<u64, Vec<Entry>>,
-    /// `(fingerprint, entry id)` of every entry, in the CLOCK scan's order.
-    /// Entries leave the table only through the scan, so every slot names a
-    /// live entry.
-    ring: VecDeque<(u64, u64)>,
-    /// Source of entry ids.
-    next_id: u64,
+    /// The entries by fingerprint, one per fingerprint.
+    entries: HashMap<u64, Entry>,
+    /// The fingerprint of every entry, in the CLOCK scan's order.  Entries
+    /// leave the table only through the scan, so every slot names a live
+    /// entry.
+    ring: VecDeque<u64>,
     /// The counters, updated with the table they count.
     stats: CacheStats,
 }
@@ -94,10 +99,10 @@ pub struct CacheStats {
     /// runs the decider, so this equals [`CacheStats::misses`] whenever no
     /// decide is in flight.
     pub decides: u64,
-    /// Decisions admitted to the cache.  When two requests race on the
-    /// same fresh pair, both decide but only the first inserts; the other
-    /// finds the entry and stores nothing.  `inserts = entries +
-    /// evictions` in every snapshot.
+    /// Answers admitted to the cache.  A miss whose fingerprint is taken
+    /// when it returns — a racing request inserted the same pair first, or
+    /// another pair holds the fingerprint — stores nothing and counts no
+    /// insert.  `inserts = entries + evictions` in every snapshot.
     pub inserts: u64,
     /// Entries currently stored.
     pub entries: u64,
@@ -128,25 +133,25 @@ impl Cache {
         Cache {
             byte_budget,
             table: Mutex::new(Table {
-                buckets: HashMap::new(),
+                entries: HashMap::new(),
                 ring: VecDeque::new(),
-                next_id: 0,
                 stats: CacheStats::default(),
             }),
         }
     }
 
     /// The fingerprint of a request: semiring + canonical codes of the
-    /// (ordered) query pair.  It picks the bucket only.
+    /// (ordered) query pair.  It picks the entry to compare with.
     fn fingerprint(semiring: SemiringId, c1: &[u64], c2: &[u64]) -> u64 {
         let name = hash64(semiring.name().bytes().map(u64::from));
         let codes = c1.iter().chain(c2).copied();
         hash64([name, c1.len() as u64].into_iter().chain(codes))
     }
 
-    /// Returns the cached decision for an isomorphic variant of
-    /// `(semiring, q1, q2)`, or runs `decide` and caches its result.
-    /// The second component reports whether this was a cache hit.
+    /// Returns the cached verdict and method for an isomorphic variant of
+    /// `(semiring, q1, q2)` with no witness, or runs `decide`, caches its
+    /// verdict and method, and returns its decision.  The second component
+    /// reports whether this was a cache hit.
     pub fn get_or_decide(
         &self,
         semiring: SemiringId,
@@ -158,7 +163,16 @@ impl Cache {
         let key = Self::fingerprint(semiring, &c1, &c2);
         {
             let mut table = self.lock();
-            if let Some(found) = table.lookup(key, semiring, &c1, &c2) {
+            let stored = table.entries.get_mut(&key);
+            if let Some(entry) =
+                stored.filter(|e| e.semiring == semiring && *e.code1 == *c1 && *e.code2 == *c2)
+            {
+                entry.referenced = true; // second chance for the evictor
+                let found = Decision {
+                    answer: entry.answer,
+                    method: entry.method,
+                    witness: None,
+                };
                 table.stats.hits += 1;
                 return (found, true);
             }
@@ -176,24 +190,24 @@ impl Cache {
             table.stats.evictions += 1;
             return (decision, false);
         }
-        if table.lookup(key, semiring, &c1, &c2).is_some() {
-            return (decision, false); // a racing request inserted first
-        }
-        let id = table.next_id;
-        table.next_id += 1;
-        table.buckets.entry(key).or_default().push(Entry {
+        let hash_map::Entry::Vacant(slot) = table.entries.entry(key) else {
+            // A racing request inserted this pair first, or another pair
+            // holds the fingerprint: store nothing.
+            return (decision, false);
+        };
+        slot.insert(Entry {
             semiring,
             code1: c1.into_boxed_slice(),
             code2: c2.into_boxed_slice(),
-            decision: decision.clone(),
-            id,
+            answer: decision.answer,
+            method: decision.method,
             referenced: false,
         });
-        table.ring.push_back((key, id));
+        table.ring.push_back(key);
         table.stats.inserts += 1;
         table.stats.entries += 1;
         table.stats.approx_bytes += entry_bytes;
-        while table.stats.approx_bytes > self.byte_budget && table.evict_one((key, id)) {}
+        while table.stats.approx_bytes > self.byte_budget && table.evict_one(key) {}
         (decision, false)
     }
 
@@ -208,54 +222,31 @@ impl Cache {
 }
 
 impl Table {
-    /// The decision stored under the exact key, whose entry the lookup
-    /// marks referenced.
-    fn lookup(
-        &mut self,
-        key: u64,
-        semiring: SemiringId,
-        c1: &[u64],
-        c2: &[u64],
-    ) -> Option<Decision> {
-        let bucket = self.buckets.get_mut(&key)?;
-        let entry = bucket
-            .iter_mut()
-            .find(|e| e.semiring == semiring && *e.code1 == *c1 && *e.code2 == *c2)?;
-        entry.referenced = true; // second chance for the evictor
-        Some(entry.decision.clone())
-    }
-
     /// Evicts one entry by the second-chance scan: the ring front goes
     /// unless a hit referenced it since its last turn, in which case it
-    /// loses the bit and moves to the back.  The `spared` slot, the arrival
-    /// whose insert runs the eviction, moves to the back untouched.
+    /// loses the bit and moves to the back.  The `spared` fingerprint, the
+    /// arrival whose insert runs the eviction, moves to the back untouched.
     /// Returns `false` when the table holds no other entry.
-    fn evict_one(&mut self, spared: (u64, u64)) -> bool {
+    fn evict_one(&mut self, spared: u64) -> bool {
         // Each other entry moves to the back at most once before its bit is
         // clear, so two laps of the ring reach a victim if there is one.
         for _ in 0..2 * self.ring.len() {
-            let Some((key, id)) = self.ring.pop_front() else {
+            let Some(key) = self.ring.pop_front() else {
                 break;
             };
-            if (key, id) == spared {
-                self.ring.push_back((key, id));
+            if key == spared {
+                self.ring.push_back(key);
                 continue;
             }
-            let Some(bucket) = self.buckets.get_mut(&key) else {
+            let hash_map::Entry::Occupied(mut slot) = self.entries.entry(key) else {
                 continue;
             };
-            let Some(pos) = bucket.iter().position(|e| e.id == id) else {
-                continue;
-            };
-            if bucket[pos].referenced {
-                bucket[pos].referenced = false;
-                self.ring.push_back((key, id));
+            if slot.get().referenced {
+                slot.get_mut().referenced = false;
+                self.ring.push_back(key);
                 continue;
             }
-            let entry = bucket.swap_remove(pos);
-            if bucket.is_empty() {
-                self.buckets.remove(&key);
-            }
+            let entry = slot.remove();
             self.stats.evictions += 1;
             self.stats.entries -= 1;
             self.stats.approx_bytes -= entry_footprint(&entry.code1, &entry.code2);
@@ -281,7 +272,8 @@ impl Default for Cache {
 mod tests {
     use super::*;
     use annot_core::registry::decide_ucq_dyn;
-    use annot_query::{parser, Schema};
+    use annot_hom::VarMap;
+    use annot_query::{parser, QVar, Schema};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -499,6 +491,85 @@ mod tests {
     }
 
     #[test]
+    fn a_pair_whose_fingerprint_another_pair_holds_is_decided_and_not_stored() {
+        // Re-key one pair's entry under a second pair's fingerprint, where a
+        // 64-bit collision would put it.  The second pair's codes differ, so
+        // it misses, gets its own decider's verdict, finds its fingerprint
+        // taken and stores nothing: it misses again.
+        let mut s = Schema::with_relations([("R", 2)]);
+        let parse = |s: &mut Schema, text: &str| parser::parse_ucq(s, text).unwrap();
+        let held = (
+            parse(&mut s, "Q() :- R(u, v), R(u, w)"),
+            parse(&mut s, "Q() :- R(u, v)"),
+        );
+        let asked = (
+            parse(&mut s, "Q() :- R(u, v)"),
+            parse(&mut s, "Q() :- R(u, v), R(v, w)"),
+        );
+        let b = SemiringId::from_name("B").unwrap();
+        let key = |(q1, q2): &(Ucq, Ucq)| Cache::fingerprint(b, &ucq_code(q1), &ucq_code(q2));
+        let cache = Cache::new();
+        let (held_decision, _) = cache.get_or_decide(b, &held.0, &held.1, decide_with(b));
+        assert_eq!(held_decision.decided(), Some(true));
+        {
+            let mut table = cache.lock();
+            let entry = table.entries.remove(&key(&held)).expect("inserted");
+            table.entries.insert(key(&asked), entry);
+            table.ring = VecDeque::from([key(&asked)]);
+        }
+        for _ in 0..2 {
+            let (decision, hit) = cache.get_or_decide(b, &asked.0, &asked.1, decide_with(b));
+            assert!(!hit);
+            assert_eq!(decision, decide_ucq_dyn(b, &asked.0, &asked.1));
+            assert_eq!(decision.decided(), Some(false));
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.decides), (3, 3), "{stats:?}");
+        assert_eq!((stats.inserts, stats.entries), (1, 1), "{stats:?}");
+        assert_eq!(stats.inserts, stats.entries + stats.evictions, "{stats:?}");
+    }
+
+    #[test]
+    fn a_hit_carries_the_verdict_and_method_but_no_witness() {
+        // B's witness for `R(x, y), S(y)` ⊑ `S(u), R(t, u)` is u ↦ y, t ↦ x.
+        // The variant `S(b), R(a, b)` numbers its variables b, a, so that
+        // witness would send S(u) to S(a) and R(t, u) to R(b, a), neither an
+        // atom of the variant: a hit must not hand it on.
+        let mut s = Schema::new();
+        let right = parser::parse_ucq(&mut s, "Q() :- S(u), R(t, u)").unwrap();
+        let first = parser::parse_ucq(&mut s, "Q() :- R(x, y), S(y)").unwrap();
+        let variant = parser::parse_ucq(&mut s, "Q() :- S(b), R(a, b)").unwrap();
+        let witness = |images: [u32; 2]| {
+            let mut map = VarMap::new(2);
+            for (v, image) in images.into_iter().enumerate() {
+                map.bind(QVar(v as u32), QVar(image));
+            }
+            Some(map)
+        };
+        let b = SemiringId::from_name("B").unwrap();
+        let cache = Cache::new();
+        let (missed, hit) = cache.get_or_decide(b, &first, &right, decide_with(b));
+        assert!(!hit);
+        assert_eq!(
+            missed,
+            decide_ucq_dyn(b, &first, &right),
+            "a miss is the decider's"
+        );
+        assert_eq!(missed.witness, witness([1, 0]));
+        let fresh = decide_ucq_dyn(b, &variant, &right);
+        assert_eq!(fresh.witness, witness([0, 1]));
+        let (found, hit) = cache.get_or_decide(b, &variant, &right, |_, _| panic!("cached"));
+        assert!(hit);
+        assert_eq!(
+            found,
+            Decision {
+                witness: None,
+                ..fresh
+            }
+        );
+    }
+
+    #[test]
     fn recently_hit_entries_survive_capacity_eviction() {
         // Pin the second-chance policy exactly: fill the budget with two
         // pairs, hit one, then insert a third.  The third is the arrival,
@@ -633,8 +704,8 @@ mod tests {
 mod loom_model {
     use super::tests::{distinct_pairs, pair_footprint};
     use super::*;
+    use crate::sync::thread;
     use annot_core::registry::decide_ucq_dyn;
-    use annot_core::sync::thread;
     use annot_query::Schema;
 
     fn decide(q1: &Ucq, q2: &Ucq) -> Decision {

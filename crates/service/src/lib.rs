@@ -35,6 +35,7 @@
 pub mod cache;
 pub mod proto;
 pub mod server;
+mod sync;
 
 pub use cache::{Cache, CacheStats};
 pub use proto::{parse_request, Request, ServiceCounters};

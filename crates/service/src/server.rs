@@ -1,9 +1,9 @@
 //! The concurrent decision server: shared state, request handling, and the
 //! thread-per-core accept loop.
 //!
-//! All synchronisation goes through [`annot_core::sync`] (the workspace
-//! facade; `annot-lint` enforces this), so the server's protocol logic can
-//! be model-checked alongside the core's concurrency if ever needed.
+//! All synchronisation goes through the crate's private `sync` facade
+//! (`annot-lint` enforces this), so the server's protocol logic can be
+//! model-checked on the loom shim as the cache's is.
 //!
 //! ## Request-local schemas
 //!
@@ -41,9 +41,9 @@
 
 use crate::cache::{Cache, DEFAULT_BYTE_BUDGET};
 use crate::proto::{self, Request, ServiceCounters};
+use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use crate::sync::{Mutex, PoisonError};
 use annot_core::registry::{decide_ucq_dyn, SemiringId};
-use annot_core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use annot_core::sync::{Mutex, PoisonError};
 use annot_query::{parser, Schema, Ucq};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -76,7 +76,9 @@ pub struct ServiceConfig {
     /// Maximum concurrently *served* connections (`None` = bounded only
     /// by the worker count).  Connections over the cap get `BUSY`.
     pub max_connections: Option<usize>,
-    /// Read/idle timeout per connection (`None` = wait forever).
+    /// Read/idle timeout per connection (`None` = wait forever).  A zero
+    /// timeout also waits forever, as a zero `SO_RCVTIMEO` does, instead of
+    /// failing every connection before its first reply.
     pub read_timeout: Option<Duration>,
     /// Maximum request line length in bytes; longer lines are discarded
     /// and answered with a structured `ERR`.
@@ -261,7 +263,7 @@ impl Service {
         let results: Mutex<Vec<(u64, String)>> = Mutex::new(Vec::with_capacity(items.len()));
         let next = AtomicUsize::new(0);
         let workers = BATCH_WORKERS.min(items.len());
-        annot_core::sync::thread::scope(|s| {
+        crate::sync::thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(|| loop {
                     // relaxed: a work-claiming RMW; each index is handed
@@ -433,13 +435,13 @@ impl Default for ShutdownFlag {
 /// connection closes.
 pub fn serve(listener: &TcpListener, service: &Service, shutdown: &ShutdownFlag, workers: usize) {
     let workers = match workers {
-        0 => annot_core::sync::thread::available_parallelism()
+        0 => crate::sync::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
         n => n,
     };
     shutdown.workers.store(workers, Ordering::SeqCst);
-    annot_core::sync::thread::scope(|s| {
+    crate::sync::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| worker_loop(listener, service, shutdown));
         }
@@ -567,7 +569,8 @@ fn is_timeout(e: &std::io::Error) -> bool {
 /// buffer does not wait out the peer's delayed ACK, and the read timeout.
 fn configure_stream(stream: &TcpStream, config: &ServiceConfig) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
-    if let Some(timeout) = config.read_timeout {
+    // `set_read_timeout` refuses zero, which the config reads as none.
+    if let Some(timeout) = config.read_timeout.filter(|t| !t.is_zero()) {
         stream.set_read_timeout(Some(timeout))?;
     }
     Ok(())

@@ -1,19 +1,17 @@
-//! The workspace's single chokepoint for `std::sync` / `std::thread`.
+//! The service's single chokepoint for `std::sync` / `std::thread`.
 //!
-//! `annot-core` itself runs on one thread; the concurrency lives in
-//! `annot-service`, whose server and semantic cache import every mutex,
-//! atomic and thread scope from here rather than from `std` directly
-//! (`annot-lint` enforces this).  By default the re-exports are exactly the
-//! `std` types, so regular builds compile to the same code as without the
-//! facade.
+//! The server and the semantic cache import every mutex, atomic and thread
+//! scope from here rather than from `std` directly (`annot-lint` enforces
+//! this).  By default the re-exports are exactly the `std` types, so
+//! regular builds compile to the same code as without the facade.
 //!
 //! With the `annot_loom` cargo feature enabled, the re-exports switch to the
 //! vendored `loom` shim (`vendor/loom`): a model-checking runtime that
 //! schedules every synchronisation operation and explores the possible
-//! interleavings exhaustively.  The model of the service's cache runs under
-//! `cargo test -p annot-service --features annot_loom`; outside a
-//! `loom::model` closure the shim passes straight through to `std`, so the
-//! ordinary tests keep working under the feature too.
+//! interleavings exhaustively.  The cache's models run under `cargo test -p
+//! annot-service --features annot_loom`; outside a `loom::model` closure the
+//! shim passes straight through to `std`, so the ordinary tests keep
+//! working under the feature too.
 
 #[cfg(feature = "annot_loom")]
 pub use loom::sync::{Mutex, MutexGuard, PoisonError};

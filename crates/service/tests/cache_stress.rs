@@ -78,7 +78,7 @@ fn eviction_churn_storm_balances_the_books_and_respects_the_budget() {
     let service = Service::with_config(config);
 
     common::serve_during(&service, CLIENTS, |addr| {
-        annot_core::sync::thread::scope(|s| {
+        std::thread::scope(|s| {
             let storm: Vec<_> = (0..CLIENTS)
                 .map(|client| {
                     s.spawn(move || {

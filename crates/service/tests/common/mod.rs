@@ -19,7 +19,7 @@ pub fn serve_during<R>(
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("local addr");
     let shutdown = ShutdownFlag::new();
-    annot_core::sync::thread::scope(|s| {
+    std::thread::scope(|s| {
         s.spawn(|| serve(&listener, service, &shutdown, workers));
         let _stop = StopOnUnwind {
             shutdown: &shutdown,

@@ -2,8 +2,9 @@
 //!
 //! Each scenario wounds the server in a specific way — disconnect
 //! mid-request, a half-written batch, a slow-loris drip against the read
-//! timeout, connections past the cap — and then asserts the server still
-//! answers cleanly and its `STATS` counters stayed consistent.
+//! timeout, a zero read timeout, connections past the cap — and then
+//! asserts the server still answers cleanly and its `STATS` counters stayed
+//! consistent.
 
 mod common;
 
@@ -216,6 +217,43 @@ fn slow_loris_is_cut_by_the_read_timeout() {
         assert_eq!(probe.roundtrip("PING"), "OK pong");
         assert_consistent(&probe.roundtrip("STATS"));
     });
+}
+
+#[test]
+fn a_zero_read_timeout_waits_instead_of_dropping_every_connection() {
+    // `TcpStream::set_read_timeout` refuses a zero duration.  Passed
+    // through, it closed every connection before its first reply, SHUTDOWN
+    // included; a zero now means no timeout, as a zero `SO_RCVTIMEO` does.
+    let config = ServiceConfig {
+        read_timeout: Some(Duration::ZERO),
+        ..ServiceConfig::default()
+    };
+    with_server(config, 2, |addr| {
+        let mut client = Client::connect(addr);
+        assert_eq!(client.roundtrip("PING"), "OK pong");
+        std::thread::sleep(Duration::from_millis(50));
+        let reply = client.roundtrip("DECIDE B Q() :- Zt(x, y) <= Q() :- Zt(u, v)");
+        assert!(reply.starts_with("OK contained miss"), "{reply}");
+        assert_consistent(&client.roundtrip("STATS"));
+    });
+}
+
+#[test]
+fn the_server_binary_refuses_a_zero_read_timeout() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_annot_serve"))
+        .args(["127.0.0.1:0", "--read-timeout-ms", "0"])
+        .output()
+        .expect("run annot_serve");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--read-timeout-ms needs a positive number"),
+        "{stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "it must not start listening: {out:?}"
+    );
 }
 
 #[test]
