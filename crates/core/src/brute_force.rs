@@ -76,8 +76,9 @@
 //! ([`BruteForceConfig::symmetry_quotient`]).  A domain permutation is an
 //! isomorphism of instances and constant-free queries cannot distinguish
 //! isomorphic instances, so one representative per orbit decides the search;
-//! the constant-free precondition (`queries_are_constant_free`) is checked
-//! at entry and the walk falls back to the full enumeration when it fails.
+//! the constant-free precondition (`cq_constant_free` on every disjunct) is
+//! checked at entry and the walk falls back to the full enumeration when it
+//! fails.
 //! A full quotiented walk visits
 //!
 //! ```text
@@ -92,89 +93,12 @@
 //! instance each.  The regression tests below pin both closed forms.
 
 use annot_polynomial::{Monomial, Polynomial, Var};
-use annot_query::eval::{
-    eval_cq_all_outputs, eval_ducq_all_outputs, eval_ucq_all_outputs, EvalState,
-};
-use annot_query::{Cq, DbValue, Ducq, IdTuple, Instance, RelId, Schema, Tuple, Ucq, ValueId};
+use annot_query::eval::{all_outputs, Disjuncts, EvalState};
+use annot_query::{Cq, DbValue, IdTuple, Instance, RelId, Schema, Tuple, ValueId};
 use annot_semiring::{NatPoly, Semiring};
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
-
-/// A query the brute-force oracle can search over: a [`Cq`], a [`Ucq`] or a
-/// [`Ducq`] (a union of CCQs, whose disjuncts carry disequality
-/// constraints).  All three share every piece of the search machinery: the
-/// incremental [`EvalState`] has a constructor for each, and the one-shot
-/// all-outputs evaluators differ only in which family they dispatch to.
-pub trait OracleQuery {
-    /// The schema of the first disjunct, if any.
-    fn first_schema(&self) -> Option<&Schema>;
-
-    /// An incremental evaluation state for the query.
-    fn eval_state<K: Semiring>(&self) -> EvalState<'_, K>;
-
-    /// The one-shot all-outputs map over an instance (the naive oracle's
-    /// evaluation path).
-    fn all_outputs<K: Semiring>(&self, instance: &Instance<K>) -> BTreeMap<Tuple, K>;
-
-    /// Whether no atom mentions a concrete domain value, which the
-    /// symmetry quotient needs (see [`BruteForceConfig::symmetry_quotient`]).
-    fn constant_free(&self) -> bool;
-}
-
-impl OracleQuery for Cq {
-    fn first_schema(&self) -> Option<&Schema> {
-        Some(self.schema())
-    }
-
-    fn eval_state<K: Semiring>(&self) -> EvalState<'_, K> {
-        EvalState::for_cq(self)
-    }
-
-    fn all_outputs<K: Semiring>(&self, instance: &Instance<K>) -> BTreeMap<Tuple, K> {
-        eval_cq_all_outputs(self, instance)
-    }
-
-    fn constant_free(&self) -> bool {
-        cq_constant_free(self)
-    }
-}
-
-impl OracleQuery for Ucq {
-    fn first_schema(&self) -> Option<&Schema> {
-        self.disjuncts().first().map(|q| q.schema())
-    }
-
-    fn eval_state<K: Semiring>(&self) -> EvalState<'_, K> {
-        EvalState::for_ucq(self)
-    }
-
-    fn all_outputs<K: Semiring>(&self, instance: &Instance<K>) -> BTreeMap<Tuple, K> {
-        eval_ucq_all_outputs(self, instance)
-    }
-
-    fn constant_free(&self) -> bool {
-        self.disjuncts().iter().all(cq_constant_free)
-    }
-}
-
-impl OracleQuery for Ducq {
-    fn first_schema(&self) -> Option<&Schema> {
-        self.disjuncts().first().map(|c| c.cq().schema())
-    }
-
-    fn eval_state<K: Semiring>(&self) -> EvalState<'_, K> {
-        EvalState::for_ducq(self)
-    }
-
-    fn all_outputs<K: Semiring>(&self, instance: &Instance<K>) -> BTreeMap<Tuple, K> {
-        eval_ducq_all_outputs(self, instance)
-    }
-
-    fn constant_free(&self) -> bool {
-        self.disjuncts().iter().all(|c| cq_constant_free(c.cq()))
-    }
-}
 
 /// A semantic counterexample to `Q₁ ⊆_K Q₂`.
 #[derive(Clone, Debug)]
@@ -328,13 +252,14 @@ pub struct SearchOutcome<K: Semiring> {
 /// domain of `config.domain_size` values whose annotations are drawn from
 /// [`Semiring::decisive_samples`] (a refutation-preserving subset of the
 /// sample elements; the naive reference oracle keeps the full set).  Each
-/// side is a [`Cq`], a [`Ucq`] or a [`Ducq`].
+/// side is any query read as its disjuncts ([`Disjuncts`]): a [`Cq`], a
+/// CCQ, a UCQ or a union of CCQs.
 ///
 /// Panics if the search exceeds `config.max_instances`; use
 /// [`try_find_counterexample`] to handle the budget as an error.
 pub fn find_counterexample<K: Semiring>(
-    q1: &impl OracleQuery,
-    q2: &impl OracleQuery,
+    q1: &impl Disjuncts,
+    q2: &impl Disjuncts,
     config: &BruteForceConfig,
 ) -> Option<CounterExample<K>> {
     match try_find_counterexample(q1, q2, config) {
@@ -351,11 +276,11 @@ pub fn find_counterexample<K: Semiring>(
 /// enumeration counters, or [`BruteForceError::InstanceBudgetExceeded`] when
 /// `config.max_instances` ran out before the search settled.
 pub fn try_find_counterexample<K: Semiring>(
-    q1: &impl OracleQuery,
-    q2: &impl OracleQuery,
+    q1: &impl Disjuncts,
+    q2: &impl Disjuncts,
     config: &BruteForceConfig,
 ) -> Result<SearchOutcome<K>, BruteForceError> {
-    let schema = match q1.first_schema().or_else(|| q2.first_schema()) {
+    let schema = match first_schema(q1, q2) {
         Some(schema) => schema.clone(),
         None => {
             return Ok(SearchOutcome {
@@ -383,8 +308,7 @@ pub fn try_find_counterexample<K: Semiring>(
     // `orbit_maps` turns the per-node canonicity check off.
     let quotient = config.symmetry_quotient
         && config.domain_size <= MAX_QUOTIENT_DOMAIN
-        && q1.constant_free()
-        && q2.constant_free();
+        && (q1.each_disjunct().chain(q2.each_disjunct())).all(|(cq, _)| cq_constant_free(cq));
     let orbit_maps: Vec<Vec<u32>> = if quotient {
         slot_permutation_maps(&schema, &slots, config.domain_size)
             .into_iter()
@@ -413,9 +337,9 @@ pub fn try_find_counterexample<K: Semiring>(
     // native operations beat polynomial arithmetic before the sharing can
     // pay for itself, so they keep the direct walk.
     let walked = if std::mem::needs_drop::<K>() && samples.len() >= 2 {
-        Factorized::new(&ctx, q1.eval_state(), q2.eval_state()).walk()
+        Factorized::new(&ctx, EvalState::new(q1), EvalState::new(q2)).walk()
     } else {
-        Direct::new(&ctx, q1.eval_state(), q2.eval_state()).walk()
+        Direct::new(&ctx, EvalState::new(q1), EvalState::new(q2)).walk()
     };
     let counterexample = match walked {
         Ok(()) => None,
@@ -1222,6 +1146,13 @@ fn from_natural_cached<K: Semiring>(cache: &mut Vec<K>, c: u64) -> K {
     cache[c as usize].clone()
 }
 
+/// The schema the search enumerates instances over: that of the first
+/// disjunct of `q1`, else of `q2` (`None` when both are empty unions).
+fn first_schema<'q>(q1: &'q impl Disjuncts, q2: &'q impl Disjuncts) -> Option<&'q Schema> {
+    let (cq, _) = q1.each_disjunct().chain(q2.each_disjunct()).next()?;
+    Some(cq.schema())
+}
+
 /// The previous oracle: materialise each instance via [`for_each_instance`]
 /// and evaluate both queries from scratch with the one-shot all-outputs
 /// evaluators.
@@ -1230,19 +1161,19 @@ fn from_natural_cached<K: Semiring>(cache: &mut Vec<K>, c: u64) -> K {
 /// checks the prefix-memoized search against; it ignores
 /// [`BruteForceConfig::max_instances`].
 pub fn find_counterexample_naive<K: Semiring>(
-    q1: &impl OracleQuery,
-    q2: &impl OracleQuery,
+    q1: &impl Disjuncts,
+    q2: &impl Disjuncts,
     config: &BruteForceConfig,
 ) -> Option<CounterExample<K>> {
-    let schema = q1.first_schema().or_else(|| q2.first_schema())?.clone();
+    let schema = first_schema(q1, q2)?.clone();
     let mut found: Option<CounterExample<K>> = None;
     for_each_instance(&schema, config, &mut |instance: &Instance<K>| {
-        let lhs = q1.all_outputs(instance);
+        let lhs = all_outputs(q1, instance);
         // When the lhs support is empty `Q₂` need not be evaluated at all.
         if lhs.is_empty() {
             return false;
         }
-        let rhs = q2.all_outputs(instance);
+        let rhs = all_outputs(q2, instance);
         for (t, l) in &lhs {
             let r = rhs.get(t).cloned().unwrap_or_else(K::zero);
             if !l.leq(&r) {
@@ -1544,8 +1475,8 @@ fn enumerate_supports<K: Semiring>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use annot_query::eval::eval_cq;
-    use annot_query::parser;
+    use annot_query::eval::eval;
+    use annot_query::{parser, Ucq};
     use annot_semiring::{Bool, Natural, Tropical};
 
     fn schema() -> Schema {
@@ -1572,8 +1503,8 @@ mod tests {
         // The reported annotations match a from-scratch evaluation of the
         // reported instance (the memoized state and the witness agree), so
         // replaying the witness refutes containment too.
-        let lhs = eval_cq(&q1, &ce.instance, &ce.tuple);
-        let rhs = eval_cq(&q2, &ce.instance, &ce.tuple);
+        let lhs = eval(&q1, &ce.instance, &ce.tuple);
+        let rhs = eval(&q2, &ce.instance, &ce.tuple);
         assert!(!lhs.leq(&rhs));
         assert_eq!(ce.lhs, lhs);
         assert_eq!(ce.rhs, rhs);

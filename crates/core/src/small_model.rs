@@ -360,7 +360,7 @@ impl Records {
 mod tests {
     use super::*;
     use annot_query::complete::complete_description_ucq;
-    use annot_query::eval::eval_ucq_all_outputs_rows;
+    use annot_query::eval::all_output_rows;
     use annot_query::generator::{GeneratorConfig, QueryGenerator, QueryShape};
     use annot_query::{parser, CanonicalInstance, Ccq, Schema};
     use annot_semiring::{
@@ -477,7 +477,7 @@ mod tests {
         let canonical = CanonicalInstance::of_ccq(member);
         let vars = 0..member.cq().num_vars() as u32;
         let var_of = |id: &_| (vars.clone()).find(|&v| canonical.row_of(QVar(v)) == *id);
-        let outputs = eval_ucq_all_outputs_rows(union, canonical.instance());
+        let outputs = all_output_rows(union, canonical.instance());
         let mut rows: Vec<(Vec<u32>, Terms)> = (outputs.iter())
             .map(|(t, p)| {
                 let tuple = t.iter().map(|id| var_of(id).expect("a member variable"));
@@ -544,8 +544,8 @@ mod tests {
         let mut holds = vec![true; orders.len()];
         for ccq in complete_description_ucq(q1).disjuncts() {
             let canonical = CanonicalInstance::of_ccq(ccq);
-            let m1 = eval_ucq_all_outputs_rows(q1, canonical.instance());
-            let m2 = eval_ucq_all_outputs_rows(q2, canonical.instance());
+            let m1 = all_output_rows(q1, canonical.instance());
+            let m2 = all_output_rows(q2, canonical.instance());
             for (leq, holds) in orders.iter().zip(&mut holds) {
                 let leq = |p1: &NatPoly, p2: &NatPoly| {
                     leq(&p1.polynomial().into(), &p2.polynomial().into())

@@ -62,7 +62,7 @@ pub fn covering2_on_classes(classes: &Classes<'_>) -> bool {
         // … or two members of ⟨Q₂⟩ admit homomorphisms to member1 …
         let mut homs = 0;
         for (source, &count) in sources.iter().zip(&counts) {
-            if kinds::exists_hom_ccq(source, &member1) {
+            if kinds::exists_hom(source, &member1) {
                 homs += count;
                 if homs >= 2 {
                     return true;

@@ -16,7 +16,7 @@
 //! class of `⟨Q₂⟩` takes at most its multiplicity, a class pair is an edge
 //! when the `⟨Q₂⟩` representative surjects onto the `⟨Q₁⟩` one, and one
 //! maximum flow ([`crate::matching`]) decides.  Most edge tests end at
-//! counts in [`kinds::exists_surjective_hom_ccq`]: a surjection between
+//! counts in [`kinds::exists_surjective_hom`]: a surjection between
 //! complete CCQs needs equal variable counts and equal per-relation counts
 //! of distinct atoms.
 
@@ -43,7 +43,7 @@ pub fn unique_surjective_on_classes(classes: &Classes<'_>) -> bool {
     for c1 in (0..classes.len()).filter(|&c| supply[c] > 0) {
         let member1 = classes.representative(c1);
         for c2 in (0..classes.len()).filter(|&c| capacity[c] > 0) {
-            if kinds::exists_surjective_hom_ccq(&classes.representative(c2), &member1) {
+            if kinds::exists_surjective_hom(&classes.representative(c2), &member1) {
                 edges.push((c1, c2));
             }
         }

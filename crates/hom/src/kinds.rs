@@ -2,16 +2,17 @@
 //!
 //! | notation | name | predicates | defined in | decides containment for |
 //! |----------|------|------------|------------|--------------------------|
-//! | `Q₂ → Q₁`  | homomorphism | [`exists_hom`], [`find_hom`], [`exists_hom_ccq`] | Sec. 3.3 | `C_hom` (Thm. 3.3) |
+//! | `Q₂ → Q₁`  | homomorphism | [`exists_hom`], [`find_hom`] | Sec. 3.3 | `C_hom` (Thm. 3.3) |
 //! | `Q₂ ⇉ Q₁`  | homomorphic covering | [`homomorphically_covers`] | Sec. 4.1, 5.4 | `C_hcov` (Thm. 4.3), `C¹_hcov` (Thm. 5.24) |
 //! | `Q₂ ↪ Q₁`  | injective homomorphism | [`exists_injective_hom`], [`find_injective_hom`] | Sec. 4.2 | `C_in` (Thm. 4.9) |
-//! | `Q₂ ↠ Q₁`  | surjective homomorphism | [`exists_surjective_hom`], [`find_surjective_hom`], [`exists_surjective_hom_ccq`] | Sec. 4.4 | `C_sur` (Thm. 4.14) |
+//! | `Q₂ ↠ Q₁`  | surjective homomorphism | [`exists_surjective_hom`], [`find_surjective_hom`] | Sec. 4.4 | `C_sur` (Thm. 4.14) |
 //! | `Q₂ ⤖ Q₁`  | bijective homomorphism | [`exists_bijective_hom`], [`find_bijective_hom`] | Sec. 4.3 | `C_bi` (Thm. 4.10) |
 //!
-//! The `_ccq` predicates take CCQs, or members of a flat complete
-//! description (`annot_query::complete::Member`), whose homomorphisms
-//! additionally preserve the inequalities; [`homomorphically_covers`] takes
-//! a union of sources of any kind.  Between CCQs a bijective homomorphism
+//! [`exists_hom`] and [`exists_surjective_hom`] also take CCQs, or members
+//! of a flat complete description (`annot_query::complete::Member`), whose
+//! homomorphisms additionally preserve the inequalities (on CQs the shape
+//! test below admits everything); [`homomorphically_covers`] takes a union
+//! of sources of any kind.  Between CCQs a bijective homomorphism
 //! is an isomorphism ([`crate::iso`]).
 //!
 //! Before a search runs, exact counts that allocate nothing settle the
@@ -20,7 +21,7 @@
 //! surjective and isomorphism search.  Between CCQs whose source variables
 //! must all differ, as in every member of a complete description ⟨Q⟩, a
 //! shape test compares variable counts and per-relation counts of distinct
-//! atoms: before [`exists_hom_ccq`] and [`exists_surjective_hom_ccq`], and
+//! atoms: before [`exists_hom`] and [`exists_surjective_hom`], and
 //! before the searches from each source in [`homomorphically_covers`].  A
 //! description's members read both counts from the description.  A
 //! surjective search accepts a mapping by counting the covered target atoms
@@ -115,9 +116,10 @@ fn first_witness<Q: SearchQuery>(
 }
 
 /// `Q₂ → Q₁`: is there a homomorphism (containment mapping) from `q2` to
-/// `q1`?  (Chandra–Merlin; Sec. 3.3.)
-pub fn exists_hom(q2: &Cq, q1: &Cq) -> bool {
-    HomSearch::new(q2, q1).exists()
+/// `q1`?  (Chandra–Merlin; Sec. 3.3.)  Between CCQs, or members of complete
+/// descriptions, it preserves the inequalities.
+pub fn exists_hom<Q: SearchQuery>(q2: &Q, q1: &Q) -> bool {
+    Q::shape_admits(q2, q1, false) && HomSearch::new(q2, q1).exists()
 }
 
 /// `Q₂ → Q₁` with the witness: the first homomorphism found, as a variable
@@ -154,12 +156,6 @@ pub fn find_surjective_hom(q2: &Cq, q1: &Cq) -> Option<VarMap> {
     first_witness(&HomSearch::new(q2, q1), &mut |map| covers(map, q2, q1))
 }
 
-/// `Q₂ → Q₁` for CCQs, or for members of complete descriptions, preserving
-/// inequalities.
-pub fn exists_hom_ccq<Q: SearchQuery>(q2: &Q, q1: &Q) -> bool {
-    Q::shape_admits(q2, q1, false) && HomSearch::new(q2, q1).exists()
-}
-
 /// `Q₂ ↪ Q₁`: is there an injective (one-to-one on atoms) homomorphism from
 /// `q2` to `q1`?  The multiset of image atoms is a sub-multiset of `q1`'s
 /// atoms (Sec. 4.2).
@@ -181,17 +177,9 @@ pub fn exists_bijective_hom(q2: &Cq, q1: &Cq) -> bool {
 
 /// `Q₂ ↠ Q₁`: is there a surjective (onto) homomorphism from `q2` to `q1`?
 /// Every atom occurrence of `q1` appears in the image multiset (Sec. 4.4).
-pub fn exists_surjective_hom(q2: &Cq, q1: &Cq) -> bool {
-    surjective_search(q2, q1)
-}
-
-/// `Q₂ ↠ Q₁` for CCQs, or for members of complete descriptions, preserving
+/// Between CCQs, or members of complete descriptions, it preserves the
 /// inequalities.
-pub fn exists_surjective_hom_ccq<Q: SearchQuery>(q2: &Q, q1: &Q) -> bool {
-    surjective_search(q2, q1)
-}
-
-fn surjective_search<Q: SearchQuery>(q2: &Q, q1: &Q) -> bool {
+pub fn exists_surjective_hom<Q: SearchQuery>(q2: &Q, q1: &Q) -> bool {
     // The shape test starts with the variable counts; then, covering every
     // atom occurrence of q1 needs, per relation, at least as many atoms in
     // q2 (images stay within the relation).
@@ -395,15 +383,15 @@ mod tests {
         let edge_distinct =
             Ccq::completion_of(Cq::builder(&schema()).atom("R", &["u", "v"]).build());
         // R(u,v) with u≠v maps into R(x,x) only by collapsing u,v — forbidden.
-        assert!(!exists_hom_ccq(&edge_distinct, &loop_q));
-        assert!(!exists_surjective_hom_ccq(&edge_distinct, &loop_q));
+        assert!(!exists_hom(&edge_distinct, &loop_q));
+        assert!(!exists_surjective_hom(&edge_distinct, &loop_q));
         assert!(!homomorphically_covers(
             std::slice::from_ref(&edge_distinct),
             &loop_q
         ));
         // The loop maps into the loop.
-        assert!(exists_hom_ccq(&loop_q, &loop_q));
-        assert!(exists_surjective_hom_ccq(&loop_q, &loop_q));
+        assert!(exists_hom(&loop_q, &loop_q));
+        assert!(exists_surjective_hom(&loop_q, &loop_q));
         assert!(homomorphically_covers(
             std::slice::from_ref(&loop_q),
             &loop_q

@@ -36,9 +36,8 @@ pub mod search;
 
 pub use iso::{are_isomorphic, are_isomorphic_cq, are_isomorphic_ucq};
 pub use kinds::{
-    exists_bijective_hom, exists_hom, exists_hom_ccq, exists_injective_hom, exists_surjective_hom,
-    exists_surjective_hom_ccq, find_bijective_hom, find_hom, find_injective_hom,
-    find_surjective_hom, homomorphically_covers,
+    exists_bijective_hom, exists_hom, exists_injective_hom, exists_surjective_hom,
+    find_bijective_hom, find_hom, find_injective_hom, find_surjective_hom, homomorphically_covers,
 };
 pub use mapping::VarMap;
 pub use search::{AtomOrder, HomSearch, Inequalities, SearchOptions, SearchQuery};
@@ -51,7 +50,7 @@ mod semantic_soundness_tests {
     //! workloads; the systematic verification lives in `annot-core`.
 
     use super::*;
-    use annot_query::eval::eval_boolean_cq;
+    use annot_query::eval::eval;
     use annot_query::generator::{GeneratorConfig, QueryGenerator, QueryShape};
     use annot_query::Instance;
     use annot_semiring::{Bool, Natural, Semiring};
@@ -77,8 +76,8 @@ mod semantic_soundness_tests {
                     ..Default::default()
                 });
                 let instance: Instance<Bool> = gen2.instance(3, 6);
-                let v1 = eval_boolean_cq(&q1, &instance);
-                let v2 = eval_boolean_cq(&q2, &instance);
+                let v1 = eval(&q1, &instance, &vec![]);
+                let v2 = eval(&q2, &instance, &vec![]);
                 assert!(
                     v1.leq(&v2),
                     "hom exists but containment fails\nQ1 = {}\nQ2 = {}",
@@ -110,8 +109,8 @@ mod semantic_soundness_tests {
                     ..Default::default()
                 });
                 let instance: Instance<Natural> = gen2.instance(3, 6);
-                let v1 = eval_boolean_cq(&q1, &instance);
-                let v2 = eval_boolean_cq(&q2, &instance);
+                let v1 = eval(&q1, &instance, &vec![]);
+                let v2 = eval(&q2, &instance, &vec![]);
                 assert!(
                     v1.leq(&v2),
                     "surjective hom exists but N-containment fails\nQ1 = {}\nQ2 = {}",

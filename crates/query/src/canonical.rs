@@ -110,17 +110,12 @@ impl CanonicalInstance {
             .map(|&v| Self::value_of(v))
             .collect()
     }
-
-    /// Interned counterpart of [`CanonicalInstance::identity_tuple`].
-    pub fn identity_row(&self, query: &Cq) -> IdTuple {
-        query.free_vars().iter().map(|&v| self.row_of(v)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{eval_boolean_cq, eval_cq};
+    use crate::eval::eval;
     use crate::schema::Schema;
     use annot_polynomial::Polynomial;
 
@@ -177,9 +172,9 @@ mod tests {
         let canon = CanonicalInstance::of_cq(&q1);
         let x1 = Polynomial::var(Var(0));
         let x2 = Polynomial::var(Var(1));
-        let p1 = eval_boolean_cq(&q1, canon.instance());
+        let p1 = eval(&q1, canon.instance(), &vec![]);
         assert_eq!(p1.polynomial(), &x1.plus(&x2).pow(2));
-        let p2 = eval_boolean_cq(&q2, canon.instance());
+        let p2 = eval(&q2, canon.instance(), &vec![]);
         assert_eq!(p2.polynomial(), &x1.pow(2).plus(&x2.pow(2)));
     }
 
@@ -194,7 +189,7 @@ mod tests {
         assert_eq!(t, vec![DbValue::Fresh(0)]);
         // Q(x) :- R(x, y) over its own canonical instance at x = "x": the
         // single atom matches itself, yielding its own provenance variable.
-        let val = eval_cq(&q, canon.instance(), &t);
+        let val = eval(&q, canon.instance(), &t);
         assert_eq!(val.polynomial(), &Polynomial::var(Var(0)));
         assert_eq!(canon.domain().len(), 2);
         assert_eq!(canon.atom_var(0), Var(0));

@@ -1096,13 +1096,13 @@ mod tests {
 
     #[test]
     fn description_preserves_every_output() {
-        use crate::eval::{eval_cq_all_outputs, eval_ducq_all_outputs};
+        use crate::eval::all_outputs;
         use crate::instance::Instance;
         use annot_semiring::Natural;
         let preserved = |q: &Cq, db: &Instance<Natural>| {
             let desc = complete_description_cq(q);
-            let expected = eval_cq_all_outputs(q, db);
-            assert_eq!(expected, eval_ducq_all_outputs(&desc, db), "{q}");
+            let expected = all_outputs(q, db);
+            assert_eq!(expected, all_outputs(&desc, db), "{q}");
             expected
         };
         let mut db: Instance<Natural> = Instance::new(schema());

@@ -17,21 +17,22 @@
 //! for UCQs the evaluations of the members are summed (the empty UCQ
 //! evaluates to `0`).
 //!
-//! # Interned vs resolved results
-//!
-//! All joins run over interned [`ValueId`] rows: variables bind `u32` ids
-//! and the unification loop never touches a [`DbValue`](crate::DbValue).  Each evaluator
-//! therefore comes in two flavours: a `*_rows` variant returning maps keyed
-//! by [`IdTuple`] (ids of the instance's [`Domain`] — the hot-path form the
-//! brute-force oracle and the small-model procedure consume), and the
-//! original [`Tuple`]-keyed form, a thin resolving wrapper kept as the
-//! public boundary.
+//! Every query kind is read the same way, as its disjuncts ([`Disjuncts`]):
+//! a CQ or a CCQ is one disjunct and a union is its members, each a CQ plus
+//! the CCQ whose inequalities restrict it, if any.  So each question has one
+//! function: [`eval`] evaluates one output tuple, [`all_output_rows`] every
+//! output tuple at once, keyed by interned [`IdTuple`] rows of the
+//! instance's [`Domain`] (the form the brute-force oracle and the
+//! small-model procedure consume), and [`all_outputs`] resolves that map to
+//! [`Tuple`]s.  All joins run over interned [`ValueId`] rows: variables bind
+//! `u32` ids and the unification loop never touches a
+//! [`DbValue`](crate::DbValue).
 //!
 //! # One-shot vs incremental evaluation
 //!
-//! The `eval_*` functions above are *one-shot*: they recompute the full sum
-//! from the instance each time.  When a caller evaluates the same query over
-//! a **sequence** of instances that differ by one fact at a time — the shape
+//! The functions above are *one-shot*: they recompute the full sum from the
+//! instance each time.  When a caller evaluates the same query over a
+//! **sequence** of instances that differ by one fact at a time — the shape
 //! of the brute-force oracle's support enumeration — use [`EvalState`]
 //! instead: it maintains the all-outputs map incrementally under
 //! [`EvalState::push_fact`] / [`EvalState::pop_fact`], paying only for the
@@ -46,57 +47,99 @@ use crate::ucq::{Ducq, Ucq};
 use annot_semiring::Semiring;
 use std::collections::BTreeMap;
 
-/// Evaluates a CQ on an instance for an output tuple `t`.
+/// A query read as its disjuncts: each is a [`Cq`] plus the [`Ccq`] whose
+/// inequalities restrict its valuations, if any.  A [`Cq`] or a [`Ccq`] is
+/// one disjunct; a [`Ucq`] or a [`Ducq`] is its members, and the empty
+/// union has none.
+pub trait Disjuncts {
+    /// The disjuncts, in order.
+    fn each_disjunct(&self) -> impl Iterator<Item = (&Cq, Option<&Ccq>)>;
+}
+
+impl Disjuncts for Cq {
+    fn each_disjunct(&self) -> impl Iterator<Item = (&Cq, Option<&Ccq>)> {
+        std::iter::once((self, None))
+    }
+}
+
+impl Disjuncts for Ccq {
+    fn each_disjunct(&self) -> impl Iterator<Item = (&Cq, Option<&Ccq>)> {
+        std::iter::once((self.cq(), Some(self)))
+    }
+}
+
+impl Disjuncts for Ucq {
+    fn each_disjunct(&self) -> impl Iterator<Item = (&Cq, Option<&Ccq>)> {
+        self.disjuncts().iter().map(|cq| (cq, None))
+    }
+}
+
+impl Disjuncts for Ducq {
+    fn each_disjunct(&self) -> impl Iterator<Item = (&Cq, Option<&Ccq>)> {
+        self.disjuncts().iter().map(|ccq| (ccq.cq(), Some(ccq)))
+    }
+}
+
+/// Evaluates a query on an instance for an output tuple `t`: the semiring
+/// sum of its disjuncts' evaluations (`0` for the empty union).
 ///
-/// Panics if `t` has a different length than the query's free-variable list.
-pub fn eval_cq<K: Semiring>(query: &Cq, instance: &Instance<K>, t: &Tuple) -> K {
-    eval_with_inequalities(query, None, instance, t)
-}
-
-/// Evaluates a CCQ (CQ with inequalities) on an instance for `t`.
-pub fn eval_ccq<K: Semiring>(query: &Ccq, instance: &Instance<K>, t: &Tuple) -> K {
-    eval_with_inequalities(query.cq(), Some(query), instance, t)
-}
-
-/// Evaluates a UCQ on an instance for `t` (the semiring sum of its members).
-pub fn eval_ucq<K: Semiring>(query: &Ucq, instance: &Instance<K>, t: &Tuple) -> K {
+/// Panics if `t` has a different length than a disjunct's free-variable
+/// list.
+pub fn eval<K: Semiring>(query: &impl Disjuncts, instance: &Instance<K>, t: &Tuple) -> K {
     let mut total = K::zero();
-    for cq in query.disjuncts() {
-        total = total.add(&eval_cq(cq, instance, t));
+    for (cq, inequalities) in query.each_disjunct() {
+        total = total.add(&eval_with_inequalities(cq, inequalities, instance, t));
     }
     total
 }
 
-/// Evaluates a union of CCQs on an instance for `t`.
-pub fn eval_ducq<K: Semiring>(query: &Ducq, instance: &Instance<K>, t: &Tuple) -> K {
-    let mut total = K::zero();
-    for ccq in query.disjuncts() {
-        total = total.add(&eval_ccq(ccq, instance, t));
+/// Evaluates a query on an instance for *every* output tuple at once: one
+/// backtracking join per disjunct with the free variables left unbound,
+/// adding each satisfying assignment's product to the output row it reads
+/// off.  Returns the map `t ↦ Qᴵ(t)` restricted to its support (absent
+/// tuples evaluate to `0`), keyed by interned rows of the instance's
+/// domain.
+///
+/// This is the bulk counterpart of [`eval`]: where a caller would loop over
+/// `|adom|^arity` candidate tuples and re-run the joins for each, this pays
+/// for each join exactly once.
+pub fn all_output_rows<K: Semiring>(
+    query: &impl Disjuncts,
+    instance: &Instance<K>,
+) -> BTreeMap<IdTuple, K> {
+    let mut map: BTreeMap<IdTuple, K> = BTreeMap::new();
+    for (cq, inequalities) in query.each_disjunct() {
+        let mut assignment: Vec<Option<ValueId>> = vec![None; cq.num_vars()];
+        let mut touched: Vec<QVar> = Vec::new();
+        eval_rec(
+            cq,
+            inequalities,
+            instance,
+            0,
+            &mut assignment,
+            &mut touched,
+            &K::one(),
+            &mut |assignment, product| add_into(&mut map, head_row(cq, assignment), product),
+        );
     }
-    total
+    // Positive semirings cannot sum non-zeros to zero, but keep the support
+    // contract (`t ∈ map ⇔ Qᴵ(t) ≠ 0`) robust for exotic semirings.
+    map.retain(|_, value| !value.is_zero());
+    map
 }
 
-/// Evaluates a Boolean CQ (no free variables) on an instance.
-pub fn eval_boolean_cq<K: Semiring>(query: &Cq, instance: &Instance<K>) -> K {
-    eval_cq(query, instance, &Vec::new())
-}
-
-/// Evaluates a Boolean UCQ on an instance.
-pub fn eval_boolean_ucq<K: Semiring>(query: &Ucq, instance: &Instance<K>) -> K {
-    eval_ucq(query, instance, &Vec::new())
-}
-
-/// All output tuples with a non-zero annotation, together with their
-/// annotations (in lexicographic tuple order).  Computed in a single
-/// assignment-enumeration pass via [`eval_cq_all_outputs`].
-pub fn answers<K: Semiring>(query: &Cq, instance: &Instance<K>) -> Vec<(Tuple, K)> {
-    eval_cq_all_outputs(query, instance).into_iter().collect()
+/// The [`Tuple`]-keyed form of [`all_output_rows`].
+pub fn all_outputs<K: Semiring>(
+    query: &impl Disjuncts,
+    instance: &Instance<K>,
+) -> BTreeMap<Tuple, K> {
+    resolve_outputs(instance.domain(), &all_output_rows(query, instance))
 }
 
 /// Resolves an interned all-outputs map back to [`DbValue`] tuples.
 ///
 /// [`DbValue`]: crate::schema::DbValue
-pub fn resolve_outputs<K: Semiring>(
+fn resolve_outputs<K: Semiring>(
     domain: &Domain,
     outputs: &BTreeMap<IdTuple, K>,
 ) -> BTreeMap<Tuple, K> {
@@ -106,144 +149,27 @@ pub fn resolve_outputs<K: Semiring>(
         .collect()
 }
 
-/// Evaluates a CQ on an instance for *every* output tuple at once: one
-/// backtracking join with the free variables left unbound, reading the output
-/// tuple off each satisfying assignment.  Returns the map `t ↦ Qᴵ(t)`
-/// restricted to its support (absent tuples evaluate to `0`), keyed by
-/// interned rows of the instance's domain.
-///
-/// This is the bulk counterpart of [`eval_cq`]: where a caller would loop
-/// over `|adom|^arity` candidate tuples and re-run the join for each, this
-/// pays for the join exactly once.
-pub fn eval_cq_all_outputs_rows<K: Semiring>(
-    query: &Cq,
-    instance: &Instance<K>,
-) -> BTreeMap<IdTuple, K> {
-    all_outputs_with_inequalities(query, None, instance)
-}
-
-/// The [`Tuple`]-keyed form of [`eval_cq_all_outputs_rows`].
-pub fn eval_cq_all_outputs<K: Semiring>(query: &Cq, instance: &Instance<K>) -> BTreeMap<Tuple, K> {
-    resolve_outputs(
-        instance.domain(),
-        &eval_cq_all_outputs_rows(query, instance),
-    )
-}
-
-/// The all-outputs evaluation of a CCQ (CQ with inequalities), keyed by
-/// interned rows.
-pub fn eval_ccq_all_outputs_rows<K: Semiring>(
-    query: &Ccq,
-    instance: &Instance<K>,
-) -> BTreeMap<IdTuple, K> {
-    all_outputs_with_inequalities(query.cq(), Some(query), instance)
-}
-
-/// The [`Tuple`]-keyed form of [`eval_ccq_all_outputs_rows`].
-pub fn eval_ccq_all_outputs<K: Semiring>(
-    query: &Ccq,
-    instance: &Instance<K>,
-) -> BTreeMap<Tuple, K> {
-    resolve_outputs(
-        instance.domain(),
-        &eval_ccq_all_outputs_rows(query, instance),
-    )
-}
-
-/// The all-outputs evaluation of a UCQ: the per-disjunct maps are computed
-/// independently (each disjunct's assignment enumeration runs once) and
-/// summed pointwise.  Keyed by interned rows.
-pub fn eval_ucq_all_outputs_rows<K: Semiring>(
-    query: &Ucq,
-    instance: &Instance<K>,
-) -> BTreeMap<IdTuple, K> {
-    let mut total: BTreeMap<IdTuple, K> = BTreeMap::new();
-    for cq in query.disjuncts() {
-        for (row, value) in eval_cq_all_outputs_rows(cq, instance) {
-            add_into(&mut total, row, &value);
-        }
-    }
-    total.retain(|_, value| !value.is_zero());
-    total
-}
-
-/// The [`Tuple`]-keyed form of [`eval_ucq_all_outputs_rows`].
-pub fn eval_ucq_all_outputs<K: Semiring>(
-    query: &Ucq,
-    instance: &Instance<K>,
-) -> BTreeMap<Tuple, K> {
-    resolve_outputs(
-        instance.domain(),
-        &eval_ucq_all_outputs_rows(query, instance),
-    )
-}
-
-/// The all-outputs evaluation of a union of CCQs: per-disjunct maps summed
-/// pointwise (the `Ducq` counterpart of [`eval_ucq_all_outputs_rows`]).
-pub fn eval_ducq_all_outputs_rows<K: Semiring>(
-    query: &Ducq,
-    instance: &Instance<K>,
-) -> BTreeMap<IdTuple, K> {
-    let mut total: BTreeMap<IdTuple, K> = BTreeMap::new();
-    for ccq in query.disjuncts() {
-        for (row, value) in eval_ccq_all_outputs_rows(ccq, instance) {
-            add_into(&mut total, row, &value);
-        }
-    }
-    total.retain(|_, value| !value.is_zero());
-    total
-}
-
-/// The [`Tuple`]-keyed form of [`eval_ducq_all_outputs_rows`].
-pub fn eval_ducq_all_outputs<K: Semiring>(
-    query: &Ducq,
-    instance: &Instance<K>,
-) -> BTreeMap<Tuple, K> {
-    resolve_outputs(
-        instance.domain(),
-        &eval_ducq_all_outputs_rows(query, instance),
-    )
+/// The output row of a complete assignment of `query`: its free variables'
+/// values.  It is `#[inline]` because the joins that call it once per leaf
+/// are monomorphized in other crates, which do not inline a non-generic
+/// function otherwise.
+#[inline]
+fn head_row(query: &Cq, assignment: &[Option<ValueId>]) -> IdTuple {
+    query
+        .free_vars()
+        .iter()
+        .map(|v| {
+            assignment[v.0 as usize]
+                // invariant: safety was validated when the query was built
+                .expect("safe query: every free variable occurs in an atom")
+        })
+        .collect()
 }
 
 /// Adds `value` to the entry for `row` (absent entries hold `0`).
 fn add_into<K: Semiring>(map: &mut BTreeMap<IdTuple, K>, row: IdTuple, value: &K) {
     let entry = map.entry(row).or_insert_with(K::zero);
     *entry = entry.add(value);
-}
-
-fn all_outputs_with_inequalities<K: Semiring>(
-    query: &Cq,
-    inequalities: Option<&Ccq>,
-    instance: &Instance<K>,
-) -> BTreeMap<IdTuple, K> {
-    let mut assignment: Vec<Option<ValueId>> = vec![None; query.num_vars()];
-    let mut touched: Vec<QVar> = Vec::new();
-    let mut map: BTreeMap<IdTuple, K> = BTreeMap::new();
-    eval_rec(
-        query,
-        inequalities,
-        instance,
-        0,
-        &mut assignment,
-        &mut touched,
-        &K::one(),
-        &mut |assignment, product| {
-            let row: IdTuple = query
-                .free_vars()
-                .iter()
-                .map(|v| {
-                    assignment[v.0 as usize]
-                        // invariant: safety was validated when the query was built
-                        .expect("safe query: every free variable occurs in an atom")
-                })
-                .collect();
-            add_into(&mut map, row, product);
-        },
-    );
-    // Positive semirings cannot sum non-zeros to zero, but keep the support
-    // contract (`t ∈ map ⇔ Qᴵ(t) ≠ 0`) robust for exotic semirings.
-    map.retain(|_, value| !value.is_zero());
-    map
 }
 
 /// Core evaluation: backtracking join over the atoms of the query.
@@ -389,13 +315,6 @@ fn inequalities_hold(inequalities: Option<&Ccq>, assignment: &[Option<ValueId>])
 // Incremental evaluation
 // ---------------------------------------------------------------------------
 
-/// One query disjunct tracked by an [`EvalState`]: a CQ plus (optionally) the
-/// inequalities restricting its valuations.
-struct TrackedDisjunct<'q> {
-    query: &'q Cq,
-    inequalities: Option<&'q Ccq>,
-}
-
 /// The undo record of one [`EvalState::push_fact`]: a `(RelId, u32 len)`
 /// frame — the relation whose fact table the push touched and that table's
 /// fact count *before* the push — plus the previous value of every
@@ -494,10 +413,10 @@ impl<K: Semiring> FactStore<K> {
     }
 }
 
-/// Incremental all-outputs evaluation of a union of (C)CQs over a *stack* of
-/// facts.
+/// Incremental all-outputs evaluation of a query, read as its
+/// [`Disjuncts`], over a *stack* of facts.
 ///
-/// Where [`eval_ucq_all_outputs`] recomputes the full map `t ↦ Qᴵ(t)` from
+/// Where [`all_outputs`] recomputes the full map `t ↦ Qᴵ(t)` from
 /// scratch per instance, an `EvalState` maintains that map under
 /// [`push_fact`](EvalState::push_fact) / [`pop_fact`](EvalState::pop_fact):
 /// pushing a fact runs, per disjunct, only the *delta* joins — the satisfying
@@ -521,11 +440,11 @@ impl<K: Semiring> FactStore<K> {
 /// maps each tuple to the sum of its derivations).  Pushing a `0` annotation
 /// is a no-op frame (zero never contributes to any product).
 ///
-/// The outputs map upholds the support contract of the one-shot evaluators:
+/// The outputs map upholds the support contract of [`all_output_rows`]:
 /// `t ∈ outputs ⇔ Qᴵ(t) ≠ 0`.
 ///
 /// ```
-/// use annot_query::eval::{eval_cq_all_outputs, EvalState};
+/// use annot_query::eval::{all_outputs, EvalState};
 /// use annot_query::{Cq, Instance, Schema};
 /// use annot_semiring::Natural;
 ///
@@ -536,21 +455,22 @@ impl<K: Semiring> FactStore<K> {
 ///     .atom("R", &["y", "z"])
 ///     .build();
 ///
-/// let mut state: EvalState<Natural> = EvalState::for_cq(&q);
+/// let mut state: EvalState<Natural> = EvalState::new(&q);
 /// state.push_fact(rel, vec![1.into(), 2.into()], Natural(2));
 /// state.push_fact(rel, vec![2.into(), 3.into()], Natural(3));
 ///
 /// let mut instance: Instance<Natural> = Instance::new(schema.clone());
 /// instance.insert(rel, vec![1.into(), 2.into()], Natural(2));
 /// instance.insert(rel, vec![2.into(), 3.into()], Natural(3));
-/// assert_eq!(state.outputs(), eval_cq_all_outputs(&q, &instance));
+/// assert_eq!(state.outputs(), all_outputs(&q, &instance));
 ///
 /// state.pop_fact();
 /// state.pop_fact();
 /// assert!(state.outputs().is_empty());
 /// ```
 pub struct EvalState<'q, K: Semiring> {
-    disjuncts: Vec<TrackedDisjunct<'q>>,
+    /// Each disjunct's CQ and the CCQ whose inequalities restrict it, if any.
+    disjuncts: Vec<(&'q Cq, Option<&'q Ccq>)>,
     /// The interner tuples pushed through the `DbValue` API go through, and
     /// the resolver for [`EvalState::outputs`].
     domain: Domain,
@@ -564,18 +484,21 @@ pub struct EvalState<'q, K: Semiring> {
 }
 
 impl<'q, K: Semiring> EvalState<'q, K> {
-    fn new(disjuncts: Vec<TrackedDisjunct<'q>>) -> Self {
+    /// A state evaluating `query` over the empty fact stack (outputs are
+    /// summed over its disjuncts).
+    pub fn new(query: &'q impl Disjuncts) -> Self {
+        let disjuncts: Vec<(&'q Cq, Option<&'q Ccq>)> = query.each_disjunct().collect();
         let domain = disjuncts
             .first()
-            .map(|d| d.query.schema().domain().clone())
+            .map(|(cq, _)| cq.schema().domain().clone())
             .unwrap_or_default();
         let mut outputs = BTreeMap::new();
         // Atomless disjuncts have one satisfying assignment (the empty one)
         // on every instance, including the empty one this state starts from;
         // all other disjuncts evaluate to 0 with no facts.  Safety makes an
         // atomless disjunct variable-free, so its output tuple is ().
-        for d in &disjuncts {
-            if d.query.num_atoms() == 0 {
+        for (cq, _) in &disjuncts {
+            if cq.num_atoms() == 0 {
                 add_into(&mut outputs, Vec::new(), &K::one());
             }
         }
@@ -587,50 +510,6 @@ impl<'q, K: Semiring> EvalState<'q, K> {
             outputs,
             frames: Vec::new(),
         }
-    }
-
-    /// A state evaluating a single CQ.
-    pub fn for_cq(query: &'q Cq) -> Self {
-        EvalState::new(vec![TrackedDisjunct {
-            query,
-            inequalities: None,
-        }])
-    }
-
-    /// A state evaluating a single CCQ (CQ with inequalities).
-    pub fn for_ccq(query: &'q Ccq) -> Self {
-        EvalState::new(vec![TrackedDisjunct {
-            query: query.cq(),
-            inequalities: Some(query),
-        }])
-    }
-
-    /// A state evaluating a UCQ (outputs are summed over the disjuncts).
-    pub fn for_ucq(query: &'q Ucq) -> Self {
-        EvalState::new(
-            query
-                .disjuncts()
-                .iter()
-                .map(|cq| TrackedDisjunct {
-                    query: cq,
-                    inequalities: None,
-                })
-                .collect(),
-        )
-    }
-
-    /// A state evaluating a union of CCQs.
-    pub fn for_ducq(query: &'q Ducq) -> Self {
-        EvalState::new(
-            query
-                .disjuncts()
-                .iter()
-                .map(|ccq| TrackedDisjunct {
-                    query: ccq.cq(),
-                    inequalities: Some(ccq),
-                })
-                .collect(),
-        )
     }
 
     /// The interner the state's rows live in (the domain of the first
@@ -687,12 +566,6 @@ impl<'q, K: Semiring> EvalState<'q, K> {
             .flat_map(|frame| frame.changed.iter().map(|(row, _)| row))
     }
 
-    /// The resolved form of [`EvalState::last_changed_rows`].
-    pub fn last_changed(&self) -> impl Iterator<Item = Tuple> + '_ {
-        self.last_changed_rows()
-            .map(|row| self.domain.resolve_tuple(row))
-    }
-
     /// Pushes a fact given as a [`Tuple`]: interns it through the state's
     /// domain and delegates to [`EvalState::push_fact_row`].  A `0`
     /// annotation is a no-op frame and does not intern (zero pushes must
@@ -740,10 +613,10 @@ impl<'q, K: Semiring> EvalState<'q, K> {
         if !annotation.is_zero() {
             let outputs = &mut self.outputs;
             let changed = &mut frame.changed;
-            for d in &self.disjuncts {
+            for &(query, inequalities) in &self.disjuncts {
                 delta_join(
-                    d.query,
-                    d.inequalities,
+                    query,
+                    inequalities,
                     &self.facts,
                     (rel, row, &annotation),
                     &mut |output, product| {
@@ -841,18 +714,7 @@ fn delta_join<K: Semiring>(
             &mut assignment,
             &mut touched,
             &K::one(),
-            &mut |assignment, product| {
-                let output: IdTuple = query
-                    .free_vars()
-                    .iter()
-                    .map(|v| {
-                        assignment[v.0 as usize]
-                            // invariant: safety was validated when the query was built
-                            .expect("safe query: every free variable occurs in an atom")
-                    })
-                    .collect();
-                on_leaf(output, product);
-            },
+            &mut |assignment, product| on_leaf(head_row(query, assignment), product),
         );
     }
 }
@@ -947,7 +809,7 @@ mod tests {
             .atom("R", &["x", "y"])
             .atom("R", &["y", "z"])
             .build();
-        assert_eq!(eval_boolean_cq(&q, &path_instance()), Natural(6));
+        assert_eq!(eval(&q, &path_instance(), &vec![]), Natural(6));
     }
 
     #[test]
@@ -958,15 +820,15 @@ mod tests {
             .atom("R", &["x", "y"])
             .build();
         let i = path_instance();
-        assert_eq!(eval_cq(&q, &i, &vec!["a".into()]), Natural(2));
-        assert_eq!(eval_cq(&q, &i, &vec!["b".into()]), Natural(3));
-        assert_eq!(eval_cq(&q, &i, &vec!["c".into()]), Natural(0));
+        assert_eq!(eval(&q, &i, &vec!["a".into()]), Natural(2));
+        assert_eq!(eval(&q, &i, &vec!["b".into()]), Natural(3));
+        assert_eq!(eval(&q, &i, &vec!["c".into()]), Natural(0));
         // A value the instance has never seen evaluates to 0 without
         // interning it into the domain.
         let before = i.domain().len();
-        assert_eq!(eval_cq(&q, &i, &vec!["unseen".into()]), Natural(0));
+        assert_eq!(eval(&q, &i, &vec!["unseen".into()]), Natural(0));
         assert_eq!(i.domain().len(), before);
-        let ans = answers(&q, &i);
+        let ans = all_outputs(&q, &i);
         assert_eq!(ans.len(), 2);
     }
 
@@ -979,7 +841,7 @@ mod tests {
             .atom("S", &["v"])
             .atom("S", &["v"])
             .build();
-        assert_eq!(eval_boolean_cq(&q, &i), Natural(9));
+        assert_eq!(eval(&q, &i, &vec![]), Natural(9));
     }
 
     #[test]
@@ -990,7 +852,7 @@ mod tests {
             .atom("R", &["x", "y"])
             .atom("R", &["z", "w"])
             .build();
-        assert_eq!(eval_boolean_cq(&q, &path_instance()), Natural(25));
+        assert_eq!(eval(&q, &path_instance(), &vec![]), Natural(25));
     }
 
     #[test]
@@ -1003,12 +865,12 @@ mod tests {
             .atom("R", &["x", "y"])
             .atom("R", &["y", "z"])
             .build();
-        assert_eq!(eval_boolean_cq(&q, &i), Tropical::Finite(5));
+        assert_eq!(eval(&q, &i, &vec![]), Tropical::Finite(5));
         let q2 = Cq::builder(&schema())
             .atom("R", &["x", "y"])
             .atom("R", &["z", "w"])
             .build();
-        assert_eq!(eval_boolean_cq(&q2, &i), Tropical::Finite(4)); // 2+2
+        assert_eq!(eval(&q2, &i, &vec![]), Tropical::Finite(4)); // 2+2
     }
 
     #[test]
@@ -1020,7 +882,7 @@ mod tests {
             .atom("R", &["z", "w"])
             .inequality("x", "z")
             .build_ccq();
-        assert_eq!(eval_ccq(&q, &path_instance(), &vec![]), Natural(12));
+        assert_eq!(eval(&q, &path_instance(), &vec![]), Natural(12));
     }
 
     #[test]
@@ -1029,9 +891,9 @@ mod tests {
         let q2 = Cq::builder(&schema()).atom("R", &["x", "y"]).build();
         let ucq = Ucq::new([q1, q2]);
         // S contributes 1, R contributes 2 + 3.
-        assert_eq!(eval_boolean_ucq(&ucq, &path_instance()), Natural(6));
+        assert_eq!(eval(&ucq, &path_instance(), &vec![]), Natural(6));
         assert_eq!(
-            eval_boolean_ucq(&Ucq::empty(), &path_instance()),
+            eval(&Ucq::empty(), &path_instance(), &vec![]),
             Natural::zero()
         );
     }
@@ -1045,8 +907,8 @@ mod tests {
             .free(&["x", "x"])
             .atom("R", &["x", "x"])
             .build();
-        assert_eq!(eval_cq(&q, &i, &vec!["a".into(), "a".into()]), Bool(true));
-        assert_eq!(eval_cq(&q, &i, &vec!["a".into(), "b".into()]), Bool(false));
+        assert_eq!(eval(&q, &i, &vec!["a".into(), "a".into()]), Bool(true));
+        assert_eq!(eval(&q, &i, &vec!["a".into(), "b".into()]), Bool(false));
     }
 
     #[test]
@@ -1060,7 +922,7 @@ mod tests {
             .atom("R", &["x", "y"])
             .atom("R", &["y", "z"])
             .build();
-        let result = eval_boolean_cq(&q, &i);
+        let result = eval(&q, &i, &vec![]);
         let expected = Polynomial::var(Var(0)).times(&Polynomial::var(Var(1)));
         assert_eq!(result.polynomial(), &expected);
     }
@@ -1072,14 +934,14 @@ mod tests {
             .atom("R", &["x", "y"])
             .build();
         let i = path_instance();
-        let rows = eval_cq_all_outputs_rows(&q, &i);
-        let resolved = eval_cq_all_outputs(&q, &i);
+        let rows = all_output_rows(&q, &i);
+        let resolved = all_outputs(&q, &i);
         assert_eq!(rows.len(), resolved.len());
         assert_eq!(resolve_outputs(i.domain(), &rows), resolved);
         for (row, k) in &rows {
             let tuple = i.domain().resolve_tuple(row);
             assert_eq!(resolved.get(&tuple), Some(k));
-            assert_eq!(&eval_cq(&q, &i, &tuple), k);
+            assert_eq!(&eval(&q, &i, &tuple), k);
         }
     }
 
@@ -1091,7 +953,7 @@ mod tests {
             .atom("S", &["x"])
             .build();
         let i: Instance<Bool> = Instance::new(schema());
-        let _ = eval_cq(&q, &i, &vec![]);
+        let _ = eval(&q, &i, &vec![]);
     }
 
     // -- incremental evaluation ---------------------------------------------
@@ -1137,10 +999,10 @@ mod tests {
             .atom("R", &["x", "y"])
             .atom("R", &["y", "z"])
             .build();
-        let state: EvalState<'_, Natural> = EvalState::for_cq(&q);
+        let state: EvalState<'_, Natural> = EvalState::new(&q);
         check_state_matches_oneshot(
             state,
-            &|i| eval_cq_all_outputs(&q, i),
+            &|i| all_outputs(&q, i),
             &[
                 ("R", vec!["a".into(), "b".into()], Natural(2)),
                 ("R", vec!["b".into(), "c".into()], Natural(3)),
@@ -1157,10 +1019,10 @@ mod tests {
             .atom("R", &["z", "w"])
             .inequality("x", "z")
             .build_ccq();
-        let state: EvalState<'_, Natural> = EvalState::for_ccq(&q);
+        let state: EvalState<'_, Natural> = EvalState::new(&q);
         check_state_matches_oneshot(
             state,
-            &|i| eval_ccq_all_outputs(&q, i),
+            &|i| all_outputs(&q, i),
             &[
                 ("R", vec!["a".into(), "b".into()], Natural(2)),
                 ("R", vec!["b".into(), "c".into()], Natural(3)),
@@ -1177,10 +1039,10 @@ mod tests {
             .atom("S", &["y"])
             .build();
         let ucq = Ucq::new([q1, q2]);
-        let state: EvalState<'_, Natural> = EvalState::for_ucq(&ucq);
+        let state: EvalState<'_, Natural> = EvalState::new(&ucq);
         check_state_matches_oneshot(
             state,
-            &|i| eval_ucq_all_outputs(&ucq, i),
+            &|i| all_outputs(&ucq, i),
             &[
                 ("S", vec!["b".into()], Natural(2)),
                 ("R", vec!["a".into(), "b".into()], Natural(3)),
@@ -1193,12 +1055,12 @@ mod tests {
     fn eval_state_handles_atomless_and_empty_unions() {
         // The empty UCQ evaluates to 0 everywhere.
         let empty = Ucq::empty();
-        let state: EvalState<'_, Natural> = EvalState::for_ucq(&empty);
+        let state: EvalState<'_, Natural> = EvalState::new(&empty);
         assert!(state.outputs().is_empty());
 
         // An atomless CQ evaluates to 1 on every instance, facts or not.
         let atomless = Cq::new(schema(), vec![], vec![], vec![]);
-        let mut state: EvalState<'_, Natural> = EvalState::for_cq(&atomless);
+        let mut state: EvalState<'_, Natural> = EvalState::new(&atomless);
         assert_eq!(state.outputs().get(&Vec::new()), Some(&Natural(1)));
         let r = schema().relation("R").unwrap();
         state.push_fact(r, vec![1.into(), 2.into()], Natural(7));
@@ -1216,22 +1078,22 @@ mod tests {
             .atom("S", &["v"])
             .build();
         let s = schema().relation("S").unwrap();
-        let mut state: EvalState<'_, Natural> = EvalState::for_cq(&q);
+        let mut state: EvalState<'_, Natural> = EvalState::new(&q);
         state.push_fact(s, vec!["c".into()], Natural(2));
         state.push_fact(s, vec!["c".into()], Natural(3));
         let mut i: Instance<Natural> = Instance::new(schema());
         i.insert(s, vec!["c".into()], Natural(5));
-        assert_eq!(state.outputs(), eval_cq_all_outputs(&q, &i));
+        assert_eq!(state.outputs(), all_outputs(&q, &i));
         state.pop_fact();
         i.insert(s, vec!["c".into()], Natural(2));
-        assert_eq!(state.outputs(), eval_cq_all_outputs(&q, &i));
+        assert_eq!(state.outputs(), all_outputs(&q, &i));
     }
 
     #[test]
     fn eval_state_zero_push_is_a_noop_frame() {
         let q = Cq::builder(&schema()).atom("S", &["v"]).build();
         let s = schema().relation("S").unwrap();
-        let mut state: EvalState<'_, Natural> = EvalState::for_cq(&q);
+        let mut state: EvalState<'_, Natural> = EvalState::new(&q);
         let before = state.domain().len();
         state.push_fact(s, vec!["c".into()], Natural(0));
         assert!(state.outputs().is_empty());
@@ -1249,15 +1111,18 @@ mod tests {
             .atom("R", &["x", "y"])
             .build();
         let r = schema().relation("R").unwrap();
-        let mut state: EvalState<'_, Natural> = EvalState::for_cq(&q);
-        assert_eq!(state.last_changed().count(), 0);
+        let mut state: EvalState<'_, Natural> = EvalState::new(&q);
+        let last_changed = |state: &EvalState<'_, Natural>| -> Vec<Tuple> {
+            (state.last_changed_rows())
+                .map(|row| state.domain().resolve_tuple(row))
+                .collect()
+        };
+        assert_eq!(last_changed(&state).len(), 0);
         state.push_fact(r, vec!["a".into(), "b".into()], Natural(2));
-        let changed: Vec<Tuple> = state.last_changed().collect();
-        assert_eq!(changed, vec![vec![DbValue::str("a")]]);
+        assert_eq!(last_changed(&state), vec![vec![DbValue::str("a")]]);
         // A fact for an unrelated output leaves ("a") out of the new delta.
         state.push_fact(r, vec!["b".into(), "c".into()], Natural(3));
-        let changed: Vec<Tuple> = state.last_changed().collect();
-        assert_eq!(changed, vec![vec![DbValue::str("b")]]);
+        assert_eq!(last_changed(&state), vec![vec![DbValue::str("b")]]);
         // The interned view reports the same rows.
         assert_eq!(state.last_changed_rows().count(), 1);
     }
@@ -1269,10 +1134,10 @@ mod tests {
             .atom("R", &["y", "z"])
             .build();
         let r = schema().relation("R").unwrap();
-        let mut by_tuple: EvalState<'_, Natural> = EvalState::for_cq(&q);
+        let mut by_tuple: EvalState<'_, Natural> = EvalState::new(&q);
         by_tuple.push_fact(r, vec!["a".into(), "b".into()], Natural(2));
         by_tuple.push_fact(r, vec!["b".into(), "a".into()], Natural(3));
-        let mut by_row: EvalState<'_, Natural> = EvalState::for_cq(&q);
+        let mut by_row: EvalState<'_, Natural> = EvalState::new(&q);
         let a = by_row.domain().intern(&"a".into());
         let b = by_row.domain().intern(&"b".into());
         by_row.push_fact_row(r, &[a, b], Natural(2));
@@ -1285,7 +1150,7 @@ mod tests {
     #[should_panic(expected = "pop_fact with no pushed fact")]
     fn eval_state_pop_on_empty_panics() {
         let q = Cq::builder(&schema()).atom("S", &["v"]).build();
-        let mut state: EvalState<'_, Bool> = EvalState::for_cq(&q);
+        let mut state: EvalState<'_, Bool> = EvalState::new(&q);
         state.pop_fact();
     }
 
@@ -1300,7 +1165,7 @@ mod tests {
     fn eval_state_push_pop_mismatch_is_caught_in_debug() {
         let q = Cq::builder(&schema()).atom("S", &["v"]).build();
         let s = schema().relation("S").unwrap();
-        let mut state: EvalState<'_, Natural> = EvalState::for_cq(&q);
+        let mut state: EvalState<'_, Natural> = EvalState::new(&q);
         state.push_fact(s, vec!["c".into()], Natural(2));
         state.push_fact(s, vec!["d".into()], Natural(3));
         // Corrupt the newest frame: it now claims the relation held 0 facts

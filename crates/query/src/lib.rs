@@ -16,7 +16,8 @@
 //! * [`rowtable`] — the shared flat row-table machinery (arity-chunked
 //!   row arenas + open-addressed row index) both [`Instance`] and
 //!   [`eval::EvalState`] store relations with;
-//! * [`eval`] — semiring evaluation of CQs/CCQs/UCQs (Sec. 2);
+//! * [`eval`] — semiring evaluation of CQs, CCQs and their unions, each
+//!   read as its disjuncts (Sec. 2);
 //! * [`CanonicalInstance`] — canonical instances ⟦Q⟧ (Sec. 4.6);
 //! * [`complete`] — complete descriptions ⟨Q⟩ (Sec. 4.6, 5), flat, and
 //!   their members' isomorphism classes;
@@ -27,7 +28,7 @@
 //!
 //! ```
 //! use annot_query::{parser, Instance, Schema};
-//! use annot_query::eval::eval_cq;
+//! use annot_query::eval::eval;
 //! use annot_semiring::Natural;
 //!
 //! let mut schema = Schema::new();
@@ -38,7 +39,7 @@
 //! db.insert_named("S", vec!["b".into()], Natural(3));
 //!
 //! // Under bag semantics the answer ⟨a⟩ has multiplicity 2·3 = 6.
-//! assert_eq!(eval_cq(&q, &db, &vec!["a".into()]), Natural(6));
+//! assert_eq!(eval(&q, &db, &vec!["a".into()]), Natural(6));
 //! ```
 
 #![warn(missing_docs)]
@@ -67,7 +68,7 @@ pub use ucq::{Ducq, Ucq};
 mod integration_tests {
     use super::*;
     use crate::complete::complete_description_ucq;
-    use crate::eval::{eval_boolean_ucq, eval_ducq};
+    use crate::eval::eval;
     use annot_semiring::{Natural, Semiring, Tropical};
 
     /// Complete descriptions are semantically equivalent to the original
@@ -87,16 +88,10 @@ mod integration_tests {
         db_n.insert_named("R", vec![0.into(), 1.into()], Natural(2));
         db_n.insert_named("R", vec![1.into(), 1.into()], Natural(3));
         db_n.insert_named("R", vec![1.into(), 0.into()], Natural(1));
-        assert_eq!(
-            eval_boolean_ucq(&ucq, &db_n),
-            eval_ducq(&desc, &db_n, &vec![])
-        );
+        assert_eq!(eval(&ucq, &db_n, &vec![]), eval(&desc, &db_n, &vec![]));
 
         let db_t: Instance<Tropical> = db_n.map_annotations(&|n| Tropical::Finite(n.0));
-        assert_eq!(
-            eval_boolean_ucq(&ucq, &db_t),
-            eval_ducq(&desc, &db_t, &vec![])
-        );
+        assert_eq!(eval(&ucq, &db_t, &vec![]), eval(&desc, &db_t, &vec![]));
     }
 
     /// The empty UCQ evaluates to 0 on every instance (Sec. 2).
@@ -105,6 +100,6 @@ mod integration_tests {
         let schema = Schema::with_relations([("R", 2)]);
         let mut db: Instance<Natural> = Instance::new(schema);
         db.insert_named("R", vec![0.into(), 1.into()], Natural(5));
-        assert_eq!(eval_boolean_ucq(&Ucq::empty(), &db), Natural::zero());
+        assert_eq!(eval(&Ucq::empty(), &db, &vec![]), Natural::zero());
     }
 }

@@ -19,13 +19,14 @@
 //! * `--max-vars N` / `--max-atoms N` — per-request decide budget: any
 //!   disjunct over the cap is refused with `OVERLOAD decide-budget …`;
 //! * `--max-batch N` — largest accepted `BATCH n` (default 1024);
-//! * `--max-connections N` — concurrently served connections; excess
-//!   connections get `BUSY connections cap=N` and are closed;
+//! * `--max-connections N` — concurrently served connections (at least
+//!   1); excess connections get `BUSY connections cap=N` and are closed;
 //! * `--read-timeout-ms MS` — per-connection idle/read timeout, the
 //!   slow-loris defence (at least 1; without the flag a connection waits
 //!   forever);
-//! * `--max-line-bytes N` — request line cap (default 65536); overlong
-//!   lines answer a structured `ERR` and the connection stays usable.
+//! * `--max-line-bytes N` — request line cap (default 65536, at least 1);
+//!   overlong lines answer a structured `ERR` and the connection stays
+//!   usable.
 
 use annot_service::{serve, Service, ServiceConfig, ShutdownFlag};
 use std::net::TcpListener;
@@ -44,16 +45,15 @@ fn main() {
             "--max-atoms" => config.max_query_atoms = Some(parse_flag(&mut args, "--max-atoms")),
             "--max-batch" => config.max_batch = parse_flag(&mut args, "--max-batch"),
             "--max-connections" => {
-                config.max_connections = Some(parse_flag(&mut args, "--max-connections"));
+                config.max_connections = Some(positive_flag(&mut args, "--max-connections"));
             }
             "--read-timeout-ms" => {
-                let ms: u64 = parse_flag(&mut args, "--read-timeout-ms");
-                if ms == 0 {
-                    die("--read-timeout-ms needs a positive number (omit it to wait forever)");
-                }
+                let ms = positive_flag(&mut args, "--read-timeout-ms");
                 config.read_timeout = Some(Duration::from_millis(ms));
             }
-            "--max-line-bytes" => config.max_line_bytes = parse_flag(&mut args, "--max-line-bytes"),
+            "--max-line-bytes" => {
+                config.max_line_bytes = positive_flag(&mut args, "--max-line-bytes");
+            }
             "--help" | "-h" => {
                 println!(
                     "usage: annot_serve [ADDR] [--workers N] [--byte-budget BYTES] \
@@ -83,6 +83,21 @@ fn parse_flag<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, fla
     args.next()
         .and_then(|n| n.parse().ok())
         .unwrap_or_else(|| die(&format!("{flag} needs a number")))
+}
+
+/// Parses a limit that must be at least 1: a zero `--max-connections`
+/// refuses every connection and a zero `--max-line-bytes` every non-empty
+/// line, `SHUTDOWN` included, so the server could not be stopped; a zero
+/// `--read-timeout-ms` is not a timeout (omit the flag to wait forever).
+fn positive_flag<T: std::str::FromStr + Default + PartialEq>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> T {
+    let n = parse_flag(args, flag);
+    if n == T::default() {
+        die(&format!("{flag} needs a positive number"));
+    }
+    n
 }
 
 fn die(message: &str) -> ! {

@@ -74,14 +74,17 @@ pub struct ServiceConfig {
     /// Maximum `BATCH n` a client may request.
     pub max_batch: usize,
     /// Maximum concurrently *served* connections (`None` = bounded only
-    /// by the worker count).  Connections over the cap get `BUSY`.
+    /// by the worker count).  Connections over the cap get `BUSY`.  With
+    /// `Some(0)` every connection gets `BUSY`, so no client can reach
+    /// `SHUTDOWN` either; `annot_serve` refuses a zero cap.
     pub max_connections: Option<usize>,
     /// Read/idle timeout per connection (`None` = wait forever).  A zero
     /// timeout also waits forever, as a zero `SO_RCVTIMEO` does, instead of
     /// failing every connection before its first reply.
     pub read_timeout: Option<Duration>,
     /// Maximum request line length in bytes; longer lines are discarded
-    /// and answered with a structured `ERR`.
+    /// and answered with a structured `ERR`.  With 0 every non-empty line
+    /// is overlong, `SHUTDOWN` included; `annot_serve` refuses a zero cap.
     pub max_line_bytes: usize,
 }
 

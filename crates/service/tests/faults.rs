@@ -11,6 +11,7 @@ mod common;
 use annot_service::{serve, Service, ServiceConfig, ShutdownFlag};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::process::Stdio;
 use std::time::{Duration, Instant};
 
 /// How long a client waits for a reply before the test fails instead of
@@ -254,6 +255,46 @@ fn the_server_binary_refuses_a_zero_read_timeout() {
         out.stdout.is_empty(),
         "it must not start listening: {out:?}"
     );
+}
+
+/// Runs `annot_serve` with `flag` set to 0 and checks that it exits with
+/// code 2 and names the flag.  A server that did start with a zero cap
+/// could not be stopped over the wire, so it is killed as soon as it
+/// prints its listening line, and the test fails instead of hanging.
+fn assert_the_server_binary_refuses_a_zero(flag: &str) {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_annot_serve"))
+        .args(["127.0.0.1:0", flag, "0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run annot_serve");
+    let stdout = child.stdout.take().expect("piped stdout");
+    let mut first = String::new();
+    BufReader::new(stdout)
+        .read_line(&mut first)
+        .expect("read stdout");
+    if !first.is_empty() {
+        drop(child.kill());
+        drop(child.wait());
+        panic!("annot_serve started with {flag} 0: {first}");
+    }
+    let out = child.wait_with_output().expect("wait for annot_serve");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("{flag} needs a positive number")),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn the_server_binary_refuses_a_zero_connection_cap() {
+    assert_the_server_binary_refuses_a_zero("--max-connections");
+}
+
+#[test]
+fn the_server_binary_refuses_a_zero_line_cap() {
+    assert_the_server_binary_refuses_a_zero("--max-line-bytes");
 }
 
 #[test]

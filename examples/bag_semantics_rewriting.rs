@@ -10,7 +10,7 @@
 use annot_core::brute_force::{find_counterexample, BruteForceConfig};
 use annot_core::decide::decide_cq;
 use annot_core::ucq::{covering, surjective};
-use annot_query::eval::eval_boolean_cq;
+use annot_query::eval::eval;
 use annot_query::{parser, Instance, Schema, Ucq};
 use annot_semiring::Natural;
 
@@ -52,8 +52,8 @@ fn main() {
     db.insert_named("Knows", vec!["bob".into(), "cat".into()], Natural(3));
     db.insert_named("Knows", vec!["bob".into(), "dan".into()], Natural(1));
     println!("\nmultiplicities on a sample database:");
-    println!("  |path2| = {:?}", eval_boolean_cq(&path2, &db));
-    println!("  |edge|  = {:?}", eval_boolean_cq(&edge, &db));
+    println!("  |path2| = {:?}", eval(&path2, &db, &vec![]));
+    println!("  |edge|  = {:?}", eval(&edge, &db, &vec![]));
 
     // The paper's new UCQ-level conditions for bags (Cor. 5.16 and 5.23).
     let u1 = Ucq::new([path2.clone(), double_edge.clone()]);

@@ -11,7 +11,7 @@
 use annot_core::decide::decide_ucq;
 use annot_core::ucq::{bijective, local, surjective};
 use annot_polynomial::Var;
-use annot_query::eval::eval_boolean_ucq;
+use annot_query::eval::eval;
 use annot_query::{parser, Instance, Schema};
 use annot_semiring::{Bool, BoundedNat, NatPoly, Why};
 
@@ -61,8 +61,8 @@ fn main() {
     instance.insert_row(r, &[a, b], NatPoly::var(Var(1)));
     instance.insert_row(r, &[b, b], NatPoly::var(Var(2)));
     println!("\non the instance\n{}", instance);
-    println!("  Q1 provenance: {:?}", eval_boolean_ucq(&q1, &instance));
-    println!("  Q2 provenance: {:?}", eval_boolean_ucq(&q2, &instance));
+    println!("  Q1 provenance: {:?}", eval(&q1, &instance, &vec![]));
+    println!("  Q2 provenance: {:?}", eval(&q2, &instance, &vec![]));
 
     // Now extend Q1 with one more copy of its second disjunct: the rewriting
     // breaks for N[X] but stays sound for any offset-2 annotation domain

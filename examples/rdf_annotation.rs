@@ -10,7 +10,7 @@
 //! Run with `cargo run --example rdf_annotation`.
 
 use annot_core::decide::decide_cq;
-use annot_query::eval::answers;
+use annot_query::eval::all_outputs;
 use annot_query::{parser, Instance, Schema, ValueId};
 use annot_semiring::{Clearance, Fuzzy, Tropical};
 
@@ -47,7 +47,7 @@ fn main() {
         acl.insert_row(located_in, row, clearance);
     }
     println!("\nclearance needed to see each answer of Q_direct:");
-    for (tuple, clearance) in answers(&q_direct, &acl) {
+    for (tuple, clearance) in all_outputs(&q_direct, &acl) {
         println!("  {:?} -> {:?}", tuple, clearance);
     }
 
@@ -60,7 +60,7 @@ fn main() {
         trust.insert_row(located_in, row, Fuzzy::new(score));
     }
     println!("\ntrust in each answer of Q_direct:");
-    for (tuple, score) in answers(&q_direct, &trust) {
+    for (tuple, score) in all_outputs(&q_direct, &trust) {
         println!("  {:?} -> {:?}", tuple, score);
     }
 
@@ -73,7 +73,7 @@ fn main() {
         staleness.insert_row(located_in, row, Tropical::Finite(cost));
     }
     println!("\nstaleness of each answer of Q_direct:");
-    for (tuple, cost) in answers(&q_direct, &staleness) {
+    for (tuple, cost) in all_outputs(&q_direct, &staleness) {
         println!("  {:?} -> {:?}", tuple, cost);
     }
 

@@ -3,7 +3,7 @@
 //! On the ⟨Q⟩ rows, relation counts, inequalities checked at bind time and
 //! the shape tests between complete CCQs settle most homomorphism questions
 //! before a search runs.  This suite checks the four CCQ predicates those
-//! rows call — `exists_hom_ccq`, `exists_surjective_hom_ccq`,
+//! rows call — `exists_hom`, `exists_surjective_hom`,
 //! `iso::are_isomorphic` and `homomorphically_covers` — against a
 //! brute-force reference that shares no code with the search engine: it
 //! enumerates every variable map between two CCQs and checks the
@@ -174,13 +174,13 @@ fn ccq_predicates_agree_with_brute_force_on_complete_descriptions() {
                 let expected = reference(source, target);
                 let context = || format!("seed {seed}: {source} → {target}");
                 assert_eq!(
-                    kinds::exists_hom_ccq(source, target),
+                    kinds::exists_hom(source, target),
                     expected.hom,
                     "hom, {}",
                     context()
                 );
                 assert_eq!(
-                    kinds::exists_surjective_hom_ccq(source, target),
+                    kinds::exists_surjective_hom(source, target),
                     expected.surjective,
                     "surjective hom, {}",
                     context()

@@ -24,7 +24,7 @@ use annot_core::small_model::ucq_contained_small_model;
 use annot_core::ucq::{bijective, covering, surjective};
 use annot_hom::{iso, kinds, HomSearch, SearchOptions};
 use annot_query::complete::{complete_description_ucq, Classes, Description};
-use annot_query::eval::eval_ucq_all_outputs_rows;
+use annot_query::eval::all_output_rows;
 use annot_query::generator::{GeneratorConfig, QueryGenerator, QueryShape};
 use annot_query::{parser, CanonicalInstance, Ccq, Cq, Ducq, QVar, Schema, Ucq};
 use annot_semiring::{NatPoly, Schedule, Semiring, Tropical, Viterbi};
@@ -79,7 +79,7 @@ fn unique_surjective_by_members(d1: &Ducq, d2: &Ducq) -> bool {
     let adjacency: Vec<Vec<usize>> = (d1.disjuncts().iter())
         .map(|m1| {
             (0..d2.len())
-                .filter(|&j| kinds::exists_surjective_hom_ccq(&d2.disjuncts()[j], m1))
+                .filter(|&j| kinds::exists_surjective_hom(&d2.disjuncts()[j], m1))
                 .collect()
         })
         .collect();
@@ -112,7 +112,7 @@ fn covering2_by_members(d1: &Ducq, d2: &Ducq) -> bool {
             return true;
         }
         if (members2.iter())
-            .filter(|m2| kinds::exists_hom_ccq(*m2, m1))
+            .filter(|m2| kinds::exists_hom(*m2, m1))
             .count()
             >= 2
         {
@@ -132,8 +132,8 @@ fn small_model_by_members<K: PolynomialOrder>(q1: &Ucq, q2: &Ucq) -> bool {
         .iter()
         .all(|member| {
             let canonical = CanonicalInstance::of_ccq(member);
-            let m1 = eval_ucq_all_outputs_rows(q1, canonical.instance());
-            let m2 = eval_ucq_all_outputs_rows(q2, canonical.instance());
+            let m1 = all_output_rows(q1, canonical.instance());
+            let m2 = all_output_rows(q2, canonical.instance());
             let leq = |p1: &NatPoly, p2: &NatPoly| {
                 K::terms_leq(&p1.polynomial().into(), &p2.polynomial().into())
             };

@@ -16,10 +16,7 @@
 //! a [`Schema`] share its [`Domain`], so equal tuples intern to equal
 //! [`ValueId`]s on every side.
 
-use annot_query::eval::{
-    eval_ccq_all_outputs_rows, eval_cq_all_outputs_rows, eval_ducq_all_outputs_rows,
-    eval_ucq_all_outputs_rows, EvalState,
-};
+use annot_query::eval::{all_output_rows, EvalState};
 use annot_query::{Ccq, Cq, DbValue, Ducq, IdTuple, Instance, QVar, RelId, Schema, Tuple, Ucq};
 use annot_semiring::{NatPoly, Natural, Semiring, Tropical, Why};
 use rand::rngs::StdRng;
@@ -141,9 +138,9 @@ fn cq_query(schema: &Schema) -> Cq {
 fn stress_cq<K: Semiring>(seed: u64) {
     let schema = schema();
     let q = cq_query(&schema);
-    let mut state: EvalState<'_, K> = EvalState::for_cq(&q);
+    let mut state: EvalState<'_, K> = EvalState::new(&q);
     random_walk(seed, STEPS, &schema, &mut state, &|i| {
-        eval_cq_all_outputs_rows(&q, i)
+        all_output_rows(&q, i)
     });
 }
 
@@ -170,9 +167,9 @@ fn ccq_query(schema: &Schema) -> Ccq {
 fn stress_ccq<K: Semiring>(seed: u64) {
     let schema = schema();
     let q = ccq_query(&schema);
-    let mut state: EvalState<'_, K> = EvalState::for_ccq(&q);
+    let mut state: EvalState<'_, K> = EvalState::new(&q);
     random_walk(seed, STEPS, &schema, &mut state, &|i| {
-        eval_ccq_all_outputs_rows(&q, i)
+        all_output_rows(&q, i)
     });
 }
 
@@ -201,9 +198,9 @@ fn ucq_query(schema: &Schema) -> Ucq {
 fn stress_ucq<K: Semiring>(seed: u64) {
     let schema = schema();
     let q = ucq_query(&schema);
-    let mut state: EvalState<'_, K> = EvalState::for_ucq(&q);
+    let mut state: EvalState<'_, K> = EvalState::new(&q);
     random_walk(seed, STEPS, &schema, &mut state, &|i| {
-        eval_ucq_all_outputs_rows(&q, i)
+        all_output_rows(&q, i)
     });
 }
 
@@ -233,9 +230,9 @@ fn ducq_query(schema: &Schema) -> Ducq {
 fn stress_ducq<K: Semiring>(seed: u64) {
     let schema = schema();
     let q = ducq_query(&schema);
-    let mut state: EvalState<'_, K> = EvalState::for_ducq(&q);
+    let mut state: EvalState<'_, K> = EvalState::new(&q);
     random_walk(seed, STEPS, &schema, &mut state, &|i| {
-        eval_ducq_all_outputs_rows(&q, i)
+        all_output_rows(&q, i)
     });
 }
 
@@ -260,7 +257,7 @@ fn stress_untracked_relations_round_trip() {
         .free(&["x"])
         .atom("R", &["x", "y"])
         .build();
-    let mut state: EvalState<'_, Natural> = EvalState::for_cq(&q);
+    let mut state: EvalState<'_, Natural> = EvalState::new(&q);
     let r = schema.relation("R").unwrap();
     let t = schema.relation("T").unwrap();
     state.push_fact(t, vec![1.into(), 2.into(), 3.into()], Natural(7));

@@ -13,10 +13,12 @@
 //!   representative semirings.
 
 use annot_core::brute_force::{find_counterexample, find_counterexample_naive, BruteForceConfig};
-use annot_query::eval::{eval_cq, eval_cq_all_outputs, eval_cq_all_outputs_rows, resolve_outputs};
+use annot_query::complete::complete_description_cq;
+use annot_query::eval::{all_output_rows, all_outputs, eval, Disjuncts};
 use annot_query::generator::{GeneratorConfig, QueryGenerator, QueryShape};
-use annot_query::{DbValue, Domain, Instance, Schema, Tuple, Ucq};
+use annot_query::{Cq, DbValue, Domain, Instance, Schema, Tuple, Ucq, ValueId};
 use annot_semiring::{Bool, Lineage, NatPoly, Natural, Semiring, Tropical, Why};
+use std::collections::BTreeMap;
 
 #[test]
 fn display_parity_between_interned_and_dbvalue_rendering() {
@@ -110,9 +112,59 @@ fn instance_equality_is_insertion_order_independent_randomized() {
     assert_ne!(reference, tweaked);
 }
 
+/// Checks one query's evaluation against the `DbValue`-boundary reference:
+/// the interned row map, resolved, equals [`all_outputs`]; a from-scratch
+/// per-tuple [`eval`] equals each of its entries; and `eval` is `0` at every
+/// unary tuple over the instance's domain outside the support.  Returns how
+/// many tuples it checked in the support and outside it.
+fn check_eval<K: Semiring>(
+    q: &impl Disjuncts,
+    instance: &Instance<K>,
+    what: &str,
+) -> (usize, usize) {
+    let domain = instance.domain();
+    let rows = all_output_rows(q, instance);
+    let resolved = all_outputs(q, instance);
+    let rows_resolved: BTreeMap<Tuple, K> = (rows.iter())
+        .map(|(row, k)| (domain.resolve_tuple(row), k.clone()))
+        .collect();
+    assert_eq!(
+        rows_resolved,
+        resolved,
+        "{} {what}: rows and resolved maps disagree",
+        K::NAME
+    );
+    for (tuple, value) in &resolved {
+        assert_eq!(
+            &eval(q, instance, tuple),
+            value,
+            "{} {what}: interned all-outputs disagrees with per-tuple reference",
+            K::NAME
+        );
+        assert!(
+            !value.is_zero(),
+            "{} {what}: support contract violated",
+            K::NAME
+        );
+    }
+    let outside: Vec<Tuple> = (0..domain.len() as u32)
+        .map(|id| vec![domain.resolve(ValueId(id))])
+        .filter(|tuple| !resolved.contains_key(tuple))
+        .collect();
+    for tuple in &outside {
+        assert!(
+            eval(q, instance, tuple).is_zero(),
+            "{} {what}: {tuple:?} is outside the support but evaluates non-zero",
+            K::NAME
+        );
+    }
+    (resolved.len(), outside.len())
+}
+
 /// The interned all-outputs path must match the `DbValue`-boundary
-/// reference: per answer tuple, the resolved map entry equals a from-scratch
-/// per-tuple [`eval_cq`] evaluation.
+/// reference ([`check_eval`]) on seeded CQs, then on one query of every
+/// other kind: a CCQ with an inequality, a two-member UCQ, the DUCQ of a
+/// complete description and the empty union.
 fn eval_differential<K: Semiring>() {
     let mut generator = QueryGenerator::new(GeneratorConfig {
         num_atoms: 2,
@@ -125,24 +177,50 @@ fn eval_differential<K: Semiring>() {
     for _ in 0..10 {
         let q = generator.cq();
         let instance: Instance<K> = generator.instance(3, 8);
-        let rows = eval_cq_all_outputs_rows(&q, &instance);
-        let resolved = eval_cq_all_outputs(&q, &instance);
-        assert_eq!(
-            resolve_outputs(instance.domain(), &rows),
-            resolved,
-            "{}: rows and resolved maps disagree",
+        check_eval(&q, &instance, "CQ");
+    }
+    let schema = generator.schema().clone();
+    let instance: Instance<K> = generator.instance(3, 8);
+    // A value of the domain that no fact mentions: every kind but the
+    // empty union joins on it and must sum to 0.
+    instance.domain().intern(&DbValue::str("isolated"));
+    let ccq = Cq::builder(&schema)
+        .free(&["x"])
+        .atom("R0", &["x", "y"])
+        .atom("R1", &["x", "z"])
+        .inequality("y", "z")
+        .build_ccq();
+    let ucq = Ucq::new([
+        Cq::builder(&schema)
+            .free(&["x"])
+            .atom("R0", &["x", "y"])
+            .build(),
+        Cq::builder(&schema)
+            .free(&["x"])
+            .atom("R1", &["y", "x"])
+            .atom("R1", &["x", "z"])
+            .build(),
+    ]);
+    let path = Cq::builder(&schema)
+        .free(&["x"])
+        .atom("R0", &["x", "y"])
+        .atom("R0", &["y", "z"])
+        .build();
+    let description = complete_description_cq(&path);
+    assert!(description.disjuncts().len() > 1);
+    for (support, outside) in [
+        check_eval(&ccq, &instance, "CCQ"),
+        check_eval(&ucq, &instance, "UCQ"),
+        check_eval(&description, &instance, "DUCQ"),
+    ] {
+        assert!(
+            support > 0 && outside > 0,
+            "{}: {support} in, {outside} out",
             K::NAME
         );
-        for (tuple, value) in &resolved {
-            assert_eq!(
-                &eval_cq(&q, &instance, tuple),
-                value,
-                "{}: interned all-outputs disagrees with per-tuple reference",
-                K::NAME
-            );
-            assert!(!value.is_zero(), "{}: support contract violated", K::NAME);
-        }
     }
+    let empty = check_eval(&Ucq::empty(), &instance, "empty union");
+    assert_eq!(empty, (0, instance.domain().len()));
 }
 
 #[test]
@@ -205,8 +283,8 @@ fn oracle_differential<K: Semiring>() {
         if let Some(ce) = memoized {
             // The witness tuple was resolved from interned rows; it must
             // replay on the reported instance through the DbValue API.
-            let lhs = eval_cq(&u1.disjuncts()[0], &ce.instance, &ce.tuple);
-            let rhs = eval_cq(&u2.disjuncts()[0], &ce.instance, &ce.tuple);
+            let lhs = eval(&u1.disjuncts()[0], &ce.instance, &ce.tuple);
+            let rhs = eval(&u2.disjuncts()[0], &ce.instance, &ce.tuple);
             assert_eq!(ce.lhs, lhs, "{}: lhs does not replay", K::NAME);
             assert_eq!(ce.rhs, rhs, "{}: rhs does not replay", K::NAME);
             assert!(!lhs.leq(&rhs), "{}: violation does not replay", K::NAME);

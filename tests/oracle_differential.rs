@@ -36,9 +36,7 @@ use annot_core::brute_force::{
     quotiented_instance_count, try_find_counterexample, BruteForceConfig, BruteForceError,
     CounterExample, SearchOutcome,
 };
-use annot_query::eval::{
-    eval_ccq_all_outputs, eval_cq, eval_ducq_all_outputs, eval_ucq_all_outputs, EvalState,
-};
+use annot_query::eval::{all_outputs, eval, EvalState};
 use annot_query::generator::{GeneratorConfig, QueryGenerator, QueryShape};
 use annot_query::{Ccq, Cq, Ducq, Instance, QVar, Schema, Tuple, Ucq};
 use annot_semiring::{Bool, Lineage, NatPoly, Natural, Semiring, Tropical, Why};
@@ -82,7 +80,7 @@ fn check_agreement<K: Semiring>(u1: &Ucq, u2: &Ucq, config: &BruteForceConfig, c
 fn eval_ucq<K: Semiring>(u: &Ucq, instance: &Instance<K>, t: &Tuple) -> K {
     u.disjuncts()
         .iter()
-        .fold(K::zero(), |acc, cq| acc.add(&eval_cq(cq, instance, t)))
+        .fold(K::zero(), |acc, cq| acc.add(&eval(cq, instance, t)))
 }
 
 // Randomized case loads, with a Miri quick mode (the interpreter is
@@ -253,13 +251,8 @@ fn eval_state_cq_maps_match_under_random_walks() {
     let schema = walk_schema();
     let q = walk_cq(&schema);
     let mut rng = StdRng::seed_from_u64(0xD1);
-    let mut state: EvalState<'_, Natural> = EvalState::for_cq(&q);
-    random_walk_matches_oneshot(
-        &schema,
-        &mut state,
-        &|i| annot_query::eval::eval_cq_all_outputs(&q, i),
-        &mut rng,
-    );
+    let mut state: EvalState<'_, Natural> = EvalState::new(&q);
+    random_walk_matches_oneshot(&schema, &mut state, &|i| all_outputs(&q, i), &mut rng);
 }
 
 #[test]
@@ -271,13 +264,8 @@ fn eval_state_ccq_maps_match_under_random_walks() {
         .build();
     let ccq = Ccq::new(base, [(QVar(0), QVar(2))]);
     let mut rng = StdRng::seed_from_u64(0xD2);
-    let mut state: EvalState<'_, Natural> = EvalState::for_ccq(&ccq);
-    random_walk_matches_oneshot(
-        &schema,
-        &mut state,
-        &|i| eval_ccq_all_outputs(&ccq, i),
-        &mut rng,
-    );
+    let mut state: EvalState<'_, Natural> = EvalState::new(&ccq);
+    random_walk_matches_oneshot(&schema, &mut state, &|i| all_outputs(&ccq, i), &mut rng);
 }
 
 #[test]
@@ -292,13 +280,8 @@ fn eval_state_ucq_maps_match_under_random_walks_nat_poly() {
         .build();
     let ucq = Ucq::new([q1, q2]);
     let mut rng = StdRng::seed_from_u64(0xD3);
-    let mut state: EvalState<'_, NatPoly> = EvalState::for_ucq(&ucq);
-    random_walk_matches_oneshot(
-        &schema,
-        &mut state,
-        &|i| eval_ucq_all_outputs(&ucq, i),
-        &mut rng,
-    );
+    let mut state: EvalState<'_, NatPoly> = EvalState::new(&ucq);
+    random_walk_matches_oneshot(&schema, &mut state, &|i| all_outputs(&ucq, i), &mut rng);
 }
 
 #[test]
@@ -312,13 +295,8 @@ fn eval_state_ducq_maps_match_under_random_walks() {
     let ccq2 = Ccq::from_cq(Cq::builder(&schema).atom("S", &["v"]).build());
     let ducq = Ducq::new([ccq1, ccq2]);
     let mut rng = StdRng::seed_from_u64(0xD4);
-    let mut state: EvalState<'_, Why> = EvalState::for_ducq(&ducq);
-    random_walk_matches_oneshot(
-        &schema,
-        &mut state,
-        &|i| eval_ducq_all_outputs(&ducq, i),
-        &mut rng,
-    );
+    let mut state: EvalState<'_, Why> = EvalState::new(&ducq);
+    random_walk_matches_oneshot(&schema, &mut state, &|i| all_outputs(&ducq, i), &mut rng);
 }
 
 // ---------------------------------------------------------------------------
@@ -560,7 +538,7 @@ fn full_walk_counts_factorized_nat_poly() {
 // ---------------------------------------------------------------------------
 
 fn eval_ducq<K: Semiring>(d: &Ducq, instance: &Instance<K>, t: &Tuple) -> K {
-    eval_ducq_all_outputs(d, instance)
+    all_outputs(d, instance)
         .get(t)
         .cloned()
         .unwrap_or_else(K::zero)
