@@ -6,9 +6,10 @@
 //!
 //! 1. **Facade bypass** — `annot-service` (the concurrent decision server)
 //!    must reach `std::sync` / `std::thread` only through its private
-//!    `sync` facade (`crates/service/src/sync.rs`), so the `annot_loom`
-//!    feature can swap every primitive onto the vendored model checker
-//!    that the cache's loom models run on.  A direct `std::sync` /
+//!    `sync` facade (`crates/service/src/sync.rs`), so one file decides
+//!    which primitives the `annot_loom` feature swaps onto the vendored
+//!    model checker that the cache's loom models run on (the mutex and
+//!    thread scopes; the atomics stay `std`'s).  A direct `std::sync` /
 //!    `std::thread` mention anywhere else in `crates/service/src` is a
 //!    violation, and so is one anywhere in `crates/core/src`: `annot-core`
 //!    runs on one thread and has no facade.

@@ -6,7 +6,7 @@
 //!
 //! The crate provides:
 //!
-//! * [`Var`] / [`VarPool`] — polynomial variables (provenance tokens);
+//! * [`Var`] — polynomial variables (provenance tokens);
 //! * [`Monomial`] and [`Polynomial`] — the free commutative semiring `N[X]`
 //!   (Sec. 3.2 of the paper), with a generic evaluation realising the
 //!   universal property of Prop. 3.2;
@@ -59,7 +59,7 @@ pub use poly::Polynomial;
 pub use rational::Rational;
 pub use terms::Terms;
 pub use tropical::{leq_tropical, TropicalKind};
-pub use var::{Var, VarPool};
+pub use var::Var;
 
 #[cfg(test)]
 mod integration_tests {
@@ -99,8 +99,6 @@ mod integration_tests {
         assert_eq!(Rational::new(2, 4), Rational::new(1, 2));
         let m = Monomial::var(Var(1));
         assert_eq!(m.degree(), 1);
-        let mut pool = VarPool::new();
-        assert_eq!(pool.var("x"), Var(0));
         assert!(leq_tropical(&one, &one, TropicalKind::MinPlus));
         assert!(find_admissible_representation(&Polynomial::one()).is_some());
     }

@@ -2,17 +2,14 @@
 //!
 //! The paper works with the semiring `N[X]` of polynomials over a set of
 //! variables `X` with natural-number coefficients (Sec. 3.2).  Variables are
-//! represented by a compact integer identifier; an optional [`VarPool`] maps
-//! identifiers to human-readable names (`x`, `y`, `p1`, ...), which keeps
-//! polynomials cheap to manipulate while still printable.
+//! represented by a compact integer identifier, which keeps polynomials
+//! cheap to manipulate; they print as `x0`, `x1`, …
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// A polynomial variable, identified by a dense non-negative index.
 ///
-/// Two variables are equal iff their indices are equal; names are purely
-/// cosmetic and live in a [`VarPool`].
+/// Two variables are equal iff their indices are equal.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Var(pub u32);
 
@@ -46,69 +43,6 @@ impl From<u32> for Var {
     }
 }
 
-/// An interner assigning human-readable names to [`Var`]s.
-///
-/// The pool hands out fresh variables on demand and remembers the association
-/// between names and indices in both directions.  It is used by the query
-/// layer when building canonical instances ("abstractly tagged" databases,
-/// [Green et al., PODS 2007]) so that provenance tokens print as `p0, p1, ...`
-/// rather than as bare numbers.
-#[derive(Clone, Debug, Default)]
-pub struct VarPool {
-    names: Vec<String>,
-    by_name: HashMap<String, Var>,
-}
-
-impl VarPool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the variable registered under `name`, creating it if needed.
-    pub fn var(&mut self, name: &str) -> Var {
-        if let Some(&v) = self.by_name.get(name) {
-            return v;
-        }
-        let v = Var(self.names.len() as u32);
-        self.names.push(name.to_string());
-        self.by_name.insert(name.to_string(), v);
-        v
-    }
-
-    /// Creates a fresh variable named `prefix{n}` where `n` is the next free
-    /// index, guaranteeing it differs from all previously created variables.
-    pub fn fresh(&mut self, prefix: &str) -> Var {
-        let name = format!("{}{}", prefix, self.names.len());
-        self.var(&name)
-    }
-
-    /// Looks up the name of a variable, if it was created through this pool.
-    pub fn name(&self, v: Var) -> Option<&str> {
-        self.names.get(v.0 as usize).map(|s| s.as_str())
-    }
-
-    /// Looks up a variable by name without creating it.
-    pub fn get(&self, name: &str) -> Option<Var> {
-        self.by_name.get(name).copied()
-    }
-
-    /// Number of variables created so far.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
-    /// Iterates over all variables in creation order.
-    pub fn iter(&self) -> impl Iterator<Item = Var> + '_ {
-        (0..self.names.len() as u32).map(Var)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,41 +52,6 @@ mod tests {
         assert_eq!(Var::new(3), Var(3));
         assert_ne!(Var::new(3), Var::new(4));
         assert_eq!(Var::new(7).index(), 7);
-    }
-
-    #[test]
-    fn pool_interns_names() {
-        let mut pool = VarPool::new();
-        let x = pool.var("x");
-        let y = pool.var("y");
-        let x2 = pool.var("x");
-        assert_eq!(x, x2);
-        assert_ne!(x, y);
-        assert_eq!(pool.name(x), Some("x"));
-        assert_eq!(pool.name(y), Some("y"));
-        assert_eq!(pool.get("y"), Some(y));
-        assert_eq!(pool.get("z"), None);
-        assert_eq!(pool.len(), 2);
-    }
-
-    #[test]
-    fn pool_fresh_variables_are_distinct() {
-        let mut pool = VarPool::new();
-        let a = pool.fresh("p");
-        let b = pool.fresh("p");
-        assert_ne!(a, b);
-        assert_eq!(pool.name(a), Some("p0"));
-        assert_eq!(pool.name(b), Some("p1"));
-    }
-
-    #[test]
-    fn pool_iterates_in_creation_order() {
-        let mut pool = VarPool::new();
-        let a = pool.var("a");
-        let b = pool.var("b");
-        let collected: Vec<Var> = pool.iter().collect();
-        assert_eq!(collected, vec![a, b]);
-        assert!(!pool.is_empty());
     }
 
     #[test]

@@ -60,7 +60,10 @@
 //! inside a batch — `QUIT`, `SHUTDOWN` and nested `BATCH` answer a tagged
 //! `ERR` and the batch continues.  The framing is transactional at the
 //! transport level: a connection that dies before all `n` lines arrive
-//! has none of its batch processed.
+//! has none of its batch processed.  One that stalls past the server's
+//! read timeout before all `n` lines arrive has none processed either: it
+//! gets `ERR timeout: closing idle connection`, with no sequence tag and
+//! no `DONE`, and the server closes it.
 
 use crate::cache::CacheStats;
 use annot_core::decide::{Decision, Verdict};

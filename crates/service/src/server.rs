@@ -33,7 +33,8 @@
 //! * **connection cap** (`max_connections`) — a connection over the cap
 //!   is answered `BUSY connections cap=…` and closed without serving.
 //! * **read timeout** (`read_timeout`) — a connection that stays silent
-//!   mid-line or between requests past the timeout is closed, so
+//!   mid-line, between requests or inside a batch past the timeout is
+//!   answered `ERR timeout: closing idle connection` and closed, so
 //!   slow-loris clients cannot pin accept-loop workers.
 //! * **line cap** (`max_line_bytes`) — an overlong request line is
 //!   discarded (to the next newline) and answered with a structured
@@ -594,13 +595,7 @@ fn handle_connection(
     loop {
         let line = match read_request_line(&mut reader, line_cap) {
             Ok(line) => line,
-            Err(e) if is_timeout(&e) => {
-                // Slow-loris or idle client: say why, then hang up (best
-                // effort — the peer may be gone).
-                drop(writer.write_all(b"ERR timeout: closing idle connection\n"));
-                drop(writer.flush());
-                return Ok(());
-            }
+            Err(e) if is_timeout(&e) => break,
             Err(e) => return Err(e),
         };
         let text = match line {
@@ -620,8 +615,11 @@ fn handle_connection(
         };
         match service.handle_line(&text) {
             Outcome::Batch { count } => {
-                if !run_batch(&mut reader, &mut writer, service, count, line_cap)? {
-                    return Ok(()); // truncated batch: peer is gone
+                match run_batch(&mut reader, &mut writer, service, count, line_cap) {
+                    Ok(true) => {}
+                    Ok(false) => return Ok(()), // truncated batch: peer is gone
+                    Err(e) if is_timeout(&e) => break,
+                    Err(e) => return Err(e),
                 }
             }
             outcome => {
@@ -639,12 +637,18 @@ fn handle_connection(
             }
         }
     }
+    // The read timeout fired, mid-request or mid-batch: slow-loris or idle
+    // client.  Say why, then hang up (best effort — the peer may be gone).
+    drop(writer.write_all(b"ERR timeout: closing idle connection\n"));
+    drop(writer.flush());
+    Ok(())
 }
 
 /// Reads the `count` item lines of a batch, executes them, writes the
 /// tagged replies (completion order) and the `DONE` terminator.  Returns
-/// `false` when the connection died before all items arrived — the batch
-/// is transactional at the transport level, so nothing was executed.
+/// `false` when the connection died before all items arrived, and the read
+/// timeout's error when it fired first — the batch is transactional at the
+/// transport level, so in both cases nothing was executed.
 fn run_batch(
     reader: &mut impl BufRead,
     writer: &mut impl Write,
@@ -663,7 +667,6 @@ fn run_batch(
                 "ERR request is not valid UTF-8".to_string(),
             )),
             Ok(ReadLine::Eof) => return Ok(false),
-            Err(e) if is_timeout(&e) => return Ok(false),
             Err(e) => return Err(e),
         }
     }

@@ -1,10 +1,10 @@
 //! Fault-injection tests: clients that misbehave at the transport level.
 //!
 //! Each scenario wounds the server in a specific way — disconnect
-//! mid-request, a half-written batch, a slow-loris drip against the read
-//! timeout, a zero read timeout, connections past the cap — and then
-//! asserts the server still answers cleanly and its `STATS` counters stayed
-//! consistent.
+//! mid-request, a half-written batch, a slow-loris drip and a stalled batch
+//! against the read timeout, a zero read timeout, connections past the
+//! cap — and then asserts the server still answers cleanly and its `STATS`
+//! counters stayed consistent.
 
 mod common;
 
@@ -217,6 +217,41 @@ fn slow_loris_is_cut_by_the_read_timeout() {
         let mut probe = Client::connect(addr);
         assert_eq!(probe.roundtrip("PING"), "OK pong");
         assert_consistent(&probe.roundtrip("STATS"));
+    });
+}
+
+#[test]
+fn a_batch_stalled_past_the_read_timeout_gets_the_timeout_notice() {
+    let config = ServiceConfig {
+        read_timeout: Some(Duration::from_millis(150)),
+        ..ServiceConfig::default()
+    };
+    with_server(config, 2, |addr| {
+        // Promise three items, deliver one, then stall with the socket open.
+        let mut staller = TcpStream::connect(addr).expect("connect");
+        staller
+            .write_all(b"BATCH 3\nPING\n")
+            .expect("partial batch");
+        staller.flush().expect("flush");
+        // The server must cut the stalled batch off like a stalled request:
+        // first the notice, untagged and without DONE, then EOF.
+        staller
+            .set_read_timeout(Some(REPLY_TIMEOUT))
+            .expect("client timeout");
+        let mut reader = BufReader::new(staller);
+        let mut buf = String::new();
+        reader.read_line(&mut buf).expect("read notice");
+        assert_eq!(buf.trim_end(), "ERR timeout: closing idle connection");
+        buf.clear();
+        let eof = reader.read_line(&mut buf).expect("read eof");
+        assert_eq!(eof, 0, "connection must be closed after the notice");
+
+        // Nothing of the batch executed.
+        let mut probe = Client::connect(addr);
+        let stats = probe.roundtrip("STATS");
+        assert_consistent(&stats);
+        assert_eq!(stat_u64(&stats, "batches"), 0, "{stats}");
+        assert_eq!(stat_u64(&stats, "decides"), 0, "{stats}");
     });
 }
 

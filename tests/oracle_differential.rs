@@ -69,18 +69,12 @@ fn check_agreement<K: Semiring>(u1: &Ucq, u2: &Ucq, config: &BruteForceConfig, c
         u2
     );
     for ce in [memoized, naive].into_iter().flatten() {
-        let lhs = eval_ucq(u1, &ce.instance, &ce.tuple);
-        let rhs = eval_ucq(u2, &ce.instance, &ce.tuple);
+        let lhs = eval(u1, &ce.instance, &ce.tuple);
+        let rhs = eval(u2, &ce.instance, &ce.tuple);
         assert_eq!(ce.lhs, lhs, "{}: reported lhs is not Q₁ᴵ(t)", K::NAME);
         assert_eq!(ce.rhs, rhs, "{}: reported rhs is not Q₂ᴵ(t)", K::NAME);
         assert!(!lhs.leq(&rhs), "{}: reported violation replays", K::NAME);
     }
-}
-
-fn eval_ucq<K: Semiring>(u: &Ucq, instance: &Instance<K>, t: &Tuple) -> K {
-    u.disjuncts()
-        .iter()
-        .fold(K::zero(), |acc, cq| acc.add(&eval(cq, instance, t)))
 }
 
 // Randomized case loads, with a Miri quick mode (the interpreter is
@@ -376,8 +370,8 @@ fn sibling_sharing_matches_naive<K: Semiring>(cases: u64) {
                 u2
             );
             if let Some(ce) = shared {
-                let lhs = eval_ucq(&u1, &ce.instance, &ce.tuple);
-                let rhs = eval_ucq(&u2, &ce.instance, &ce.tuple);
+                let lhs = eval(&u1, &ce.instance, &ce.tuple);
+                let rhs = eval(&u2, &ce.instance, &ce.tuple);
                 assert_eq!(ce.lhs, lhs, "{}: reported lhs replay", K::NAME);
                 assert_eq!(ce.rhs, rhs, "{}: reported rhs replay", K::NAME);
                 assert!(!lhs.leq(&rhs), "{}: reported violation replay", K::NAME);
@@ -537,13 +531,6 @@ fn full_walk_counts_factorized_nat_poly() {
 // The search-space quotients: reduced samples × symmetry pruning (PR 9)
 // ---------------------------------------------------------------------------
 
-fn eval_ducq<K: Semiring>(d: &Ducq, instance: &Instance<K>, t: &Tuple) -> K {
-    all_outputs(d, instance)
-        .get(t)
-        .cloned()
-        .unwrap_or_else(K::zero)
-}
-
 /// Runs one (pair, shape) cell of the quotient sweep: for both positions of
 /// the `symmetry_quotient` knob the verdict must match the full-sample
 /// naive oracle's, and every reported witness must replay under the
@@ -609,8 +596,8 @@ fn quotient_sweep<K: Semiring>(cases: u64) {
                 &|config| find_counterexample::<K>(&u1, &u2, config),
                 &|ce| {
                     (
-                        eval_ucq(&u1, &ce.instance, &ce.tuple),
-                        eval_ucq(&u2, &ce.instance, &ce.tuple),
+                        eval(&u1, &ce.instance, &ce.tuple),
+                        eval(&u2, &ce.instance, &ce.tuple),
                     )
                 },
                 &format!("{shape} seed {seed}"),
@@ -625,8 +612,8 @@ fn quotient_sweep<K: Semiring>(cases: u64) {
             &|config| find_counterexample::<K>(&d1, &d2, config),
             &|ce| {
                 (
-                    eval_ducq(&d1, &ce.instance, &ce.tuple),
-                    eval_ducq(&d2, &ce.instance, &ce.tuple),
+                    eval(&d1, &ce.instance, &ce.tuple),
+                    eval(&d2, &ce.instance, &ce.tuple),
                 )
             },
             &format!("DUCQ seed {seed}"),
