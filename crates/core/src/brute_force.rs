@@ -14,32 +14,38 @@
 //! the relevant elements the search is a genuine decision procedure for the
 //! finite semirings used in the test-suite.
 //!
-//! # The support-prefix tree, factorized through `N[X]` (Prop. 3.2)
+//! # One walk, two strategies
 //!
-//! The searched instances are organised in two layers.
+//! The searched instances are organised as a *support-prefix tree*: each
+//! node is a support prefix — a set of tuple slots whose indices increase
+//! along the path — and a child extends its parent by one later slot.  One
+//! walk keeps both queries' all-outputs maps in incremental [`EvalState`]s
+//! (`push_fact` on descent, `pop_fact` on backtrack), brings the rhs up to
+//! date only at nodes whose lhs output is non-empty, and checks at each node
+//! only the output tuples the newest fact changed: the others were already
+//! checked at the parent.  Two strategies differ in how a pushed slot is
+//! annotated:
 //!
-//! The *tree* ranges over **supports only**: each node is a support prefix —
-//! a set of tuple slots whose indices increase along the path — and a child
-//! extends its parent by one later slot.  Instead of branching further over
-//! the `s` sample annotations of each slot, the slot pushed at depth `i` is
-//! annotated with the provenance *variable* `xᵢ`, and both queries'
-//! all-outputs maps over `N[X]` are maintained by an incremental
-//! [`EvalState`] (`push_fact` on descent,
-//! `pop_fact` on backtrack).  A node therefore pays for the delta joins of
-//! its newest fact **once**, not once per concrete annotation assignment —
-//! the enumeration's `s^k` factor never touches the join machinery.
+//! - the **direct** strategy branches each slot over the `s` non-zero
+//!   sample annotations and evaluates over `K` itself, so every node is one
+//!   concrete instance;
+//! - the **factorized** strategy annotates the slot pushed at depth `i`
+//!   with the provenance *variable* `xᵢ` and evaluates over `N[X]`, so a
+//!   node pays for the delta joins of its newest fact **once**, not once per
+//!   concrete annotation assignment — the enumeration's `s^k` factor never
+//!   touches the join machinery.
 //!
-//! The *instances* of a node — all `s^k` ways of annotating its `k` slots
-//! with non-zero sample elements — are recovered through the universal
-//! property of `N[X]` (Prop. 3.2): evaluating a query over the
+//! The *instances* of a factorized node — all `s^k` ways of annotating its
+//! `k` slots with non-zero sample elements — are recovered through the
+//! universal property of `N[X]` (Prop. 3.2): evaluating a query over the
 //! variable-annotated instance and then applying the evaluation morphism
 //! `xᵢ ↦ aᵢ` equals evaluating it over the concretely-annotated instance.
 //! The containment check at a node thus substitutes sample values into the
 //! (tiny, often unchanged) output *polynomials*, and only for the variables
-//! that actually occur in them: output tuples whose polynomials the newest
-//! fact did not change were already checked at the parent, and assignments
-//! differing only on variables absent from both polynomials cannot change
-//! the verdict.
+//! that actually occur in them: assignments differing only on variables
+//! absent from both polynomials cannot change the verdict.  The factorized
+//! strategy runs when the annotation domain carries heap data and there are
+//! at least two samples to amortise (see [`try_find_counterexample`]).
 //!
 //! The tree is walked depth-first on the calling thread, and the walk stops
 //! at the first violation, so the reported counterexample is the first
@@ -87,10 +93,10 @@
 //!
 //! instances ([`quotiented_instance_count`], with `orbits(k)` the number of
 //! orbits of `k`-element slot sets, a Burnside sum over the permutations'
-//! cycle types) — the same closed form for both walk strategies: the
-//! factorized walk visits `orbits(k)` tree nodes of depth `k` accounting
-//! `sᵏ` instances each, the direct walk `orbits(k)·sᵏ` nodes of one
-//! instance each.  The regression tests below pin both closed forms.
+//! cycle types) — the same closed form for both strategies: the factorized
+//! one visits `orbits(k)` tree nodes of depth `k` accounting `sᵏ` instances
+//! each, the direct one `orbits(k)·sᵏ` nodes of one instance each.  The
+//! regression tests below pin both closed forms.
 
 use annot_polynomial::{Monomial, Polynomial, Var};
 use annot_query::eval::{all_outputs, Disjuncts, EvalState};
@@ -163,23 +169,6 @@ impl BruteForceConfig {
             max_support: domain_size.saturating_mul(domain_size),
             max_instances: None,
             symmetry_quotient: true,
-        }
-    }
-
-    /// A config whose support cap is derived from the schema: the number of
-    /// distinct tuples of the widest relation over the domain, capped at
-    /// `domain_size²`.  This is the tightest cap that still lets a single
-    /// relation be fully populated when arities are ≤ 2.
-    pub fn for_schema(schema: &Schema, domain_size: usize) -> Self {
-        let max_arity = schema
-            .rel_ids()
-            .map(|rel| schema.arity(rel))
-            .max()
-            .unwrap_or(1);
-        let widest = domain_size.saturating_pow(max_arity as u32);
-        BruteForceConfig {
-            max_support: widest.min(domain_size.saturating_mul(domain_size)),
-            ..BruteForceConfig::with_domain_size(domain_size)
         }
     }
 
@@ -335,11 +324,11 @@ pub fn try_find_counterexample<K: Semiring>(
     // `T⁺`, …) amortise too on full walks, but lose on the small
     // early-refuted searches that dominate interactive use: their cheap
     // native operations beat polynomial arithmetic before the sharing can
-    // pay for itself, so they keep the direct walk.
+    // pay for itself, so they keep the direct strategy.
     let walked = if std::mem::needs_drop::<K>() && samples.len() >= 2 {
-        Factorized::new(&ctx, EvalState::new(q1), EvalState::new(q2)).walk()
+        Walk::new(&ctx, q1, q2, Factorized::new()).walk()
     } else {
-        Direct::new(&ctx, EvalState::new(q1), EvalState::new(q2)).walk()
+        Walk::new(&ctx, q1, q2, Direct).walk()
     };
     let counterexample = match walked {
         Ok(()) => None,
@@ -366,41 +355,77 @@ enum Halt<K: Semiring> {
     Budget,
 }
 
-/// The depth-first control flow shared by both prefix-walk strategies:
-/// count a node's instances against the budget, push its newest fact, check
-/// it, recurse over later slots, pop.  Strategies plug in how a tree edge
-/// branches ([`branches_per_slot`](PrefixWalk::branches_per_slot): `1` for
-/// the factorized walk, `|samples|` for the direct one), how many concrete
-/// instances a node covers, and how a node is checked — the budget and stop
-/// discipline lives here exactly once.
-trait PrefixWalk<K: Semiring> {
-    fn ctx(&self) -> &SearchContext<'_, K>;
+/// What tells the two walk strategies apart: the annotation domain, how a
+/// tree edge branches, per-depth state and the check of one output row.
+/// The stack, the budget and stop discipline, the lazy rhs, the node check
+/// and the counterexample rebuild live once, in [`Walk`].
+trait Strategy<K: Semiring> {
+    /// The annotation domain both evaluation states run in.
+    type A: Semiring;
     /// Branch choices per slot when extending a prefix.
-    fn branches_per_slot(&self) -> usize;
+    fn branches(samples: &[K]) -> usize;
     /// Concrete instances a node at `depth` covers (counted on visit).
-    fn instances_at(&self, depth: usize) -> u64;
-    /// Current prefix length.
-    fn depth(&self) -> usize;
-    /// The slot at stack position `index`.
-    fn slot_at(&self, index: usize) -> u32;
-    /// Extends the prefix by `slot` (with the strategy's `branch` choice).
-    fn push(&mut self, slot: usize, branch: usize);
-    /// Undoes the most recent [`push`](PrefixWalk::push).
-    fn pop(&mut self);
-    /// Checks the current node, returning its counterexample if it
-    /// violates the containment.
-    fn check(&mut self) -> Option<CounterExample<K>>;
+    fn instances_at(samples: &[K], depth: usize) -> u64;
+    /// The annotation of stack position `position` pushed with `branch`.
+    fn annotation(samples: &[K], position: usize, branch: usize) -> Self::A;
+    /// Opens the per-depth state of a newly pushed position.
+    fn enter(&mut self) {}
+    /// Drops the per-depth state of the popped position.
+    fn leave(&mut self) {}
+    /// Checks `Q₁ᴵ(t) ¹ Q₂ᴵ(t)` for one output row of the current node,
+    /// whose `(slot, branch)` stack is `stack`.
+    fn check_row(
+        &mut self,
+        samples: &[K],
+        stack: &[(usize, usize)],
+        lhs: &EvalState<'_, Self::A>,
+        rhs: &EvalState<'_, Self::A>,
+        row: &IdTuple,
+    ) -> Option<Violation<K>>;
+}
+
+/// The depth-first prefix walk, once for both strategies: the incremental
+/// evaluation states of both queries over `S::A` and the stack of pushed
+/// `(slot, branch)` positions.  Each node counts its instances against the
+/// budget, pushes its newest fact, is checked, recurses over later slots
+/// and pops.
+struct Walk<'s, K: Semiring, S: Strategy<K>> {
+    ctx: &'s SearchContext<'s, K>,
+    lhs: EvalState<'s, S::A>,
+    rhs: EvalState<'s, S::A>,
+    stack: Vec<(usize, usize)>,
+    strategy: S,
+}
+
+impl<'s, K: Semiring, S: Strategy<K>> Walk<'s, K, S> {
+    fn new(
+        ctx: &'s SearchContext<'s, K>,
+        q1: &'s impl Disjuncts,
+        q2: &'s impl Disjuncts,
+        strategy: S,
+    ) -> Self {
+        // Both states adopt the search's own domain: the pushed rows are
+        // interned there, and q2 may have been built over an independent
+        // (structurally equal) schema whose interner never saw them.
+        let domain = ctx.schema.domain();
+        Walk {
+            ctx,
+            lhs: EvalState::new(q1).with_domain(domain.clone()),
+            rhs: EvalState::new(q2).with_domain(domain.clone()),
+            stack: Vec::new(),
+            strategy,
+        }
+    }
 
     /// Walks the whole tree: the root (the empty instance, whose outputs
     /// are the constants of the atomless disjuncts), then every support
     /// prefix below it.
     fn walk(&mut self) -> Result<(), Halt<K>> {
-        self.ctx().count_instances(1)?;
+        self.ctx.count_instances(1)?;
         if let Some(counterexample) = self.check() {
             return Err(Halt::Found(counterexample));
         }
-        let cap = self.ctx().cap;
-        self.descend(0, cap)
+        self.descend(0, self.ctx.cap)
     }
 
     /// Extends the current (already counted and checked) prefix by every
@@ -413,16 +438,17 @@ trait PrefixWalk<K: Semiring> {
         // candidate slot — rebuilt once per node, mutated in place per
         // child.  Canonicity is a property of the support alone, so the
         // check is hoisted out of the branch loop.
-        let depth = self.depth();
-        let mut support: Vec<u32> = (0..depth).map(|i| self.slot_at(i)).collect();
+        let ctx = self.ctx;
+        let depth = self.stack.len();
+        let mut support: Vec<u32> = self.stack.iter().map(|&(slot, _)| slot as u32).collect();
         support.push(0);
-        for slot in next_slot..self.ctx().slots.len() {
+        for slot in next_slot..ctx.slots.len() {
             support[depth] = slot as u32;
-            if !self.ctx().canonical_support(&support) {
+            if !ctx.canonical_support(&support) {
                 continue;
             }
-            for branch in 0..self.branches_per_slot() {
-                self.ctx().count_instances(self.instances_at(depth + 1))?;
+            for branch in 0..S::branches(ctx.samples) {
+                ctx.count_instances(S::instances_at(ctx.samples, depth + 1))?;
                 self.push(slot, branch);
                 let result = match self.check() {
                     Some(counterexample) => Err(Halt::Found(counterexample)),
@@ -434,9 +460,87 @@ trait PrefixWalk<K: Semiring> {
         }
         Ok(())
     }
+
+    /// Pushes a slot into the lhs state only; the rhs state is synced
+    /// lazily (see [`Walk::check`]).  Positivity makes tuples outside the
+    /// lhs support unable to witness a violation, and the lhs support only
+    /// grows along a tree path, so prefixes whose lhs output is empty — the
+    /// common case — never pay for a rhs evaluation at all.
+    fn push(&mut self, slot: usize, branch: usize) {
+        let (rel, row) = &self.ctx.slots[slot];
+        let annotation = S::annotation(self.ctx.samples, self.stack.len(), branch);
+        self.lhs.push_fact_row(*rel, row, annotation);
+        self.stack.push((slot, branch));
+        self.strategy.enter();
+    }
+
+    fn pop(&mut self) {
+        self.lhs.pop_fact();
+        self.stack.pop();
+        self.strategy.leave();
+        // The rhs lags behind the prefix, never ahead of it.
+        while self.rhs.depth() > self.stack.len() {
+            self.rhs.pop_fact();
+        }
+    }
+
+    /// Brings the rhs state up to the current prefix, returning how many
+    /// facts it was behind.
+    fn sync_rhs(&mut self) -> usize {
+        let synced = self.rhs.depth();
+        for (position, &(slot, branch)) in self.stack.iter().enumerate().skip(synced) {
+            let (rel, row) = &self.ctx.slots[slot];
+            let annotation = S::annotation(self.ctx.samples, position, branch);
+            self.rhs.push_fact_row(*rel, row, annotation);
+        }
+        self.stack.len() - synced
+    }
+
+    /// The containment check of the current node.
+    ///
+    /// An empty lhs output means no tuple can violate for any sample
+    /// assignment (positivity), so the rhs is not even synced.  Otherwise
+    /// the rhs catches up to the prefix: when it was only the newest fact
+    /// behind — meaning the parent prefix ran this very check — only output
+    /// tuples whose annotation that fact changed (on either side) can newly
+    /// violate; at the root and after a longer catch-up the whole lhs
+    /// support is checked.
+    fn check(&mut self) -> Option<CounterExample<K>> {
+        if self.lhs.outputs_rows().is_empty() {
+            return None;
+        }
+        let lag = self.sync_rhs();
+        let (samples, stack, lhs, rhs) = (self.ctx.samples, &self.stack, &self.lhs, &self.rhs);
+        let strategy = &mut self.strategy;
+        let mut check_row = |row: &IdTuple| strategy.check_row(samples, stack, lhs, rhs, row);
+        let violation = if lag == 1 {
+            changed_rows(lhs, rhs).iter().find_map(&mut check_row)
+        } else {
+            lhs.outputs_rows().keys().find_map(check_row)
+        }?;
+        Some(self.materialise(violation))
+    }
+
+    /// Rebuilds the witnessing instance of a violation at the current prefix
+    /// (stack position `i` annotated with the sample `choice[i]`), and
+    /// resolves the witnessing row into a `DbValue` tuple — the only point
+    /// of the walk that touches the resolver.
+    fn materialise(&self, violation: Violation<K>) -> CounterExample<K> {
+        let mut instance = Instance::new(self.ctx.schema.clone());
+        for (&(slot, _), &sample) in self.stack.iter().zip(&violation.choice) {
+            let (rel, row) = &self.ctx.slots[slot];
+            instance.add_annotation_row(*rel, row, self.ctx.samples[sample].clone());
+        }
+        CounterExample {
+            instance,
+            tuple: self.ctx.schema.domain().resolve_tuple(&violation.row),
+            lhs: violation.lhs,
+            rhs: violation.rhs,
+        }
+    }
 }
 
-/// The search state both walk strategies read.
+/// The search state the walk reads, whichever its strategy.
 struct SearchContext<'s, K: Semiring> {
     schema: &'s Schema,
     /// Every tuple slot of the schema over the domain, in enumeration order,
@@ -503,9 +607,10 @@ impl<K: Semiring> SearchContext<'_, K> {
 }
 
 /// A containment violation at the current prefix: the witnessing output
-/// row, both annotations, and the sample assignment (one index per stack
-/// position; positions whose variable occurs in neither polynomial are
-/// unconstrained and default to the first sample).
+/// row, both annotations, and the sample assignment, one index per stack
+/// position.  The direct strategy's assignment is its stack's branches; in
+/// the factorized one, positions whose variable occurs in neither
+/// polynomial are unconstrained and default to the first sample.
 struct Violation<K> {
     row: IdTuple,
     lhs: K,
@@ -594,84 +699,59 @@ impl<K> Default for RowMemo<K> {
 /// cannot balloon the walk's memory.
 const MAX_MEMO_ENTRIES: usize = 1 << 14;
 
-/// The factorized walk: the incremental `N[X]` evaluation states of both
-/// queries plus the stack of pushed slots (position `i` of the stack is
-/// annotated with the provenance variable `xᵢ`).
-struct Factorized<'s, K: Semiring> {
-    ctx: &'s SearchContext<'s, K>,
-    lhs: EvalState<'s, NatPoly>,
-    rhs: EvalState<'s, NatPoly>,
-    stack: Vec<usize>,
+/// The factorized strategy: both states evaluate over `N[X]`, stack
+/// position `i` is annotated with the provenance variable `xᵢ`, and a node's
+/// check substitutes every sample assignment into its output polynomials.
+struct Factorized<K> {
     /// Cache of `K::from_natural(c)` for monomial coefficients `c`.
     naturals: Vec<K>,
     /// `caches[d]` is the [`NodeCache`] of the current depth-`d` prefix,
     /// shared by all its depth-`d+1` children (the siblings); pushed and
-    /// popped in lockstep with `stack`, plus the root cache at index 0.
+    /// popped in lockstep with the walk's stack, plus the root cache at
+    /// index 0.
     caches: Vec<NodeCache<K>>,
 }
 
-impl<'s, K: Semiring> Factorized<'s, K> {
-    fn new(
-        ctx: &'s SearchContext<'s, K>,
-        lhs: EvalState<'s, NatPoly>,
-        rhs: EvalState<'s, NatPoly>,
-    ) -> Self {
-        // Both states adopt the search's own domain: the pushed rows are
-        // interned there, and q2 may have been built over an independent
-        // (structurally equal) schema whose interner never saw them.
-        let domain = ctx.schema.domain();
+impl<K: Semiring> Factorized<K> {
+    fn new() -> Self {
         Factorized {
-            ctx,
-            lhs: lhs.with_domain(domain.clone()),
-            rhs: rhs.with_domain(domain.clone()),
-            stack: Vec::new(),
             naturals: vec![K::zero(), K::one()],
             caches: vec![NodeCache::new()],
         }
     }
+}
 
-    /// Pushes a slot into the lhs state only, annotated with the variable of
-    /// its stack position; the rhs state is synced lazily (see
-    /// [`Factorized::check_node`]).  Positivity makes tuples outside the
-    /// lhs support unable to witness a violation, and the lhs support only
-    /// grows along a tree path, so prefixes whose lhs output is empty — the
-    /// common case — never pay for a rhs evaluation at all.
-    fn push(&mut self, slot: usize) {
-        let (rel, row) = &self.ctx.slots[slot];
-        let var = NatPoly::var(Var(self.stack.len() as u32));
-        self.lhs.push_fact_row(*rel, row, var);
-        self.stack.push(slot);
+impl<K: Semiring> Strategy<K> for Factorized<K> {
+    type A = NatPoly;
+
+    /// The factorized tree branches over supports only: the one "branch" of
+    /// a slot is its provenance variable.
+    fn branches(_samples: &[K]) -> usize {
+        1
+    }
+
+    /// A support of size `depth` covers the `s^depth` sample assignments.
+    fn instances_at(samples: &[K], depth: usize) -> u64 {
+        (samples.len() as u64).saturating_pow(depth as u32)
+    }
+
+    fn annotation(_samples: &[K], position: usize, _branch: usize) -> NatPoly {
+        NatPoly::var(Var(position as u32))
+    }
+
+    fn enter(&mut self) {
         self.caches.push(NodeCache::new());
     }
 
-    fn pop(&mut self) {
-        self.lhs.pop_fact();
-        self.stack.pop();
+    fn leave(&mut self) {
         self.caches.pop();
-        // The rhs lags behind the prefix, never ahead of it.
-        while self.rhs.depth() > self.stack.len() {
-            self.rhs.pop_fact();
-        }
     }
 
-    /// Brings the rhs state up to the current prefix, returning how many
-    /// facts it was behind.
-    fn sync_rhs(&mut self) -> usize {
-        let depth = self.stack.len();
-        let lag = depth - self.rhs.depth();
-        for i in depth - lag..depth {
-            let (rel, row) = &self.ctx.slots[self.stack[i]];
-            self.rhs
-                .push_fact_row(*rel, row, NatPoly::var(Var(i as u32)));
-        }
-        lag
-    }
-
-    /// Checks `Q₁ᴵ(t) ¹ Q₂ᴵ(t)` for one output tuple across every sample
-    /// assignment of the current support, through the evaluation morphism.
-    /// Positivity (required of every `Semiring` implementation) makes `0`
-    /// the least element, so a violation needs `Q₁ᴵ(t) ≠ 0`: tuples outside
-    /// the lhs support can never witness one.
+    /// Checks the row across every sample assignment of the current support,
+    /// through the evaluation morphism.  Positivity (required of every
+    /// `Semiring` implementation) makes `0` the least element, so a
+    /// violation needs `Q₁ᴵ(t) ≠ 0`: tuples outside the lhs support can
+    /// never witness one.
     ///
     /// The substitution loop shares work across sibling nodes: both
     /// polynomials are split at the newest stack variable `x_{k−1}` into the
@@ -683,15 +763,15 @@ impl<'s, K: Semiring> Factorized<'s, K> {
     /// [`NodeCache`] under the assignment restricted to the base variables,
     /// so siblings (and later laps of the same node) replay them as hash
     /// lookups.
-    fn check_tuple(&mut self, row: &IdTuple) -> Option<Violation<K>> {
-        let Factorized {
-            ctx,
-            lhs,
-            rhs,
-            stack,
-            naturals,
-            caches,
-        } = self;
+    fn check_row(
+        &mut self,
+        samples: &[K],
+        stack: &[(usize, usize)],
+        lhs: &EvalState<'_, NatPoly>,
+        rhs: &EvalState<'_, NatPoly>,
+        row: &IdTuple,
+    ) -> Option<Violation<K>> {
+        let Factorized { naturals, caches } = self;
         let p1 = lhs.outputs_rows().get(row)?.polynomial();
         let zero = Polynomial::zero();
         let p2 = rhs
@@ -708,7 +788,6 @@ impl<'s, K: Semiring> Factorized<'s, K> {
         if p1.terms().all(|(m, c)| c <= p2.coefficient(m)) {
             return None;
         }
-        let samples = ctx.samples;
         let depth = stack.len();
         // The newest stack variable; `None` at the root, whose polynomials
         // are variable-free constants (no split, no cache).
@@ -822,225 +901,53 @@ impl<'s, K: Semiring> Factorized<'s, K> {
             }
         }
     }
-
-    /// The containment check of the current node.
-    ///
-    /// An empty lhs output means no tuple can violate for any sample
-    /// assignment (positivity), so the rhs is not even synced.  Otherwise
-    /// the rhs catches up to the prefix: when it was only the newest fact
-    /// behind — meaning the parent prefix ran this very check — only output
-    /// tuples whose polynomial that fact changed (on either side) can newly
-    /// violate; at the root and after a longer catch-up the whole lhs
-    /// support is checked.
-    fn check_node(&mut self) -> Option<Violation<K>> {
-        if self.lhs.outputs_rows().is_empty() {
-            return None;
-        }
-        let rows: Vec<IdTuple> = if self.sync_rhs() == 1 {
-            changed_rows(&self.lhs, &self.rhs)
-        } else {
-            self.lhs.outputs_rows().keys().cloned().collect()
-        };
-        rows.iter().find_map(|row| self.check_tuple(row))
-    }
-
-    /// Rebuilds the witnessing instance of a violation at the current prefix
-    /// (concrete annotations read off the violating sample assignment), and
-    /// resolves the witnessing row into a `DbValue` tuple — the only point
-    /// of the factorized search that touches the resolver.
-    fn materialise(&self, violation: Violation<K>) -> CounterExample<K> {
-        let mut instance = Instance::new(self.ctx.schema.clone());
-        for (position, &slot) in self.stack.iter().enumerate() {
-            let (rel, row) = &self.ctx.slots[slot];
-            let sample = violation.choice.get(position).copied().unwrap_or(0);
-            instance.add_annotation_row(*rel, row, self.ctx.samples[sample].clone());
-        }
-        CounterExample {
-            instance,
-            tuple: self.ctx.schema.domain().resolve_tuple(&violation.row),
-            lhs: violation.lhs,
-            rhs: violation.rhs,
-        }
-    }
 }
 
-impl<K: Semiring> PrefixWalk<K> for Factorized<'_, K> {
-    fn ctx(&self) -> &SearchContext<'_, K> {
-        self.ctx
-    }
-
-    /// The factorized tree branches over supports only: the one "branch" of
-    /// a slot is its provenance variable.
-    fn branches_per_slot(&self) -> usize {
-        1
-    }
-
-    /// A support of size `depth` covers the `s^depth` sample assignments.
-    fn instances_at(&self, depth: usize) -> u64 {
-        (self.ctx.samples.len() as u64).saturating_pow(depth as u32)
-    }
-
-    fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
-    fn slot_at(&self, index: usize) -> u32 {
-        self.stack[index] as u32
-    }
-
-    fn push(&mut self, slot: usize, _branch: usize) {
-        Factorized::push(self, slot);
-    }
-
-    fn pop(&mut self) {
-        Factorized::pop(self);
-    }
-
-    fn check(&mut self) -> Option<CounterExample<K>> {
-        let violation = self.check_node()?;
-        Some(self.materialise(violation))
-    }
-}
-
-/// The direct walk: the incremental evaluation states of both queries over
-/// `K` itself, with the tree branching over `(slot, sample)` pairs.  Used
-/// when factorization would not pay (see [`try_find_counterexample`]): for
-/// scalar annotation domains the delta joins are cheaper in `K` than in
+/// The direct strategy: both states evaluate over `K` itself, and the tree
+/// branches over `(slot, sample)` pairs, one concrete instance per node.
+/// Used when factorization would not pay (see [`try_find_counterexample`]):
+/// for scalar annotation domains the delta joins are cheaper in `K` than in
 /// `N[X]`, and with a single non-zero sample there is nothing to amortise.
-struct Direct<'s, K: Semiring> {
-    ctx: &'s SearchContext<'s, K>,
-    lhs: EvalState<'s, K>,
-    rhs: EvalState<'s, K>,
-    stack: Vec<(usize, usize)>,
-}
+struct Direct;
 
-impl<'s, K: Semiring> Direct<'s, K> {
-    fn new(ctx: &'s SearchContext<'s, K>, lhs: EvalState<'s, K>, rhs: EvalState<'s, K>) -> Self {
-        // Same domain adoption as the factorized walk's (see above).
-        let domain = ctx.schema.domain();
-        Direct {
-            ctx,
-            lhs: lhs.with_domain(domain.clone()),
-            rhs: rhs.with_domain(domain.clone()),
-            stack: Vec::new(),
-        }
-    }
-
-    /// Pushes a concretely-annotated fact into the lhs state only; the rhs
-    /// state is synced lazily exactly like the factorized walk's.
-    fn push(&mut self, slot: usize, sample: usize) {
-        let (rel, row) = &self.ctx.slots[slot];
-        self.lhs
-            .push_fact_row(*rel, row, self.ctx.samples[sample].clone());
-        self.stack.push((slot, sample));
-    }
-
-    fn pop(&mut self) {
-        self.lhs.pop_fact();
-        self.stack.pop();
-        while self.rhs.depth() > self.stack.len() {
-            self.rhs.pop_fact();
-        }
-    }
-
-    fn sync_rhs(&mut self) -> usize {
-        let depth = self.stack.len();
-        let lag = depth - self.rhs.depth();
-        for i in depth - lag..depth {
-            let (slot, sample) = self.stack[i];
-            let (rel, row) = &self.ctx.slots[slot];
-            self.rhs
-                .push_fact_row(*rel, row, self.ctx.samples[sample].clone());
-        }
-        lag
-    }
-
-    /// Checks `Q₁ᴵ(t) ¹ Q₂ᴵ(t)` for one output row on the current
-    /// (concrete) instance.
-    fn check_tuple(&self, row: &IdTuple) -> Option<(IdTuple, K, K)> {
-        let lhs = self.lhs.outputs_rows().get(row)?;
-        let rhs = self
-            .rhs
-            .outputs_rows()
-            .get(row)
-            .cloned()
-            .unwrap_or_else(K::zero);
-        if lhs.leq(&rhs) {
-            None
-        } else {
-            Some((row.clone(), lhs.clone(), rhs))
-        }
-    }
-
-    /// The containment check of the current node: same lazy-rhs /
-    /// changed-delta structure as the factorized walk, minus the sample
-    /// loop.
-    fn check_node(&mut self) -> Option<(IdTuple, K, K)> {
-        if self.lhs.outputs_rows().is_empty() {
-            return None;
-        }
-        if self.sync_rhs() == 1 {
-            changed_rows(&self.lhs, &self.rhs)
-                .iter()
-                .find_map(|row| self.check_tuple(row))
-        } else {
-            self.lhs
-                .outputs_rows()
-                .keys()
-                .find_map(|row| self.check_tuple(row))
-        }
-    }
-
-    /// Rebuilds the instance of the current prefix around a violation.
-    fn materialise(&self, (row, lhs, rhs): (IdTuple, K, K)) -> CounterExample<K> {
-        let mut instance = Instance::new(self.ctx.schema.clone());
-        for &(slot, sample) in &self.stack {
-            let (rel, r) = &self.ctx.slots[slot];
-            instance.add_annotation_row(*rel, r, self.ctx.samples[sample].clone());
-        }
-        CounterExample {
-            instance,
-            tuple: self.ctx.schema.domain().resolve_tuple(&row),
-            lhs,
-            rhs,
-        }
-    }
-}
-
-impl<K: Semiring> PrefixWalk<K> for Direct<'_, K> {
-    fn ctx(&self) -> &SearchContext<'_, K> {
-        self.ctx
-    }
+impl<K: Semiring> Strategy<K> for Direct {
+    type A = K;
 
     /// The direct tree branches over every (slot, sample) pair.
-    fn branches_per_slot(&self) -> usize {
-        self.ctx.samples.len()
+    fn branches(samples: &[K]) -> usize {
+        samples.len()
     }
 
     /// Every node *is* one concrete instance.
-    fn instances_at(&self, _depth: usize) -> u64 {
+    fn instances_at(_samples: &[K], _depth: usize) -> u64 {
         1
     }
 
-    fn depth(&self) -> usize {
-        self.stack.len()
+    fn annotation(samples: &[K], _position: usize, branch: usize) -> K {
+        samples[branch].clone()
     }
 
-    fn slot_at(&self, index: usize) -> u32 {
-        self.stack[index].0 as u32
-    }
-
-    fn push(&mut self, slot: usize, branch: usize) {
-        Direct::push(self, slot, branch);
-    }
-
-    fn pop(&mut self) {
-        Direct::pop(self);
-    }
-
-    fn check(&mut self) -> Option<CounterExample<K>> {
-        let violation = self.check_node()?;
-        Some(self.materialise(violation))
+    /// Compares the row's two concrete annotations; a violation's sample
+    /// assignment is the stack's own branches.
+    fn check_row(
+        &mut self,
+        _samples: &[K],
+        stack: &[(usize, usize)],
+        lhs: &EvalState<'_, K>,
+        rhs: &EvalState<'_, K>,
+        row: &IdTuple,
+    ) -> Option<Violation<K>> {
+        let lhs = lhs.outputs_rows().get(row)?;
+        let rhs = rhs.outputs_rows().get(row).cloned().unwrap_or_else(K::zero);
+        if lhs.leq(&rhs) {
+            return None;
+        }
+        Some(Violation {
+            row: row.clone(),
+            lhs: lhs.clone(),
+            rhs,
+            choice: stack.iter().map(|&(_, sample)| sample).collect(),
+        })
     }
 }
 
@@ -1063,13 +970,13 @@ fn changed_rows<A: Semiring>(lhs: &EvalState<'_, A>, rhs: &EvalState<'_, A>) -> 
 /// partitioned by the sibling-sharing check.
 type Term<'a> = (&'a Monomial, u64);
 
-/// The evaluation morphism of Prop. 3.2, specialised to the factorized walk:
-/// evaluates a list of `N[X]` terms in `K` under the sample assignment
-/// `xᵢ ↦ samples[choice[i]]`, with coefficients interpreted through the
-/// (cached) canonical map `N → K`.  The sibling-sharing walk partitions
-/// each output polynomial into parent (base) and newest-variable (delta)
-/// term lists once and evaluates them separately — the morphism property
-/// makes the sum of the two parts equal the full evaluation.
+/// The evaluation morphism of Prop. 3.2, specialised to the factorized
+/// strategy: evaluates a list of `N[X]` terms in `K` under the sample
+/// assignment `xᵢ ↦ samples[choice[i]]`, with coefficients interpreted
+/// through the (cached) canonical map `N → K`.  The sibling-sharing check
+/// partitions each output polynomial into parent (base) and newest-variable
+/// (delta) term lists once and evaluates them separately — the morphism
+/// property makes the sum of the two parts equal the full evaluation.
 fn eval_terms<K: Semiring>(
     terms: &[Term<'_>],
     samples: &[K],
@@ -1548,18 +1455,12 @@ mod tests {
     }
 
     #[test]
-    fn default_config_is_bounded_and_schema_derived_caps_fit() {
+    fn default_config_is_bounded_and_domain_derived_caps_fit() {
         assert_eq!(BruteForceConfig::default().domain_size, 2);
         assert_eq!(BruteForceConfig::default().max_support, 4);
         assert_eq!(BruteForceConfig::default().max_instances, None);
         assert!(BruteForceConfig::default().symmetry_quotient);
         assert_eq!(BruteForceConfig::with_domain_size(3).max_support, 9);
-        // Binary widest relation: 3² tuples, capped at domain² = 9.
-        let s = Schema::with_relations([("R", 2), ("S", 1)]);
-        assert_eq!(BruteForceConfig::for_schema(&s, 3).max_support, 9);
-        // Unary-only schema over domain 3: only 3 distinct tuples exist.
-        let unary = Schema::with_relations([("S", 1)]);
-        assert_eq!(BruteForceConfig::for_schema(&unary, 3).max_support, 3);
     }
 
     /// The headline regression test: the enumeration visits exactly the

@@ -22,13 +22,7 @@ use std::fmt::Debug;
 /// respect to [`Semiring::leq`]; the [`crate::axioms`] module provides
 /// sampling-based checkers used by the test-suite to validate every
 /// implementation shipped in this crate.
-///
-/// `Send + Sync` are supertraits so that annotated instances can be
-/// evaluated from multiple threads (the brute-force oracle splits its
-/// enumeration across a scoped thread pool); annotation domains are plain
-/// values, so every implementation in this crate satisfies them
-/// automatically.
-pub trait Semiring: Clone + PartialEq + Debug + Send + Sync {
+pub trait Semiring: Clone + PartialEq + Debug {
     /// Human-readable name of the semiring, e.g. `"N[X]"` or `"T+"`.
     const NAME: &'static str;
 

@@ -2,17 +2,25 @@
 //!
 //! On the ⟨Q⟩ rows, relation counts, inequalities checked at bind time and
 //! the shape tests between complete CCQs settle most homomorphism questions
-//! before a search runs.  This suite checks the four CCQ predicates those
-//! rows call — `exists_hom`, `exists_surjective_hom`,
-//! `iso::are_isomorphic` and `homomorphically_covers` — against a
-//! brute-force reference that shares no code with the search engine: it
-//! enumerates every variable map between two CCQs and checks the
-//! definitions directly.  The CCQs are members of the complete descriptions
-//! of seeded CQs and UCQs with 0–2 free variables, up to 6 variables and
-//! widths 1–3.
+//! before a search runs.  This suite checks four CCQ predicates —
+//! `exists_hom`, `exists_surjective_hom`, `iso::are_isomorphic` and
+//! `homomorphically_covers` — against a brute-force reference that shares
+//! no code with the search engine: it enumerates every variable map between
+//! two CCQs and checks the definitions directly.  The CCQs are members of
+//! the complete descriptions of seeded CQs and UCQs with 0–2 free
+//! variables, up to 6 variables and widths 1–3.
+//!
+//! The ⟨Q⟩ rows call `exists_hom`, `exists_surjective_hom` and
+//! `homomorphically_covers` on the flat members of a
+//! `complete::Description` rather than on CCQs, and those members take
+//! their shape test's variable and distinct-atom counts and their
+//! occurrence counts off the description, and their injectivity from
+//! `Inequalities::All`.  So the same sampled members are also read as
+//! `Description::member`s, and each of the three predicates on them must
+//! equal the reference on the matching materialised CCQs.
 
 use annot_hom::{iso, kinds};
-use annot_query::complete::complete_description_ucq;
+use annot_query::complete::{complete_description_ucq, Description};
 use annot_query::generator::{GeneratorConfig, QueryGenerator, QueryShape};
 use annot_query::{Atom, Ccq, QVar, Ucq};
 use std::collections::BTreeSet;
@@ -110,12 +118,12 @@ fn reference(source: &Ccq, target: &Ccq) -> Reference {
     out
 }
 
-/// Every `step`-th member of ⟨u⟩ from the last, at most `cap` of them.
-/// The last member keeps every variable of `u` distinct.
-fn sample(u: &Ucq, cap: usize) -> Vec<Ccq> {
-    let members = complete_description_ucq(u).disjuncts().to_vec();
-    let step = members.len().div_ceil(cap).max(1);
-    members.into_iter().rev().step_by(step).collect()
+/// The indices of every `step`-th of `len` members from the last, at most
+/// `cap` of them.  The last member of ⟨u⟩ keeps every variable of `u`
+/// distinct.
+fn sample(len: usize, cap: usize) -> impl Iterator<Item = usize> {
+    let step = len.div_ceil(cap).max(1);
+    (0..len).rev().step_by(step)
 }
 
 /// Two seeded UCQs with 0–2 free variables.  Every sixth pair is two
@@ -165,12 +173,21 @@ fn ccq_predicates_agree_with_brute_force_on_complete_descriptions() {
         // Fewer members of the stars' large descriptions keep the
         // brute force, up to 6⁶ maps a pair, fast.
         let cap = if seed % 6 == 0 { 6 } else { 14 };
-        let mut members = sample(&u1, cap);
-        members.extend(sample(&u2, cap));
+        // The same members twice: materialised as CCQs, and read in place
+        // from each side's flat description.
+        let (mut members, mut flat) = (Vec::new(), Vec::new());
+        let descriptions = [&u1, &u2].map(|u| Description::new(u.disjuncts()));
+        for (u, description) in [&u1, &u2].into_iter().zip(&descriptions) {
+            let ccqs = complete_description_ucq(u);
+            for i in sample(ccqs.len(), cap) {
+                members.push(ccqs.disjuncts()[i].clone());
+                flat.push(description.member(i));
+            }
+        }
         most_vars = (members.iter().map(|m| m.cq().num_vars())).fold(most_vars, usize::max);
-        for target in &members {
+        for (target, flat_target) in members.iter().zip(&flat) {
             let mut covered = BTreeSet::new();
-            for source in &members {
+            for (source, flat_source) in members.iter().zip(&flat) {
                 let expected = reference(source, target);
                 let context = || format!("seed {seed}: {source} → {target}");
                 assert_eq!(
@@ -191,6 +208,18 @@ fn ccq_predicates_agree_with_brute_force_on_complete_descriptions() {
                     "isomorphism, {}",
                     context()
                 );
+                assert_eq!(
+                    kinds::exists_hom(flat_source, flat_target),
+                    expected.hom,
+                    "member hom, {}",
+                    context()
+                );
+                assert_eq!(
+                    kinds::exists_surjective_hom(flat_source, flat_target),
+                    expected.surjective,
+                    "member surjective hom, {}",
+                    context()
+                );
                 tally[0] += expected.hom as usize;
                 tally[1] += expected.surjective as usize;
                 tally[2] += expected.isomorphic as usize;
@@ -201,6 +230,11 @@ fn ccq_predicates_agree_with_brute_force_on_complete_descriptions() {
                 kinds::homomorphically_covers(&members, target),
                 covers,
                 "covering, seed {seed}: {target}"
+            );
+            assert_eq!(
+                kinds::homomorphically_covers(&flat, flat_target),
+                covers,
+                "member covering, seed {seed}: {target}"
             );
             tally[3] += covers as usize;
         }
